@@ -12,6 +12,7 @@ instances of several infinite graph families.
 from .errors import (
     BudgetExhaustedError,
     ColoringMismatchError,
+    CrossCheckError,
     DimensionMismatch,
     DimensionTooLargeError,
     EdgeNotInGraphError,

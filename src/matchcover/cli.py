@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 usage error, 3 incomplete enumeration,
+Exit codes: 0 success, 2 usage error, 3 a limit was hit (the PM count
+reaches --max-pms, or a search or the span DP ran out of its budget),
 4 unverified claim under --strict.
 """
 
@@ -27,6 +28,8 @@ from .constructions import (
     verify_certificate,
 )
 from .errors import (
+    BudgetExhaustedError,
+    CrossCheckError,
     DimensionTooLargeError,
     IncompleteEnumerationError,
     MatchcoverError,
@@ -45,7 +48,8 @@ from .formats import (
 )
 from .graph import Graph, is_bipartite, is_connected, vertex_connectivity_at_least
 from .ears import classify_nf_star, find_ear_decomposition, find_single_ear_decomposition, validate_decomposition
-from .matching import enumerate_perfect_matchings, is_matching_covered
+from .matching import is_matching_covered
+from .span import DEFAULT_STATE_BUDGET, matching_span, span_matching_covered
 from .suites import SUITES, run_suite
 
 EXIT_OK = 0
@@ -75,14 +79,27 @@ class AnalysisReport:
 
 
 def analyze_graph(g: Graph, max_pms: int = 1_000_000,
-                  with_chromatic_index: bool = True) -> AnalysisReport:
+                  with_chromatic_index: bool = True,
+                  state_budget: int = DEFAULT_STATE_BUDGET) -> AnalysisReport:
+    """The structural report of `matchcover analyze`.
+
+    One span DP gives the exact PM count, matching-coveredness and the
+    parity spaces.  Matching-coveredness is cross-checked against
+    `is_matching_covered`, which enumerates perfect matchings instead.
+    Dimensions and the nF* verdict are left out unless the graph is
+    matching-covered and has fewer than `max_pms` perfect matchings.
+    """
     connected = is_connected(g)
     bip = is_bipartite(g).bipartite
-    mc = is_matching_covered(g, cap=max_pms)
-    enum = enumerate_perfect_matchings(g, cap=max_pms)
+    span = matching_span(g, state_budget)
+    covered = span_matching_covered(g, span)
+    if is_matching_covered(g, cap=max_pms).covered != covered:
+        raise CrossCheckError("span DP and matching enumeration disagree "
+                              "on matching-coveredness")
+    complete = span.pm_count < max_pms
     dims = nfe = wit = None
-    if mc.covered and enum.complete:
-        ps = parity_spaces(g, cap=max_pms)
+    if covered and complete:
+        ps = parity_spaces(g, cap=max_pms, span=span)
         rep = nf_star_report(g, ps=ps)
         d, nf, cut, e_in_cut = ps.dims
         dims = {"D": d, "nF": nf, "cut": cut, "E_in_cut": e_in_cut}
@@ -98,8 +115,8 @@ def analyze_graph(g: Graph, max_pms: int = 1_000_000,
     chi = None
     if with_chromatic_index and g.m:
         chi = chromatic_index_exact(g)
-    return AnalysisReport(g.n, g.m, connected, bip, mc.covered,
-                          len(enum.matchings), enum.complete, dims,
+    return AnalysisReport(g.n, g.m, connected, bip, covered,
+                          span.pm_count, complete, dims,
                           nfe, wit, reg, conn, chi)
 
 
@@ -113,7 +130,8 @@ def _emit(obj, as_json: bool) -> None:
 
 def cmd_analyze(args) -> int:
     g = read_graph(args.file, args.format)
-    rep = analyze_graph(g, max_pms=args.max_pms)
+    rep = analyze_graph(g, max_pms=args.max_pms,
+                        state_budget=args.max_states)
     _emit(rep.to_json_obj(), args.json)
     return EXIT_OK if rep.pm_enumeration_complete else EXIT_INCOMPLETE
 
@@ -122,7 +140,7 @@ def cmd_feasible(args) -> int:
     g = read_graph(args.file, args.format)
     ids = [int(t) for t in args.edges.split(",")] if args.edges else []
     x = g.edge_set(ids)
-    ps = parity_spaces(g, cap=args.max_pms)
+    ps = parity_spaces(g, cap=args.max_pms, state_budget=args.max_states)
     out = {"edges": sorted(x.ids())}
     try:
         from .feasibility import is_feasible
@@ -204,10 +222,6 @@ def cmd_decompose(args) -> int:
             return EXIT_OK
     else:
         d = find_ear_decomposition(g)
-        if d is None:
-            print("error: no ear decomposition found within budget",
-                  file=sys.stderr)
-            return EXIT_INCOMPLETE
     val = validate_decomposition(g, d)
     obj = decomposition_to_json_obj(d)
     obj["valid"] = bool(val)
@@ -243,12 +257,20 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-pms", type=int, default=1_000_000)
         sp.add_argument("--json", action="store_true")
 
+    def add_max_states(sp):
+        sp.add_argument("--max-states", type=int,
+                        default=DEFAULT_STATE_BUDGET,
+                        help="state budget of the perfect-matching span "
+                             "DP; exit 3 when it runs out")
+
     sp = sub.add_parser("analyze", help="full structural report")
     add_io(sp)
+    add_max_states(sp)
     sp.set_defaults(fn=cmd_analyze)
 
     sp = sub.add_parser("feasible", help="classify one edge set")
     add_io(sp)
+    add_max_states(sp)
     sp.add_argument("--edges", required=True,
                     help="comma-separated edge ids, e.g. 0,3,5")
     sp.set_defaults(fn=cmd_feasible)
@@ -294,7 +316,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except IncompleteEnumerationError as exc:
+    except (IncompleteEnumerationError, BudgetExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPLETE
     except NotMatchingCoveredError as exc:

@@ -17,8 +17,7 @@ from typing import Optional
 
 from .errors import (BudgetExhaustedError, DimensionTooLargeError,
                      NotMatchingCoveredError)
-from .feasibility import (ParitySpaces, _scan_feasible, enumerate_nf,
-                          parity_spaces)
+from .feasibility import enumerate_nf, parity_spaces
 from .graph import EdgeSet, Graph, is_bipartite, is_connected
 from .matching import (DEFAULT_CAP, enumerate_perfect_matchings,
                        is_matching_covered)

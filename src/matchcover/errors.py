@@ -23,7 +23,12 @@ class NotMatchingCoveredError(MatchcoverError):
 
 
 class BudgetExhaustedError(MatchcoverError):
-    """A backtracking search ran out of its node-expansion budget."""
+    """A search ran out of its budget: ear-search node expansions, or the
+    states of the perfect-matching span DP."""
+
+
+class CrossCheckError(MatchcoverError):
+    """Two independent routes to the same verdict disagreed."""
 
 
 class DimensionTooLargeError(MatchcoverError):

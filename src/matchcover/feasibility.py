@@ -3,41 +3,65 @@
 An edge set X is feasible when two perfect matchings meet it with
 different parities.  Algebraically: fix a base matching M0 and let D be
 the GF(2) span of all symmetric differences M xor M0; then X is
-non-feasible iff X is orthogonal to D.  This reduction is validated
-against a 2^m brute-force oracle in the test suite before being trusted.
+non-feasible iff X is orthogonal to D.  D comes from the span DP of
+`span.py`, which never enumerates the perfect matchings.  This reduction
+is validated against a 2^m brute-force oracle in the test suite before
+being trusted, and `is_feasible` re-derives every verdict it can by a
+direct parity scan over enumerated matchings.
 
 Switching-equivalence (X ~ Y iff X xor Y is an edge cut) is decided both
 combinatorially (2-coloring the components of g minus the cut) and by cut
-space membership; the two routes are asserted to agree.
+space membership.  Whenever two routes to one verdict disagree, the
+verdict is withheld and CrossCheckError is raised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
-from .errors import (IncompleteEnumerationError, NoPerfectMatchingError,
-                     NotMatchingCoveredError)
+from .errors import (CrossCheckError, DimensionMismatch,
+                     IncompleteEnumerationError, InvalidParameterError,
+                     NoPerfectMatchingError, NotMatchingCoveredError)
 from .gf2 import Gf2Subspace, subspace_equal, subspace_sum
 from .graph import EdgeSet, Graph, VertexSet, boundary, components
 from .matching import (DEFAULT_CAP, enumerate_perfect_matchings,
                        is_matching_covered)
+from .span import (DEFAULT_STATE_BUDGET, MatchingSpan, matching_span,
+                   span_matching_covered)
 
 MAX_ENUM_DIM = 24
 
 
 @dataclass(frozen=True)
 class ParitySpaces:
-    """Everything the parity predicates need, built from one enumeration."""
+    """Everything the parity predicates need, from one span DP.
+
+    `complete` is True iff the graph has fewer than `cap` perfect
+    matchings, i.e. iff an enumeration capped at `cap` finishes; verdicts
+    that need every matching are refused otherwise.  D, nF and the PM
+    count are exact either way.  `matchings` is enumerated (up to `cap`)
+    only when first read, by the direct parity scan of `is_feasible`.
+    """
 
     graph: Graph
-    matchings: tuple[EdgeSet, ...]
+    cap: int
+    span: MatchingSpan
     complete: bool
-    base_matching: EdgeSet                 # M0, first enumerated matching
+    base_matching: EdgeSet                 # M0, the DP's representative
     D: Gf2Subspace                         # span{M xor M0}
     nF: Gf2Subspace                        # orthogonal complement of D
     cut: Gf2Subspace                       # span of vertex stars
     cut_plus_E: Gf2Subspace                # cut + <E>
+
+    @property
+    def matching_covered(self) -> bool:
+        return span_matching_covered(self.graph, self.span)
+
+    @cached_property
+    def matchings(self) -> tuple[EdgeSet, ...]:
+        return enumerate_perfect_matchings(self.graph, self.cap).matchings
 
     @property
     def dims(self) -> tuple[int, int, int, bool]:
@@ -45,27 +69,41 @@ class ParitySpaces:
                 self.cut.contains(self.graph.full_edge_set().mask))
 
 
-def parity_spaces(g: Graph, cap: int = DEFAULT_CAP) -> ParitySpaces:
-    enum = enumerate_perfect_matchings(g, cap)
-    if not enum.matchings:
+def parity_spaces(g: Graph, cap: int = DEFAULT_CAP,
+                  state_budget: int = DEFAULT_STATE_BUDGET,
+                  span: Optional[MatchingSpan] = None) -> ParitySpaces:
+    """D, nF, the cut space and cut + <E> of g, from one span DP.
+
+    Pass `span` to reuse a DP already run on g.  Raises
+    NoPerfectMatchingError when g has no perfect matching and
+    BudgetExhaustedError when the DP needs more than `state_budget`
+    states.
+    """
+    if cap < 1:
+        raise InvalidParameterError("cap must be >= 1")
+    if span is None:
+        span = matching_span(g, state_budget)
+    if not span.pm_count:
         raise NoPerfectMatchingError("graph has no perfect matching")
-    base = enum.matchings[0]
-    d = Gf2Subspace(g.m)
-    for mt in enum.matchings[1:]:
-        d.insert(mt.mask ^ base.mask)
-    cut = Gf2Subspace(g.m)
-    for v in range(g.n):
-        cut.insert(boundary(g, g.vertex_set((v,))).mask)
+    d = Gf2Subspace(g.m, span.d_rows)
+    cut = g.cut_space()
     cut_plus_e = subspace_sum(cut, Gf2Subspace(g.m, ((1 << g.m) - 1,)))
-    return ParitySpaces(g, enum.matchings, enum.complete, base, d,
+    return ParitySpaces(g, cap, span, span.pm_count < cap,
+                        EdgeSet(span.base_matching, g.m), d,
                         d.orthogonal_complement(), cut, cut_plus_e)
 
 
 def _scan_feasible(ps: ParitySpaces, x: EdgeSet) -> Optional[bool]:
-    """Parity scan over enumerated matchings; None = constant but capped."""
-    p0 = len(ps.matchings[0] & x) & 1
-    for mt in ps.matchings[1:]:
-        if len(mt & x) & 1 != p0:
+    """Parity scan over the enumerated matchings; None = constant but
+    capped."""
+    if x.size != ps.graph.m:
+        raise DimensionMismatch(
+            f"edge spaces differ: {x.size} vs {ps.graph.m}")
+    xm = x.mask
+    matchings = iter(ps.matchings)
+    p0 = (next(matchings).mask & xm).bit_count() & 1
+    for mt in matchings:
+        if (mt.mask & xm).bit_count() & 1 != p0:
             return True
     return False if ps.complete else None
 
@@ -83,9 +121,9 @@ def is_feasible(g: Graph, x: EdgeSet, ps: Optional[ParitySpaces] = None,
     if scan is None:
         raise IncompleteEnumerationError(
             "enumeration capped; cannot certify non-feasible")
-    if ps.complete:
-        algebraic = not ps.nF.contains(x.mask)
-        assert algebraic == scan, "parity scan and GF(2) route disagree"
+    if ps.complete and scan != (not ps.nF.contains(x.mask)):
+        raise CrossCheckError("parity scan and GF(2) route disagree on "
+                              f"the feasibility of {sorted(x.ids())}")
     return scan
 
 
@@ -140,12 +178,11 @@ def is_switch_equiv_empty(g: Graph, x: EdgeSet) -> SwitchVerdict:
             if side[ci] == 1:
                 mask |= vs.mask
         witness = VertexSet(mask, g.n)
-        assert boundary(g, witness).mask == x.mask
-    # cross-check against cut space membership
-    cut = Gf2Subspace(g.m)
-    for v in range(g.n):
-        cut.insert(boundary(g, g.vertex_set((v,))).mask)
-    assert cut.contains(x.mask) == ok, "combinatorial and GF(2) routes disagree"
+        if boundary(g, witness).mask != x.mask:
+            raise CrossCheckError("switching witness has the wrong boundary")
+    if g.cut_space().contains(x.mask) != ok:
+        raise CrossCheckError("combinatorial and GF(2) routes disagree on "
+                              f"whether {sorted(x.ids())} is a cut")
     return SwitchVerdict(ok, witness)
 
 
@@ -173,19 +210,25 @@ def nf_star_report(g: Graph, cap: int = DEFAULT_CAP,
     Since cut <= nF and E in nF always hold for matching-covered graphs,
     the class {X : X ~ {} or X ~ E} is exactly the subspace cut + <E>, so
     emptiness is a dimension comparison.  A nonempty verdict carries the
-    first reduced nF basis vector outside cut + <E>, re-verified by a
-    direct parity scan and by membership tests.
+    first reduced nF basis vector outside cut + <E>, re-verified by the
+    DP's signed parity count and by the combinatorial cut tests.
     """
-    mc = is_matching_covered(g, cap)
-    if not mc:
-        raise NotMatchingCoveredError(f"not matching-covered: {mc.reason}")
     if ps is None:
+        mc = is_matching_covered(g, cap)
+        if not mc:
+            raise NotMatchingCoveredError(f"not matching-covered: {mc.reason}")
         ps = parity_spaces(g, cap)
+    elif not ps.matching_covered:
+        raise NotMatchingCoveredError(
+            "not matching-covered: disconnected, or an edge lies in no "
+            "perfect matching")
     if not ps.complete:
         raise IncompleteEnumerationError(
-            "enumeration capped; nF is only an over-approximation")
-    assert all(ps.nF.contains(r) for r in ps.cut.basis())
-    assert ps.nF.contains((1 << g.m) - 1)
+            f"at least {ps.cap} perfect matchings: over the cap")
+    full = (1 << g.m) - 1
+    if not (all(ps.nF.contains(r) for r in ps.cut.basis())
+            and ps.nF.contains(full)):
+        raise CrossCheckError("cut + <E> is not inside nF")
     empty = subspace_equal(ps.nF, ps.cut_plus_E)
     if empty:
         return NfStarReport(True, None, ps.dims)
@@ -193,9 +236,11 @@ def nf_star_report(g: Graph, cap: int = DEFAULT_CAP,
                         if not ps.cut_plus_E.contains(r))
     witness = EdgeSet(witness_mask, g.m)
     # independent re-verification of the witness
-    assert _scan_feasible(ps, witness) is False
-    assert not is_switch_equiv_empty(g, witness)
-    assert not is_switch_equiv_full(g, witness)
+    if 0 not in ps.span.parity_counts(witness_mask):
+        raise CrossCheckError("nF* witness is feasible by its parity count")
+    if is_switch_equiv_empty(g, witness) or is_switch_equiv_full(g, witness):
+        raise CrossCheckError("nF* witness is switching-equivalent to "
+                              "{} or E")
     return NfStarReport(False, witness, ps.dims)
 
 
@@ -207,6 +252,6 @@ def enumerate_nf(g: Graph, max_dim: int = MAX_ENUM_DIM,
         ps = parity_spaces(g, cap)
     if not ps.complete:
         raise IncompleteEnumerationError(
-            "enumeration capped; nF is only an over-approximation")
+            f"at least {ps.cap} perfect matchings: over the cap")
     for mask in ps.nF.members(max_dim):
         yield EdgeSet(mask, g.m)

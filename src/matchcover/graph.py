@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import DimensionMismatch, InvalidParameterError
+from .gf2 import Gf2Subspace
 
 
 def _popcount(x: int) -> int:
@@ -129,7 +130,7 @@ class VertexSet:
 class Graph:
     """Loopless undirected multigraph; vertices 0..n-1, edge ids 0..m-1."""
 
-    __slots__ = ("n", "edges", "vertex_labels", "edge_labels", "_adj")
+    __slots__ = ("n", "edges", "vertex_labels", "edge_labels", "_adj", "_cut")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  vertex_labels: Optional[dict] = None,
@@ -147,6 +148,7 @@ class Graph:
         object.__setattr__(self, "vertex_labels", dict(vertex_labels or {}))
         object.__setattr__(self, "edge_labels", dict(edge_labels or {}))
         object.__setattr__(self, "_adj", None)
+        object.__setattr__(self, "_cut", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -165,6 +167,23 @@ class Graph:
                 adj[v].append((u, eid))
             object.__setattr__(self, "_adj", adj)
         return adj
+
+    def cut_space(self) -> Gf2Subspace:
+        """Span of the vertex stars, i.e. of all edge cuts; built once.
+
+        The same object is returned on every call: read it, do not
+        insert into it (take a copy() for that).
+        """
+        cut = object.__getattribute__(self, "_cut")
+        if cut is None:
+            cut = Gf2Subspace(self.m)
+            for nbrs in self.adjacency():
+                star = 0
+                for _, eid in nbrs:
+                    star |= 1 << eid
+                cut.insert(star)
+            object.__setattr__(self, "_cut", cut)
+        return cut
 
     def degree(self, v: int) -> int:
         return len(self.adjacency()[v])

@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import matchcover
+from matchcover import cli
 from matchcover.cli import main
 from matchcover.constructions import complete_graph, petersen
+from matchcover.errors import BudgetExhaustedError
 from matchcover.feasibility import nf_star_report
 from matchcover.formats import write_graph
 
@@ -128,6 +130,35 @@ def test_incomplete_enumeration_exit_code(tmp_path):
     write_graph(complete_graph(8), str(p))
     proc = run_cli("analyze", str(p), "--max-pms", "3", "--json")
     assert proc.returncode == 3
+
+
+def test_ear_search_budget_exit_code(k4_file, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise BudgetExhaustedError("ear search budget exhausted")
+
+    monkeypatch.setattr(cli, "find_ear_decomposition", exhausted)
+    assert main(["decompose", k4_file, "--json"]) == 3
+    assert "budget" in capsys.readouterr().err
+
+
+def test_span_state_budget_exit_code(petersen_file, capsys):
+    assert main(["analyze", petersen_file, "--max-states", "1"]) == 3
+    assert "state budget" in capsys.readouterr().err
+    assert main(["feasible", petersen_file, "--edges", "0",
+                 "--max-states", "1"]) == 3
+    assert run_cli("analyze", petersen_file, "--max-states",
+                   "1").returncode == 3
+
+
+def test_pm_count_exact_above_the_cap(tmp_path, capsys):
+    p = tmp_path / "k8.json"
+    write_graph(complete_graph(8), str(p))
+    assert main(["analyze", str(p), "--max-pms", "3", "--json"]) == 3
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["pm_count"] == 105
+    assert obj["pm_enumeration_complete"] is False
+    assert obj["matching_covered"] is True
+    assert obj["dims"] is None
 
 
 def test_entry_point_installed():

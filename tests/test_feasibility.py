@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -166,3 +169,53 @@ def test_incomplete_enumeration_refuses_nonfeasible_verdict():
     assert not ps.complete
     with pytest.raises(IncompleteEnumerationError):
         is_feasible(g, g.empty_edge_set(), ps)
+
+
+# Each case makes one route of a cross-check lie and reports whether the
+# check still raised.  Run under `python -O`, where asserts are stripped.
+_LYING_ROUTES = textwrap.dedent("""
+    import sys
+    from matchcover import cli
+    from matchcover.constructions import petersen
+    from matchcover.errors import CrossCheckError
+    from matchcover.feasibility import (is_feasible, is_switch_equiv_empty,
+                                        nf_star_report, parity_spaces)
+    from matchcover.gf2 import Gf2Subspace
+    from matchcover.matching import MatchingCoveredResult
+    from matchcover.span import MatchingSpan
+
+    def expect(label, fn):
+        try:
+            fn()
+        except CrossCheckError:
+            print(label, "raised")
+        else:
+            print(label, "silent")
+
+    g = petersen()
+    ps = parity_spaces(g)
+    x = g.edge_set((0,))
+    contains = Gf2Subspace.contains
+    Gf2Subspace.contains = lambda self, v: not contains(self, v)
+    expect("is_feasible", lambda: is_feasible(g, x, ps))
+    expect("is_switch_equiv_empty", lambda: is_switch_equiv_empty(g, x))
+    Gf2Subspace.contains = contains
+    parity_counts = MatchingSpan.parity_counts
+    MatchingSpan.parity_counts = lambda self, mask: (1, 1)
+    expect("nf_star_report", lambda: nf_star_report(g, ps=ps))
+    MatchingSpan.parity_counts = parity_counts
+    cli.is_matching_covered = (
+        lambda g, cap: MatchingCoveredResult(False, "uncovered-edge", 0))
+    expect("analyze_graph", lambda: cli.analyze_graph(
+        g, with_chromatic_index=False))
+    print("optimize", sys.flags.optimize)
+""")
+
+
+def test_cross_checks_raise_under_python_O():
+    proc = subprocess.run([sys.executable, "-O", "-c", _LYING_ROUTES],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == [
+        "is_feasible raised", "is_switch_equiv_empty raised",
+        "nf_star_report raised", "analyze_graph raised", "optimize 1", ""]
