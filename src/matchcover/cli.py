@@ -49,7 +49,7 @@ from .formats import (
 from .graph import Graph, is_bipartite, is_connected, vertex_connectivity_at_least
 from .ears import classify_nf_star, find_ear_decomposition, find_single_ear_decomposition, validate_decomposition
 from .matching import is_matching_covered
-from .span import DEFAULT_STATE_BUDGET, matching_span, span_matching_covered
+from .span import matching_span, span_matching_covered
 from .suites import SUITES, run_suite
 
 EXIT_OK = 0
@@ -65,7 +65,7 @@ class AnalysisReport:
     connected: bool
     bipartite: bool
     matching_covered: bool
-    pm_count: int
+    pm_count: Optional[int]
     pm_enumeration_complete: bool
     dims: Optional[dict]
     nf_star_empty: Optional[bool]
@@ -79,8 +79,7 @@ class AnalysisReport:
 
 
 def analyze_graph(g: Graph, max_pms: int = 1_000_000,
-                  with_chromatic_index: bool = True,
-                  state_budget: int = DEFAULT_STATE_BUDGET) -> AnalysisReport:
+                  with_chromatic_index: bool = True) -> AnalysisReport:
     """The structural report of `matchcover analyze`.
 
     One span DP gives the exact PM count, matching-coveredness and the
@@ -88,17 +87,24 @@ def analyze_graph(g: Graph, max_pms: int = 1_000_000,
     `is_matching_covered`, which enumerates perfect matchings instead.
     Dimensions and the nF* verdict are left out unless the graph is
     matching-covered and has fewer than `max_pms` perfect matchings.
+    When the DP runs out of its state budget, matching-coveredness comes
+    from `is_matching_covered` alone, and the PM count, dimensions and
+    nF* verdict are left out.
     """
     connected = is_connected(g)
     bip = is_bipartite(g).bipartite
-    span = matching_span(g, state_budget)
-    covered = span_matching_covered(g, span)
-    if is_matching_covered(g, cap=max_pms).covered != covered:
+    mc = is_matching_covered(g, cap=max_pms).covered
+    try:
+        span = matching_span(g)
+    except BudgetExhaustedError:
+        span = None
+    if span is not None and span_matching_covered(g, span) != mc:
         raise CrossCheckError("span DP and matching enumeration disagree "
                               "on matching-coveredness")
-    complete = span.pm_count < max_pms
+    pm_count = span.pm_count if span is not None else None
+    complete = pm_count is not None and pm_count < max_pms
     dims = nfe = wit = None
-    if covered and complete:
+    if mc and complete:
         ps = parity_spaces(g, cap=max_pms, span=span)
         rep = nf_star_report(g, ps=ps)
         d, nf, cut, e_in_cut = ps.dims
@@ -115,8 +121,8 @@ def analyze_graph(g: Graph, max_pms: int = 1_000_000,
     chi = None
     if with_chromatic_index and g.m:
         chi = chromatic_index_exact(g)
-    return AnalysisReport(g.n, g.m, connected, bip, covered,
-                          span.pm_count, complete, dims,
+    return AnalysisReport(g.n, g.m, connected, bip, mc,
+                          pm_count, complete, dims,
                           nfe, wit, reg, conn, chi)
 
 
@@ -130,8 +136,7 @@ def _emit(obj, as_json: bool) -> None:
 
 def cmd_analyze(args) -> int:
     g = read_graph(args.file, args.format)
-    rep = analyze_graph(g, max_pms=args.max_pms,
-                        state_budget=args.max_states)
+    rep = analyze_graph(g, max_pms=args.max_pms)
     _emit(rep.to_json_obj(), args.json)
     return EXIT_OK if rep.pm_enumeration_complete else EXIT_INCOMPLETE
 
@@ -140,11 +145,10 @@ def cmd_feasible(args) -> int:
     g = read_graph(args.file, args.format)
     ids = [int(t) for t in args.edges.split(",")] if args.edges else []
     x = g.edge_set(ids)
-    ps = parity_spaces(g, cap=args.max_pms, state_budget=args.max_states)
     out = {"edges": sorted(x.ids())}
     try:
         from .feasibility import is_feasible
-        feas = is_feasible(g, x, ps)
+        feas = is_feasible(g, x, cap=args.max_pms)
     except IncompleteEnumerationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPLETE
@@ -229,7 +233,8 @@ def cmd_decompose(args) -> int:
         cls = classify_nf_star(g, d)
         obj["nf_star"] = {"empty": cls.empty, "rule": cls.rule,
                           "detail": cls.detail}
-    except (DimensionTooLargeError, IncompleteEnumerationError) as exc:
+    except (BudgetExhaustedError, DimensionTooLargeError,
+            IncompleteEnumerationError) as exc:
         obj["nf_star"] = {"empty": None, "rule": "refused",
                           "detail": str(exc)}
     print(json.dumps(obj, indent=2))
@@ -257,20 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-pms", type=int, default=1_000_000)
         sp.add_argument("--json", action="store_true")
 
-    def add_max_states(sp):
-        sp.add_argument("--max-states", type=int,
-                        default=DEFAULT_STATE_BUDGET,
-                        help="state budget of the perfect-matching span "
-                             "DP; exit 3 when it runs out")
-
     sp = sub.add_parser("analyze", help="full structural report")
     add_io(sp)
-    add_max_states(sp)
     sp.set_defaults(fn=cmd_analyze)
 
     sp = sub.add_parser("feasible", help="classify one edge set")
     add_io(sp)
-    add_max_states(sp)
     sp.add_argument("--edges", required=True,
                     help="comma-separated edge ids, e.g. 0,3,5")
     sp.set_defaults(fn=cmd_feasible)

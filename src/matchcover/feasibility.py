@@ -21,15 +21,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
 
-from .errors import (CrossCheckError, DimensionMismatch,
-                     IncompleteEnumerationError, InvalidParameterError,
-                     NoPerfectMatchingError, NotMatchingCoveredError)
+from .errors import (BudgetExhaustedError, CrossCheckError,
+                     DimensionMismatch, IncompleteEnumerationError,
+                     InvalidParameterError, NoPerfectMatchingError,
+                     NotMatchingCoveredError)
 from .gf2 import Gf2Subspace, subspace_equal, subspace_sum
 from .graph import EdgeSet, Graph, VertexSet, boundary, components
-from .matching import (DEFAULT_CAP, enumerate_perfect_matchings,
-                       is_matching_covered)
-from .span import (DEFAULT_STATE_BUDGET, MatchingSpan, matching_span,
-                   span_matching_covered)
+from .matching import DEFAULT_CAP, enumerate_perfect_matchings
+from .span import MatchingSpan, matching_span, span_matching_covered
 
 MAX_ENUM_DIM = 24
 
@@ -55,10 +54,6 @@ class ParitySpaces:
     cut: Gf2Subspace                       # span of vertex stars
     cut_plus_E: Gf2Subspace                # cut + <E>
 
-    @property
-    def matching_covered(self) -> bool:
-        return span_matching_covered(self.graph, self.span)
-
     @cached_property
     def matchings(self) -> tuple[EdgeSet, ...]:
         return enumerate_perfect_matchings(self.graph, self.cap).matchings
@@ -70,19 +65,17 @@ class ParitySpaces:
 
 
 def parity_spaces(g: Graph, cap: int = DEFAULT_CAP,
-                  state_budget: int = DEFAULT_STATE_BUDGET,
                   span: Optional[MatchingSpan] = None) -> ParitySpaces:
     """D, nF, the cut space and cut + <E> of g, from one span DP.
 
     Pass `span` to reuse a DP already run on g.  Raises
     NoPerfectMatchingError when g has no perfect matching and
-    BudgetExhaustedError when the DP needs more than `state_budget`
-    states.
+    BudgetExhaustedError when the DP runs out of its state budget.
     """
     if cap < 1:
         raise InvalidParameterError("cap must be >= 1")
     if span is None:
-        span = matching_span(g, state_budget)
+        span = matching_span(g)
     if not span.pm_count:
         raise NoPerfectMatchingError("graph has no perfect matching")
     d = Gf2Subspace(g.m, span.d_rows)
@@ -93,32 +86,41 @@ def parity_spaces(g: Graph, cap: int = DEFAULT_CAP,
                         d.orthogonal_complement(), cut, cut_plus_e)
 
 
-def _scan_feasible(ps: ParitySpaces, x: EdgeSet) -> Optional[bool]:
-    """Parity scan over the enumerated matchings; None = constant but
-    capped."""
-    if x.size != ps.graph.m:
-        raise DimensionMismatch(
-            f"edge spaces differ: {x.size} vs {ps.graph.m}")
+def _meets_both_parities(matchings: tuple[EdgeSet, ...], x: EdgeSet) -> bool:
+    """Do two of the given matchings meet x with different parities?"""
+    if not matchings:
+        return False
     xm = x.mask
-    matchings = iter(ps.matchings)
-    p0 = (next(matchings).mask & xm).bit_count() & 1
+    p0 = (matchings[0].mask & xm).bit_count() & 1
     for mt in matchings:
         if (mt.mask & xm).bit_count() & 1 != p0:
             return True
-    return False if ps.complete else None
+    return False
 
 
 def is_feasible(g: Graph, x: EdgeSet, ps: Optional[ParitySpaces] = None,
                 cap: int = DEFAULT_CAP) -> bool:
     """Two matchings meet x with different parities?
 
-    A feasible verdict may be certified from a capped enumeration; a
+    A feasible verdict may be certified from a capped enumeration, also
+    when the span DP runs out of its state budget (ps not given); a
     non-feasible verdict needs the enumeration to have completed.
     """
+    if x.size != g.m:
+        raise DimensionMismatch(f"edge spaces differ: {x.size} vs {g.m}")
     if ps is None:
-        ps = parity_spaces(g, cap)
-    scan = _scan_feasible(ps, x)
-    if scan is None:
+        try:
+            ps = parity_spaces(g, cap)
+        except BudgetExhaustedError:
+            if _meets_both_parities(
+                    enumerate_perfect_matchings(g, cap).matchings, x):
+                return True
+            raise
+    if _meets_both_parities(ps.matchings, x):
+        scan = True
+    elif ps.complete:
+        scan = False
+    else:
         raise IncompleteEnumerationError(
             "enumeration capped; cannot certify non-feasible")
     if ps.complete and scan != (not ps.nF.contains(x.mask)):
@@ -213,15 +215,13 @@ def nf_star_report(g: Graph, cap: int = DEFAULT_CAP,
     first reduced nF basis vector outside cut + <E>, re-verified by the
     DP's signed parity count and by the combinatorial cut tests.
     """
-    if ps is None:
-        mc = is_matching_covered(g, cap)
-        if not mc:
-            raise NotMatchingCoveredError(f"not matching-covered: {mc.reason}")
-        ps = parity_spaces(g, cap)
-    elif not ps.matching_covered:
+    span = ps.span if ps is not None else matching_span(g)
+    if not span_matching_covered(g, span):
         raise NotMatchingCoveredError(
             "not matching-covered: disconnected, or an edge lies in no "
             "perfect matching")
+    if ps is None:
+        ps = parity_spaces(g, cap, span=span)
     if not ps.complete:
         raise IncompleteEnumerationError(
             f"at least {ps.cap} perfect matchings: over the cap")

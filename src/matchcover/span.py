@@ -25,13 +25,14 @@ The number of states depends on the vertex order: the lowest-index order
 can need millions of states on a sparse graph that a bandwidth-reducing
 order handles in thousands.  Vertices are therefore visited in reverse
 Cuthill-McKee order, and the DP stops with BudgetExhaustedError once it
-has made `state_budget` states, so memory stays bounded.
+has made DEFAULT_STATE_BUDGET states, so memory stays bounded.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from typing import Optional
 
 import networkx as nx
 
@@ -90,12 +91,15 @@ def _vertex_order(g: Graph) -> list[int]:
 
 
 def matching_span(g: Graph,
-                  state_budget: int = DEFAULT_STATE_BUDGET) -> MatchingSpan:
+                  state_budget: Optional[int] = None) -> MatchingSpan:
     """Run the DP of this module once over g.
 
     Raises BudgetExhaustedError once the DP has made `state_budget`
-    states, with or without a perfect matching.
+    states (DEFAULT_STATE_BUDGET, read at call time, when None), with or
+    without a perfect matching.
     """
+    if state_budget is None:
+        state_budget = DEFAULT_STATE_BUDGET
     if state_budget < 1:
         raise InvalidParameterError("state budget must be >= 1")
     if g.n % 2:

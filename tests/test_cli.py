@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import matchcover
-from matchcover import cli
+from matchcover import cli, span
 from matchcover.cli import main
 from matchcover.constructions import complete_graph, petersen
 from matchcover.errors import BudgetExhaustedError
@@ -141,13 +141,31 @@ def test_ear_search_budget_exit_code(k4_file, monkeypatch, capsys):
     assert "budget" in capsys.readouterr().err
 
 
-def test_span_state_budget_exit_code(petersen_file, capsys):
-    assert main(["analyze", petersen_file, "--max-states", "1"]) == 3
-    assert "state budget" in capsys.readouterr().err
-    assert main(["feasible", petersen_file, "--edges", "0",
-                 "--max-states", "1"]) == 3
-    assert run_cli("analyze", petersen_file, "--max-states",
-                   "1").returncode == 3
+def test_span_state_budget_exit_code(petersen_file, monkeypatch, capsys):
+    monkeypatch.setattr(span, "DEFAULT_STATE_BUDGET", 1)
+    # analyze still reports everything that does not need the DP
+    assert main(["analyze", petersen_file, "--json"]) == 3
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["n"], obj["m"], obj["regularity"]) == (10, 15, 3)
+    assert obj["connected"] is True and obj["matching_covered"] is True
+    assert obj["vertex_connectivity_checked"] == 3
+    assert obj["chromatic_index"] == 4
+    assert obj["pm_count"] is None and obj["dims"] is None
+    assert obj["pm_enumeration_complete"] is False
+    # a capped parity scan still certifies a feasible edge set ...
+    assert main(["feasible", petersen_file, "--edges", "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"edges": [0],
+                                                    "feasible": True}
+    # ... but not a non-feasible one
+    assert main(["feasible", petersen_file, "--edges", "", "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "state budget" in captured.err
+    # decompose still prints its decomposition and refuses the nF* verdict
+    assert main(["decompose", petersen_file]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["valid"] is True
+    assert obj["nf_star"]["rule"] == "refused"
+    assert "state budget" in obj["nf_star"]["detail"]
 
 
 def test_pm_count_exact_above_the_cap(tmp_path, capsys):

@@ -153,8 +153,10 @@ def test_nf_star_empty_on_bipartite_members():
 
 def test_nf_star_requires_matching_covered():
     path = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    with pytest.raises(NotMatchingCoveredError):
-        nf_star_report(path)
+    claw = Graph(4, [(0, 1), (0, 2), (0, 3)])      # no perfect matching
+    for g in (path, claw):
+        with pytest.raises(NotMatchingCoveredError):
+            nf_star_report(g)
 
 
 def test_no_perfect_matching_raises():

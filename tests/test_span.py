@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oracles import brute_is_matching_covered, brute_perfect_matchings
 
 from matchcover import kernels
+from matchcover import span as span_module
 from matchcover.constructions import (
     CyclePart,
     StarPart,
@@ -94,15 +95,19 @@ def test_family_graphs_pinned():
         assert Gf2Subspace(g.m, span.d_rows) == d_enum
 
 
-def test_state_budget():
+def test_state_budget(monkeypatch):
     g = complete_graph(6)
     with pytest.raises(BudgetExhaustedError):
         matching_span(g, state_budget=1)
-    with pytest.raises(BudgetExhaustedError):
-        parity_spaces(g, state_budget=1)
     with pytest.raises(InvalidParameterError):
         matching_span(g, state_budget=0)
     assert matching_span(g, state_budget=1_000).pm_count == 15
+    # the default budget is read at call time
+    monkeypatch.setattr(span_module, "DEFAULT_STATE_BUDGET", 1)
+    with pytest.raises(BudgetExhaustedError):
+        matching_span(g)
+    with pytest.raises(BudgetExhaustedError):
+        parity_spaces(g)
 
 
 def test_parity_spaces_enumerates_nothing_until_matchings_are_read(monkeypatch):
