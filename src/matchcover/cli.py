@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage error, 3 a limit was hit (the PM count
 reaches --max-pms, or a search or the span DP ran out of its budget),
-4 unverified claim under --strict.
+4 unverified claim under --strict, 5 internal cross-check failed (two
+independent routes to one verdict disagreed; the verdict is withheld).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .constructions import (
 from .errors import (
     BudgetExhaustedError,
     CrossCheckError,
-    DimensionTooLargeError,
     IncompleteEnumerationError,
     MatchcoverError,
     NotMatchingCoveredError,
@@ -56,6 +56,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INCOMPLETE = 3
 EXIT_UNVERIFIED = 4
+EXIT_CROSS_CHECK = 5
 
 
 @dataclass
@@ -233,8 +234,7 @@ def cmd_decompose(args) -> int:
         cls = classify_nf_star(g, d)
         obj["nf_star"] = {"empty": cls.empty, "rule": cls.rule,
                           "detail": cls.detail}
-    except (BudgetExhaustedError, DimensionTooLargeError,
-            IncompleteEnumerationError) as exc:
+    except BudgetExhaustedError as exc:
         obj["nf_star"] = {"empty": None, "rule": "refused",
                           "detail": str(exc)}
     print(json.dumps(obj, indent=2))
@@ -289,7 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_construct)
 
     sp = sub.add_parser("decompose", help="find and classify an ear decomposition")
-    add_io(sp)
+    sp.add_argument("file")
+    sp.add_argument("--format", choices=["graph6", "edgelist", "json"])
+    sp.add_argument("--json", action="store_true")
     sp.add_argument("--single-only", action="store_true")
     sp.set_defaults(fn=cmd_decompose)
 
@@ -313,6 +315,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except CrossCheckError as exc:
+        print(f"error: internal cross-check failed: {exc}", file=sys.stderr)
+        return EXIT_CROSS_CHECK
     except (IncompleteEnumerationError, BudgetExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPLETE

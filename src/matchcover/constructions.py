@@ -13,15 +13,15 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import kernels
-from .errors import (ColoringMismatchError, EdgeNotInGraphError,
-                     InvalidParameterError, NotEquivalentError,
-                     NotMatchingCoveredError)
+from .errors import (BudgetExhaustedError, ColoringMismatchError,
+                     EdgeNotInGraphError, InvalidParameterError,
+                     NotEquivalentError, NotMatchingCoveredError)
 from .feasibility import (is_switch_equiv_empty, is_switch_equiv_full,
                           parity_spaces)
 from .graph import (EdgeSet, Graph, is_bipartite, is_connected,
                     vertex_connectivity_at_least)
-from .matching import (DEFAULT_CAP, enumerate_perfect_matchings,
-                       is_matching_covered)
+from .matching import DEFAULT_CAP, is_matching_covered
+from .span import MatchingSpan, matching_span
 
 DEFAULT_COLOR_BUDGET = 5_000_000
 
@@ -29,7 +29,7 @@ DEFAULT_COLOR_BUDGET = 5_000_000
 @dataclass(frozen=True)
 class Claim:
     name: str
-    ok: Optional[bool]          # None = could not be verified (cap hit)
+    ok: Optional[bool]          # None = could not be verified (a limit hit)
     detail: str = ""
 
 
@@ -73,18 +73,31 @@ def cube_graph() -> Graph:
     return Graph(8, edges)
 
 
-def verify_equivalent_set(g: Graph, s: EdgeSet, cap: int = DEFAULT_CAP) -> Optional[bool]:
+def verify_equivalent_set(g: Graph, s: EdgeSet) -> Optional[bool]:
     """Every perfect matching contains all of s or none of it.
 
-    Returns None when enumeration capped without a counterexample.
+    Returns None when the span DP runs out of its state budget.
     """
-    enum = enumerate_perfect_matchings(g, cap)
-    sm = s.mask
-    for mt in enum.matchings:
-        inter = mt.mask & sm
-        if inter != 0 and inter != sm:
-            return False
-    return True if enum.complete else None
+    return _is_equivalent_set(_span_or_none(g), s)
+
+
+def _span_or_none(g: Graph) -> Optional[MatchingSpan]:
+    """The span DP of g, or None when it runs out of its state budget."""
+    try:
+        return matching_span(g)
+    except BudgetExhaustedError:
+        return None
+
+
+def _is_equivalent_set(span: Optional[MatchingSpan],
+                       s: EdgeSet) -> Optional[bool]:
+    """No perfect matching meets {s0, e} oddly, for s0 the first edge of s
+    and each other edge e of s; None without a span."""
+    if span is None:
+        return None
+    ids = s.ids()
+    return all(span.parity_counts(1 << ids[0] | 1 << e)[1] == 0
+               for e in ids[1:])
 
 
 def chromatic_index_exact(g: Graph, limit_colors: Optional[int] = None,
@@ -305,7 +318,7 @@ def build_chain(parts: Sequence[ChainPart],
             raise InvalidParameterError("e and e' must differ")
         if p.e not in p.equiv_set or p.e_prime not in p.equiv_set:
             raise NotEquivalentError("equivalent set must contain e and e'")
-        ok = verify_equivalent_set(p.graph, p.equiv_set, cap)
+        ok = verify_equivalent_set(p.graph, p.equiv_set)
         if ok is False:
             raise NotEquivalentError("supplied set is not an equivalent set")
         if not coloring_is_proper(p.graph, p.coloring, r):
@@ -428,8 +441,7 @@ class CyclePart:
     orient_e_prime: Optional[tuple[int, int]] = None
 
 
-def build_cycle_cl(parts: Sequence[CyclePart],
-                   cap: int = DEFAULT_CAP) -> ConstructionCertificate:
+def build_cycle_cl(parts: Sequence[CyclePart]) -> ConstructionCertificate:
     """Odd cyclic arrangement: drop each part's pair e_i, e'_i and bridge
     x_i -> y_{i+1} (edge f_i) and x'_i -> y'_{i+1} (edge f'_i)."""
     k = len(parts)
@@ -443,7 +455,7 @@ def build_cycle_cl(parts: Sequence[CyclePart],
     for p in parts:
         if p.graph.is_regular() != r:
             raise InvalidParameterError("parts must share a common regularity")
-        if verify_equivalent_set(p.graph, p.graph.edge_set((p.e, p.e_prime)), cap) is False:
+        if verify_equivalent_set(p.graph, p.graph.edge_set((p.e, p.e_prime))) is False:
             raise NotEquivalentError("{e, e'} is not an equivalent set of its part")
         if not coloring_is_proper(p.graph, p.coloring, r):
             raise ColoringMismatchError("part coloring is not proper")
@@ -629,7 +641,8 @@ def star_part_from_certificate(cert: ConstructionCertificate,
 def verify_certificate(cert: ConstructionCertificate,
                        cap: int = DEFAULT_CAP,
                        check_connectivity: bool = True) -> list[Claim]:
-    """Re-check every claim from scratch; None marks cap-limited claims."""
+    """Re-check every claim from scratch; None marks claims left
+    unverified by the PM cap or the span DP's state budget."""
     g = cert.graph
     claims = []
     mc = is_matching_covered(g, cap)
@@ -647,38 +660,30 @@ def verify_certificate(cert: ConstructionCertificate,
         claims.append(Claim("color-classes-perfect-matchings",
                             color_classes_are_perfect_matchings(
                                 g, cert.coloring, cert.r)))
-    enum = None
+    span = None
     if cert.equivalent_sets or cert.nf_star_witness is not None:
-        enum = enumerate_perfect_matchings(g, cap)
+        span = _span_or_none(g)
     for i, s in enumerate(cert.equivalent_sets):
-        ok = _equiv_against(enum, s)
+        ok = _is_equivalent_set(span, s)
         claims.append(Claim(f"equivalent-set-{i}", ok, str(s.ids())))
     if cert.nf_star_witness is not None:
-        claims.append(_verify_witness(g, cert.nf_star_witness, enum, cap))
+        claims.append(_verify_witness(g, cert.nf_star_witness, span))
     return claims
 
 
-def _equiv_against(enum, s: EdgeSet) -> Optional[bool]:
-    for mt in enum.matchings:
-        inter = mt.mask & s.mask
-        if inter != 0 and inter != s.mask:
-            return False
-    return True if enum.complete else None
-
-
-def _verify_witness(g: Graph, w: EdgeSet, enum, cap: int) -> Claim:
+def _verify_witness(g: Graph, w: EdgeSet,
+                    span: Optional[MatchingSpan]) -> Claim:
     """Constant matching parity, and equivalent to neither {} nor E."""
-    p0 = len(enum.matchings[0] & w) & 1 if enum.matchings else 0
-    for mt in enum.matchings:
-        if len(mt & w) & 1 != p0:
-            return Claim("nf-star-witness", False, "witness is feasible")
-    if not enum.complete:
-        return Claim("nf-star-witness", None, "enumeration capped")
+    if span is None:
+        return Claim("nf-star-witness", None,
+                     "span DP state budget exhausted")
+    if 0 not in span.parity_counts(w.mask):
+        return Claim("nf-star-witness", False, "witness is feasible")
     if is_switch_equiv_empty(g, w):
         return Claim("nf-star-witness", False, "witness is a cut")
     if is_switch_equiv_full(g, w):
         return Claim("nf-star-witness", False, "witness complement is a cut")
-    ps = parity_spaces(g, cap)
+    ps = parity_spaces(g, span=span)
     if ps.cut_plus_E.contains(w.mask):
         return Claim("nf-star-witness", False, "witness in cut + <E>")
     return Claim("nf-star-witness", True, "")

@@ -5,9 +5,14 @@ the last ear added is visible as a chain of internal degree-2 vertices
 (a chord when it has none), so candidates are exactly the maximal such
 chains; a removal is accepted when the remainder is connected and
 matching-covered.  Single-ear removals are tried before double-ear
-removals, biasing the result toward few double ears and therefore cheap
-classification.  All ids in the returned decomposition refer to the
-input graph.
+removals, biasing the result toward few double ears.  All ids in the
+returned decomposition refer to the input graph.
+
+`classify_nf_star` decides whether nF* is empty from a decomposition.
+Its one costly case is subspace algebra on the span DP of `span.py`, run
+on the last prefix and on that prefix minus the last ear's ends: it
+enumerates neither perfect matchings nor subspace members, and it gives
+no verdict only when a DP runs out of its state budget.
 """
 
 from __future__ import annotations
@@ -15,16 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (BudgetExhaustedError, DimensionTooLargeError,
+from .errors import (BudgetExhaustedError, CrossCheckError,
                      NotMatchingCoveredError)
-from .feasibility import enumerate_nf, parity_spaces
+from .feasibility import parity_spaces
+from .gf2 import Gf2Subspace
 from .graph import EdgeSet, Graph, is_bipartite, is_connected
-from .matching import (DEFAULT_CAP, enumerate_perfect_matchings,
-                       is_matching_covered)
+from .matching import DEFAULT_CAP, is_matching_covered
+from .span import matching_span
 
 DEFAULT_BUDGET = 100_000
 DEFAULT_PAIR_CAP = 10_000
-CASE_IV_MAX_DIM = 20
 
 
 @dataclass(frozen=True)
@@ -212,7 +217,9 @@ class _Search:
         ear = Ear(kind, paths)
         new_vmap = tuple(vmap[v] for v in range(g.n) if v not in set(drop_verts))
         new_emap = tuple(emap[e] for e in range(g.m) if e not in set(drop_edges))
-        assert len(new_vmap) == h.n and len(new_emap) == h.m
+        if len(new_vmap) != h.n or len(new_emap) != h.m:
+            raise CrossCheckError("ear removal lost track of vertex or "
+                                  "edge ids")
         sub = self._search(h, new_vmap, new_emap)
         if sub is None:
             return None
@@ -273,7 +280,8 @@ def _assemble(g: Graph, removal: list) -> EarDecomposition:
     ear_es = {e for p in first_ear.paths for e in p.edge_ids}
     prior_v = [v for v in removal[0][0] if v not in ear_vs]
     prior_e = [e for e in removal[0][1] if e not in ear_es]
-    assert len(prior_v) == 2 and len(prior_e) == 1
+    if len(prior_v) != 2 or len(prior_e) != 1:
+        raise CrossCheckError("the first ear was not grown from a K2")
     steps = tuple(EarStep(vm, em, ear) for vm, em, ear in removal)
     return EarDecomposition((prior_v[0], prior_v[1]), prior_e[0], steps)
 
@@ -346,17 +354,18 @@ class NfStarClassification:
     detail: Optional[str]
 
 
-def classify_nf_star(g: Graph, d: EarDecomposition,
-                     cap: int = DEFAULT_CAP,
-                     max_dim: int = CASE_IV_MAX_DIM) -> NfStarClassification:
+def classify_nf_star(g: Graph, d: EarDecomposition) -> NfStarClassification:
     """Decide emptiness of nF*(g) from an ear decomposition.
 
     Cases on s = sum of the per-step ear counts and the last step:
     s <= r+1 forces empty; s >= r+2 with a final double ear forces
-    nonempty; s >= r+2 with a final single ear reduces to checking, for
-    every X in nF*(G_{r-1}), that its restriction to G_{r-1} minus the
-    ear's two ends is feasible there (decided by a parity scan over that
-    deleted subgraph's perfect matchings).
+    nonempty; s >= r+2 with a final single ear with ends u, v reduces to
+    asking whether some X in nF*(G_{r-1}) restricts to a non-feasible set
+    of G_{r-1} - u - v.  Those X form the subspace
+    N = (D(G_{r-1}) + lift(D(G_{r-1} - u - v)))^perp, so nF* is nonempty
+    iff a basis vector of N lies outside cut + <E> of G_{r-1}; that
+    vector is re-verified by its parity counts in both graphs.  Raises
+    BudgetExhaustedError when a span DP runs out of its state budget.
     """
     r = d.r
     if r == 0:
@@ -368,49 +377,40 @@ def classify_nf_star(g: Graph, d: EarDecomposition,
     if last.epsilon == 2:
         return NfStarClassification(False, "case-iii",
                                     f"sum eps={s} >= r+2, last ear double")
-    # case (iv): final single ear on a prefix with nF* nonempty candidates
-    prev_edges = d.prefix_edges(r - 1)
-    prev, emap, vmap = g.edge_subgraph(prev_edges)
-    ps_prev = parity_spaces(prev, cap)
-    if ps_prev.nF.dim > max_dim:
-        raise DimensionTooLargeError(
-            f"nF of prefix has dim {ps_prev.nF.dim} > {max_dim}")
+    prev, emap_prev, vmap = g.edge_subgraph(d.prefix_edges(r - 1))
+    ps_prev = parity_spaces(prev)
     path = last.paths[0]
-    u, v = vmap[path.end_u], vmap[path.end_v]
-    deleted, emap_del, _ = prev.delete_vertices((u, v))
-    enum_del = enumerate_perfect_matchings(deleted, cap)
-    del_matchings = [mt.mask for mt in enum_del.matchings]
-    restrict = 0
-    for old, new in emap_del.items():
-        restrict |= 1 << old
-    checked = 0
-    for x in enumerate_nf(prev, max_dim=max_dim, ps=ps_prev):
-        if ps_prev.cut_plus_E.contains(x.mask):
-            continue            # not in nF*(G_{r-1})
-        checked += 1
-        x_del = 0
-        for old, new in emap_del.items():
-            if x.mask >> old & 1:
-                x_del |= 1 << new
-        if not _mask_feasible(del_matchings, enum_del.complete, x_del):
-            return NfStarClassification(
-                False, "case-iv",
-                f"restriction of an nF* member of the prefix is "
-                f"non-feasible in the prefix minus the ear ends "
-                f"({checked} candidates scanned)")
-    return NfStarClassification(True, "case-iv",
-                                f"all {checked} nF* members of the prefix "
-                                f"restrict feasibly")
+    deleted, emap_del, _ = prev.delete_vertices(
+        (vmap[path.end_u], vmap[path.end_v]))
+    span_del = matching_span(deleted)
+    lift = {new: old for old, new in emap_del.items()}
+    n_space = Gf2Subspace(prev.m, (
+        *ps_prev.span.d_rows,
+        *(_map_mask(row, lift) for row in span_del.d_rows),
+    )).orthogonal_complement()
+    x = next((x for x in n_space.basis()
+              if not ps_prev.cut_plus_E.contains(x)), None)
+    if x is None:
+        return NfStarClassification(
+            True, "case-iv", f"the {n_space.dim}-dimensional space of nF "
+            f"members of the prefix that restrict non-feasibly lies in "
+            f"cut + <E>")
+    if (0 not in ps_prev.span.parity_counts(x)
+            or 0 not in span_del.parity_counts(_map_mask(x, emap_del))):
+        raise CrossCheckError("case-iv witness is feasible by its parity "
+                              "counts in the prefix or its deletion")
+    witness = EdgeSet(_map_mask(x, {new: old for old, new
+                                    in emap_prev.items()}), g.m)
+    return NfStarClassification(
+        False, "case-iv", f"edges {list(witness.ids())}, a member of nF* of "
+        f"the prefix, restrict non-feasibly to the prefix minus the ear ends")
 
 
-def _mask_feasible(matchings: list[int], complete: bool, x: int) -> bool:
-    if not matchings:
-        return False
-    p0 = (matchings[0] & x).bit_count() & 1
-    for mk in matchings[1:]:
-        if (mk & x).bit_count() & 1 != p0:
-            return True
-    if not complete:
-        from .errors import IncompleteEnumerationError
-        raise IncompleteEnumerationError("capped enumeration in case-iv scan")
-    return False
+def _map_mask(mask: int, id_map: dict[int, int]) -> int:
+    """The edge mask whose bit id_map[i] is set for each set bit i of mask
+    that id_map has."""
+    out = 0
+    for old, new in id_map.items():
+        if mask >> old & 1:
+            out |= 1 << new
+    return out

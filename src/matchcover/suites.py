@@ -24,7 +24,7 @@ from .constructions import (
     verify_certificate,
 )
 from .corpus import CorpusEntry, build_corpus
-from .errors import DimensionTooLargeError
+from .errors import IncompleteEnumerationError
 from .feasibility import (
     ParitySpaces,
     enumerate_nf,
@@ -124,7 +124,9 @@ def suite_bipartite_theorem(max_n: int = 10, seed: int = 0,
 def brute_force_nf(g: Graph) -> set[int]:
     """All non-feasible subsets of E(g) by direct 2^m parity scanning."""
     enum = enumerate_perfect_matchings(g)
-    assert enum.complete
+    if not enum.complete:
+        raise IncompleteEnumerationError(
+            "brute-force nF needs every perfect matching")
     masks = [m.mask for m in enum.matchings]
     out = set()
     for x in range(1 << g.m):
@@ -158,10 +160,6 @@ def suite_ear_classify(max_n: int = 24, seed: int = 0,
     for entry in _corpus(seed, max_n):
         g = entry.graph
         d = find_ear_decomposition(g)
-        if d is None:
-            checks.append(SuiteCheck(f"ear-found[{entry.name}]", False,
-                                     "no decomposition within budget"))
-            continue
         val = validate_decomposition(g, d)
         checks.append(SuiteCheck(f"ear-valid[{entry.name}]", bool(val),
                                  val.clause or ""))
@@ -171,17 +169,11 @@ def suite_ear_classify(max_n: int = 24, seed: int = 0,
         checks.append(SuiteCheck(
             f"single-ear-iff-bipartite[{entry.name}]", got_single == bip,
             f"bipartite={bip} single-ear={got_single}"))
-        try:
-            cls = classify_nf_star(g, d)
-            direct = nf_star_report(g)
-            checks.append(SuiteCheck(
-                f"classifier-agrees[{entry.name}]", cls.empty == direct.empty,
-                f"rule={cls.rule} direct_empty={direct.empty}"))
-        except DimensionTooLargeError as exc:
-            # documented refusal: the case that needs prefix enumeration
-            # caps at dim 20, and refusing is not a disagreement
-            checks.append(SuiteCheck(f"classifier-agrees[{entry.name}]",
-                                     True, f"refused: {exc}"))
+        cls = classify_nf_star(g, d)
+        direct = nf_star_report(g)
+        checks.append(SuiteCheck(
+            f"classifier-agrees[{entry.name}]", cls.empty == direct.empty,
+            f"rule={cls.rule} direct_empty={direct.empty}"))
     return SuiteReport("ear-classify", seed, tuple(checks))
 
 
@@ -202,9 +194,6 @@ def suite_ear_lemmas(max_n: int = 10, seed: int = 0,
     for entry in _corpus(seed, max_n):
         g = entry.graph
         d = find_ear_decomposition(g)
-        if d is None:
-            checks.append(SuiteCheck(f"ear-found[{entry.name}]", False, ""))
-            continue
         checks.extend(_lemma_checks(entry.name, g, d, rng, trials))
     return SuiteReport("ear-lemmas", seed, tuple(checks))
 

@@ -11,6 +11,7 @@ import matchcover
 from matchcover import cli, span
 from matchcover.cli import main
 from matchcover.constructions import complete_graph, petersen
+from matchcover.matching import MatchingCoveredResult
 from matchcover.errors import BudgetExhaustedError
 from matchcover.feasibility import nf_star_report
 from matchcover.formats import write_graph
@@ -123,6 +124,19 @@ def test_usage_errors():
     assert run_cli().returncode == 2
     assert run_cli("analyze", "/nonexistent/file.g6").returncode == 2
     assert run_cli("verify", "no-such-suite").returncode == 2
+
+
+def test_decompose_has_no_pm_cap(k4_file):
+    assert run_cli("decompose", k4_file, "--max-pms", "3").returncode == 2
+
+
+def test_cross_check_exit_code(petersen_file, monkeypatch, capsys):
+    # one route of analyze's matching-covered cross-check lies
+    monkeypatch.setattr(cli, "is_matching_covered", lambda g, cap:
+                        MatchingCoveredResult(False, "uncovered-edge", 0))
+    assert main(["analyze", petersen_file, "--json"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cross-check" in captured.err
 
 
 def test_incomplete_enumeration_exit_code(tmp_path):

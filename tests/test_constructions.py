@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from matchcover.constructions import (
@@ -20,6 +22,7 @@ from matchcover.constructions import (
     verify_certificate,
     verify_equivalent_set,
 )
+from matchcover.corpus import build_corpus
 from matchcover.errors import InvalidParameterError
 from matchcover.feasibility import nf_star_report
 from matchcover.graph import is_bipartite, vertex_connectivity_at_least
@@ -157,3 +160,18 @@ def test_equivalent_set_definition():
     enum = enumerate_perfect_matchings(g)
     # any single edge is trivially an equivalent set
     assert verify_equivalent_set(g, g.edge_set((0,))) is True
+
+
+def test_equivalent_set_matches_enumeration_on_corpus():
+    rng = random.Random(11)
+    verdicts = set()
+    for entry in build_corpus():
+        g = entry.graph
+        pms = [mt.mask for mt in enumerate_perfect_matchings(g).matchings]
+        for size in (2, 3):
+            for _ in range(25):
+                s = g.edge_set(rng.sample(range(g.m), size))
+                want = all(pm & s.mask in (0, s.mask) for pm in pms)
+                assert verify_equivalent_set(g, s) is want, (entry.name, s)
+                verdicts.add(want)
+    assert verdicts == {True, False}

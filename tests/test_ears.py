@@ -1,9 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import brute_perfect_matchings, brute_switch_equiv_empty
 
 from matchcover.constructions import (
     CyclePart,
+    StarPart,
     build_cycle_cl,
     build_qr,
+    build_star_xs,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -16,9 +22,9 @@ from matchcover.ears import (
     find_single_ear_decomposition,
     validate_decomposition,
 )
-from matchcover.errors import DimensionTooLargeError
 from matchcover.feasibility import nf_star_report
-from matchcover.graph import is_bipartite
+from matchcover.gf2 import Gf2Subspace
+from matchcover.graph import Graph, is_bipartite
 from matchcover.matching import is_matching_covered
 
 
@@ -106,11 +112,57 @@ def test_classifier_agrees_with_direct_report():
         g = entry.graph
         d = find_ear_decomposition(g)
         assert d is not None, entry.name
-        try:
-            cls = classify_nf_star(g, d)
-        except DimensionTooLargeError:
-            continue  # documented refusal on large prefixes
+        cls = classify_nf_star(g, d)
         assert cls.empty == nf_star_report(g).empty, (entry.name, cls.rule)
+
+
+def test_case_iv_verdicts():
+    """Case (iv) where nF* of the last prefix is nonempty but nF*(g) is
+    empty, so the verdict needs D of the prefix minus the ear's ends; and
+    on the family graphs, whose prefixes have nF too large to list member
+    by member (dim 24 and 35)."""
+    six = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3),
+                    (2, 4), (2, 5), (3, 5), (4, 5)])
+    q4 = build_qr(4)
+    cycle = build_cycle_cl([CyclePart(q4.graph, q4.labels["a1a2"],
+                                      q4.labels["b1b2"], q4.coloring)
+                            for _ in range(3)]).graph
+    star = build_star_xs([StarPart(q4.graph, q4.coloring)
+                          for _ in range(4)]).graph
+    d = find_ear_decomposition(six)
+    prefix, _, _ = six.edge_subgraph(d.prefix_edges(d.r - 1))
+    assert not nf_star_report(prefix).empty
+    for g, empty in ((six, True), (cycle, True), (star, False)):
+        cls = classify_nf_star(g, find_ear_decomposition(g))
+        assert cls.rule == "case-iv"
+        assert cls.empty == nf_star_report(g).empty == empty
+
+
+@st.composite
+def matching_covered_multigraphs(draw):
+    """Loopless multigraphs on at most 10 vertices: a Hamiltonian cycle of
+    even length plus random edges, less the edges in no perfect matching.
+    The cycle keeps the result connected and matching-covered."""
+    n = draw(st.sampled_from((2, 4, 6, 8, 10)))
+    order = draw(st.permutations(range(n)))
+    edges = [(order[i], order[(i + 1) % n]) for i in range(n)]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1])
+    edges += draw(st.lists(pair, min_size=n, max_size=3 * n))
+    used = set().union(*brute_perfect_matchings(Graph(n, edges)))
+    return Graph(n, [e for eid, e in enumerate(edges) if eid in used])
+
+
+@given(matching_covered_multigraphs())
+@settings(max_examples=80, deadline=None)
+def test_classifier_matches_enumeration_on_random_multigraphs(g):
+    # nF* is empty iff dim nF = dim(cut + <E>) = n - 1 + [E is not a cut]
+    pms = [sum(1 << e for e in pm) for pm in brute_perfect_matchings(g)]
+    dim_d = Gf2Subspace(g.m, [pm ^ pms[0] for pm in pms]).dim
+    e_is_cut = brute_switch_equiv_empty(g, range(g.m))
+    empty = g.m - dim_d == g.n - 1 + (not e_is_cut)
+    cls = classify_nf_star(g, find_ear_decomposition(g))
+    assert cls.empty == empty == nf_star_report(g).empty, cls
 
 
 def test_intermediate_graphs_matching_covered():
@@ -128,10 +180,7 @@ def test_case_iv_fires_somewhere():
     for entry in build_corpus():
         g = entry.graph
         d = find_ear_decomposition(g)
-        try:
-            rules.add(classify_nf_star(g, d).rule)
-        except DimensionTooLargeError:
-            pass
+        rules.add(classify_nf_star(g, d).rule)
     assert "case-ii" in rules
     assert rules & {"case-iii", "case-iv"}, rules
 

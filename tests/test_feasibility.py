@@ -179,6 +179,8 @@ _LYING_ROUTES = textwrap.dedent("""
     import sys
     from matchcover import cli
     from matchcover.constructions import petersen
+    from matchcover.ears import (Ear, _assemble, classify_nf_star,
+                                 find_ear_decomposition)
     from matchcover.errors import CrossCheckError
     from matchcover.feasibility import (is_feasible, is_switch_equiv_empty,
                                         nf_star_report, parity_spaces)
@@ -196,6 +198,7 @@ _LYING_ROUTES = textwrap.dedent("""
 
     g = petersen()
     ps = parity_spaces(g)
+    d = find_ear_decomposition(g)
     x = g.edge_set((0,))
     contains = Gf2Subspace.contains
     Gf2Subspace.contains = lambda self, v: not contains(self, v)
@@ -205,7 +208,11 @@ _LYING_ROUTES = textwrap.dedent("""
     parity_counts = MatchingSpan.parity_counts
     MatchingSpan.parity_counts = lambda self, mask: (1, 1)
     expect("nf_star_report", lambda: nf_star_report(g, ps=ps))
+    expect("classify_nf_star", lambda: classify_nf_star(g, d))
     MatchingSpan.parity_counts = parity_counts
+    # a removal list whose first ear is not grown from a K2
+    expect("_assemble", lambda: _assemble(
+        g, [(tuple(range(g.n)), tuple(range(g.m)), Ear("single", ()))]))
     cli.is_matching_covered = (
         lambda g, cap: MatchingCoveredResult(False, "uncovered-edge", 0))
     expect("analyze_graph", lambda: cli.analyze_graph(
@@ -220,4 +227,5 @@ def test_cross_checks_raise_under_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == [
         "is_feasible raised", "is_switch_equiv_empty raised",
-        "nf_star_report raised", "analyze_graph raised", "optimize 1", ""]
+        "nf_star_report raised", "classify_nf_star raised",
+        "_assemble raised", "analyze_graph raised", "optimize 1", ""]
