@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 usage error, 3 a limit was hit (the PM count
-reaches --max-pms, or a search or the span DP ran out of its budget),
-4 unverified claim under --strict, 5 internal cross-check failed (two
+reaches --max-pms, or a span DP ran out of its state budget), 4
+unverified claim under --strict, 5 internal cross-check failed (two
 independent routes to one verdict disagreed; the verdict is withheld).
 """
 

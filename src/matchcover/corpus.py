@@ -22,6 +22,7 @@ from .constructions import (
     cycle_graph,
     petersen,
 )
+from .errors import InvalidParameterError
 from .graph import Graph
 from .matching import is_matching_covered
 
@@ -36,7 +37,9 @@ def random_matching_covered(rng: random.Random, n: int,
                             extra_edges: int) -> Graph:
     """Even cycle on a random vertex order plus random chords, resampled
     until the result is matching-covered and simple."""
-    assert n % 2 == 0 and n >= 4
+    if n % 2 or n < 4 or (n, extra_edges) == (4, 1):
+        raise InvalidParameterError("n must be even and >= 4, and a 4-cycle "
+                                    "plus one chord is never matching-covered")
     while True:
         order = list(range(n))
         rng.shuffle(order)

@@ -4,9 +4,22 @@ The search runs top-down by ear removal.  In any matching-covered graph
 the last ear added is visible as a chain of internal degree-2 vertices
 (a chord when it has none), so candidates are exactly the maximal such
 chains; a removal is accepted when the remainder is connected and
-matching-covered.  Single-ear removals are tried before double-ear
-removals, biasing the result toward few double ears.  All ids in the
-returned decomposition refer to the input graph.
+matching-covered by the span DP of `span.py`.  Single-ear removals are
+tried before double-ear removals, biasing the result toward few double
+ears.  All ids in the returned decomposition refer to the input graph.
+
+The search is greedy: by the two-ear theorem (Lovasz-Plummer, Matching
+Theory, 1986) every matching-covered graph but K2 has an ear
+decomposition, of single ears only when bipartite, whose last ear is a
+candidate (its ends have degree >= 3 unless the graph is an even cycle),
+so a matching-covered remainder always has a removable ear; if none is
+found, CrossCheckError is raised.
+
+Validation instead uses the ear lemma with networkx's blossom matching.
+If G_{i-1} is matching-covered, adding a single ear with ends u, v keeps
+it so iff G_{i-1} - u - v has a perfect matching (so u != v), and adding
+a double ear (P_1, P_2) does iff, for each j, G_{i-1} - ends(P_j) or
+G_{i-1} - ends(P_1) - ends(P_2) has one.
 
 `classify_nf_star` decides whether nF* is empty from a decomposition.
 Its one costly case is subspace algebra on the span DP of `span.py`, run
@@ -20,16 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (BudgetExhaustedError, CrossCheckError,
-                     NotMatchingCoveredError)
+from .errors import CrossCheckError, NotMatchingCoveredError
 from .feasibility import parity_spaces
 from .gf2 import Gf2Subspace
 from .graph import EdgeSet, Graph, is_bipartite, is_connected
-from .matching import DEFAULT_CAP, is_matching_covered
-from .span import matching_span
-
-DEFAULT_BUDGET = 100_000
-DEFAULT_PAIR_CAP = 10_000
+from .matching import has_perfect_matching
+from .span import matching_span, span_matching_covered
 
 
 @dataclass(frozen=True)
@@ -146,101 +155,61 @@ def _walk_cycle_minus(g: Graph, drop_eid: int):
     return (u, v, tuple(internal), tuple(eids))
 
 
-class _Search:
-    def __init__(self, g: Graph, budget: int, single_only: bool,
-                 pair_cap: int, cap: int):
-        self.orig = g
-        self.budget = budget
-        self.single_only = single_only
-        self.pair_cap = pair_cap
-        self.cap = cap
+def _candidates(g: Graph):
+    """Odd chains one at a time, then vertex-disjoint pairs of them."""
+    odd = [c for c in _chain_candidates(g) if len(c[3]) % 2 == 1]
+    for c in odd:
+        yield (c,)
+    for i, a in enumerate(odd):
+        va = {a[0], a[1], *a[2]}
+        for b in odd[i + 1:]:
+            if va.isdisjoint((b[0], b[1], *b[2])):
+                yield (a, b)
 
-    def run(self) -> Optional[list]:
-        ids_v = tuple(range(self.orig.n))
-        ids_e = tuple(range(self.orig.m))
-        return self._search(self.orig, ids_v, ids_e)
 
-    def _spend(self) -> None:
-        if self.budget <= 0:
-            raise BudgetExhaustedError("ear search budget exhausted")
-        self.budget -= 1
-
-    def _search(self, g: Graph, vmap: tuple[int, ...], emap: tuple[int, ...]):
-        """Returns removal list [(orig vertices, orig edges, Ear), ...]
-        top-down, or None on dead end.  vmap/emap translate current ids to
-        original ids."""
-        if g.n == 2 and g.m == 1:
-            return []
-        self._spend()
-        cands = _chain_candidates(g)
-        odd = [c for c in cands if len(c[3]) % 2 == 1]
-        for c in odd:
-            res = self._try_removal(g, vmap, emap, (c,), "single")
-            if res is not None:
-                return res
-        if self.single_only:
-            return None
-        pairs = 0
-        for i in range(len(odd)):
-            for j in range(i + 1, len(odd)):
-                a, b = odd[i], odd[j]
-                va = {a[0], a[1], *a[2]}
-                vb = {b[0], b[1], *b[2]}
-                if va & vb:
-                    continue
-                pairs += 1
-                if pairs > self.pair_cap:
-                    return None
-                res = self._try_removal(g, vmap, emap, (a, b), "double")
-                if res is not None:
-                    return res
-        return None
-
-    def _try_removal(self, g: Graph, vmap, emap, chains, kind):
-        drop_edges = [e for c in chains for e in c[3]]
-        drop_verts = [v for c in chains for v in c[2]]
-        h, emap2 = g.delete_edges(drop_edges)
-        if drop_verts:
-            h, emap3, vmap3 = h.delete_vertices(drop_verts)
+def _peel(g: Graph) -> list:
+    """Remove the first candidate ear whose remainder the span DP finds
+    matching-covered, until K2 is left; the removal list
+    [(vertices, edge ids, Ear), ...] bottom-up, in the ids of g."""
+    removal = []
+    vmap, emap = tuple(range(g.n)), tuple(range(g.m))
+    while not (g.n == 2 and g.m == 1):
+        for chains in _candidates(g):
+            drop_v = {v for c in chains for v in c[2]}
+            drop_e = {e for c in chains for e in c[3]}
+            h, _ = g.delete_edges(drop_e)
+            h, _, _ = h.delete_vertices(drop_v)
+            if is_connected(h) and span_matching_covered(h, matching_span(h)):
+                break
         else:
-            emap3 = {e: e for e in range(h.m)}
-            vmap3 = {v: v for v in range(g.n)}
-        if h.n < 2 or h.m < 1 or not is_connected(h):
-            return None
-        if not is_matching_covered(h, self.cap):
-            return None
+            raise CrossCheckError("no removable ear found")
         paths = tuple(
             EarPath(vmap[c[0]], vmap[c[1]],
                     tuple(vmap[x] for x in c[2]),
                     tuple(emap[e] for e in c[3]))
             for c in chains)
-        ear = Ear(kind, paths)
-        new_vmap = tuple(vmap[v] for v in range(g.n) if v not in set(drop_verts))
-        new_emap = tuple(emap[e] for e in range(g.m) if e not in set(drop_edges))
-        if len(new_vmap) != h.n or len(new_emap) != h.m:
-            raise CrossCheckError("ear removal lost track of vertex or "
-                                  "edge ids")
-        sub = self._search(h, new_vmap, new_emap)
-        if sub is None:
-            return None
-        here = (tuple(vmap), tuple(emap), ear)
-        return sub + [here]
+        kind = "single" if len(chains) == 1 else "double"
+        removal.append((vmap, emap, Ear(kind, paths)))
+        vmap = tuple(vmap[v] for v in range(g.n) if v not in drop_v)
+        emap = tuple(emap[e] for e in range(g.m) if e not in drop_e)
+        if len(vmap) != h.n or len(emap) != h.m:
+            raise CrossCheckError("ear removal lost track of ids")
+        g = h
+    removal.reverse()
+    return removal
 
 
-def find_ear_decomposition(g: Graph, budget: int = DEFAULT_BUDGET,
-                           pair_cap: int = DEFAULT_PAIR_CAP,
-                           cap: int = DEFAULT_CAP) -> EarDecomposition:
+def _require_matching_covered(g: Graph) -> None:
+    if g.n == 0 or not is_connected(g):
+        raise NotMatchingCoveredError("not matching-covered: not-connected")
+    if not span_matching_covered(g, matching_span(g)):
+        raise NotMatchingCoveredError("not matching-covered: uncovered-edge")
+
+
+def find_ear_decomposition(g: Graph) -> EarDecomposition:
     """An ear decomposition of a matching-covered graph (always exists)."""
-    mc = is_matching_covered(g, cap)
-    if not mc:
-        raise NotMatchingCoveredError(f"not matching-covered: {mc.reason}")
-    if g.n == 2 and g.m == 1:
-        return EarDecomposition((g.edges[0]), 0, ())
-    search = _Search(g, budget, False, pair_cap, cap)
-    removal = search.run()
-    if removal is None:
-        raise BudgetExhaustedError("no decomposition found within limits")
-    return _assemble(g, removal)
+    _require_matching_covered(g)
+    return _assemble(g, _peel(g))
 
 
 @dataclass(frozen=True)
@@ -248,31 +217,22 @@ class SingleEarOutcome:
     decomposition: Optional[EarDecomposition]
     odd_cycle: Optional[tuple[int, ...]]    # witness when not bipartite
 
-    @property
-    def bipartite(self) -> bool:
-        return self.decomposition is not None
 
-
-def find_single_ear_decomposition(g: Graph, budget: int = DEFAULT_BUDGET,
-                                  cap: int = DEFAULT_CAP) -> SingleEarOutcome:
+def find_single_ear_decomposition(g: Graph) -> SingleEarOutcome:
     """All-single decomposition for bipartite inputs, else the odd cycle."""
-    mc = is_matching_covered(g, cap)
-    if not mc:
-        raise NotMatchingCoveredError(f"not matching-covered: {mc.reason}")
+    _require_matching_covered(g)
     bip = is_bipartite(g)
     if not bip.bipartite:
         return SingleEarOutcome(None, bip.odd_walk)
-    if g.n == 2 and g.m == 1:
-        return SingleEarOutcome(EarDecomposition((g.edges[0]), 0, ()), None)
-    search = _Search(g, budget, True, 0, cap)
-    removal = search.run()
-    if removal is None:
-        raise BudgetExhaustedError("no single-ear decomposition found in budget")
+    removal = _peel(g)
+    if any(ear.kind == "double" for _, _, ear in removal):
+        raise CrossCheckError("double ear in a bipartite graph")
     return SingleEarOutcome(_assemble(g, removal), None)
 
 
 def _assemble(g: Graph, removal: list) -> EarDecomposition:
-    base_v, base_e, _ = removal[0]
+    if not removal:
+        return EarDecomposition(g.edges[0], 0, ())
     # removal[0] holds the step that grew the base K2 into G_1; reconstruct
     # the base from the first step's prior graph: its vmap/emap minus the ear
     first_ear = removal[0][2]
@@ -296,9 +256,9 @@ class ValidationResult:
         return self.valid
 
 
-def validate_decomposition(g: Graph, d: EarDecomposition,
-                           cap: int = DEFAULT_CAP) -> ValidationResult:
-    """Re-check every clause of the decomposition definition."""
+def validate_decomposition(g: Graph, d: EarDecomposition) -> ValidationResult:
+    """Re-check every clause of the decomposition definition, each prefix
+    by the ear lemma, a route that shares nothing with the search's DP."""
     u0, v0 = d.base_vertices
     bu, bv = g.edges[d.base_edge]
     if {u0, v0} != {bu, bv}:
@@ -316,25 +276,43 @@ def validate_decomposition(g: Graph, d: EarDecomposition,
             vb = {ear.paths[1].end_u, ear.paths[1].end_v, *ear.paths[1].internal}
             if va & vb:
                 return ValidationResult(False, "double-ear paths share a vertex", i)
+        prior_e = tuple(cur_e)
         for p in ear.paths:
             if p.length % 2 == 0:
                 return ValidationResult(False, "odd length", i)
             if p.end_u not in cur_v or p.end_v not in cur_v:
                 return ValidationResult(False, "ear ends not in current subgraph", i)
-            if any(x in cur_v for x in p.internal):
+            if (len(set(p.internal)) < len(p.internal)
+                    or any(x in cur_v for x in p.internal)):
                 return ValidationResult(False, "internal vertex not new", i)
             if not _path_consistent(g, p):
                 return ValidationResult(False, "edge ids do not trace the path", i)
+            if any(e in cur_e for e in p.edge_ids):
+                return ValidationResult(False, "ear edge not new", i)
             cur_v.update(p.internal)
             cur_e.update(p.edge_ids)
         if set(step.vertices) != cur_v or set(step.edge_ids) != cur_e:
             return ValidationResult(False, "step vertex/edge sets mismatch", i)
-        sub, _, _ = g.edge_subgraph(step.edge_ids)
-        if not is_matching_covered(sub, cap):
+        if not _ear_keeps_matching_covered(g, prior_e, ear):
             return ValidationResult(False, "intermediate graph not matching-covered", i)
     if cur_e != set(range(g.m)) or cur_v != set(range(g.n)):
         return ValidationResult(False, "decomposition does not reach G", len(d.steps))
     return ValidationResult(True, None, None)
+
+
+def _ear_keeps_matching_covered(g: Graph, prior_edges: tuple[int, ...],
+                                ear: Ear) -> bool:
+    """The ear lemma on g's subgraph on prior_edges (a closed ear fails)."""
+    prev, _, vmap = g.edge_subgraph(prior_edges)
+    ends = [(p.end_u, p.end_v) for p in ear.paths]
+
+    def pm_without(*pairs: tuple[int, int]) -> bool:
+        h, _, _ = prev.delete_vertices(vmap[x] for pair in pairs for x in pair)
+        return has_perfect_matching(h)
+
+    if len(ends) == 1:
+        return pm_without(ends[0])
+    return (pm_without(ends[0]) and pm_without(ends[1])) or pm_without(*ends)
 
 
 def _path_consistent(g: Graph, p: EarPath) -> bool:

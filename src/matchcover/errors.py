@@ -23,8 +23,7 @@ class NotMatchingCoveredError(MatchcoverError):
 
 
 class BudgetExhaustedError(MatchcoverError):
-    """A search ran out of its budget: ear-search node expansions, or the
-    states of the perfect-matching span DP."""
+    """The perfect-matching span DP ran out of its state budget."""
 
 
 class CrossCheckError(MatchcoverError):

@@ -24,8 +24,11 @@ pass over that DAG, children first, yields
 The number of states depends on the vertex order: the lowest-index order
 can need millions of states on a sparse graph that a bandwidth-reducing
 order handles in thousands.  Vertices are therefore visited in reverse
-Cuthill-McKee order, and the DP stops with BudgetExhaustedError once it
-has made DEFAULT_STATE_BUDGET states, so memory stays bounded.
+Cuthill-McKee order, computed directly on the adjacency lists, as the ear
+search runs one DP per candidate remainder.  The DAG is walked with an
+explicit stack, so a long thin graph needs no deep recursion, and the DP
+stops with BudgetExhaustedError once it has made DEFAULT_STATE_BUDGET
+states, so memory stays bounded.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from typing import Optional
-
-import networkx as nx
 
 from .errors import BudgetExhaustedError, InvalidParameterError
 from .graph import Graph, is_connected
@@ -83,11 +84,27 @@ def span_matching_covered(g: Graph, span: MatchingSpan) -> bool:
 
 
 def _vertex_order(g: Graph) -> list[int]:
-    """Reverse Cuthill-McKee order of the vertices (every vertex once)."""
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges)
-    return list(nx.utils.reverse_cuthill_mckee_ordering(h))
+    """Reverse Cuthill-McKee order: breadth-first from a least-degree
+    vertex of each component, unseen neighbours by increasing degree."""
+    adj = g.adjacency()
+    deg = [len(a) for a in adj]
+    seen = [False] * g.n
+    order: list[int] = []
+    head = 0
+    for start in sorted(range(g.n), key=deg.__getitem__):
+        if not seen[start]:
+            seen[start] = True
+            order.append(start)
+        while head < len(order):
+            nbrs = []
+            for w, _ in adj[order[head]]:
+                if not seen[w]:
+                    seen[w] = True
+                    nbrs.append(w)
+            nbrs.sort(key=deg.__getitem__)
+            order.extend(nbrs)
+            head += 1
+    return order[::-1]
 
 
 def matching_span(g: Graph,
@@ -123,51 +140,58 @@ def matching_span(g: Graph,
     pivots: dict[int, int] = {}        # echelon basis of D, by top bit
     union = 0
 
-    def visit(r: int) -> int:
-        nonlocal union
-        low = r & -r
-        rest = r ^ low
-        trans = []
-        for bit, eid in up[low.bit_length() - 1]:
+    # Frames: (state, state less its lowest vertex, edges up from that
+    # vertex, transitions so far, the parent's edge here).  A finished
+    # state adds its transition to its parent, as a recursive walk would.
+    full = (1 << g.n) - 1
+    stack = [(full, full ^ 1, iter(up[0]), [], -1)] if full else []
+    while stack:
+        r, rest, edges, trans, via = stack[-1]
+        for bit, eid in edges:
             if rest & bit:
                 child = rest ^ bit
                 c = index.get(child)
                 if c is None:
-                    c = visit(child)
+                    low = child & -child
+                    stack.append((child, child ^ low,
+                                  iter(up[low.bit_length() - 1]), [], eid))
+                    break
                 if c >= 0:
                     trans.append((eid, c))
-        if len(index) >= state_budget:
-            raise BudgetExhaustedError(
-                f"span DP state budget of {state_budget} states exhausted")
-        if not trans:
-            index[r] = -1
-            return -1
-        eid, c = trans[0]
-        rep = reps[c] | 1 << eid
-        total = counts[c]
-        union |= 1 << eid
-        for eid, c in trans[1:]:
-            total += counts[c]
+        else:
+            stack.pop()
+            if len(index) >= state_budget:
+                raise BudgetExhaustedError(
+                    f"span DP state budget of {state_budget} states exhausted")
+            if not trans:
+                index[r] = -1
+                continue
+            eid, c = trans[0]
+            rep = reps[c] | 1 << eid
+            total = counts[c]
             union |= 1 << eid
-            v = (reps[c] | 1 << eid) ^ rep
-            while v:
-                top = v.bit_length() - 1
-                row = pivots.get(top)
-                if row is None:
-                    pivots[top] = v
-                    break
-                v ^= row
-        index[r] = len(counts)
-        counts.append(total)
-        reps.append(rep)
-        for eid, c in trans:
-            transitions.append(eid)
-            transitions.append(c)
-        starts.append(len(transitions))
-        return index[r]
+            for eid, c in trans[1:]:
+                total += counts[c]
+                union |= 1 << eid
+                v = (reps[c] | 1 << eid) ^ rep
+                while v:
+                    top = v.bit_length() - 1
+                    row = pivots.get(top)
+                    if row is None:
+                        pivots[top] = v
+                        break
+                    v ^= row
+            index[r] = len(counts)
+            counts.append(total)
+            reps.append(rep)
+            for eid, c in trans:
+                transitions.append(eid)
+                transitions.append(c)
+            starts.append(len(transitions))
+            if stack:
+                stack[-1][3].append((via, index[r]))
 
-    full = (1 << g.n) - 1
-    root = visit(full) if full else 0
+    root = index[full]
     if root < 0:
         return MatchingSpan(0, 0, 0, (), array("q"), array("q"))
     return MatchingSpan(counts[root], union, reps[root],

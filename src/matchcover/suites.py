@@ -177,11 +177,6 @@ def suite_ear_classify(max_n: int = 24, seed: int = 0,
     return SuiteReport("ear-classify", seed, tuple(checks))
 
 
-def _prefix_graph(g: Graph, d, i: int):
-    gp, emap, vmap = g.edge_subgraph(d.prefix_edges(i))
-    return gp, emap, vmap
-
-
 def _nf_star_member(ps: ParitySpaces, mask: int) -> bool:
     return ps.nF.contains(mask) and not ps.cut_plus_E.contains(mask)
 
@@ -203,7 +198,7 @@ def _lemma_checks(name: str, g: Graph, d, rng: random.Random,
     checks = []
     last = d.steps[-1]
     prev_ids = d.prefix_edges(d.r - 1)
-    gp, emap, vmap = _prefix_graph(g, d, d.r - 1)
+    gp, emap, vmap = g.edge_subgraph(prev_ids)
     # sub-id -> original-id for lifting subsets back into g's edge space
     back = {v: k for k, v in emap.items()}
     ps_g = parity_spaces(g)

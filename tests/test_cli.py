@@ -148,7 +148,7 @@ def test_incomplete_enumeration_exit_code(tmp_path):
 
 def test_ear_search_budget_exit_code(k4_file, monkeypatch, capsys):
     def exhausted(*args, **kwargs):
-        raise BudgetExhaustedError("ear search budget exhausted")
+        raise BudgetExhaustedError("span DP state budget exhausted")
 
     monkeypatch.setattr(cli, "find_ear_decomposition", exhausted)
     assert main(["decompose", k4_file, "--json"]) == 3
@@ -174,12 +174,23 @@ def test_span_state_budget_exit_code(petersen_file, monkeypatch, capsys):
     assert main(["feasible", petersen_file, "--edges", "", "--json"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "state budget" in captured.err
-    # decompose still prints its decomposition and refuses the nF* verdict
+    # decompose needs the DP for every ear it removes
+    assert main(["decompose", petersen_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "state budget" in captured.err
+
+
+def test_decompose_refuses_classification_over_budget(petersen_file,
+                                                       monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise BudgetExhaustedError("span DP state budget exhausted")
+
+    monkeypatch.setattr(cli, "classify_nf_star", exhausted)
     assert main(["decompose", petersen_file]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["valid"] is True
-    assert obj["nf_star"]["rule"] == "refused"
-    assert "state budget" in obj["nf_star"]["detail"]
+    assert obj["nf_star"] == {"empty": None, "rule": "refused",
+                              "detail": "span DP state budget exhausted"}
 
 
 def test_pm_count_exact_above_the_cap(tmp_path, capsys):

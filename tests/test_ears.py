@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_perfect_matchings, brute_switch_equiv_empty
+from oracles import (brute_is_matching_covered, brute_perfect_matchings,
+                     brute_switch_equiv_empty)
 
 from matchcover.constructions import (
     CyclePart,
@@ -17,6 +18,10 @@ from matchcover.constructions import (
 )
 from matchcover.corpus import build_corpus
 from matchcover.ears import (
+    Ear,
+    EarDecomposition,
+    EarPath,
+    EarStep,
     classify_nf_star,
     find_ear_decomposition,
     find_single_ear_decomposition,
@@ -189,3 +194,96 @@ def test_validation_rejects_foreign_decomposition():
     d = find_ear_decomposition(cycle_graph(4))
     other = cycle_graph(6)
     assert not validate_decomposition(other, d)
+
+
+def _prefixes_matching_covered(g, d) -> bool:
+    return all(brute_is_matching_covered(g.edge_subgraph(d.prefix_edges(i))[0])
+               for i in range(d.r + 1))
+
+
+@given(matching_covered_multigraphs())
+@settings(max_examples=60, deadline=None)
+def test_found_decompositions_against_the_oracle(g):
+    d = find_ear_decomposition(g)
+    assert validate_decomposition(g, d)
+    assert _prefixes_matching_covered(g, d)
+    single = find_single_ear_decomposition(g).decomposition
+    if is_bipartite(g).bipartite:
+        for dd in (d, single):
+            assert all(s.ear.kind == "single" for s in dd.steps)
+            assert validate_decomposition(g, dd)
+            assert _prefixes_matching_covered(g, dd)
+    else:
+        assert single is None
+
+
+def _with_ears(d, ears) -> EarDecomposition:
+    """d's base grown by the given ears, with the step sets rebuilt."""
+    cur_v, cur_e = list(d.base_vertices), [d.base_edge]
+    steps = []
+    for ear in ears:
+        for p in ear.paths:
+            cur_v += p.internal
+            cur_e += p.edge_ids
+        steps.append(EarStep(tuple(cur_v), tuple(cur_e), ear))
+    return EarDecomposition(d.base_vertices, d.base_edge, tuple(steps))
+
+
+@given(matching_covered_multigraphs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_validation_of_swapped_steps_against_the_oracle(g, data):
+    d = find_ear_decomposition(g)
+    if d.r < 2:
+        return
+    i = data.draw(st.integers(0, d.r - 2))
+    j = data.draw(st.integers(i + 1, d.r - 1))
+    ears = [s.ear for s in d.steps]
+    ears[i], ears[j] = ears[j], ears[i]
+    swapped = _with_ears(d, ears)
+    # the first step whose ear ends lie outside the prefix before it, or
+    # whose prefix the oracle finds not matching-covered
+    expected = (None, None)
+    cur = set(d.base_vertices)
+    for k, step in enumerate(swapped.steps, start=1):
+        paths = step.ear.paths
+        if any(p.end_u not in cur or p.end_v not in cur for p in paths):
+            expected = ("ear ends not in current subgraph", k)
+            break
+        if not brute_is_matching_covered(
+                g.edge_subgraph(step.edge_ids)[0]):
+            expected = ("intermediate graph not matching-covered", k)
+            break
+        cur.update(x for p in paths for x in p.internal)
+    val = validate_decomposition(g, swapped)
+    assert (val.clause, val.step) == expected
+
+
+@given(matching_covered_multigraphs(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_validation_rejects_a_closed_ear(g, data):
+    d = find_ear_decomposition(g)
+    u = data.draw(st.integers(0, g.n - 1))
+    k = data.draw(st.integers(1, 2))
+    internal = tuple(range(g.n, g.n + 2 * k))
+    seq = (u, *internal, u)
+    closed = Graph(g.n + 2 * k, [*g.edges, *zip(seq, seq[1:])])
+    ear = Ear("single", (EarPath(u, u, internal,
+                                 tuple(range(g.m, closed.m))),))
+    grown = _with_ears(d, [*(s.ear for s in d.steps), ear])
+    assert not brute_is_matching_covered(closed)
+    val = validate_decomposition(closed, grown)
+    assert not val
+    assert (val.clause, val.step) == ("intermediate graph not "
+                                      "matching-covered", grown.r)
+
+
+def test_validation_rejects_a_repeated_edge():
+    # a chord that is already in the graph is no ear, though adding it
+    # keeps every prefix matching-covered
+    g = complete_graph(4)
+    d = find_ear_decomposition(g)
+    u, v = g.edges[0]
+    ear = Ear("single", (EarPath(u, v, (), (0,)),))
+    grown = _with_ears(d, [*(s.ear for s in d.steps), ear])
+    val = validate_decomposition(g, grown)
+    assert (val.clause, val.step) == ("ear edge not new", grown.r)

@@ -177,14 +177,16 @@ def test_incomplete_enumeration_refuses_nonfeasible_verdict():
 # check still raised.  Run under `python -O`, where asserts are stripped.
 _LYING_ROUTES = textwrap.dedent("""
     import sys
-    from matchcover import cli
-    from matchcover.constructions import petersen
+    from matchcover import cli, ears
+    from matchcover.constructions import complete_graph, petersen
     from matchcover.ears import (Ear, _assemble, classify_nf_star,
-                                 find_ear_decomposition)
+                                 find_ear_decomposition,
+                                 find_single_ear_decomposition)
     from matchcover.errors import CrossCheckError
     from matchcover.feasibility import (is_feasible, is_switch_equiv_empty,
                                         nf_star_report, parity_spaces)
     from matchcover.gf2 import Gf2Subspace
+    from matchcover.graph import BipartiteResult
     from matchcover.matching import MatchingCoveredResult
     from matchcover.span import MatchingSpan
 
@@ -213,6 +215,15 @@ _LYING_ROUTES = textwrap.dedent("""
     # a removal list whose first ear is not grown from a K2
     expect("_assemble", lambda: _assemble(
         g, [(tuple(range(g.n)), tuple(range(g.m)), Ear("single", ()))]))
+    # the DP accepts g itself but no remainder of an ear removal
+    span_matching_covered = ears.span_matching_covered
+    ears.span_matching_covered = lambda h, span: h.m == g.m
+    expect("no removable ear", lambda: find_ear_decomposition(g))
+    ears.span_matching_covered = span_matching_covered
+    # K4 passed off as bipartite needs a double ear
+    ears.is_bipartite = lambda h: BipartiteResult(True, None, None)
+    expect("single-ear mode", lambda: find_single_ear_decomposition(
+        complete_graph(4)))
     cli.is_matching_covered = (
         lambda g, cap: MatchingCoveredResult(False, "uncovered-edge", 0))
     expect("analyze_graph", lambda: cli.analyze_graph(
@@ -228,4 +239,5 @@ def test_cross_checks_raise_under_python_O():
     assert proc.stdout.split("\n") == [
         "is_feasible raised", "is_switch_equiv_empty raised",
         "nf_star_report raised", "classify_nf_star raised",
-        "_assemble raised", "analyze_graph raised", "optimize 1", ""]
+        "_assemble raised", "no removable ear raised",
+        "single-ear mode raised", "analyze_graph raised", "optimize 1", ""]

@@ -131,3 +131,22 @@ def test_complete_flag_matches_a_capped_enumeration():
     for cap in (1, 104, 105, 106):
         assert parity_spaces(g, cap=cap).complete == \
             enumerate_perfect_matchings(g, cap=cap).complete, cap
+
+
+def test_long_ladder_needs_no_deep_recursion():
+    # a 2 x k ladder has F(k + 1) perfect matchings (F(1) = F(2) = 1)
+    k = 1200
+    rungs = [(2 * i, 2 * i + 1) for i in range(k)]
+    rails = [(2 * i + s, 2 * i + 2 + s) for i in range(k - 1) for s in (0, 1)]
+    span = matching_span(Graph(2 * k, rungs + rails))
+    a, b = 1, 1
+    for _ in range(k - 1):
+        a, b = b, a + b
+    assert span.pm_count == b
+    assert len(span.starts) - 1 < 3 * 2 * k
+
+
+def test_vertex_order_visits_every_vertex_once():
+    # two components and an isolated vertex
+    g = Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (3, 5)])
+    assert sorted(span_module._vertex_order(g)) == list(range(7))
