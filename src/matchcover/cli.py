@@ -90,7 +90,11 @@ def analyze_graph(g: Graph, max_pms: int = 1_000_000,
     matching-covered and has fewer than `max_pms` perfect matchings.
     When the DP runs out of its state budget, matching-coveredness comes
     from `is_matching_covered` alone, and the PM count, dimensions and
-    nF* verdict are left out.
+    nF* verdict are left out.  For an r-regular graph,
+    `vertex_connectivity_checked` is min(κ, r, n−1), from one
+    connectivity test at k = min(r, n−1): k when it passes, else the size
+    of the minimum vertex cut it returns.  `chromatic_index` is exact,
+    from the DSATUR search.
     """
     connected = is_connected(g)
     bip = is_bipartite(g).bipartite
@@ -115,10 +119,11 @@ def analyze_graph(g: Graph, max_pms: int = 1_000_000,
     reg = g.is_regular()
     conn = None
     if reg is not None and g.n >= 2:
-        k = 0
-        while k < reg and vertex_connectivity_at_least(g, k + 1).ok:
-            k += 1
-        conn = k
+        conn = min(reg, g.n - 1)
+        if conn:
+            res = vertex_connectivity_at_least(g, conn)
+            if not res.ok:
+                conn = len(res.separator)
     chi = None
     if with_chromatic_index and g.m:
         chi = chromatic_index_exact(g)

@@ -14,8 +14,9 @@ from typing import Optional, Sequence
 
 from . import kernels
 from .errors import (BudgetExhaustedError, ColoringMismatchError,
-                     EdgeNotInGraphError, InvalidParameterError,
-                     NotEquivalentError, NotMatchingCoveredError)
+                     CrossCheckError, EdgeNotInGraphError,
+                     InvalidParameterError, NotEquivalentError,
+                     NotMatchingCoveredError)
 from .feasibility import (is_switch_equiv_empty, is_switch_equiv_full,
                           parity_spaces)
 from .graph import (EdgeSet, Graph, is_bipartite, is_connected,
@@ -102,7 +103,12 @@ def _is_equivalent_set(span: Optional[MatchingSpan],
 
 def chromatic_index_exact(g: Graph, limit_colors: Optional[int] = None,
                           budget: int = DEFAULT_COLOR_BUDGET) -> Optional[int]:
-    """Exact chromatic index by backtracking; None when budget ran out."""
+    """Exact chromatic index by DSATUR backtracking from Δ colours up;
+    None when the budget ran out.
+
+    The colouring that settles the answer is re-checked by
+    `coloring_is_proper`; a failed check raises `CrossCheckError`.
+    """
     if g.m == 0:
         return 0
     delta = max(g.degrees())
@@ -112,6 +118,9 @@ def chromatic_index_exact(g: Graph, limit_colors: Optional[int] = None,
     for c in range(delta, limit_colors + 1):
         coloring, exhausted = kernels.edge_coloring(g.n, list(g.edges), c, budget)
         if coloring is not None:
+            if not coloring_is_proper(g, coloring, c):
+                raise CrossCheckError(f"the {c}-edge-colouring found is "
+                                      "not proper")
             return c
         if exhausted:
             return None

@@ -3,7 +3,8 @@
 Edge identity is always by id, never by endpoint pair: ear machinery and
 the splice constructions create parallel edges that must stay
 distinguishable.  All values are immutable after construction; deletion
-returns a fresh graph together with old-id -> new-id maps.
+returns a fresh graph together with old-id -> new-id maps.  Vertex
+connectivity is computed by networkx on the simple graph underneath.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import DimensionMismatch, InvalidParameterError
+import networkx as nx
+
+from .errors import CrossCheckError, DimensionMismatch, InvalidParameterError
 from .gf2 import Gf2Subspace
 
 
@@ -308,6 +311,16 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(components(g)) == 1
 
 
+def simple_nx_graph(g: Graph) -> nx.Graph:
+    """The simple graph underneath g, for networkx.  Parallel edges
+    collapse, which changes neither the maximum matching size nor the
+    vertex connectivity."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
 @dataclass(frozen=True)
 class BipartiteResult:
     bipartite: bool
@@ -361,85 +374,25 @@ class ConnectivityResult:
 
 
 def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
-    """Exact k-connectivity test via unit-capacity max-flow (Menger)."""
+    """Exact k-connectivity test.
+
+    κ is computed once, by Even's flow-based method as networkx implements
+    it, on the simple graph underneath g (parallel edges do not change κ).
+    When κ < k, the separator is a minimum vertex cut, re-verified here:
+    it has fewer than k vertices and deleting it disconnects g.
+    """
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
     if g.n <= k:
         return ConnectivityResult(False, None, f"n={g.n} <= k={k}")
     if not is_connected(g):
         return ConnectivityResult(False, (), "disconnected")
-    adjset = [set() for _ in range(g.n)]
-    for u, v in g.edges:
-        adjset[u].add(v)
-        adjset[v].add(u)
-    nonadj = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
-              if v not in adjset[u]]
-    if not nonadj:
-        # complete (multi)graph on n > k vertices: connectivity n-1 >= k
+    h = simple_nx_graph(g)
+    if nx.node_connectivity(h) >= k:
         return ConnectivityResult(True, None, None)
-    for s, t in nonadj:
-        flow, cut = _vertex_flow(adjset, g.n, s, t, k)
-        if flow < k:
-            return ConnectivityResult(False, tuple(cut), None)
-    return ConnectivityResult(True, None, None)
-
-
-def _vertex_flow(adjset: list[set[int]], n: int, s: int, t: int,
-                 need: int) -> tuple[int, list[int]]:
-    """Max s-t flow on the vertex-split digraph, capped at `need`.
-
-    Node 2v is v_in, 2v+1 is v_out.  Returns (flow, vertex cut) where the
-    cut is only meaningful when flow < need.
-    """
-    cap: dict[tuple[int, int], int] = {}
-    big = n + 1
-
-    def add(a: int, b: int, c: int) -> None:
-        cap[(a, b)] = cap.get((a, b), 0) + c
-        cap.setdefault((b, a), 0)
-
-    for v in range(n):
-        add(2 * v, 2 * v + 1, big if v in (s, t) else 1)
-    for u in range(n):
-        for v in adjset[u]:
-            if u < v:
-                add(2 * u + 1, 2 * v, big)
-                add(2 * v + 1, 2 * u, big)
-    out: dict[int, list[int]] = {}
-    for (a, b) in cap:
-        out.setdefault(a, []).append(b)
-    src, snk = 2 * s + 1, 2 * t
-    flow = 0
-    while flow < need:
-        # BFS for an augmenting path in the residual graph
-        prev = {src: None}
-        dq = deque([src])
-        while dq and snk not in prev:
-            a = dq.popleft()
-            for b in out.get(a, ()):
-                if b not in prev and cap[(a, b)] > 0:
-                    prev[b] = a
-                    dq.append(b)
-        if snk not in prev:
-            break
-        b = snk
-        while prev[b] is not None:
-            a = prev[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] += 1
-            b = a
-        flow += 1
-    if flow >= need:
-        return flow, []
-    # residual-reachable side of the min cut -> split-arc vertices
-    reach = {src}
-    dq = deque([src])
-    while dq:
-        a = dq.popleft()
-        for b in out.get(a, ()):
-            if b not in reach and cap[(a, b)] > 0:
-                reach.add(b)
-                dq.append(b)
-    cut = [v for v in range(n)
-           if v not in (s, t) and 2 * v in reach and 2 * v + 1 not in reach]
-    return flow, cut
+    sep = tuple(sorted(nx.minimum_node_cut(h)))
+    rest, _, _ = g.delete_vertices(sep)
+    if len(sep) >= k or len(components(rest)) < 2:
+        raise CrossCheckError(f"vertex cut {sep} does not separate the "
+                              f"graph with fewer than {k} vertices")
+    return ConnectivityResult(False, sep, None)

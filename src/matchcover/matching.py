@@ -1,7 +1,7 @@
 """Maximum matching, perfect-matching enumeration, matching-covered test.
 
 Maximum cardinality matching is delegated to networkx's blossom
-implementation; enumeration is our own DFS kernel (see kernels/) and is
+implementation; enumeration is our own DFS kernel (see kernels.py) and is
 what every feasibility verdict is built on, so the two routes stay
 independent of each other.
 """
@@ -15,7 +15,7 @@ import networkx as nx
 
 from . import kernels
 from .errors import InvalidParameterError
-from .graph import EdgeSet, Graph, VertexSet, is_connected
+from .graph import EdgeSet, Graph, VertexSet, is_connected, simple_nx_graph
 
 DEFAULT_CAP = 1_000_000
 
@@ -24,16 +24,10 @@ DEFAULT_CAP = 1_000_000
 _COVER_SCAN_CAP = 20_000
 
 
-def _nx_graph(g: Graph) -> nx.Graph:
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges)   # parallel edges collapse; harmless here
-    return h
-
-
 def max_matching(g: Graph) -> EdgeSet:
     """A maximum-cardinality matching, as an EdgeSet of this graph."""
-    pairs = nx.max_weight_matching(_nx_graph(g), maxcardinality=True)
+    pairs = nx.max_weight_matching(simple_nx_graph(g),
+                                  maxcardinality=True)
     lowest: dict[frozenset[int], int] = {}
     for eid, (u, v) in enumerate(g.edges):
         key = frozenset((u, v))
@@ -59,8 +53,8 @@ class MatchingEnumeration:
 def enumerate_perfect_matchings(g: Graph, cap: int = DEFAULT_CAP) -> MatchingEnumeration:
     """All perfect matchings, DFS on the lowest uncovered vertex.
 
-    Output order is lexicographic in chosen edge ids and is identical for
-    the compiled and pure kernels.  complete=False iff cap was reached.
+    Output order is lexicographic in chosen edge ids.  complete=False iff
+    cap was reached.
     """
     if cap < 1:
         raise InvalidParameterError("cap must be >= 1")

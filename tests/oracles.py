@@ -3,7 +3,10 @@
 Deliberately avoids the package's enumeration kernels and GF(2) code:
 perfect matchings are found by recursive pair partitioning over the
 adjacency relation only, and non-feasibility is decided by direct parity
-scans over those matchings.
+scans over those matchings.  Vertex connectivity is Menger's theorem
+checked by a hand-written unit-capacity flow over every non-adjacent
+pair, and the chromatic index comes from a fixed-order backtracking
+search; the package uses networkx and a DSATUR search instead.
 """
 
 from __future__ import annotations
@@ -76,3 +79,115 @@ def brute_switch_equiv_empty(g: Graph, edge_ids) -> bool:
         if cut == target:
             return True
     return False
+
+
+def brute_vertex_connectivity_at_least(g: Graph, k: int) -> bool:
+    """k-connectivity by Menger: n > k, connected, and a unit-capacity
+    vertex flow of at least k between every non-adjacent pair."""
+    from matchcover.graph import is_connected
+    if g.n <= k or not is_connected(g):
+        return False
+    adjset = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adjset[u].add(v)
+        adjset[v].add(u)
+    return all(_vertex_flow(adjset, g.n, s, t, k) >= k
+               for s in range(g.n) for t in range(s + 1, g.n)
+               if t not in adjset[s])
+
+
+def _vertex_flow(adjset: list[set[int]], n: int, s: int, t: int,
+                 need: int) -> int:
+    """Max s-t flow on the vertex-split digraph, capped at `need`.
+
+    Node 2v is v_in, 2v+1 is v_out; every vertex but s and t has
+    capacity 1, found by BFS augmenting paths.
+    """
+    cap: dict[tuple[int, int], int] = {}
+    big = n + 1
+
+    def add(a: int, b: int, c: int) -> None:
+        cap[(a, b)] = cap.get((a, b), 0) + c
+        cap.setdefault((b, a), 0)
+
+    for v in range(n):
+        add(2 * v, 2 * v + 1, big if v in (s, t) else 1)
+    for u in range(n):
+        for v in adjset[u]:
+            if u < v:
+                add(2 * u + 1, 2 * v, big)
+                add(2 * v + 1, 2 * u, big)
+    out: dict[int, list[int]] = {}
+    for (a, b) in cap:
+        out.setdefault(a, []).append(b)
+    src, snk = 2 * s + 1, 2 * t
+    flow = 0
+    while flow < need:
+        prev = {src: None}
+        queue = [src]
+        for a in queue:
+            for b in out.get(a, ()):
+                if b not in prev and cap[(a, b)] > 0:
+                    prev[b] = a
+                    queue.append(b)
+        if snk not in prev:
+            break
+        b = snk
+        while prev[b] is not None:
+            a = prev[b]
+            cap[(a, b)] -= 1
+            cap[(b, a)] += 1
+            b = a
+        flow += 1
+    return flow
+
+
+def brute_chromatic_index(g: Graph) -> int:
+    """Least number of colours of a proper edge colouring, by recursive
+    backtracking over the edges in BFS order of the line graph."""
+    if g.m == 0:
+        return 0
+    incident: list[list[int]] = [[] for _ in range(g.n)]
+    for eid, (u, v) in enumerate(g.edges):
+        incident[u].append(eid)
+        incident[v].append(eid)
+    order: list[int] = []
+    seen = [False] * g.m
+    for start in range(g.m):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue = [start]
+        for eid in queue:
+            order.append(eid)
+            for w in g.edges[eid]:
+                for nxt in incident[w]:
+                    if not seen[nxt]:
+                        seen[nxt] = True
+                        queue.append(nxt)
+
+    def colourable(colors: int) -> bool:
+        used = [set() for _ in range(g.n)]
+
+        def rec(pos: int, max_used: int) -> bool:
+            if pos == g.m:
+                return True
+            u, v = g.edges[order[pos]]
+            for c in range(1, min(colors, max_used + 1) + 1):
+                if c in used[u] or c in used[v]:
+                    continue
+                used[u].add(c)
+                used[v].add(c)
+                found = rec(pos + 1, max(max_used, c))
+                used[u].discard(c)
+                used[v].discard(c)
+                if found:
+                    return True
+            return False
+
+        return rec(0, 0)
+
+    colors = max(len(a) for a in incident)
+    while not colourable(colors):
+        colors += 1
+    return colors

@@ -177,8 +177,10 @@ def test_incomplete_enumeration_refuses_nonfeasible_verdict():
 # check still raised.  Run under `python -O`, where asserts are stripped.
 _LYING_ROUTES = textwrap.dedent("""
     import sys
-    from matchcover import cli, ears
-    from matchcover.constructions import complete_graph, petersen
+    import networkx as nx
+    from matchcover import cli, ears, kernels
+    from matchcover.constructions import (chromatic_index_exact,
+                                          complete_graph, petersen)
     from matchcover.ears import (Ear, _assemble, classify_nf_star,
                                  find_ear_decomposition,
                                  find_single_ear_decomposition)
@@ -186,7 +188,7 @@ _LYING_ROUTES = textwrap.dedent("""
     from matchcover.feasibility import (is_feasible, is_switch_equiv_empty,
                                         nf_star_report, parity_spaces)
     from matchcover.gf2 import Gf2Subspace
-    from matchcover.graph import BipartiteResult
+    from matchcover.graph import BipartiteResult, vertex_connectivity_at_least
     from matchcover.matching import MatchingCoveredResult
     from matchcover.span import MatchingSpan
 
@@ -228,6 +230,14 @@ _LYING_ROUTES = textwrap.dedent("""
         lambda g, cap: MatchingCoveredResult(False, "uncovered-edge", 0))
     expect("analyze_graph", lambda: cli.analyze_graph(
         g, with_chromatic_index=False))
+    # Petersen is 3-connected; a cut of size 0 separates nothing
+    nx.minimum_node_cut = lambda h: set()
+    expect("vertex_connectivity_at_least",
+           lambda: vertex_connectivity_at_least(g, 4))
+    # a kernel that gives every edge colour 1
+    kernels.edge_coloring = lambda n, edges, colors, budget: (
+        [1] * len(edges), False)
+    expect("chromatic_index_exact", lambda: chromatic_index_exact(g))
     print("optimize", sys.flags.optimize)
 """)
 
@@ -240,4 +250,6 @@ def test_cross_checks_raise_under_python_O():
         "is_feasible raised", "is_switch_equiv_empty raised",
         "nf_star_report raised", "classify_nf_star raised",
         "_assemble raised", "no removable ear raised",
-        "single-ear mode raised", "analyze_graph raised", "optimize 1", ""]
+        "single-ear mode raised", "analyze_graph raised",
+        "vertex_connectivity_at_least raised", "chromatic_index_exact raised",
+        "optimize 1", ""]

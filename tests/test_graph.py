@@ -1,4 +1,8 @@
 import pytest
+from hypothesis import example, given, settings
+
+from oracles import brute_vertex_connectivity_at_least
+from strategies import multigraphs
 
 from matchcover.errors import DimensionMismatch, InvalidParameterError
 from matchcover.graph import (
@@ -126,6 +130,22 @@ def test_vertex_connectivity_complete_bipartite():
     g = complete_bipartite(3, 3)
     assert vertex_connectivity_at_least(g, 3).ok
     assert not vertex_connectivity_at_least(g, 4).ok
+
+
+@given(multigraphs(max_edges=45))
+@example(complete_graph(1))
+@example(complete_graph(7))
+@example(Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))
+@example(Graph(5, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]))
+@example(Graph(4, [(0, 1), (0, 1), (0, 2), (0, 2), (1, 3), (2, 3)] * 2))
+@settings(max_examples=150, deadline=None)
+def test_vertex_connectivity_matches_oracle(g):
+    for k in range(1, g.n + 1):
+        res = vertex_connectivity_at_least(g, k)
+        assert res.ok == brute_vertex_connectivity_at_least(g, k), k
+        if res.separator is not None:
+            assert len(res.separator) < k
+            assert not is_connected(g.delete_vertices(res.separator)[0])
 
 
 def test_induced_subgraph():

@@ -1,91 +1,81 @@
-"""The compiled kernel and the pure-Python kernel must be interchangeable."""
+"""The enumeration and colouring kernels against the oracles, and past
+the interpreter's recursion limit."""
 
-import os
-import subprocess
-import sys
+import networkx as nx
+from hypothesis import example, given, settings
 
-import pytest
+from oracles import brute_chromatic_index, brute_perfect_matchings
+from strategies import multigraphs
 
 from matchcover import kernels
 from matchcover.constructions import (
-    build_qr,
+    chromatic_index_exact,
     complete_graph,
-    cube_graph,
-    petersen,
+    cycle_graph,
 )
 from matchcover.corpus import build_corpus
+from matchcover.graph import Graph
 
 
-def test_pure_kernel_basics():
-    from matchcover.kernels import _pure
+def _from_nx(h: nx.Graph) -> Graph:
+    index = {v: i for i, v in enumerate(h.nodes)}
+    return Graph(len(index), [(index[u], index[v]) for u, v in h.edges])
+
+
+def test_kernel_basics():
     g = complete_graph(4)
-    pms, complete = _pure.enumerate_perfect_matchings(g.n, g.edges, 100)
+    pms, complete = kernels.enumerate_perfect_matchings(g.n, g.edges, 100)
     assert complete and len(pms) == 3
-    col, exhausted = _pure.edge_coloring(g.n, g.edges, 3, 10**6)
-    assert col is not None and not exhausted
-    col2, _ = _pure.edge_coloring(g.n, g.edges, 2, 10**6)
-    assert col2 is None
+    # the corpus builds its star family from this colouring of K4
+    col, exhausted = kernels.edge_coloring(g.n, g.edges, 3, 10**6)
+    assert col == [1, 2, 3, 3, 2, 1] and not exhausted
+    col2, exhausted2 = kernels.edge_coloring(g.n, g.edges, 2, 10**6)
+    assert col2 is None and not exhausted2
+    col3, exhausted3 = kernels.edge_coloring(g.n, g.edges, 3, 2)
+    assert col3 is None and exhausted3
 
 
-@pytest.mark.skipif(not kernels.HAVE_FAST,
-                    reason="compiled kernel not built")
-def test_fast_matches_pure_on_corpus():
-    from matchcover.kernels import _fast, _pure
-    for entry in build_corpus():
-        g = entry.graph
-        fast = _fast.enumerate_perfect_matchings(g.n, g.edges, 10**6)
-        pure = _pure.enumerate_perfect_matchings(g.n, g.edges, 10**6)
-        assert fast == pure, entry.name
-
-
-@pytest.mark.skipif(not kernels.HAVE_FAST,
-                    reason="compiled kernel not built")
-def test_fast_matches_pure_coloring():
-    from matchcover.kernels import _fast, _pure
-    for g, colors in ((petersen(), 3), (petersen(), 4),
-                      (complete_graph(4), 3), (cube_graph(), 3),
-                      (build_qr(4).graph, 4)):
-        fast = _fast.edge_coloring(g.n, g.edges, colors, 10**7)
-        pure = _pure.edge_coloring(g.n, g.edges, colors, 10**7)
-        assert fast == pure
-
-
-@pytest.mark.skipif(not kernels.HAVE_FAST,
-                    reason="compiled kernel not built")
-def test_fast_respects_cap():
-    from matchcover.kernels import _fast
-    g = complete_graph(8)
-    pms, complete = _fast.enumerate_perfect_matchings(g.n, g.edges, 3)
-    assert len(pms) == 3 and not complete
-
-
-def test_env_flag_forces_pure_dispatch():
-    code = (
-        "import matchcover.kernels as k;"
-        "print(k.enumerate_perfect_matchings.__module__)"
-    )
-    env = dict(os.environ, MATCHCOVER_PURE="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0
-    assert "_pure" in out.stdout or "kernels" in out.stdout
-    # with the flag set, a fresh process must produce identical results
-    code2 = (
-        "from matchcover.constructions import petersen;"
-        "from matchcover.matching import enumerate_perfect_matchings;"
-        "g = petersen();"
-        "print(sorted(m.mask for m in enumerate_perfect_matchings(g).matchings))"
-    )
-    with_flag = subprocess.run([sys.executable, "-c", code2], env=env,
-                               capture_output=True, text=True)
-    without = subprocess.run([sys.executable, "-c", code2],
-                             capture_output=True, text=True)
-    assert with_flag.stdout == without.stdout
-
-
-def test_size_guard_falls_back_to_pure():
-    # 70 vertices exceeds the 64-bit mask guard; must still work
+def test_enumeration_past_64_vertices():
     n = 70
     edges = [(i, i + 1) for i in range(0, n, 2)]
     pms, complete = kernels.enumerate_perfect_matchings(n, tuple(edges), 100)
     assert complete and len(pms) == 1
+
+
+def test_enumeration_order_matches_oracle_on_corpus():
+    # the DFS covers the lowest uncovered vertex next, so its output is
+    # sorted by each matching's edges listed in order of least endpoint
+    for entry in build_corpus():
+        g = entry.graph
+        pms, complete = kernels.enumerate_perfect_matchings(
+            g.n, list(g.edges), 10**6)
+        assert complete, entry.name
+        brute = sorted(brute_perfect_matchings(g), key=lambda pm: sorted(
+            pm, key=lambda e: min(g.edges[e])))
+        assert pms == [sum(1 << e for e in pm) for pm in brute], entry.name
+
+
+def test_enumeration_stops_at_cap_on_a_long_ladder():
+    g = _from_nx(nx.ladder_graph(1200))
+    pms, complete = kernels.enumerate_perfect_matchings(
+        g.n, list(g.edges), 3)
+    assert len(pms) == 3 and not complete
+
+
+def test_chromatic_index_of_a_long_odd_cycle():
+    # refuting 2 colours needs a search path through all 1,201 edges
+    assert chromatic_index_exact(cycle_graph(1201)) == 3
+
+
+def test_chromatic_index_of_a_large_grid():
+    assert chromatic_index_exact(_from_nx(nx.grid_2d_graph(24, 24))) == 4
+
+
+@given(multigraphs(max_edges=18))
+@example(complete_graph(5))
+@example(complete_graph(6))
+@example(Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))
+@example(Graph(3, [(0, 1), (0, 1), (1, 2), (1, 2), (2, 0)]))
+@settings(max_examples=150, deadline=None)
+def test_chromatic_index_matches_oracle(g):
+    assert chromatic_index_exact(g) == brute_chromatic_index(g)
