@@ -4,9 +4,19 @@ The search runs top-down by ear removal.  In any matching-covered graph
 the last ear added is visible as a chain of internal degree-2 vertices
 (a chord when it has none), so candidates are exactly the maximal such
 chains; a removal is accepted when the remainder is connected and
-matching-covered by the span DP of `span.py`.  Single-ear removals are
-tried before double-ear removals, biasing the result toward few double
-ears.  All ids in the returned decomposition refer to the input graph.
+matching-covered.  Single-ear removals are tried before double-ear
+removals, biasing the result toward few double ears.  All ids in the
+returned decomposition refer to the input graph.
+
+Each step runs one span DP of `span.py`, on the graph left by the step
+before.  An odd chain P of G is a path whose internal vertices have
+degree 2, so the perfect matchings of G - P are those of G that avoid
+P's first edge; G - P is therefore matching-covered iff it is connected
+and no edge outside P depends on P's first edge (lies only in perfect
+matchings that contain it), which the DP's dependence masks answer for
+every single at once.  The same masks rule out most pairs, and a DP on
+G - P_1 - P_2 decides the rest.  The DP of an accepted remainder
+re-checks the masks' verdict and serves the next step.
 
 The search is greedy: by the two-ear theorem (Lovasz-Plummer, Matching
 Theory, 1986) every matching-covered graph but K2 has an ear
@@ -38,7 +48,7 @@ from .feasibility import parity_spaces
 from .gf2 import Gf2Subspace
 from .graph import EdgeSet, Graph, is_bipartite, is_connected
 from .matching import has_perfect_matching
-from .span import matching_span, span_matching_covered
+from .span import MatchingSpan, matching_span, span_matching_covered
 
 
 @dataclass(frozen=True)
@@ -155,34 +165,77 @@ def _walk_cycle_minus(g: Graph, drop_eid: int):
     return (u, v, tuple(internal), tuple(eids))
 
 
-def _candidates(g: Graph):
-    """Odd chains one at a time, then vertex-disjoint pairs of them."""
+def _remainder(g: Graph, chains) -> Graph:
+    """g less the chains' edges and internal vertices."""
+    h, _ = g.delete_edges(e for c in chains for e in c[3])
+    return h.delete_vertices(v for c in chains for v in c[2])[0]
+
+
+def _next_ear(g: Graph, span: MatchingSpan):
+    """The first candidate ear of g whose remainder is connected and
+    matching-covered, as (chains, remainder, the remainder's span).
+
+    Candidates are the odd chains one at a time, then vertex-disjoint
+    pairs of them.  The PMs of g - c are those of g that avoid c's first
+    edge, so a single chain c is accepted iff g - c is connected and no
+    edge outside c depends on that edge (is "bad" for c).  A pair (a, b)
+    is tried only when both singles leave a connected remainder and the
+    edges bad for each lie in the other; a DP on g - a - b decides it.
+    The DP on an accepted single's remainder re-checks the dependence
+    masks and is the span of the next step.
+    """
     odd = [c for c in _chain_candidates(g) if len(c[3]) % 2 == 1]
-    for c in odd:
-        yield (c,)
+    dep = span.dependences(g.m)
+    bad: list[int] = []                # per chain, until one is accepted
+    connected: dict[int, bool] = {}
+
+    def single_connected(i: int) -> bool:
+        if i not in connected:
+            connected[i] = is_connected(_remainder(g, (odd[i],)))
+        return connected[i]
+
+    for i, c in enumerate(odd):
+        first = c[3][0]
+        bad.append(sum(1 << f for f in range(g.m)
+                       if dep[f] >> first & 1 and f not in c[3]))
+        if bad[i]:
+            continue
+        h = _remainder(g, (c,))
+        connected[i] = is_connected(h)
+        if connected[i]:
+            h_span = matching_span(h)
+            if not span_matching_covered(h, h_span):
+                raise CrossCheckError(
+                    "the span DP finds the remainder of an ear that the "
+                    "dependence masks accept not matching-covered")
+            return (c,), h, h_span
+    masks = [sum(1 << e for e in c[3]) for c in odd]
     for i, a in enumerate(odd):
         va = {a[0], a[1], *a[2]}
-        for b in odd[i + 1:]:
-            if va.isdisjoint((b[0], b[1], *b[2])):
-                yield (a, b)
+        for j in range(i + 1, len(odd)):
+            b = odd[j]
+            if (bad[i] & ~masks[j] or bad[j] & ~masks[i]
+                    or not va.isdisjoint((b[0], b[1], *b[2]))
+                    or not single_connected(i) or not single_connected(j)):
+                continue
+            h = _remainder(g, (a, b))
+            if is_connected(h):
+                h_span = matching_span(h)
+                if span_matching_covered(h, h_span):
+                    return (a, b), h, h_span
+    raise CrossCheckError("no removable ear found")
 
 
-def _peel(g: Graph) -> list:
-    """Remove the first candidate ear whose remainder the span DP finds
-    matching-covered, until K2 is left; the removal list
-    [(vertices, edge ids, Ear), ...] bottom-up, in the ids of g."""
+def _peel(g: Graph, span: MatchingSpan) -> list:
+    """Remove ears by `_next_ear` until K2 is left, starting from g's span;
+    the removal list [(vertices, edge ids, Ear), ...] bottom-up, in the
+    ids of g."""
     removal = []
     vmap, emap = tuple(range(g.n)), tuple(range(g.m))
     while not (g.n == 2 and g.m == 1):
-        for chains in _candidates(g):
-            drop_v = {v for c in chains for v in c[2]}
-            drop_e = {e for c in chains for e in c[3]}
-            h, _ = g.delete_edges(drop_e)
-            h, _, _ = h.delete_vertices(drop_v)
-            if is_connected(h) and span_matching_covered(h, matching_span(h)):
-                break
-        else:
-            raise CrossCheckError("no removable ear found")
+        chains, h, span = _next_ear(g, span)
+        drop_v = {v for c in chains for v in c[2]}
+        drop_e = {e for c in chains for e in c[3]}
         paths = tuple(
             EarPath(vmap[c[0]], vmap[c[1]],
                     tuple(vmap[x] for x in c[2]),
@@ -199,17 +252,19 @@ def _peel(g: Graph) -> list:
     return removal
 
 
-def _require_matching_covered(g: Graph) -> None:
+def _require_matching_covered(g: Graph) -> MatchingSpan:
+    """g's span, once the DP finds g connected and matching-covered."""
     if g.n == 0 or not is_connected(g):
         raise NotMatchingCoveredError("not matching-covered: not-connected")
-    if not span_matching_covered(g, matching_span(g)):
+    span = matching_span(g)
+    if not span_matching_covered(g, span):
         raise NotMatchingCoveredError("not matching-covered: uncovered-edge")
+    return span
 
 
 def find_ear_decomposition(g: Graph) -> EarDecomposition:
     """An ear decomposition of a matching-covered graph (always exists)."""
-    _require_matching_covered(g)
-    return _assemble(g, _peel(g))
+    return _assemble(g, _peel(g, _require_matching_covered(g)))
 
 
 @dataclass(frozen=True)
@@ -220,11 +275,11 @@ class SingleEarOutcome:
 
 def find_single_ear_decomposition(g: Graph) -> SingleEarOutcome:
     """All-single decomposition for bipartite inputs, else the odd cycle."""
-    _require_matching_covered(g)
+    span = _require_matching_covered(g)
     bip = is_bipartite(g)
     if not bip.bipartite:
         return SingleEarOutcome(None, bip.odd_walk)
-    removal = _peel(g)
+    removal = _peel(g, span)
     if any(ear.kind == "double" for _, _, ear in removal):
         raise CrossCheckError("double ear in a bipartite graph")
     return SingleEarOutcome(_assemble(g, removal), None)

@@ -19,13 +19,20 @@ pass over that DAG, children first, yields
   of local differences.  So D is spanned by the local differences of all
   states, and no state needs a basis of its own;
 - signed parity counts of any edge set X, by re-running the sum over the
-  kept transition list with the sign flipped on edges of X.
+  kept transition list with the sign flipped on edges of X;
+- for every edge f, the edges dep[f] that lie in every PM containing f
+  (f depends on them, in the sense of Lovasz-Plummer, Matching Theory,
+  1986).  The PMs through a transition R -f-> R' are the root-to-R
+  paths, then f, then a PM of G[R'], so the edges common to all of them
+  are (the edges on every root-to-R path) | f | (the edges in every PM
+  of R'); dep[f] is the AND of that over the transitions carrying f.
+  One sweep children first and one parents first compute both parts.
 
 The number of states depends on the vertex order: the lowest-index order
 can need millions of states on a sparse graph that a bandwidth-reducing
 order handles in thousands.  Vertices are therefore visited in reverse
 Cuthill-McKee order, computed directly on the adjacency lists, as the ear
-search runs one DP per candidate remainder.  The DAG is walked with an
+search runs one DP per ear it removes.  The DAG is walked with an
 explicit stack, so a long thin graph needs no deep recursion, and the DP
 stops with BudgetExhaustedError once it has made DEFAULT_STATE_BUDGET
 states, so memory stays bounded.
@@ -74,6 +81,34 @@ class MatchingSpan:
             signed[i] = s
         s = signed[-1]
         return (self.pm_count + s) // 2, (self.pm_count - s) // 2
+
+    def dependences(self, m: int) -> list[int]:
+        """dep[f] for each of the m edges: the mask of the edges that lie
+        in every PM containing f, so f's own bit is set; all m edges when
+        f lies in no PM."""
+        full = (1 << m) - 1
+        dep = [full] * m
+        if not self.pm_count:
+            return dep
+        trans, starts = self.transitions, self.starts
+        # below[i]: the edges in every PM of state i; above[i]: the edges
+        # on every path from the root down to state i
+        below = [0] * (len(starts) - 1)
+        for i in range(1, len(below)):
+            common = full
+            for k in range(starts[i], starts[i + 1], 2):
+                common &= below[trans[k + 1]] | 1 << trans[k]
+            below[i] = common
+        above = [full] * len(below)
+        above[-1] = 0
+        for i in range(len(below) - 1, 0, -1):
+            path = above[i]
+            for k in range(starts[i], starts[i + 1], 2):
+                f, c = trans[k], trans[k + 1]
+                through = path | 1 << f
+                above[c] &= through
+                dep[f] &= through | below[c]
+        return dep
 
 
 def span_matching_covered(g: Graph, span: MatchingSpan) -> bool:

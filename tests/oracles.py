@@ -7,6 +7,10 @@ scans over those matchings.  Vertex connectivity is Menger's theorem
 checked by a hand-written unit-capacity flow over every non-adjacent
 pair, and the chromatic index comes from a fixed-order backtracking
 search; the package uses networkx and a DSATUR search instead.
+Edge dependences are intersections of the enumerated perfect matchings.
+The ear search oracle is the package's earlier peeling loop, which ran
+a span DP on the remainder of every candidate ear in turn; the package
+now decides single ears by dependence masks and runs one DP per ear.
 """
 
 from __future__ import annotations
@@ -48,6 +52,18 @@ def brute_is_matching_covered(g: Graph) -> bool:
         return False
     covered = set().union(*pms)
     return covered == set(range(g.m))
+
+
+def brute_dependences(g: Graph) -> list[int]:
+    """For each edge f, the mask of the edges in every perfect matching
+    that contains f; all edges when no perfect matching contains f."""
+    full = (1 << g.m) - 1
+    dep = [full] * g.m
+    for pm in brute_perfect_matchings(g):
+        mask = sum(1 << e for e in pm)
+        for f in pm:
+            dep[f] &= mask
+    return dep
 
 
 def brute_is_feasible(g: Graph, edge_ids) -> bool:
@@ -191,3 +207,49 @@ def brute_chromatic_index(g: Graph) -> int:
     while not colourable(colors):
         colors += 1
     return colors
+
+
+def _brute_ear_candidates(g: Graph):
+    """Odd chains one at a time, then vertex-disjoint pairs of them."""
+    from matchcover.ears import _chain_candidates
+    odd = [c for c in _chain_candidates(g) if len(c[3]) % 2 == 1]
+    for c in odd:
+        yield (c,)
+    for i, a in enumerate(odd):
+        va = {a[0], a[1], *a[2]}
+        for b in odd[i + 1:]:
+            if va.isdisjoint((b[0], b[1], *b[2])):
+                yield (a, b)
+
+
+def brute_peel(g: Graph) -> list:
+    """Remove the first candidate ear whose remainder a span DP of its own
+    finds connected and matching-covered, until K2 is left; the removal
+    list [(vertices, edge ids, Ear), ...] bottom-up, in the ids of g."""
+    from matchcover.ears import Ear, EarPath
+    from matchcover.graph import is_connected
+    from matchcover.span import matching_span, span_matching_covered
+    removal = []
+    vmap, emap = tuple(range(g.n)), tuple(range(g.m))
+    while not (g.n == 2 and g.m == 1):
+        for chains in _brute_ear_candidates(g):
+            drop_v = {v for c in chains for v in c[2]}
+            drop_e = {e for c in chains for e in c[3]}
+            h, _ = g.delete_edges(drop_e)
+            h, _, _ = h.delete_vertices(drop_v)
+            if is_connected(h) and span_matching_covered(h, matching_span(h)):
+                break
+        else:
+            raise AssertionError("no removable ear found")
+        paths = tuple(
+            EarPath(vmap[c[0]], vmap[c[1]],
+                    tuple(vmap[x] for x in c[2]),
+                    tuple(emap[e] for e in c[3]))
+            for c in chains)
+        kind = "single" if len(chains) == 1 else "double"
+        removal.append((vmap, emap, Ear(kind, paths)))
+        vmap = tuple(vmap[v] for v in range(g.n) if v not in drop_v)
+        emap = tuple(emap[e] for e in range(g.m) if e not in drop_e)
+        g = h
+    removal.reverse()
+    return removal

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (brute_is_matching_covered, brute_perfect_matchings,
-                     brute_switch_equiv_empty)
+from oracles import (brute_is_matching_covered, brute_peel,
+                     brute_perfect_matchings, brute_switch_equiv_empty)
+
+from matchcover import ears
 
 from matchcover.constructions import (
     CyclePart,
@@ -31,6 +33,7 @@ from matchcover.feasibility import nf_star_report
 from matchcover.gf2 import Gf2Subspace
 from matchcover.graph import Graph, is_bipartite
 from matchcover.matching import is_matching_covered
+from matchcover.span import matching_span
 
 
 def test_c4_decomposition():
@@ -287,3 +290,45 @@ def test_validation_rejects_a_repeated_edge():
     grown = _with_ears(d, [*(s.ear for s in d.steps), ear])
     val = validate_decomposition(g, grown)
     assert (val.clause, val.step) == ("ear edge not new", grown.r)
+
+
+def _family_graphs() -> dict[str, Graph]:
+    """qr6 and the four composite family graphs of the benchmark."""
+    q4, q5 = build_qr(4), build_qr(5)
+
+    def cycle(q, k):
+        return build_cycle_cl([CyclePart(q.graph, q.labels["a1a2"],
+                                         q.labels["b1b2"], q.coloring)
+                               for _ in range(k)]).graph
+
+    return {"qr6": build_qr(6).graph, "cycle-3xq4": cycle(q4, 3),
+            "star-4xq4": build_star_xs([StarPart(q4.graph, q4.coloring)
+                                        for _ in range(4)]).graph,
+            "cycle-3xq5": cycle(q5, 3), "cycle-5xq4": cycle(q4, 5)}
+
+
+def test_peel_matches_the_candidate_dp_oracle():
+    named = [(e.name, e.graph) for e in build_corpus()]
+    for name, g in [*named, *_family_graphs().items()]:
+        assert ears._peel(g, matching_span(g)) == brute_peel(g), name
+
+
+@given(matching_covered_multigraphs())
+@settings(max_examples=60, deadline=None)
+def test_peel_matches_the_candidate_dp_oracle_on_random_multigraphs(g):
+    assert ears._peel(g, matching_span(g)) == brute_peel(g)
+
+
+def test_ear_search_runs_about_one_dp_per_ear(monkeypatch):
+    # star-4xq4 has 21 ears; a DP per candidate remainder made 748 calls
+    calls = []
+    real = ears.matching_span
+
+    def counted(h, *args):
+        calls.append(h.m)
+        return real(h, *args)
+
+    monkeypatch.setattr(ears, "matching_span", counted)
+    d = find_ear_decomposition(_family_graphs()["star-4xq4"])
+    assert d.r == 21
+    assert len(calls) <= 30, len(calls)

@@ -222,6 +222,13 @@ _LYING_ROUTES = textwrap.dedent("""
     ears.span_matching_covered = lambda h, span: h.m == g.m
     expect("no removable ear", lambda: find_ear_decomposition(g))
     ears.span_matching_covered = span_matching_covered
+    # dependence masks that report no dependences accept K4 less a chord,
+    # which the DP on that remainder finds not matching-covered
+    dependences = MatchingSpan.dependences
+    MatchingSpan.dependences = lambda self, m: [1 << f for f in range(m)]
+    expect("dependence masks", lambda: find_ear_decomposition(
+        complete_graph(4)))
+    MatchingSpan.dependences = dependences
     # K4 passed off as bipartite needs a double ear
     ears.is_bipartite = lambda h: BipartiteResult(True, None, None)
     expect("single-ear mode", lambda: find_single_ear_decomposition(
@@ -250,6 +257,7 @@ def test_cross_checks_raise_under_python_O():
         "is_feasible raised", "is_switch_equiv_empty raised",
         "nf_star_report raised", "classify_nf_star raised",
         "_assemble raised", "no removable ear raised",
+        "dependence masks raised",
         "single-ear mode raised", "analyze_graph raised",
         "vertex_connectivity_at_least raised", "chromatic_index_exact raised",
         "optimize 1", ""]

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_is_matching_covered, brute_perfect_matchings
+import strategies
+from oracles import (brute_dependences, brute_is_matching_covered,
+                     brute_perfect_matchings)
 
 from matchcover import kernels
 from matchcover import span as span_module
@@ -75,6 +77,28 @@ def multigraphs(draw):
 @settings(max_examples=150, deadline=None)
 def test_span_matches_oracles_on_random_multigraphs(g, rng):
     _check_against_brute(g, rng, 8)
+
+
+@given(strategies.multigraphs(max_edges=18))
+@settings(max_examples=150, deadline=None)
+def test_dependences_match_the_oracle_on_random_multigraphs(g):
+    assert matching_span(g).dependences(g.m) == brute_dependences(g)
+
+
+def test_dependences_pinned():
+    # no perfect matching: every edge depends on every edge
+    for g in (Graph(4, [(0, 1), (0, 2), (0, 3)]), complete_graph(3)):
+        assert matching_span(g).dependences(g.m) == [(1 << g.m) - 1] * g.m
+    # the path 0-1-2-3: its middle edge lies in no perfect matching
+    g = Graph(4, [(0, 1), (2, 3), (1, 2)])
+    assert matching_span(g).dependences(3) == [0b011, 0b011, 0b111]
+    # a 4-cycle with edge 0 doubled by edge 4: each copy depends on the
+    # opposite edge 2, which depends on neither copy
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 1)])
+    assert matching_span(g).dependences(5) == [
+        0b00101, 0b01010, 0b00100, 0b01010, 0b10100]
+    for g in (Graph(2, [(0, 1), (0, 1)]), Graph(0, [])):
+        assert matching_span(g).dependences(g.m) == brute_dependences(g)
 
 
 def test_family_graphs_pinned():
