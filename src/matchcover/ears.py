@@ -198,17 +198,15 @@ def _next_ear(g: Graph, span: MatchingSpan):
         first = c[3][0]
         bad.append(sum(1 << f for f in range(g.m)
                        if dep[f] >> first & 1 and f not in c[3]))
-        if bad[i]:
+        if bad[i] or not single_connected(i):
             continue
         h = _remainder(g, (c,))
-        connected[i] = is_connected(h)
-        if connected[i]:
-            h_span = matching_span(h)
-            if not span_matching_covered(h, h_span):
-                raise CrossCheckError(
-                    "the span DP finds the remainder of an ear that the "
-                    "dependence masks accept not matching-covered")
-            return (c,), h, h_span
+        h_span = matching_span(h)
+        if not span_matching_covered(h, h_span):
+            raise CrossCheckError(
+                "the span DP finds the remainder of an ear that the "
+                "dependence masks accept not matching-covered")
+        return (c,), h, h_span
     masks = [sum(1 << e for e in c[3]) for c in odd]
     for i, a in enumerate(odd):
         va = {a[0], a[1], *a[2]}
