@@ -17,7 +17,6 @@ from .errors import (
     DimensionTooLargeError,
     EdgeNotInGraphError,
     Graph6MultigraphError,
-    IncompleteEnumerationError,
     InvalidParameterError,
     MatchcoverError,
     NoPerfectMatchingError,
@@ -46,7 +45,6 @@ from .matching import (
 )
 from .feasibility import (
     ParitySpaces,
-    enumerate_nf,
     is_feasible,
     is_switch_equiv,
     is_switch_equiv_empty,

@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 usage error, 3 a limit was hit (the PM count
-reaches --max-pms, or a span DP ran out of its state budget), 4
+Exit codes: 0 success, 2 usage error, 3 a span DP ran out of its state
+budget (or a verification oracle out of its enumeration cap), 4
 unverified claim under --strict, 5 internal cross-check failed (two
 independent routes to one verdict disagreed; the verdict is withheld).
 """
@@ -31,11 +31,10 @@ from .constructions import (
 from .errors import (
     BudgetExhaustedError,
     CrossCheckError,
-    IncompleteEnumerationError,
     MatchcoverError,
-    NotMatchingCoveredError,
 )
 from .feasibility import (
+    is_feasible,
     is_switch_equiv_empty,
     is_switch_equiv_full,
     nf_star_report,
@@ -79,38 +78,37 @@ class AnalysisReport:
         return {"schema_version": 1, **self.__dict__}
 
 
-def analyze_graph(g: Graph, max_pms: int = 1_000_000,
+def analyze_graph(g: Graph,
                   with_chromatic_index: bool = True) -> AnalysisReport:
     """The structural report of `matchcover analyze`.
 
     One span DP gives the exact PM count, matching-coveredness and the
     parity spaces.  Matching-coveredness is cross-checked against
-    `is_matching_covered`, which enumerates perfect matchings instead.
+    `is_matching_covered`, which uses maximum matchings instead.
     Dimensions and the nF* verdict are left out unless the graph is
-    matching-covered and has fewer than `max_pms` perfect matchings.
-    When the DP runs out of its state budget, matching-coveredness comes
-    from `is_matching_covered` alone, and the PM count, dimensions and
-    nF* verdict are left out.  For an r-regular graph,
-    `vertex_connectivity_checked` is min(κ, r, n−1), from one
-    connectivity test at k = min(r, n−1): k when it passes, else the size
-    of the minimum vertex cut it returns.  `chromatic_index` is exact,
-    from the DSATUR search.
+    matching-covered.  When the DP runs out of its state budget,
+    matching-coveredness comes from `is_matching_covered` alone, the PM
+    count, dimensions and nF* verdict are left out, and
+    `pm_enumeration_complete`, which means that the DP finished, is
+    false.  For an r-regular graph, `vertex_connectivity_checked` is
+    min(κ, r, n−1), from one connectivity test at k = min(r, n−1): k when
+    it passes, else the size of the minimum vertex cut it returns.
+    `chromatic_index` is exact, from the DSATUR search.
     """
     connected = is_connected(g)
     bip = is_bipartite(g).bipartite
-    mc = is_matching_covered(g, cap=max_pms).covered
+    mc = is_matching_covered(g).covered
     try:
         span = matching_span(g)
     except BudgetExhaustedError:
         span = None
     if span is not None and span_matching_covered(g, span) != mc:
-        raise CrossCheckError("span DP and matching enumeration disagree "
-                              "on matching-coveredness")
+        raise CrossCheckError("span DP and maximum matchings disagree on "
+                              "matching-coveredness")
     pm_count = span.pm_count if span is not None else None
-    complete = pm_count is not None and pm_count < max_pms
     dims = nfe = wit = None
-    if mc and complete:
-        ps = parity_spaces(g, cap=max_pms, span=span)
+    if mc and span is not None:
+        ps = parity_spaces(g, span=span)
         rep = nf_star_report(g, ps=ps)
         d, nf, cut, e_in_cut = ps.dims
         dims = {"D": d, "nF": nf, "cut": cut, "E_in_cut": e_in_cut}
@@ -128,7 +126,7 @@ def analyze_graph(g: Graph, max_pms: int = 1_000_000,
     if with_chromatic_index and g.m:
         chi = chromatic_index_exact(g)
     return AnalysisReport(g.n, g.m, connected, bip, mc,
-                          pm_count, complete, dims,
+                          pm_count, span is not None, dims,
                           nfe, wit, reg, conn, chi)
 
 
@@ -142,7 +140,7 @@ def _emit(obj, as_json: bool) -> None:
 
 def cmd_analyze(args) -> int:
     g = read_graph(args.file, args.format)
-    rep = analyze_graph(g, max_pms=args.max_pms)
+    rep = analyze_graph(g)
     _emit(rep.to_json_obj(), args.json)
     return EXIT_OK if rep.pm_enumeration_complete else EXIT_INCOMPLETE
 
@@ -151,15 +149,8 @@ def cmd_feasible(args) -> int:
     g = read_graph(args.file, args.format)
     ids = [int(t) for t in args.edges.split(",")] if args.edges else []
     x = g.edge_set(ids)
-    out = {"edges": sorted(x.ids())}
-    try:
-        from .feasibility import is_feasible
-        feas = is_feasible(g, x, cap=args.max_pms)
-    except IncompleteEnumerationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCOMPLETE
-    out["feasible"] = feas
-    if not feas:
+    out = {"edges": sorted(x.ids()), "feasible": is_feasible(g, x)}
+    if not out["feasible"]:
         if is_switch_equiv_empty(g, x):
             out["switching_class"] = "empty-class"
         elif is_switch_equiv_full(g, x):
@@ -264,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_io(sp):
         sp.add_argument("file")
         sp.add_argument("--format", choices=["graph6", "edgelist", "json"])
-        sp.add_argument("--max-pms", type=int, default=1_000_000)
         sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("analyze", help="full structural report")
@@ -317,19 +307,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except CrossCheckError as exc:
         print(f"error: internal cross-check failed: {exc}", file=sys.stderr)
         return EXIT_CROSS_CHECK
-    except (IncompleteEnumerationError, BudgetExhaustedError) as exc:
+    except BudgetExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPLETE
-    except NotMatchingCoveredError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MatchcoverError as exc:
+    except (FileNotFoundError, MatchcoverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -21,7 +21,7 @@ from .feasibility import (is_switch_equiv_empty, is_switch_equiv_full,
                           parity_spaces)
 from .graph import (EdgeSet, Graph, is_bipartite, is_connected,
                     vertex_connectivity_at_least)
-from .matching import DEFAULT_CAP, is_matching_covered
+from .matching import is_matching_covered
 from .span import MatchingSpan, matching_span
 
 DEFAULT_COLOR_BUDGET = 5_000_000
@@ -216,7 +216,7 @@ def splice(g1: Graph, e1: int, g2: Graph, e2: int,
            coloring2: Optional[Sequence[int]] = None,
            orient1: Optional[tuple[int, int]] = None,
            orient2: Optional[tuple[int, int]] = None,
-           cap: int = DEFAULT_CAP) -> ConstructionCertificate:
+           ) -> ConstructionCertificate:
     """Delete e_i = x_i y_i from each graph; join by f1 = x1x2, f2 = y1y2.
 
     Orientation of each e_i is caller-supplied; the documented default is
@@ -229,7 +229,7 @@ def splice(g1: Graph, e1: int, g2: Graph, e2: int,
             raise EdgeNotInGraphError(f"edge id {e} not in graph")
         if g.m < 2:
             raise NotMatchingCoveredError("parts need at least 2 edges")
-        if not is_matching_covered(g, cap):
+        if not is_matching_covered(g):
             raise NotMatchingCoveredError("splice parts must be matching-covered")
     x1, y1 = _orient(g1, e1, orient1)
     x2, y2 = _orient(g2, e2, orient2)
@@ -306,8 +306,8 @@ class ChainPart:
 
 
 def build_chain(parts: Sequence[ChainPart],
-                witness_edges: Optional[Sequence[tuple[int, int]]] = None,
-                cap: int = DEFAULT_CAP) -> ConstructionCertificate:
+                witness_edges: Optional[Sequence[tuple[int, int]]] = None
+                ) -> ConstructionCertificate:
     """Left fold of splices: part i's e' is joined to part i+1's e.
 
     The certificate's equivalent set is the full aggregate (survivors of
@@ -342,7 +342,7 @@ def build_chain(parts: Sequence[ChainPart],
     for p in parts[1:]:
         cert = splice(cur, cur_e_prime, p.graph, p.e,
                       s1=EdgeSet(cur_equiv_mask, cur.m), s2=p.equiv_set,
-                      coloring1=cur_coloring, coloring2=p.coloring, cap=cap)
+                      coloring1=cur_coloring, coloring2=p.coloring)
         emap1 = cert.labels["emap1"]
         emap2 = cert.labels["emap2"]
         new_mask = (1 << cert.labels["f1"]) | (1 << cert.labels["f2"])
@@ -525,8 +525,7 @@ class StarPart:
     labels: dict = field(default_factory=dict)
 
 
-def build_star_xs(parts: Sequence[StarPart],
-                  cap: int = DEFAULT_CAP) -> ConstructionCertificate:
+def build_star_xs(parts: Sequence[StarPart]) -> ConstructionCertificate:
     """Remove one hub-adjacent vertex per part, add r shared hub vertices.
 
     Part i loses a vertex w_i with neighbors v_{i,1..r} indexed so that
@@ -648,13 +647,12 @@ def star_part_from_certificate(cert: ConstructionCertificate,
 
 
 def verify_certificate(cert: ConstructionCertificate,
-                       cap: int = DEFAULT_CAP,
                        check_connectivity: bool = True) -> list[Claim]:
     """Re-check every claim from scratch; None marks claims left
-    unverified by the PM cap or the span DP's state budget."""
+    unverified by the span DP's state budget."""
     g = cert.graph
     claims = []
-    mc = is_matching_covered(g, cap)
+    mc = is_matching_covered(g)
     claims.append(Claim("matching-covered", mc.covered, mc.reason or ""))
     if cert.r is not None:
         claims.append(Claim(f"{cert.r}-regular",

@@ -383,6 +383,7 @@ class NfStarClassification:
     empty: bool
     rule: str                   # which classification clause fired
     detail: Optional[str]
+    witness: Optional[EdgeSet] = None   # case iv: the edges in `detail`
 
 
 def classify_nf_star(g: Graph, d: EarDecomposition) -> NfStarClassification:
@@ -434,7 +435,8 @@ def classify_nf_star(g: Graph, d: EarDecomposition) -> NfStarClassification:
                                     in emap_prev.items()}), g.m)
     return NfStarClassification(
         False, "case-iv", f"edges {list(witness.ids())}, a member of nF* of "
-        f"the prefix, restrict non-feasibly to the prefix minus the ear ends")
+        f"the prefix, restrict non-feasibly to the prefix minus the ear ends",
+        witness)
 
 
 def _map_mask(mask: int, id_map: dict[int, int]) -> int:

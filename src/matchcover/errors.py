@@ -13,17 +13,13 @@ class NoPerfectMatchingError(MatchcoverError):
     """The graph has no perfect matching."""
 
 
-class IncompleteEnumerationError(MatchcoverError):
-    """A verdict required a complete perfect-matching enumeration, but the
-    enumeration hit its cap."""
-
-
 class NotMatchingCoveredError(MatchcoverError):
     """The operation requires a matching-covered graph."""
 
 
 class BudgetExhaustedError(MatchcoverError):
-    """The perfect-matching span DP ran out of its state budget."""
+    """A span DP ran out of its state budget, or an enumeration of a
+    verification oracle out of its cap."""
 
 
 class CrossCheckError(MatchcoverError):

@@ -6,8 +6,11 @@ the GF(2) span of all symmetric differences M xor M0; then X is
 non-feasible iff X is orthogonal to D.  D comes from the span DP of
 `span.py`, which never enumerates the perfect matchings.  This reduction
 is validated against a 2^m brute-force oracle in the test suite before
-being trusted, and `is_feasible` re-derives every verdict it can by a
-direct parity scan over enumerated matchings.
+being trusted, and `is_feasible` re-derives every verdict by a second
+route: a feasible verdict by the explicit pairs of perfect matchings
+whose differences span D, each checked to be a perfect matching of the
+graph, and a non-feasible one by the DP's parity counts, which show that
+every basis vector of nF meets all perfect matchings with one parity.
 
 Switching-equivalence (X ~ Y iff X xor Y is an edge cut) is decided both
 combinatorially (2-coloring the components of g minus the cut) and by cut
@@ -19,44 +22,39 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Optional
 
-from .errors import (BudgetExhaustedError, CrossCheckError,
-                     DimensionMismatch, IncompleteEnumerationError,
-                     InvalidParameterError, NoPerfectMatchingError,
-                     NotMatchingCoveredError)
+from .errors import (CrossCheckError, DimensionMismatch,
+                     NoPerfectMatchingError, NotMatchingCoveredError)
 from .gf2 import Gf2Subspace, subspace_equal, subspace_sum
 from .graph import EdgeSet, Graph, VertexSet, boundary, components
-from .matching import DEFAULT_CAP, enumerate_perfect_matchings
 from .span import MatchingSpan, matching_span, span_matching_covered
-
-MAX_ENUM_DIM = 24
 
 
 @dataclass(frozen=True)
 class ParitySpaces:
-    """Everything the parity predicates need, from one span DP.
-
-    `complete` is True iff the graph has fewer than `cap` perfect
-    matchings, i.e. iff an enumeration capped at `cap` finishes; verdicts
-    that need every matching are refused otherwise.  D, nF and the PM
-    count are exact either way.  `matchings` is enumerated (up to `cap`)
-    only when first read, by the direct parity scan of `is_feasible`.
-    """
+    """Everything the parity predicates need, from one span DP; the two
+    one-off cross-checks of `is_feasible` run when first needed."""
 
     graph: Graph
-    cap: int
     span: MatchingSpan
-    complete: bool
-    base_matching: EdgeSet                 # M0, the DP's representative
     D: Gf2Subspace                         # span{M xor M0}
     nF: Gf2Subspace                        # orthogonal complement of D
     cut: Gf2Subspace                       # span of vertex stars
     cut_plus_E: Gf2Subspace                # cut + <E>
 
     @cached_property
-    def matchings(self) -> tuple[EdgeSet, ...]:
-        return enumerate_perfect_matchings(self.graph, self.cap).matchings
+    def pairs_are_matchings(self) -> bool:
+        """Is each of the DP's pairs two perfect matchings of the graph?"""
+        return all(_is_perfect_matching(self.graph, mt)
+                   for pair in self.span.pm_pairs for mt in pair)
+
+    @cached_property
+    def nf_certified(self) -> bool:
+        """Does every nF basis vector, and so every member of nF, meet all
+        perfect matchings with one parity by the DP's parity counts?"""
+        return all(0 in self.span.parity_counts(row)
+                   for row in self.nF.basis())
 
     @property
     def dims(self) -> tuple[int, int, int, bool]:
@@ -64,7 +62,7 @@ class ParitySpaces:
                 self.cut.contains(self.graph.full_edge_set().mask))
 
 
-def parity_spaces(g: Graph, cap: int = DEFAULT_CAP,
+def parity_spaces(g: Graph,
                   span: Optional[MatchingSpan] = None) -> ParitySpaces:
     """D, nF, the cut space and cut + <E> of g, from one span DP.
 
@@ -72,8 +70,6 @@ def parity_spaces(g: Graph, cap: int = DEFAULT_CAP,
     NoPerfectMatchingError when g has no perfect matching and
     BudgetExhaustedError when the DP runs out of its state budget.
     """
-    if cap < 1:
-        raise InvalidParameterError("cap must be >= 1")
     if span is None:
         span = matching_span(g)
     if not span.pm_count:
@@ -81,52 +77,48 @@ def parity_spaces(g: Graph, cap: int = DEFAULT_CAP,
     d = Gf2Subspace(g.m, span.d_rows)
     cut = g.cut_space()
     cut_plus_e = subspace_sum(cut, Gf2Subspace(g.m, ((1 << g.m) - 1,)))
-    return ParitySpaces(g, cap, span, span.pm_count < cap,
-                        EdgeSet(span.base_matching, g.m), d,
-                        d.orthogonal_complement(), cut, cut_plus_e)
+    return ParitySpaces(g, span, d, d.orthogonal_complement(), cut,
+                        cut_plus_e)
 
 
-def _meets_both_parities(matchings: tuple[EdgeSet, ...], x: EdgeSet) -> bool:
-    """Do two of the given matchings meet x with different parities?"""
-    if not matchings:
-        return False
-    xm = x.mask
-    p0 = (matchings[0].mask & xm).bit_count() & 1
-    for mt in matchings:
-        if (mt.mask & xm).bit_count() & 1 != p0:
-            return True
-    return False
+def _is_perfect_matching(g: Graph, mask: int) -> bool:
+    covered = 0
+    for eid in EdgeSet(mask, g.m).ids():
+        u, v = g.edges[eid]
+        if covered >> u & 1 or covered >> v & 1:
+            return False
+        covered |= 1 << u | 1 << v
+    return covered == (1 << g.n) - 1
 
 
-def is_feasible(g: Graph, x: EdgeSet, ps: Optional[ParitySpaces] = None,
-                cap: int = DEFAULT_CAP) -> bool:
-    """Two matchings meet x with different parities?
+def is_feasible(g: Graph, x: EdgeSet,
+                ps: Optional[ParitySpaces] = None) -> bool:
+    """Two perfect matchings meet x with different parities?
 
-    A feasible verdict may be certified from a capped enumeration, also
-    when the span DP runs out of its state budget (ps not given); a
-    non-feasible verdict needs the enumeration to have completed.
+    Decided by nF membership, and cross-checked against the DP's pairs of
+    perfect matchings, one of which meets x with two parities iff x is
+    feasible, and, for a non-feasible verdict, by `nf_certified`; the
+    pairs and nF's basis are checked once per ParitySpaces.  Raises
+    BudgetExhaustedError when ps is not given and the span DP runs out of
+    its state budget.
     """
     if x.size != g.m:
         raise DimensionMismatch(f"edge spaces differ: {x.size} vs {g.m}")
     if ps is None:
-        try:
-            ps = parity_spaces(g, cap)
-        except BudgetExhaustedError:
-            if _meets_both_parities(
-                    enumerate_perfect_matchings(g, cap).matchings, x):
-                return True
-            raise
-    if _meets_both_parities(ps.matchings, x):
-        scan = True
-    elif ps.complete:
-        scan = False
-    else:
-        raise IncompleteEnumerationError(
-            "enumeration capped; cannot certify non-feasible")
-    if ps.complete and scan != (not ps.nF.contains(x.mask)):
-        raise CrossCheckError("parity scan and GF(2) route disagree on "
-                              f"the feasibility of {sorted(x.ids())}")
-    return scan
+        ps = parity_spaces(g)
+    if not ps.pairs_are_matchings:
+        raise CrossCheckError("the span DP recorded a pair that is not two "
+                              "perfect matchings")
+    feasible = not ps.nF.contains(x.mask)
+    scan = any(((a ^ b) & x.mask).bit_count() & 1
+               for a, b in ps.span.pm_pairs)
+    if scan != feasible:
+        raise CrossCheckError("PM pairs and GF(2) route disagree on the "
+                              f"feasibility of {sorted(x.ids())}")
+    if not feasible and not ps.nf_certified:
+        raise CrossCheckError("an nF basis vector is feasible by its "
+                              "parity counts")
+    return feasible
 
 
 @dataclass(frozen=True)
@@ -205,7 +197,7 @@ class NfStarReport:
     dims: tuple[int, int, int, bool]    # (dim D, dim nF, dim cut, E in cut)
 
 
-def nf_star_report(g: Graph, cap: int = DEFAULT_CAP,
+def nf_star_report(g: Graph,
                    ps: Optional[ParitySpaces] = None) -> NfStarReport:
     """Is every non-feasible set switching-equivalent to {} or E?
 
@@ -221,10 +213,7 @@ def nf_star_report(g: Graph, cap: int = DEFAULT_CAP,
             "not matching-covered: disconnected, or an edge lies in no "
             "perfect matching")
     if ps is None:
-        ps = parity_spaces(g, cap, span=span)
-    if not ps.complete:
-        raise IncompleteEnumerationError(
-            f"at least {ps.cap} perfect matchings: over the cap")
+        ps = parity_spaces(g, span=span)
     full = (1 << g.m) - 1
     if not (all(ps.nF.contains(r) for r in ps.cut.basis())
             and ps.nF.contains(full)):
@@ -243,15 +232,3 @@ def nf_star_report(g: Graph, cap: int = DEFAULT_CAP,
                               "{} or E")
     return NfStarReport(False, witness, ps.dims)
 
-
-def enumerate_nf(g: Graph, max_dim: int = MAX_ENUM_DIM,
-                 cap: int = DEFAULT_CAP,
-                 ps: Optional[ParitySpaces] = None) -> Iterator[EdgeSet]:
-    """Yield all 2^dim members of nF(g) once each (Gray-code order)."""
-    if ps is None:
-        ps = parity_spaces(g, cap)
-    if not ps.complete:
-        raise IncompleteEnumerationError(
-            f"at least {ps.cap} perfect matchings: over the cap")
-    for mask in ps.nF.members(max_dim):
-        yield EdgeSet(mask, g.m)

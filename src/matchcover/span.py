@@ -17,7 +17,9 @@ pass over that DAG, children first, yields
   of G[R]; any PM of G that reaches R extends both by the same edges, so
   each lies in D, and by induction over the DAG every M xor M0 is a sum
   of local differences.  So D is spanned by the local differences of all
-  states, and no state needs a basis of its own;
+  states, and no state needs a basis of its own.  Each local difference
+  that grows the basis is kept as the two PMs of G it is the difference
+  of: the path from the root down to R, with either completion;
 - signed parity counts of any edge set X, by re-running the sum over the
   kept transition list with the sign flipped on edges of X;
 - for every edge f, the edges dep[f] that lie in every PM containing f
@@ -58,6 +60,7 @@ class MatchingSpan:
     edge_union: int                   # edges lying in some PM
     base_matching: int                # M0; 0 when there is no PM
     d_rows: tuple[int, ...]           # a basis of D, in echelon form
+    pm_pairs: tuple[tuple[int, int], ...]   # PM pairs whose differences span D
     # The states with a PM, children first; state 0 is the empty state
     # and the last one is V(G).  The transitions of state i are the
     # (edge id, child state) pairs in transitions[starts[i]:starts[i + 1]],
@@ -155,7 +158,7 @@ def matching_span(g: Graph,
     if state_budget < 1:
         raise InvalidParameterError("state budget must be >= 1")
     if g.n % 2:
-        return MatchingSpan(0, 0, 0, (), array("q"), array("q"))
+        return MatchingSpan(0, 0, 0, (), (), array("q"), array("q"))
     order = _vertex_order(g)
     pos = [0] * g.n
     for i, v in enumerate(order):
@@ -173,6 +176,7 @@ def matching_span(g: Graph,
     transitions = array("q")
     starts = array("q", (0, 0))
     pivots: dict[int, int] = {}        # echelon basis of D, by top bit
+    pairs: list[tuple[int, int]] = []
     union = 0
 
     # Frames: (state, state less its lowest vertex, edges up from that
@@ -208,12 +212,17 @@ def matching_span(g: Graph,
             for eid, c in trans[1:]:
                 total += counts[c]
                 union |= 1 << eid
-                v = (reps[c] | 1 << eid) ^ rep
+                other = reps[c] | 1 << eid
+                v = other ^ rep
                 while v:
                     top = v.bit_length() - 1
                     row = pivots.get(top)
                     if row is None:
                         pivots[top] = v
+                        # the edges from the root down to r, on the stack
+                        path = sum(1 << f[4] for f in stack[1:])
+                        path |= 1 << via if stack else 0
+                        pairs.append((path | rep, path | other))
                         break
                     v ^= row
             index[r] = len(counts)
@@ -228,6 +237,7 @@ def matching_span(g: Graph,
 
     root = index[full]
     if root < 0:
-        return MatchingSpan(0, 0, 0, (), array("q"), array("q"))
+        return MatchingSpan(0, 0, 0, (), (), array("q"), array("q"))
     return MatchingSpan(counts[root], union, reps[root],
-                        tuple(pivots.values()), transitions, starts)
+                        tuple(pivots.values()), tuple(pairs), transitions,
+                        starts)

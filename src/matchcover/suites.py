@@ -10,7 +10,8 @@ command and the test suite both run these.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
 from .constructions import (
     CyclePart,
@@ -24,10 +25,9 @@ from .constructions import (
     verify_certificate,
 )
 from .corpus import CorpusEntry, build_corpus
-from .errors import IncompleteEnumerationError
+from .errors import BudgetExhaustedError
 from .feasibility import (
     ParitySpaces,
-    enumerate_nf,
     is_feasible,
     is_switch_equiv,
     is_switch_equiv_empty,
@@ -41,9 +41,11 @@ from .ears import (
     find_single_ear_decomposition,
     validate_decomposition,
 )
-from .matching import enumerate_perfect_matchings, is_matching_covered
+from .matching import (enumerate_perfect_matchings, has_perfect_matching,
+                       is_matching_covered)
 
 DEFAULT_TRIALS = 100
+MAX_ENUM_DIM = 24
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,7 @@ def brute_force_nf(g: Graph) -> set[int]:
     """All non-feasible subsets of E(g) by direct 2^m parity scanning."""
     enum = enumerate_perfect_matchings(g)
     if not enum.complete:
-        raise IncompleteEnumerationError(
+        raise BudgetExhaustedError(
             "brute-force nF needs every perfect matching")
     masks = [m.mask for m in enum.matchings]
     out = set()
@@ -134,6 +136,15 @@ def brute_force_nf(g: Graph) -> set[int]:
         if all((mk & x).bit_count() & 1 == p0 for mk in masks[1:]):
             out.add(x)
     return out
+
+
+def enumerate_nf(g: Graph, max_dim: int = MAX_ENUM_DIM,
+                 ps: Optional[ParitySpaces] = None) -> Iterator[EdgeSet]:
+    """Yield all 2^dim members of nF(g) once each (Gray-code order)."""
+    if ps is None:
+        ps = parity_spaces(g)
+    for mask in ps.nF.members(max_dim):
+        yield EdgeSet(mask, g.m)
 
 
 def suite_oracle_nf(max_n: int = 24, seed: int = 0,
@@ -253,9 +264,8 @@ def _lemma_checks(name: str, g: Graph, d, rng: random.Random,
         # in the smaller graph minus the ear's two ends
         p = last.ear.paths[0]
         go, go_emap, _ = gp.delete_vertices((vmap[p.end_u], vmap[p.end_v]))
-        go_enum = enumerate_perfect_matchings(go)
         ok_42 = True
-        if go_enum.matchings and ps_p.nF.dim <= 16:
+        if has_perfect_matching(go) and ps_p.nF.dim <= 16:
             ps_o = parity_spaces(go)
             for xp_set in enumerate_nf(gp, ps=ps_p):
                 x = EdgeSet(lift(xp_set.mask), g.m)

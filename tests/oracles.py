@@ -85,6 +85,18 @@ def brute_nf_masks(g: Graph) -> set[int]:
     return out
 
 
+def brute_nf_star_masks(g: Graph) -> set[int]:
+    """The non-feasible sets that are neither a cut nor the complement of
+    one, with every cut found by trying all 2^n vertex sets."""
+    cuts = set()
+    for bits in range(1 << g.n):
+        cuts.add(sum(1 << eid for eid, (u, v) in enumerate(g.edges)
+                     if (bits >> u & 1) != (bits >> v & 1)))
+    full = (1 << g.m) - 1
+    return {x for x in brute_nf_masks(g)
+            if x not in cuts and x ^ full not in cuts}
+
+
 def brute_switch_equiv_empty(g: Graph, edge_ids) -> bool:
     """Is the set a vertex-set boundary?  Checked by trying all 2^n sets."""
     target = frozenset(edge_ids)

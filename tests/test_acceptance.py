@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from oracles import brute_nf_masks
+from oracles import brute_nf_masks, brute_perfect_matchings
 
 from matchcover.cli import analyze_graph
 from matchcover.constructions import (
@@ -36,7 +36,6 @@ from matchcover.ears import (
     validate_decomposition,
 )
 from matchcover.feasibility import (
-    enumerate_nf,
     is_feasible,
     is_switch_equiv_empty,
     is_switch_equiv_full,
@@ -46,6 +45,7 @@ from matchcover.feasibility import (
 from matchcover.graph import EdgeSet, is_bipartite, vertex_connectivity_at_least
 from matchcover.matching import enumerate_perfect_matchings, is_matching_covered
 from matchcover.suites import (
+    enumerate_nf,
     run_suite,
     suite_bipartite_theorem,
     suite_sep_invariance,
@@ -80,9 +80,11 @@ def test_criterion_02_petersen(capsys):
     ps = parity_spaces(g)
     rep = nf_star_report(g, ps=ps)
     ok = not rep.empty and rep.witness is not None
-    ok = ok and len(ps.matchings) == 6
+    pms = brute_perfect_matchings(g)
+    ok = ok and len(pms) == 6
     # (a) constant parity across all six perfect matchings
-    ok = ok and len({len(m & rep.witness) & 1 for m in ps.matchings}) == 1
+    w = set(rep.witness.ids())
+    ok = ok and len({len(pm & w) & 1 for pm in pms}) == 1
     # (b) outside cut + <E>
     ok = ok and not ps.cut_plus_E.contains(rep.witness.mask)
     ok = ok and chromatic_index_exact(g) == 4
@@ -189,8 +191,8 @@ def _star_property_suite(cert, expected_n, expected_m):
         return False
     # independent certification: parity scan plus subspace membership
     ps = parity_spaces(g)
-    ok = ok and ps.complete
-    ok = ok and len({len(m & w) & 1 for m in ps.matchings}) == 1
+    ok = ok and len({len(pm & set(w.ids())) & 1
+                     for pm in brute_perfect_matchings(g)}) == 1
     ok = ok and ps.nF.contains(w.mask)
     ok = ok and not ps.cut_plus_E.contains(w.mask)
     ok = ok and not is_switch_equiv_empty(g, w)

@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import matchcover
-from matchcover import cli, span
+from matchcover import cli, kernels, span
 from matchcover.cli import main
-from matchcover.constructions import complete_graph, petersen
+from matchcover.constructions import (CyclePart, build_cycle_cl, build_qr,
+                                      complete_graph, petersen)
+from matchcover.corpus import build_corpus
 from matchcover.matching import MatchingCoveredResult
 from matchcover.errors import BudgetExhaustedError
 from matchcover.feasibility import nf_star_report
@@ -132,18 +134,23 @@ def test_decompose_has_no_pm_cap(k4_file):
 
 def test_cross_check_exit_code(petersen_file, monkeypatch, capsys):
     # one route of analyze's matching-covered cross-check lies
-    monkeypatch.setattr(cli, "is_matching_covered", lambda g, cap:
+    monkeypatch.setattr(cli, "is_matching_covered", lambda g:
                         MatchingCoveredResult(False, "uncovered-edge", 0))
     assert main(["analyze", petersen_file, "--json"]) == 5
     captured = capsys.readouterr()
     assert captured.out == "" and "cross-check" in captured.err
 
 
-def test_incomplete_enumeration_exit_code(tmp_path):
+def test_max_pms_option_is_gone(tmp_path, capsys):
     p = tmp_path / "k8.json"
     write_graph(complete_graph(8), str(p))
-    proc = run_cli("analyze", str(p), "--max-pms", "3", "--json")
-    assert proc.returncode == 3
+    assert run_cli("analyze", str(p), "--max-pms", "3").returncode == 2
+    assert run_cli("feasible", str(p), "--edges", "",
+                   "--max-pms", "3").returncode == 2
+    assert main(["analyze", str(p), "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["pm_count"] == 105 and obj["pm_enumeration_complete"] is True
+    assert obj["dims"] is not None
 
 
 def test_ear_search_budget_exit_code(k4_file, monkeypatch, capsys):
@@ -166,14 +173,12 @@ def test_span_state_budget_exit_code(petersen_file, monkeypatch, capsys):
     assert obj["chromatic_index"] == 4
     assert obj["pm_count"] is None and obj["dims"] is None
     assert obj["pm_enumeration_complete"] is False
-    # a capped parity scan still certifies a feasible edge set ...
-    assert main(["feasible", petersen_file, "--edges", "0", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out) == {"edges": [0],
-                                                    "feasible": True}
-    # ... but not a non-feasible one
-    assert main(["feasible", petersen_file, "--edges", "", "--json"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == "" and "state budget" in captured.err
+    # feasible needs the DP for every set, feasible or not
+    for edges in ("0", ""):
+        assert main(["feasible", petersen_file, "--edges", edges,
+                     "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "state budget" in captured.err
     # decompose needs the DP for every ear it removes
     assert main(["decompose", petersen_file]) == 3
     captured = capsys.readouterr()
@@ -193,15 +198,43 @@ def test_decompose_refuses_classification_over_budget(petersen_file,
                               "detail": "span DP state budget exhausted"}
 
 
+def _cycle_family(k: int):
+    q4 = build_qr(4)
+    return build_cycle_cl([CyclePart(q4.graph, q4.labels["a1a2"],
+                                     q4.labels["b1b2"], q4.coloring)
+                           for _ in range(k)]).graph
+
+
 def test_pm_count_exact_above_the_cap(tmp_path, capsys):
-    p = tmp_path / "k8.json"
-    write_graph(complete_graph(8), str(p))
-    assert main(["analyze", str(p), "--max-pms", "3", "--json"]) == 3
+    # cycle-9xq4 has far more perfect matchings than any enumeration holds
+    p = tmp_path / "cycle-9xq4.json"
+    write_graph(_cycle_family(9), str(p))
+    assert main(["analyze", str(p), "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)
-    assert obj["pm_count"] == 105
-    assert obj["pm_enumeration_complete"] is False
+    assert obj["pm_count"] == 43_595_960_320
+    assert obj["pm_enumeration_complete"] is True
     assert obj["matching_covered"] is True
-    assert obj["dims"] is None
+    assert obj["dims"] == {"D": 72, "nF": 72, "cut": 71, "E_in_cut": False}
+    assert obj["nf_star_empty"] is True and obj["nf_star_witness"] is None
+
+
+def test_no_user_facing_path_enumerates(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("perfect matchings enumerated")
+
+    monkeypatch.setattr(kernels, "enumerate_perfect_matchings", refuse)
+    p = tmp_path / "cycle-3xq4.json"
+    write_graph(_cycle_family(3), str(p))
+    for argv in (["analyze", str(p), "--json"],
+                 ["feasible", str(p), "--edges", "", "--json"],
+                 ["feasible", str(p), "--edges", "0", "--json"],
+                 ["decompose", str(p), "--json"],
+                 ["construct", "qr", "--strict"],
+                 ["construct", "splice", "--strict"],
+                 ["construct", "star", "--r", "4", "--k", "4", "--strict"]):
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+    assert len(build_corpus()) == 20
 
 
 def test_entry_point_installed():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strategies import matching_covered_multigraphs
 from oracles import (brute_is_matching_covered, brute_peel,
                      brute_perfect_matchings, brute_switch_equiv_empty)
 
@@ -29,7 +30,7 @@ from matchcover.ears import (
     find_single_ear_decomposition,
     validate_decomposition,
 )
-from matchcover.feasibility import nf_star_report
+from matchcover.feasibility import nf_star_report, parity_spaces
 from matchcover.gf2 import Gf2Subspace
 from matchcover.graph import Graph, is_bipartite
 from matchcover.matching import is_matching_covered
@@ -146,21 +147,6 @@ def test_case_iv_verdicts():
         assert cls.empty == nf_star_report(g).empty == empty
 
 
-@st.composite
-def matching_covered_multigraphs(draw):
-    """Loopless multigraphs on at most 10 vertices: a Hamiltonian cycle of
-    even length plus random edges, less the edges in no perfect matching.
-    The cycle keeps the result connected and matching-covered."""
-    n = draw(st.sampled_from((2, 4, 6, 8, 10)))
-    order = draw(st.permutations(range(n)))
-    edges = [(order[i], order[(i + 1) % n]) for i in range(n)]
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-        lambda p: p[0] != p[1])
-    edges += draw(st.lists(pair, min_size=n, max_size=3 * n))
-    used = set().union(*brute_perfect_matchings(Graph(n, edges)))
-    return Graph(n, [e for eid, e in enumerate(edges) if eid in used])
-
-
 @given(matching_covered_multigraphs())
 @settings(max_examples=80, deadline=None)
 def test_classifier_matches_enumeration_on_random_multigraphs(g):
@@ -179,6 +165,24 @@ def test_intermediate_graphs_matching_covered():
     for i in range(d.r + 1):
         sub, _, _ = g.edge_subgraph(d.prefix_edges(i))
         assert is_matching_covered(sub).covered, i
+
+
+def test_case_iv_witness_on_star():
+    q4 = build_qr(4)
+    g = build_star_xs([StarPart(q4.graph, q4.coloring)
+                       for _ in range(4)]).graph
+    d = find_ear_decomposition(g)
+    cls = classify_nf_star(g, d)
+    assert (cls.empty, cls.rule) == (False, "case-iv")
+    assert f"edges {list(cls.witness.ids())}, " in cls.detail
+    # a member of nF* of the last prefix
+    prefix, emap, _ = g.edge_subgraph(d.prefix_edges(d.r - 1))
+    x = sum(1 << emap[e] for e in cls.witness.ids())
+    ps = parity_spaces(prefix)
+    assert 0 in ps.span.parity_counts(x)
+    assert not ps.cut_plus_E.contains(x)
+    assert classify_nf_star(q4.graph, find_ear_decomposition(
+        q4.graph)).witness is None
 
 
 def test_case_iv_fires_somewhere():

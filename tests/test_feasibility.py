@@ -4,8 +4,13 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_is_feasible, brute_nf_masks, brute_switch_equiv_empty
+import strategies
+from oracles import (brute_is_feasible, brute_is_matching_covered,
+                     brute_nf_masks, brute_nf_star_masks,
+                     brute_perfect_matchings, brute_switch_equiv_empty)
 
 from matchcover.constructions import (
     complete_bipartite,
@@ -15,13 +20,8 @@ from matchcover.constructions import (
     petersen,
 )
 from matchcover.corpus import build_corpus, small_corpus
-from matchcover.errors import (
-    IncompleteEnumerationError,
-    NoPerfectMatchingError,
-    NotMatchingCoveredError,
-)
+from matchcover.errors import NoPerfectMatchingError, NotMatchingCoveredError
 from matchcover.feasibility import (
-    enumerate_nf,
     is_feasible,
     is_switch_equiv,
     is_switch_equiv_empty,
@@ -30,6 +30,7 @@ from matchcover.feasibility import (
     parity_spaces,
 )
 from matchcover.graph import EdgeSet, Graph, boundary
+from matchcover.suites import enumerate_nf
 
 
 def test_k4_dimensions():
@@ -103,6 +104,21 @@ def test_switch_equiv_empty_witness_and_oracle():
                 assert boundary(g, verdict.witness) == x
 
 
+@given(strategies.multigraphs(max_edges=18), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_switch_equivalence_matches_oracle_on_random_multigraphs(g, rng):
+    # a cut, or a cut with one edge flipped, against {} and against E
+    x = boundary(g, g.vertex_set(v for v in range(g.n) if rng.random() < .5))
+    if g.m and rng.random() < 0.5:
+        x = x ^ g.edge_set((rng.randrange(g.m),))
+    full = g.full_edge_set()
+    for verdict, target in ((is_switch_equiv_empty(g, x), x),
+                            (is_switch_equiv_full(g, x), full ^ x)):
+        assert verdict.equivalent == brute_switch_equiv_empty(g, target.ids())
+        if verdict.equivalent:
+            assert boundary(g, verdict.witness) == target
+
+
 def test_switch_equiv_full_and_pairwise():
     g = complete_graph(4)
     full = g.full_edge_set()
@@ -138,9 +154,9 @@ def test_nf_star_witness_is_genuine():
     g = petersen()
     rep = nf_star_report(g)
     w = rep.witness
-    ps = parity_spaces(g)
     # constant parity over all perfect matchings
-    parities = {len(m & w) & 1 for m in ps.matchings}
+    parities = {len(pm & set(w.ids())) & 1
+                for pm in brute_perfect_matchings(g)}
     assert len(parities) == 1
     assert not is_switch_equiv_empty(g, w)
     assert not is_switch_equiv_full(g, w)
@@ -165,22 +181,58 @@ def test_no_perfect_matching_raises():
         parity_spaces(star)
 
 
-def test_incomplete_enumeration_refuses_nonfeasible_verdict():
-    g = complete_graph(8)
-    ps = parity_spaces(g, cap=5)
-    assert not ps.complete
-    with pytest.raises(IncompleteEnumerationError):
-        is_feasible(g, g.empty_edge_set(), ps)
+@given(st.one_of(strategies.multigraphs(max_edges=18),
+                 strategies.multigraphs(max_edges=18, bipartite=True),
+                 strategies.matching_covered_multigraphs()),
+       st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_is_feasible_matches_oracle_on_random_multigraphs(g, rng):
+    if not brute_perfect_matchings(g):
+        with pytest.raises(NoPerfectMatchingError):
+            parity_spaces(g)
+        return
+    ps = parity_spaces(g)
+    for x in (0, (1 << g.m) - 1, *(rng.getrandbits(g.m) for _ in range(8))):
+        assert is_feasible(g, EdgeSet(x, g.m), ps) == \
+            brute_is_feasible(g, EdgeSet(x, g.m).ids()), x
+
+
+# nF* is nonempty on this graph, with or without a doubled edge, and on
+# Petersen; the random graphs drawn below almost never have it
+_NF_STAR_SIX = Graph(6, [(0, 1), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3),
+                         (2, 4), (2, 5), (3, 5), (4, 5)])
+
+
+@given(st.one_of(strategies.multigraphs(max_edges=12),
+                 strategies.multigraphs(max_edges=12, bipartite=True),
+                 strategies.matching_covered_multigraphs(max_extra=4)))
+@example(_NF_STAR_SIX)
+@example(Graph(6, _NF_STAR_SIX.edges + ((2, 5),)))
+@example(petersen())
+@settings(max_examples=100, deadline=None)
+def test_nf_star_report_matches_oracle_on_random_multigraphs(g):
+    if not brute_is_matching_covered(g):
+        with pytest.raises(NotMatchingCoveredError):
+            nf_star_report(g)
+        return
+    rep = nf_star_report(g)
+    nf_star = brute_nf_star_masks(g)
+    assert rep.empty == (not nf_star)
+    assert 2 ** rep.dims[1] == len(brute_nf_masks(g))
+    if not rep.empty:
+        assert rep.witness.mask in nf_star
 
 
 # Each case makes one route of a cross-check lie and reports whether the
 # check still raised.  Run under `python -O`, where asserts are stripped.
 _LYING_ROUTES = textwrap.dedent("""
     import sys
+    from dataclasses import replace
     import networkx as nx
-    from matchcover import cli, ears, kernels
+    from matchcover import cli, ears, kernels, matching
     from matchcover.constructions import (chromatic_index_exact,
-                                          complete_graph, petersen)
+                                          complete_graph, cube_graph,
+                                          petersen)
     from matchcover.ears import (Ear, _assemble, classify_nf_star,
                                  find_ear_decomposition,
                                  find_single_ear_decomposition)
@@ -233,8 +285,20 @@ _LYING_ROUTES = textwrap.dedent("""
     ears.is_bipartite = lambda h: BipartiteResult(True, None, None)
     expect("single-ear mode", lambda: find_single_ear_decomposition(
         complete_graph(4)))
+    # a recorded pair that is not two perfect matchings
+    lying_pairs = parity_spaces(g, span=replace(ps.span, pm_pairs=((0, 1),)))
+    expect("PM pairs", lambda: is_feasible(g, x, lying_pairs))
+    # parity counts that find every nF basis vector feasible
+    fresh = parity_spaces(g)
+    MatchingSpan.parity_counts = lambda self, mask: (1, 1)
+    expect("nF basis", lambda: is_feasible(g, g.empty_edge_set(), fresh))
+    MatchingSpan.parity_counts = parity_counts
+    # the cube is bipartite and matching-covered
+    matching._bipartite_uncovered_edge = lambda h, side: 0
+    expect("bipartite matching-covered route", lambda: cli.analyze_graph(
+        cube_graph(), with_chromatic_index=False))
     cli.is_matching_covered = (
-        lambda g, cap: MatchingCoveredResult(False, "uncovered-edge", 0))
+        lambda g: MatchingCoveredResult(False, "uncovered-edge", 0))
     expect("analyze_graph", lambda: cli.analyze_graph(
         g, with_chromatic_index=False))
     # Petersen is 3-connected; a cut of size 0 separates nothing
@@ -258,6 +322,7 @@ def test_cross_checks_raise_under_python_O():
         "nf_star_report raised", "classify_nf_star raised",
         "_assemble raised", "no removable ear raised",
         "dependence masks raised",
-        "single-ear mode raised", "analyze_graph raised",
+        "single-ear mode raised", "PM pairs raised", "nF basis raised",
+        "bipartite matching-covered route raised", "analyze_graph raised",
         "vertex_connectivity_at_least raised", "chromatic_index_exact raised",
         "optimize 1", ""]

@@ -1,5 +1,7 @@
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import strategies
 from oracles import brute_is_matching_covered, brute_perfect_matchings
 
 from matchcover.constructions import (
@@ -10,7 +12,7 @@ from matchcover.constructions import (
     petersen,
 )
 from matchcover.corpus import build_corpus
-from matchcover.graph import Graph
+from matchcover.graph import Graph, is_connected
 from matchcover.matching import (
     enumerate_perfect_matchings,
     has_perfect_matching,
@@ -18,6 +20,7 @@ from matchcover.matching import (
     is_nice_subgraph,
     max_matching,
 )
+from matchcover.span import matching_span, span_matching_covered
 
 
 def test_known_perfect_matching_counts():
@@ -95,6 +98,26 @@ def test_is_matching_covered_reasons():
     assert not res.covered and res.reason == "not-connected"
     res = is_matching_covered(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]))
     assert not res.covered and res.uncovered_edge is not None
+
+
+@given(st.one_of(strategies.multigraphs(max_edges=18),
+                 strategies.multigraphs(max_edges=18, bipartite=True),
+                 strategies.matching_covered_multigraphs()))
+@settings(max_examples=200, deadline=None)
+def test_is_matching_covered_matches_oracle_on_random_multigraphs(g):
+    res = is_matching_covered(g)
+    assert res.covered == brute_is_matching_covered(g) == \
+        span_matching_covered(g, matching_span(g))
+    if res.covered:
+        assert (res.reason, res.uncovered_edge) == (None, None)
+    elif g.n == 0 or not is_connected(g):
+        assert (res.reason, res.uncovered_edge) == ("not-connected", None)
+    else:
+        # the lowest-id edge in no perfect matching, if there is an edge
+        used = set().union(*brute_perfect_matchings(g))
+        missing = [eid for eid in range(g.m) if eid not in used]
+        assert res.reason == "uncovered-edge"
+        assert res.uncovered_edge == (missing[0] if missing else None)
 
 
 def test_nice_subgraph():

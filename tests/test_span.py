@@ -8,7 +8,6 @@ import strategies
 from oracles import (brute_dependences, brute_is_matching_covered,
                      brute_perfect_matchings)
 
-from matchcover import kernels
 from matchcover import span as span_module
 from matchcover.constructions import (
     CyclePart,
@@ -48,6 +47,10 @@ def _check_against_brute(g: Graph, rng: random.Random, queries: int) -> None:
     d_enum = Gf2Subspace(g.m, [pm ^ pms[0] for pm in pms])
     assert Gf2Subspace(g.m, span.d_rows) == d_enum
     assert len(span.d_rows) == d_enum.dim
+    # one pair of perfect matchings per row, whose differences span D
+    assert len(span.pm_pairs) == d_enum.dim
+    assert all(a in pms and b in pms for a, b in span.pm_pairs)
+    assert Gf2Subspace(g.m, [a ^ b for a, b in span.pm_pairs]) == d_enum
     for _ in range(queries):
         x = rng.getrandbits(g.m) if g.m else 0
         odd = sum((pm & x).bit_count() & 1 for pm in pms)
@@ -117,6 +120,7 @@ def test_family_graphs_pinned():
         assert len(pms) == count
         d_enum = Gf2Subspace(g.m, [pm ^ pms[0] for pm in pms])
         assert Gf2Subspace(g.m, span.d_rows) == d_enum
+        assert set(pms) >= {mt for pair in span.pm_pairs for mt in pair}
 
 
 def test_state_budget(monkeypatch):
@@ -132,29 +136,6 @@ def test_state_budget(monkeypatch):
         matching_span(g)
     with pytest.raises(BudgetExhaustedError):
         parity_spaces(g)
-
-
-def test_parity_spaces_enumerates_nothing_until_matchings_are_read(monkeypatch):
-    g = complete_graph(8)
-    calls = []
-    real = kernels.enumerate_perfect_matchings
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(kernels, "enumerate_perfect_matchings", counted)
-    ps = parity_spaces(g)
-    assert ps.span.pm_count == 105 and ps.D.dim > 0 and not calls
-    for _ in range(2):      # read twice, enumerated once
-        assert len(ps.matchings) == 105 and len(calls) == 1
-
-
-def test_complete_flag_matches_a_capped_enumeration():
-    g = complete_graph(8)     # 105 perfect matchings
-    for cap in (1, 104, 105, 106):
-        assert parity_spaces(g, cap=cap).complete == \
-            enumerate_perfect_matchings(g, cap=cap).complete, cap
 
 
 def test_long_ladder_needs_no_deep_recursion():
