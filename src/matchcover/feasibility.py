@@ -13,7 +13,8 @@ graph, and a non-feasible one by the DP's parity counts, which show that
 every basis vector of nF meets all perfect matchings with one parity.
 
 Switching-equivalence (X ~ Y iff X xor Y is an edge cut) is decided both
-combinatorially (2-coloring the components of g minus the cut) and by cut
+combinatorially, by one traversal of g that switches sides across the
+edges of the cut and so recovers U with X xor Y = boundary(U), and by cut
 space membership.  Whenever two routes to one verdict disagree, the
 verdict is withheld and CrossCheckError is raised.
 """
@@ -27,7 +28,7 @@ from typing import Optional
 from .errors import (CrossCheckError, DimensionMismatch,
                      NoPerfectMatchingError, NotMatchingCoveredError)
 from .gf2 import Gf2Subspace, subspace_equal, subspace_sum
-from .graph import EdgeSet, Graph, VertexSet, boundary, components
+from .graph import EdgeSet, Graph, VertexSet, boundary
 from .span import MatchingSpan, matching_span, span_matching_covered
 
 
@@ -130,54 +131,48 @@ class SwitchVerdict:
         return self.equivalent
 
 
+def _cut_side(g: Graph, x_mask: int) -> Optional[int]:
+    """U with boundary(U) = x_mask, or None when x_mask is no edge cut.
+
+    One traversal of g gives every vertex a side, switching sides across
+    exactly the edges of x_mask; a vertex reached on both sides shows that
+    x_mask is not a cut.  Each component starts on side 0 at its least
+    vertex, and U is the set of side-1 vertices.
+    """
+    adj = g.adjacency()
+    side = [-1] * g.n
+    u = 0
+    for s in range(g.n):
+        if side[s] >= 0:
+            continue
+        side[s] = 0
+        stack = [s]
+        while stack:
+            a = stack.pop()
+            sa = side[a]
+            for b, eid in adj[a]:
+                sb = sa ^ (x_mask >> eid & 1)
+                if side[b] < 0:
+                    side[b] = sb
+                    u |= sb << b
+                    stack.append(b)
+                elif side[b] != sb:
+                    return None
+    return u
+
+
 def is_switch_equiv_empty(g: Graph, x: EdgeSet) -> SwitchVerdict:
     """Is x an edge cut boundary(U)?  Recovers U combinatorially."""
-    rest, _ = g.delete_edges(x.ids())
-    comps = components(rest)
-    comp_of = [0] * g.n
-    for ci, vs in enumerate(comps):
-        for v in vs.ids():
-            comp_of[v] = ci
-    # 2-color the component graph induced by the edges of x
-    side: list[Optional[int]] = [None] * len(comps)
-    adj: list[list[int]] = [[] for _ in range(len(comps))]
-    ok = True
-    for eid in x.ids():
-        u, v = g.edges[eid]
-        cu, cv = comp_of[u], comp_of[v]
-        if cu == cv:
-            ok = False
-            break
-        adj[cu].append(cv)
-        adj[cv].append(cu)
-    if ok:
-        for s in range(len(comps)):
-            if side[s] is not None:
-                continue
-            side[s] = 0
-            stack = [s]
-            while stack and ok:
-                a = stack.pop()
-                for b in adj[a]:
-                    if side[b] is None:
-                        side[b] = 1 - side[a]
-                        stack.append(b)
-                    elif side[b] == side[a]:
-                        ok = False
-                        break
-    witness = None
-    if ok:
-        mask = 0
-        for ci, vs in enumerate(comps):
-            if side[ci] == 1:
-                mask |= vs.mask
-        witness = VertexSet(mask, g.n)
-        if boundary(g, witness).mask != x.mask:
-            raise CrossCheckError("switching witness has the wrong boundary")
-    if g.cut_space().contains(x.mask) != ok:
+    if x.size != g.m:
+        raise DimensionMismatch(f"edge spaces differ: {x.size} vs {g.m}")
+    u = _cut_side(g, x.mask)
+    witness = None if u is None else VertexSet(u, g.n)
+    if witness is not None and boundary(g, witness).mask != x.mask:
+        raise CrossCheckError("switching witness has the wrong boundary")
+    if g.cut_space().contains(x.mask) != (witness is not None):
         raise CrossCheckError("combinatorial and GF(2) routes disagree on "
                               f"whether {sorted(x.ids())} is a cut")
-    return SwitchVerdict(ok, witness)
+    return SwitchVerdict(witness is not None, witness)
 
 
 def is_switch_equiv_full(g: Graph, x: EdgeSet) -> SwitchVerdict:

@@ -3,11 +3,14 @@
 Bit i of a vector is coordinate i (an edge id, in this package).  Bases
 are kept fully reduced: pivots strictly increasing, each pivot bit zero in
 every other basis row, so membership is a single reduction pass and equal
-subspaces have identical basis lists.
+subspaces have identical basis lists.  Each row's pivot is stored beside
+it as a one-bit mask (`row & -row`), so a reduction pass is one AND per
+row and an insert finds its place by bisection.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from typing import Iterable, Iterator
 
 from .errors import DimensionMismatch, DimensionTooLargeError
@@ -20,11 +23,12 @@ def _lowest_bit(x: int) -> int:
 class Gf2Subspace:
     """Row-reduced basis of GF(2) vectors of a fixed ambient dimension."""
 
-    __slots__ = ("ambient_dim", "_rows")
+    __slots__ = ("ambient_dim", "_rows", "_pivs")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[int] = ()):
         self.ambient_dim = ambient_dim
         self._rows: list[int] = []   # sorted by pivot (lowest set bit)
+        self._pivs: list[int] = []   # _pivs[i] == _rows[i] & -_rows[i]
         for v in vectors:
             self.insert(v)
 
@@ -43,8 +47,8 @@ class Gf2Subspace:
     def reduce(self, v: int) -> int:
         """Residual of v after elimination against the basis."""
         self._check(v)
-        for row in self._rows:
-            if v >> _lowest_bit(row) & 1:
+        for p, row in zip(self._pivs, self._rows):
+            if v & p:
                 v ^= row
         return v
 
@@ -53,13 +57,16 @@ class Gf2Subspace:
         v = self.reduce(v)
         if v == 0:
             return False
-        piv = _lowest_bit(v)
-        # back-eliminate the new pivot from existing rows
-        for i, row in enumerate(self._rows):
-            if row >> piv & 1:
-                self._rows[i] = row ^ v
-        self._rows.append(v)
-        self._rows.sort(key=_lowest_bit)
+        p = v & -v
+        i = bisect(self._pivs, p)
+        # back-eliminate the new pivot; only rows with a lower pivot can
+        # hold it, and v has no bit at any of their pivots
+        rows = self._rows
+        for j in range(i):
+            if rows[j] & p:
+                rows[j] ^= v
+        rows.insert(i, v)
+        self._pivs.insert(i, p)
         return True
 
     def contains(self, v: int) -> bool:
@@ -73,20 +80,20 @@ class Gf2Subspace:
     def copy(self) -> "Gf2Subspace":
         s = Gf2Subspace(self.ambient_dim)
         s._rows = list(self._rows)
+        s._pivs = list(self._pivs)
         return s
 
     def orthogonal_complement(self) -> "Gf2Subspace":
         """{x : x . b = 0 for all basis rows b}; dim = ambient - dim."""
-        pivots = [_lowest_bit(r) for r in self._rows]
-        pivot_set = set(pivots)
+        pivot_mask = sum(self._pivs)    # distinct single bits: their union
         comp = Gf2Subspace(self.ambient_dim)
         for f in range(self.ambient_dim):
-            if f in pivot_set:
+            if pivot_mask >> f & 1:
                 continue
             vec = 1 << f
-            for piv, row in zip(pivots, self._rows):
+            for p, row in zip(self._pivs, self._rows):
                 if row >> f & 1:
-                    vec |= 1 << piv
+                    vec |= p
             comp.insert(vec)
         return comp
 

@@ -23,6 +23,17 @@ def _popcount(x: int) -> int:
     return x.bit_count()
 
 
+def _bit_ids(mask: int, size: int) -> tuple[int, ...]:
+    """Indices of the set bits of mask below size, in increasing order."""
+    mask &= (1 << size) - 1
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class EdgeSet:
     """Bit vector over one graph's edge-id space (bit i = edge i)."""
@@ -74,7 +85,7 @@ class EdgeSet:
         return self.mask != 0
 
     def ids(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.size) if self.mask >> i & 1)
+        return _bit_ids(self.mask, self.size)
 
     def issubset(self, other: "EdgeSet") -> bool:
         self._check(other)
@@ -124,7 +135,7 @@ class VertexSet:
         return self.mask != 0
 
     def ids(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.size) if self.mask >> i & 1)
+        return _bit_ids(self.mask, self.size)
 
     def complement(self) -> "VertexSet":
         return VertexSet(~self.mask & ((1 << self.size) - 1), self.size)

@@ -11,11 +11,15 @@ Edge dependences are intersections of the enumerated perfect matchings.
 The ear search oracle is the package's earlier peeling loop, which ran
 a span DP on the remainder of every candidate ear in turn; the package
 now decides single ears by dependence masks and runs one DP per ear.
+The switching witness oracle is the package's earlier route, which
+2-coloured the components of g minus the set; the package now switches
+sides across the set in one traversal of g.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Optional
 
 from matchcover.graph import Graph
 
@@ -107,6 +111,44 @@ def brute_switch_equiv_empty(g: Graph, edge_ids) -> bool:
         if cut == target:
             return True
     return False
+
+
+def component_switch_witness(g: Graph, edge_ids) -> Optional[int]:
+    """U with boundary(U) = the set, as a vertex mask, or None when the
+    set is no cut: 2-colour the graph whose nodes are the components of
+    g minus the set and whose edges are the set's edges.  Components come
+    in order of least vertex, and the colouring of each component of g
+    puts its first one on side 0; U is the union of the side-1 ones."""
+    from matchcover.graph import components
+    drop = frozenset(edge_ids)
+    rest, _ = g.delete_edges(drop)
+    comps = components(rest)
+    comp_of = [0] * g.n
+    for ci, vs in enumerate(comps):
+        for v in vs.ids():
+            comp_of[v] = ci
+    adj: list[list[int]] = [[] for _ in comps]
+    for eid in sorted(drop):
+        cu, cv = (comp_of[w] for w in g.edges[eid])
+        if cu == cv:
+            return None
+        adj[cu].append(cv)
+        adj[cv].append(cu)
+    side: list[Optional[int]] = [None] * len(comps)
+    for s in range(len(comps)):
+        if side[s] is not None:
+            continue
+        side[s] = 0
+        stack = [s]
+        while stack:
+            a = stack.pop()
+            for b in adj[a]:
+                if side[b] is None:
+                    side[b] = 1 - side[a]
+                    stack.append(b)
+                elif side[b] == side[a]:
+                    return None
+    return sum(vs.mask for ci, vs in enumerate(comps) if side[ci] == 1)
 
 
 def brute_vertex_connectivity_at_least(g: Graph, k: int) -> bool:

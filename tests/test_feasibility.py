@@ -10,9 +10,14 @@ from hypothesis import strategies as st
 import strategies
 from oracles import (brute_is_feasible, brute_is_matching_covered,
                      brute_nf_masks, brute_nf_star_masks,
-                     brute_perfect_matchings, brute_switch_equiv_empty)
+                     brute_perfect_matchings, brute_switch_equiv_empty,
+                     component_switch_witness)
 
+from matchcover import gf2
 from matchcover.constructions import (
+    StarPart,
+    build_qr,
+    build_star_xs,
     complete_bipartite,
     complete_graph,
     cube_graph,
@@ -20,7 +25,8 @@ from matchcover.constructions import (
     petersen,
 )
 from matchcover.corpus import build_corpus, small_corpus
-from matchcover.errors import NoPerfectMatchingError, NotMatchingCoveredError
+from matchcover.errors import (DimensionMismatch, NoPerfectMatchingError,
+                               NotMatchingCoveredError)
 from matchcover.feasibility import (
     is_feasible,
     is_switch_equiv,
@@ -29,7 +35,7 @@ from matchcover.feasibility import (
     nf_star_report,
     parity_spaces,
 )
-from matchcover.graph import EdgeSet, Graph, boundary
+from matchcover.graph import EdgeSet, Graph, VertexSet, boundary
 from matchcover.suites import enumerate_nf
 
 
@@ -129,6 +135,61 @@ def test_switch_equiv_full_and_pairwise():
     # a perfect matching of K4 is not a cut
     pm = g.edge_set((0, 5))
     assert not is_switch_equiv_empty(g, pm)
+    with pytest.raises(DimensionMismatch):
+        is_switch_equiv_empty(g, EdgeSet(star.mask, g.m + 1))
+
+
+@given(strategies.multigraphs(max_edges=18), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+@example(Graph(7, [(0, 1), (0, 1), (1, 2), (3, 4), (4, 5), (3, 5), (5, 4)]),
+         random.Random(0))
+def test_switch_witness_matches_component_route(g, rng):
+    # SwitchVerdict.witness is library output: the one-pass traversal must
+    # return the very U of the component-graph route, on disconnected
+    # graphs and parallel edges, for {}, E, planted cuts and random sets
+    full = g.full_edge_set()
+    planted = boundary(g, VertexSet(rng.getrandbits(g.n), g.n))
+    random_set = EdgeSet(rng.getrandbits(g.m), g.m)
+    for x in (g.empty_edge_set(), full, planted, planted ^ full, random_set):
+        verdict = is_switch_equiv_empty(g, x)
+        want = component_switch_witness(g, x.ids())
+        assert verdict.equivalent == (want is not None)
+        got = verdict.witness.mask if verdict.witness is not None else None
+        assert got == want
+    assert is_switch_equiv_empty(g, planted)
+
+
+def test_switch_tests_build_no_graph(monkeypatch):
+    q4 = build_qr(4)
+    star = build_star_xs([StarPart(q4.graph, q4.coloring)
+                          for _ in range(4)]).graph
+    graphs = {"petersen": petersen(), "star-4xq4": star}
+    built = []
+    real_init = Graph.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args[0])
+        real_init(self, *args, **kwargs)
+
+    lowest_bit_calls = []
+    real_lowest_bit = gf2._lowest_bit
+
+    def counted_lowest_bit(x):
+        lowest_bit_calls.append(x)
+        return real_lowest_bit(x)
+
+    monkeypatch.setattr(Graph, "__init__", counted_init)
+    monkeypatch.setattr(gf2, "_lowest_bit", counted_lowest_bit)
+    rng = random.Random(5)
+    for name, g in graphs.items():
+        cut = boundary(g, VertexSet(rng.getrandbits(g.n), g.n))
+        for x in (cut, cut ^ g.edge_set((0,)),
+                  EdgeSet(rng.getrandbits(g.m), g.m)):
+            is_switch_equiv_empty(g, x)
+            is_switch_equiv_full(g, x)
+            g.cut_space().reduce(x.mask)
+        assert built == [], name
+    assert lowest_bit_calls == []
 
 
 def test_feasibility_invariant_under_switching():
@@ -229,7 +290,7 @@ _LYING_ROUTES = textwrap.dedent("""
     import sys
     from dataclasses import replace
     import networkx as nx
-    from matchcover import cli, ears, kernels, matching
+    from matchcover import cli, ears, feasibility, kernels, matching
     from matchcover.constructions import (chromatic_index_exact,
                                           complete_graph, cube_graph,
                                           petersen)
@@ -240,7 +301,9 @@ _LYING_ROUTES = textwrap.dedent("""
     from matchcover.feasibility import (is_feasible, is_switch_equiv_empty,
                                         nf_star_report, parity_spaces)
     from matchcover.gf2 import Gf2Subspace
-    from matchcover.graph import BipartiteResult, vertex_connectivity_at_least
+    from matchcover.graph import (BipartiteResult, EdgeSet,
+                                  vertex_connectivity_at_least)
+    from matchcover.graph import boundary as real_boundary
     from matchcover.matching import MatchingCoveredResult
     from matchcover.span import MatchingSpan
 
@@ -309,6 +372,10 @@ _LYING_ROUTES = textwrap.dedent("""
     kernels.edge_coloring = lambda n, edges, colors, budget: (
         [1] * len(edges), False)
     expect("chromatic_index_exact", lambda: chromatic_index_exact(g))
+    # a boundary that comes out empty for the witness of a real cut
+    feasibility.boundary = lambda h, u: EdgeSet(0, h.m)
+    expect("switch witness", lambda: is_switch_equiv_empty(
+        g, real_boundary(g, g.vertex_set((0, 1, 2)))))
     print("optimize", sys.flags.optimize)
 """)
 
@@ -325,4 +392,4 @@ def test_cross_checks_raise_under_python_O():
         "single-ear mode raised", "PM pairs raised", "nF basis raised",
         "bipartite matching-covered route raised", "analyze_graph raised",
         "vertex_connectivity_at_least raised", "chromatic_index_exact raised",
-        "optimize 1", ""]
+        "switch witness raised", "optimize 1", ""]

@@ -3,7 +3,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchcover.gf2 import Gf2Subspace, subspace_equal, subspace_sum
+from matchcover.gf2 import (Gf2Subspace, _lowest_bit, subspace_equal,
+                            subspace_sum)
 
 
 def vectors(dim, max_count=8):
@@ -82,3 +83,33 @@ def test_coset_contains():
     s = Gf2Subspace(4, [0b0011])
     assert s.coset_contains(0b0100, 0b0111)
     assert not s.coset_contains(0b0100, 0b0001)
+
+
+def _naive_reduce(rows, v):
+    for row in rows:
+        if v >> _lowest_bit(row) & 1:
+            v ^= row
+    return v
+
+
+@given(st.lists(vectors(10, max_count=12), min_size=1, max_size=3),
+       st.integers(min_value=0, max_value=(1 << 10) - 1))
+@settings(max_examples=200)
+def test_stored_pivots_stay_consistent(batches, probe):
+    s = Gf2Subspace(10)
+    for batch in batches:
+        before = s.copy()
+        snapshot = (list(s._rows), list(s._pivs))
+        for v in batch:
+            before.insert(v)
+        # inserting into a copy leaves the original untouched
+        assert (s._rows, s._pivs) == snapshot
+        for v in batch:
+            s.insert(v)
+        assert s == before
+        assert s._pivs == [row & -row for row in s._rows]
+        assert all(a < b for a, b in zip(s._pivs, s._pivs[1:]))
+        for i, p in enumerate(s._pivs):
+            assert all(not row & p for j, row in enumerate(s._rows)
+                       if j != i)
+        assert s.reduce(probe) == _naive_reduce(s._rows, probe)

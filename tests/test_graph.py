@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_vertex_connectivity_at_least
 from strategies import multigraphs
@@ -64,6 +65,15 @@ def test_edge_set_operations():
         a ^ EdgeSet.from_ids(5, [0])
     with pytest.raises(DimensionMismatch):
         EdgeSet.from_ids(3, [7])
+
+
+@given(st.integers(min_value=0, max_value=80),
+       st.integers(min_value=-(1 << 90), max_value=1 << 90))
+@settings(max_examples=300)
+def test_ids_walk_set_bits_like_a_range_scan(size, mask):
+    by_range = tuple(i for i in range(size) if mask >> i & 1)
+    assert EdgeSet(mask, size).ids() == by_range
+    assert VertexSet(mask, size).ids() == by_range
 
 
 def test_delete_and_subgraph_maps():
