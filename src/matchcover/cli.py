@@ -32,13 +32,13 @@ from .errors import (
     BudgetExhaustedError,
     CrossCheckError,
     MatchcoverError,
+    ParseError,
 )
 from .feasibility import (
     is_feasible,
     is_switch_equiv_empty,
     is_switch_equiv_full,
     nf_star_report,
-    parity_spaces,
 )
 from .formats import (
     certificate_to_json_obj,
@@ -108,9 +108,8 @@ def analyze_graph(g: Graph,
     pm_count = span.pm_count if span is not None else None
     dims = nfe = wit = None
     if mc and span is not None:
-        ps = parity_spaces(g, span=span)
-        rep = nf_star_report(g, ps=ps)
-        d, nf, cut, e_in_cut = ps.dims
+        rep = nf_star_report(g)
+        d, nf, cut, e_in_cut = rep.dims
         dims = {"D": d, "nF": nf, "cut": cut, "E_in_cut": e_in_cut}
         nfe = rep.empty
         wit = sorted(rep.witness.ids()) if rep.witness is not None else None
@@ -147,7 +146,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_feasible(args) -> int:
     g = read_graph(args.file, args.format)
-    ids = [int(t) for t in args.edges.split(",")] if args.edges else []
+    try:
+        ids = [int(t) for t in args.edges.split(",")] if args.edges else []
+    except ValueError:
+        raise ParseError("--edges must be comma-separated edge ids, not "
+                         f"{args.edges!r}") from None
     x = g.edge_set(ids)
     out = {"edges": sorted(x.ids()), "feasible": is_feasible(g, x)}
     if not out["feasible"]:
@@ -313,7 +316,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPLETE
-    except (FileNotFoundError, MatchcoverError) as exc:
+    except (OSError, MatchcoverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

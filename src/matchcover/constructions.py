@@ -22,7 +22,7 @@ from .feasibility import (is_switch_equiv_empty, is_switch_equiv_full,
 from .graph import (EdgeSet, Graph, is_bipartite, is_connected,
                     vertex_connectivity_at_least)
 from .matching import is_matching_covered
-from .span import MatchingSpan, matching_span
+from .span import matching_span
 
 DEFAULT_COLOR_BUDGET = 5_000_000
 
@@ -75,36 +75,24 @@ def cube_graph() -> Graph:
 
 
 def verify_equivalent_set(g: Graph, s: EdgeSet) -> Optional[bool]:
-    """Every perfect matching contains all of s or none of it.
+    """Every perfect matching contains all of s or none of it: no perfect
+    matching meets {s0, e} oddly, for s0 the first edge of s and each
+    other edge e of s.
 
     Returns None when the span DP runs out of its state budget.
     """
-    return _is_equivalent_set(_span_or_none(g), s)
-
-
-def _span_or_none(g: Graph) -> Optional[MatchingSpan]:
-    """The span DP of g, or None when it runs out of its state budget."""
     try:
-        return matching_span(g)
+        span = matching_span(g)
     except BudgetExhaustedError:
-        return None
-
-
-def _is_equivalent_set(span: Optional[MatchingSpan],
-                       s: EdgeSet) -> Optional[bool]:
-    """No perfect matching meets {s0, e} oddly, for s0 the first edge of s
-    and each other edge e of s; None without a span."""
-    if span is None:
         return None
     ids = s.ids()
     return all(span.parity_counts(1 << ids[0] | 1 << e)[1] == 0
                for e in ids[1:])
 
 
-def chromatic_index_exact(g: Graph, limit_colors: Optional[int] = None,
-                          budget: int = DEFAULT_COLOR_BUDGET) -> Optional[int]:
-    """Exact chromatic index by DSATUR backtracking from Δ colours up;
-    None when the budget ran out.
+def chromatic_index_exact(g: Graph) -> Optional[int]:
+    """Exact chromatic index by DSATUR backtracking from Δ colours up to
+    the Vizing bound; None when DEFAULT_COLOR_BUDGET ran out.
 
     The colouring that settles the answer is re-checked by
     `coloring_is_proper`; a failed check raises `CrossCheckError`.
@@ -112,11 +100,10 @@ def chromatic_index_exact(g: Graph, limit_colors: Optional[int] = None,
     if g.m == 0:
         return 0
     delta = max(g.degrees())
-    if limit_colors is None:
-        mult = max(_multiplicities(g).values())
-        limit_colors = delta + mult        # Vizing bound for multigraphs
-    for c in range(delta, limit_colors + 1):
-        coloring, exhausted = kernels.edge_coloring(g.n, list(g.edges), c, budget)
+    mult = max(_multiplicities(g).values())
+    for c in range(delta, delta + mult + 1):    # Vizing bound for multigraphs
+        coloring, exhausted = kernels.edge_coloring(g.n, list(g.edges), c,
+                                                    DEFAULT_COLOR_BUDGET)
         if coloring is not None:
             if not coloring_is_proper(g, coloring, c):
                 raise CrossCheckError(f"the {c}-edge-colouring found is "
@@ -127,9 +114,9 @@ def chromatic_index_exact(g: Graph, limit_colors: Optional[int] = None,
     return None
 
 
-def find_proper_coloring(g: Graph, colors: int,
-                         budget: int = DEFAULT_COLOR_BUDGET) -> Optional[tuple[int, ...]]:
-    coloring, _ = kernels.edge_coloring(g.n, list(g.edges), colors, budget)
+def find_proper_coloring(g: Graph, colors: int) -> Optional[tuple[int, ...]]:
+    coloring, _ = kernels.edge_coloring(g.n, list(g.edges), colors,
+                                        DEFAULT_COLOR_BUDGET)
     return tuple(coloring) if coloring is not None else None
 
 
@@ -646,8 +633,7 @@ def star_part_from_certificate(cert: ConstructionCertificate,
     return StarPart(cert.graph, tuple(cert.coloring), w=w, labels=labels)
 
 
-def verify_certificate(cert: ConstructionCertificate,
-                       check_connectivity: bool = True) -> list[Claim]:
+def verify_certificate(cert: ConstructionCertificate) -> list[Claim]:
     """Re-check every claim from scratch; None marks claims left
     unverified by the span DP's state budget."""
     g = cert.graph
@@ -657,7 +643,7 @@ def verify_certificate(cert: ConstructionCertificate,
     if cert.r is not None:
         claims.append(Claim(f"{cert.r}-regular",
                             g.is_regular() == cert.r))
-    if cert.claimed_connectivity is not None and check_connectivity:
+    if cert.claimed_connectivity is not None:
         res = vertex_connectivity_at_least(g, cert.claimed_connectivity)
         claims.append(Claim(f"{cert.claimed_connectivity}-connected",
                             res.ok, str(res.separator or "")))
@@ -667,21 +653,19 @@ def verify_certificate(cert: ConstructionCertificate,
         claims.append(Claim("color-classes-perfect-matchings",
                             color_classes_are_perfect_matchings(
                                 g, cert.coloring, cert.r)))
-    span = None
-    if cert.equivalent_sets or cert.nf_star_witness is not None:
-        span = _span_or_none(g)
     for i, s in enumerate(cert.equivalent_sets):
-        ok = _is_equivalent_set(span, s)
-        claims.append(Claim(f"equivalent-set-{i}", ok, str(s.ids())))
+        claims.append(Claim(f"equivalent-set-{i}",
+                            verify_equivalent_set(g, s), str(s.ids())))
     if cert.nf_star_witness is not None:
-        claims.append(_verify_witness(g, cert.nf_star_witness, span))
+        claims.append(_verify_witness(g, cert.nf_star_witness))
     return claims
 
 
-def _verify_witness(g: Graph, w: EdgeSet,
-                    span: Optional[MatchingSpan]) -> Claim:
+def _verify_witness(g: Graph, w: EdgeSet) -> Claim:
     """Constant matching parity, and equivalent to neither {} nor E."""
-    if span is None:
+    try:
+        span = matching_span(g)
+    except BudgetExhaustedError:
         return Claim("nf-star-witness", None,
                      "span DP state budget exhausted")
     if 0 not in span.parity_counts(w.mask):
@@ -690,8 +674,7 @@ def _verify_witness(g: Graph, w: EdgeSet,
         return Claim("nf-star-witness", False, "witness is a cut")
     if is_switch_equiv_full(g, w):
         return Claim("nf-star-witness", False, "witness complement is a cut")
-    ps = parity_spaces(g, span=span)
-    if ps.cut_plus_E.contains(w.mask):
+    if parity_spaces(g).cut_plus_E.contains(w.mask):
         return Claim("nf-star-witness", False, "witness in cut + <E>")
     return Claim("nf-star-witness", True, "")
 

@@ -9,14 +9,15 @@ removals, biasing the result toward few double ears.  All ids in the
 returned decomposition refer to the input graph.
 
 Each step runs one span DP of `span.py`, on the graph left by the step
-before.  An odd chain P of G is a path whose internal vertices have
+before; `matching_span` keeps it on that graph, so no graph gets a
+second one.  An odd chain P of G is a path whose internal vertices have
 degree 2, so the perfect matchings of G - P are those of G that avoid
 P's first edge; G - P is therefore matching-covered iff it is connected
 and no edge outside P depends on P's first edge (lies only in perfect
 matchings that contain it), which the DP's dependence masks answer for
 every single at once.  The same masks rule out most pairs, and a DP on
 G - P_1 - P_2 decides the rest.  The DP of an accepted remainder
-re-checks the masks' verdict and serves the next step.
+re-checks the masks' verdict, and the next step reads its masks.
 
 The search is greedy: by the two-ear theorem (Lovasz-Plummer, Matching
 Theory, 1986) every matching-covered graph but K2 has an ear
@@ -48,7 +49,7 @@ from .feasibility import parity_spaces
 from .gf2 import Gf2Subspace
 from .graph import EdgeSet, Graph, is_bipartite, is_connected
 from .matching import has_perfect_matching
-from .span import MatchingSpan, matching_span, span_matching_covered
+from .span import matching_span, span_matching_covered
 
 
 @dataclass(frozen=True)
@@ -171,9 +172,9 @@ def _remainder(g: Graph, chains) -> Graph:
     return h.delete_vertices(v for c in chains for v in c[2])[0]
 
 
-def _next_ear(g: Graph, span: MatchingSpan):
+def _next_ear(g: Graph):
     """The first candidate ear of g whose remainder is connected and
-    matching-covered, as (chains, remainder, the remainder's span).
+    matching-covered, as (chains, remainder).
 
     Candidates are the odd chains one at a time, then vertex-disjoint
     pairs of them.  The PMs of g - c are those of g that avoid c's first
@@ -182,10 +183,10 @@ def _next_ear(g: Graph, span: MatchingSpan):
     is tried only when both singles leave a connected remainder and the
     edges bad for each lie in the other; a DP on g - a - b decides it.
     The DP on an accepted single's remainder re-checks the dependence
-    masks and is the span of the next step.
+    masks, and the next step reads its own masks from it.
     """
     odd = [c for c in _chain_candidates(g) if len(c[3]) % 2 == 1]
-    dep = span.dependences(g.m)
+    dep = matching_span(g).dependences(g.m)
     bad: list[int] = []                # per chain, until one is accepted
     connected: dict[int, bool] = {}
 
@@ -201,12 +202,11 @@ def _next_ear(g: Graph, span: MatchingSpan):
         if bad[i] or not single_connected(i):
             continue
         h = _remainder(g, (c,))
-        h_span = matching_span(h)
-        if not span_matching_covered(h, h_span):
+        if not span_matching_covered(h, matching_span(h)):
             raise CrossCheckError(
                 "the span DP finds the remainder of an ear that the "
                 "dependence masks accept not matching-covered")
-        return (c,), h, h_span
+        return (c,), h
     masks = [sum(1 << e for e in c[3]) for c in odd]
     for i, a in enumerate(odd):
         va = {a[0], a[1], *a[2]}
@@ -217,21 +217,18 @@ def _next_ear(g: Graph, span: MatchingSpan):
                     or not single_connected(i) or not single_connected(j)):
                 continue
             h = _remainder(g, (a, b))
-            if is_connected(h):
-                h_span = matching_span(h)
-                if span_matching_covered(h, h_span):
-                    return (a, b), h, h_span
+            if is_connected(h) and span_matching_covered(h, matching_span(h)):
+                return (a, b), h
     raise CrossCheckError("no removable ear found")
 
 
-def _peel(g: Graph, span: MatchingSpan) -> list:
-    """Remove ears by `_next_ear` until K2 is left, starting from g's span;
-    the removal list [(vertices, edge ids, Ear), ...] bottom-up, in the
-    ids of g."""
+def _peel(g: Graph) -> list:
+    """Remove ears by `_next_ear` until K2 is left; the removal list
+    [(vertices, edge ids, Ear), ...] bottom-up, in the ids of g."""
     removal = []
     vmap, emap = tuple(range(g.n)), tuple(range(g.m))
     while not (g.n == 2 and g.m == 1):
-        chains, h, span = _next_ear(g, span)
+        chains, h = _next_ear(g)
         drop_v = {v for c in chains for v in c[2]}
         drop_e = {e for c in chains for e in c[3]}
         paths = tuple(
@@ -250,19 +247,18 @@ def _peel(g: Graph, span: MatchingSpan) -> list:
     return removal
 
 
-def _require_matching_covered(g: Graph) -> MatchingSpan:
-    """g's span, once the DP finds g connected and matching-covered."""
+def _require_matching_covered(g: Graph) -> None:
+    """Raise unless the DP finds g connected and matching-covered."""
     if g.n == 0 or not is_connected(g):
         raise NotMatchingCoveredError("not matching-covered: not-connected")
-    span = matching_span(g)
-    if not span_matching_covered(g, span):
+    if not span_matching_covered(g, matching_span(g)):
         raise NotMatchingCoveredError("not matching-covered: uncovered-edge")
-    return span
 
 
 def find_ear_decomposition(g: Graph) -> EarDecomposition:
     """An ear decomposition of a matching-covered graph (always exists)."""
-    return _assemble(g, _peel(g, _require_matching_covered(g)))
+    _require_matching_covered(g)
+    return _assemble(g, _peel(g))
 
 
 @dataclass(frozen=True)
@@ -273,11 +269,11 @@ class SingleEarOutcome:
 
 def find_single_ear_decomposition(g: Graph) -> SingleEarOutcome:
     """All-single decomposition for bipartite inputs, else the odd cycle."""
-    span = _require_matching_covered(g)
+    _require_matching_covered(g)
     bip = is_bipartite(g)
     if not bip.bipartite:
         return SingleEarOutcome(None, bip.odd_walk)
-    removal = _peel(g, span)
+    removal = _peel(g)
     if any(ear.kind == "double" for _, _, ear in removal):
         raise CrossCheckError("double ear in a bipartite graph")
     return SingleEarOutcome(_assemble(g, removal), None)

@@ -4,13 +4,15 @@ An edge set X is feasible when two perfect matchings meet it with
 different parities.  Algebraically: fix a base matching M0 and let D be
 the GF(2) span of all symmetric differences M xor M0; then X is
 non-feasible iff X is orthogonal to D.  D comes from the span DP of
-`span.py`, which never enumerates the perfect matchings.  This reduction
-is validated against a 2^m brute-force oracle in the test suite before
-being trusted, and `is_feasible` re-derives every verdict by a second
-route: a feasible verdict by the explicit pairs of perfect matchings
-whose differences span D, each checked to be a perfect matching of the
-graph, and a non-feasible one by the DP's parity counts, which show that
-every basis vector of nF meets all perfect matchings with one parity.
+`span.py`, which never enumerates the perfect matchings, and
+`parity_spaces` builds D and nF once per Graph and keeps them on it.
+This reduction is validated against a 2^m brute-force oracle in the test
+suite before being trusted, and `is_feasible` re-derives every verdict by
+a second route: a feasible verdict by the explicit pairs of perfect
+matchings whose differences span D, each checked to be a perfect
+matching of the graph, and a non-feasible one by the DP's parity counts,
+which show that every basis vector of nF meets all perfect matchings
+with one parity.
 
 Switching-equivalence (X ~ Y iff X xor Y is an edge cut) is decided both
 combinatorially, by one traversal of g that switches sides across the
@@ -35,9 +37,11 @@ from .span import MatchingSpan, matching_span, span_matching_covered
 @dataclass(frozen=True)
 class ParitySpaces:
     """Everything the parity predicates need, from one span DP; the two
-    one-off cross-checks of `is_feasible` run when first needed."""
+    one-off cross-checks of `is_feasible` run when first needed.  It keeps
+    the graph's n and edges, not the graph, which holds it."""
 
-    graph: Graph
+    n: int
+    edges: tuple[tuple[int, int], ...]
     span: MatchingSpan
     D: Gf2Subspace                         # span{M xor M0}
     nF: Gf2Subspace                        # orthogonal complement of D
@@ -47,7 +51,7 @@ class ParitySpaces:
     @cached_property
     def pairs_are_matchings(self) -> bool:
         """Is each of the DP's pairs two perfect matchings of the graph?"""
-        return all(_is_perfect_matching(self.graph, mt)
+        return all(_is_perfect_matching(self.n, self.edges, mt)
                    for pair in self.span.pm_pairs for mt in pair)
 
     @cached_property
@@ -60,36 +64,39 @@ class ParitySpaces:
     @property
     def dims(self) -> tuple[int, int, int, bool]:
         return (self.D.dim, self.nF.dim, self.cut.dim,
-                self.cut.contains(self.graph.full_edge_set().mask))
+                self.cut.contains((1 << len(self.edges)) - 1))
 
 
-def parity_spaces(g: Graph,
-                  span: Optional[MatchingSpan] = None) -> ParitySpaces:
-    """D, nF, the cut space and cut + <E> of g, from one span DP.
+def parity_spaces(g: Graph) -> ParitySpaces:
+    """D, nF, the cut space and cut + <E> of g, built once per Graph from
+    its span DP and returned on every later call.
 
-    Pass `span` to reuse a DP already run on g.  Raises
-    NoPerfectMatchingError when g has no perfect matching and
+    Raises NoPerfectMatchingError when g has no perfect matching and
     BudgetExhaustedError when the DP runs out of its state budget.
     """
-    if span is None:
+    ps = object.__getattribute__(g, "_ps")
+    if ps is None:
         span = matching_span(g)
-    if not span.pm_count:
-        raise NoPerfectMatchingError("graph has no perfect matching")
-    d = Gf2Subspace(g.m, span.d_rows)
-    cut = g.cut_space()
-    cut_plus_e = subspace_sum(cut, Gf2Subspace(g.m, ((1 << g.m) - 1,)))
-    return ParitySpaces(g, span, d, d.orthogonal_complement(), cut,
-                        cut_plus_e)
+        if not span.pm_count:
+            raise NoPerfectMatchingError("graph has no perfect matching")
+        d = Gf2Subspace(g.m, span.d_rows)
+        cut = g.cut_space()
+        cut_plus_e = subspace_sum(cut, Gf2Subspace(g.m, ((1 << g.m) - 1,)))
+        ps = ParitySpaces(g.n, g.edges, span, d, d.orthogonal_complement(),
+                          cut, cut_plus_e)
+        object.__setattr__(g, "_ps", ps)
+    return ps
 
 
-def _is_perfect_matching(g: Graph, mask: int) -> bool:
+def _is_perfect_matching(n: int, edges: tuple[tuple[int, int], ...],
+                         mask: int) -> bool:
     covered = 0
-    for eid in EdgeSet(mask, g.m).ids():
-        u, v = g.edges[eid]
+    for eid in EdgeSet(mask, len(edges)).ids():
+        u, v = edges[eid]
         if covered >> u & 1 or covered >> v & 1:
             return False
         covered |= 1 << u | 1 << v
-    return covered == (1 << g.n) - 1
+    return covered == (1 << n) - 1
 
 
 def is_feasible(g: Graph, x: EdgeSet,
@@ -202,13 +209,12 @@ def nf_star_report(g: Graph,
     first reduced nF basis vector outside cut + <E>, re-verified by the
     DP's signed parity count and by the combinatorial cut tests.
     """
-    span = ps.span if ps is not None else matching_span(g)
-    if not span_matching_covered(g, span):
+    if not span_matching_covered(g, matching_span(g)):
         raise NotMatchingCoveredError(
             "not matching-covered: disconnected, or an edge lies in no "
             "perfect matching")
     if ps is None:
-        ps = parity_spaces(g, span=span)
+        ps = parity_spaces(g)
     full = (1 << g.m) - 1
     if not (all(ps.nF.contains(r) for r in ps.cut.basis())
             and ps.nF.contains(full)):

@@ -190,7 +190,11 @@ def read_graph(path: str, fmt: Optional[str] = None) -> Graph:
     if fmt not in _READERS:
         raise ParseError(f"unknown format {fmt!r}")
     with open(path, "r", encoding="ascii") as fh:
-        return _READERS[fmt](fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not an ASCII file ({exc})") from None
+    return _READERS[fmt](text)
 
 
 def write_graph(g: Graph, path: str, fmt: Optional[str] = None) -> None:
@@ -260,15 +264,6 @@ def certificate_from_json_obj(obj: dict) -> ConstructionCertificate:
         equivalent_sets=eq,
         nf_star_witness=EdgeSet.from_ids(m, wit) if wit is not None else None,
         labels=labels)
-
-
-def read_certificate(path: str) -> ConstructionCertificate:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid certificate json: {exc}")
-    return certificate_from_json_obj(obj)
 
 
 # ---------------------------------------------------------- decompositions

@@ -144,7 +144,9 @@ class VertexSet:
 class Graph:
     """Loopless undirected multigraph; vertices 0..n-1, edge ids 0..m-1."""
 
-    __slots__ = ("n", "edges", "vertex_labels", "edge_labels", "_adj", "_cut")
+    # _span and _ps: memos of span.matching_span and feasibility.parity_spaces
+    __slots__ = ("n", "edges", "vertex_labels", "edge_labels", "_adj", "_cut",
+                 "_span", "_ps")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  vertex_labels: Optional[dict] = None,
@@ -163,6 +165,8 @@ class Graph:
         object.__setattr__(self, "edge_labels", dict(edge_labels or {}))
         object.__setattr__(self, "_adj", None)
         object.__setattr__(self, "_cut", None)
+        object.__setattr__(self, "_span", None)
+        object.__setattr__(self, "_ps", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")

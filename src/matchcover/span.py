@@ -38,15 +38,18 @@ search runs one DP per ear it removes.  The DAG is walked with an
 explicit stack, so a long thin graph needs no deep recursion, and the DP
 stops with BudgetExhaustedError once it has made DEFAULT_STATE_BUDGET
 states, so memory stays bounded.
+
+The DP runs at most once per Graph: `matching_span` keeps its result on
+the graph, and so does a DP over budget, whose BudgetExhaustedError is
+raised again on every later call without a second run.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Optional
 
-from .errors import BudgetExhaustedError, InvalidParameterError
+from .errors import BudgetExhaustedError
 from .graph import Graph, is_connected
 
 DEFAULT_STATE_BUDGET = 200_000
@@ -145,18 +148,28 @@ def _vertex_order(g: Graph) -> list[int]:
     return order[::-1]
 
 
-def matching_span(g: Graph,
-                  state_budget: Optional[int] = None) -> MatchingSpan:
-    """Run the DP of this module once over g.
+def matching_span(g: Graph) -> MatchingSpan:
+    """The DP of this module over g, run on the first call for g only.
 
-    Raises BudgetExhaustedError once the DP has made `state_budget`
-    states (DEFAULT_STATE_BUDGET, read at call time, when None), with or
-    without a perfect matching.
+    Raises BudgetExhaustedError once the DP has made DEFAULT_STATE_BUDGET
+    states (read when the DP runs), with or without a perfect matching;
+    later calls for g raise it again without re-running the DP.
     """
-    if state_budget is None:
-        state_budget = DEFAULT_STATE_BUDGET
-    if state_budget < 1:
-        raise InvalidParameterError("state budget must be >= 1")
+    memo = object.__getattribute__(g, "_span")
+    if memo is None:
+        try:
+            memo = _run_dp(g)
+        except BudgetExhaustedError as exc:
+            memo = str(exc)      # the message only: no traceback back to g
+        object.__setattr__(g, "_span", memo)
+    if isinstance(memo, str):
+        raise BudgetExhaustedError(memo)
+    return memo
+
+
+def _run_dp(g: Graph) -> MatchingSpan:
+    """One run of the DP over g, with no memo."""
+    state_budget = DEFAULT_STATE_BUDGET
     if g.n % 2:
         return MatchingSpan(0, 0, 0, (), (), array("q"), array("q"))
     order = _vertex_order(g)

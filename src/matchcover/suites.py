@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .constructions import (
     CyclePart,
@@ -85,13 +85,12 @@ def suite_sep_invariance(max_n: int = 24, seed: int = 0,
     checks = []
     for entry in _corpus(seed, max_n):
         g = entry.graph
-        ps = parity_spaces(g)
         bad = 0
         for _ in range(trials):
             x = EdgeSet(rng.getrandbits(g.m), g.m)
             u = g.vertex_set([v for v in range(g.n) if rng.random() < 0.5])
             y = x ^ boundary(g, u)
-            if is_feasible(g, x, ps) != is_feasible(g, y, ps):
+            if is_feasible(g, x) != is_feasible(g, y):
                 bad += 1
         checks.append(SuiteCheck(f"switch-invariance[{entry.name}]", bad == 0,
                                  f"{trials} trials, {bad} failures"))
@@ -138,12 +137,10 @@ def brute_force_nf(g: Graph) -> set[int]:
     return out
 
 
-def enumerate_nf(g: Graph, max_dim: int = MAX_ENUM_DIM,
-                 ps: Optional[ParitySpaces] = None) -> Iterator[EdgeSet]:
+def enumerate_nf(g: Graph,
+                 max_dim: int = MAX_ENUM_DIM) -> Iterator[EdgeSet]:
     """Yield all 2^dim members of nF(g) once each (Gray-code order)."""
-    if ps is None:
-        ps = parity_spaces(g)
-    for mask in ps.nF.members(max_dim):
+    for mask in parity_spaces(g).nF.members(max_dim):
         yield EdgeSet(mask, g.m)
 
 
@@ -232,7 +229,7 @@ def _lemma_checks(name: str, g: Graph, d, rng: random.Random,
 
     if last.ear.kind == "single" and ps_g.nF.dim <= 16:
         ok_24i = ok_32 = True
-        for x in enumerate_nf(g, ps=ps_g):
+        for x in enumerate_nf(g):
             xp = restrict(x.mask)
             if not ps_p.nF.contains(xp):
                 ok_24i = False
@@ -266,16 +263,15 @@ def _lemma_checks(name: str, g: Graph, d, rng: random.Random,
         go, go_emap, _ = gp.delete_vertices((vmap[p.end_u], vmap[p.end_v]))
         ok_42 = True
         if has_perfect_matching(go) and ps_p.nF.dim <= 16:
-            ps_o = parity_spaces(go)
-            for xp_set in enumerate_nf(gp, ps=ps_p):
+            for xp_set in enumerate_nf(gp):
                 x = EdgeSet(lift(xp_set.mask), g.m)
-                lhs = (is_feasible(g, x, ps_g)
-                       and is_feasible(g, x ^ g.edge_set(ear_edges), ps_g))
+                lhs = (is_feasible(g, x)
+                       and is_feasible(g, x ^ g.edge_set(ear_edges)))
                 xo = 0
                 for old, new in go_emap.items():
                     if xp_set.mask >> old & 1:
                         xo |= 1 << new
-                rhs = is_feasible(go, EdgeSet(xo, go.m), ps_o)
+                rhs = is_feasible(go, EdgeSet(xo, go.m))
                 if lhs != rhs:
                     ok_42 = False
                     break

@@ -128,6 +128,31 @@ def test_usage_errors():
     assert run_cli("verify", "no-such-suite").returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["feasible", "{k4}", "--edges", "a"],
+    ["feasible", "{k4}", "--edges", "1,,2"],
+    ["analyze", "{tmp}/latin1.txt"],          # not ASCII
+    ["analyze", "{tmp}/graph.json"],          # a directory
+])
+def test_input_errors_exit_2_with_one_line(argv, k4_file, tmp_path, capsys):
+    (tmp_path / "latin1.txt").write_bytes(b"2 1\n0 1 \xe9\n")
+    (tmp_path / "graph.json").mkdir()
+    argv = [a.format(k4=k4_file, tmp=tmp_path) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1, captured.err
+
+
+def test_construct_cycle_runs_one_dp_on_the_shared_part(dp_runs, capsys):
+    # the five parts share one q4 graph, whose equivalent set each checks
+    assert main(["construct", "cycle", "--r", "4", "--k", "5",
+                 "--strict"]) == 0
+    q4 = build_qr(4).graph
+    assert [(h.n, h.edges) for h in dp_runs].count((q4.n, q4.edges)) == 1
+
+
 def test_decompose_has_no_pm_cap(k4_file):
     assert run_cli("decompose", k4_file, "--max-pms", "3").returncode == 2
 

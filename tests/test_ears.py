@@ -7,6 +7,7 @@ from oracles import (brute_is_matching_covered, brute_peel,
                      brute_perfect_matchings, brute_switch_equiv_empty)
 
 from matchcover import ears
+from matchcover.cli import analyze_graph
 
 from matchcover.constructions import (
     CyclePart,
@@ -18,6 +19,7 @@ from matchcover.constructions import (
     complete_graph,
     cycle_graph,
     petersen,
+    verify_equivalent_set,
 )
 from matchcover.corpus import build_corpus
 from matchcover.ears import (
@@ -30,11 +32,10 @@ from matchcover.ears import (
     find_single_ear_decomposition,
     validate_decomposition,
 )
-from matchcover.feasibility import nf_star_report, parity_spaces
+from matchcover.feasibility import is_feasible, nf_star_report, parity_spaces
 from matchcover.gf2 import Gf2Subspace
 from matchcover.graph import Graph, is_bipartite
 from matchcover.matching import is_matching_covered
-from matchcover.span import matching_span
 
 
 def test_c4_decomposition():
@@ -314,25 +315,29 @@ def _family_graphs() -> dict[str, Graph]:
 def test_peel_matches_the_candidate_dp_oracle():
     named = [(e.name, e.graph) for e in build_corpus()]
     for name, g in [*named, *_family_graphs().items()]:
-        assert ears._peel(g, matching_span(g)) == brute_peel(g), name
+        assert ears._peel(g) == brute_peel(g), name
 
 
 @given(matching_covered_multigraphs())
 @settings(max_examples=60, deadline=None)
 def test_peel_matches_the_candidate_dp_oracle_on_random_multigraphs(g):
-    assert ears._peel(g, matching_span(g)) == brute_peel(g)
+    assert ears._peel(g) == brute_peel(g)
 
 
-def test_ear_search_runs_about_one_dp_per_ear(monkeypatch):
-    # star-4xq4 has 21 ears; a DP per candidate remainder made 748 calls
-    calls = []
-    real = ears.matching_span
-
-    def counted(h, *args):
-        calls.append(h.m)
-        return real(h, *args)
-
-    monkeypatch.setattr(ears, "matching_span", counted)
-    d = find_ear_decomposition(_family_graphs()["star-4xq4"])
+def test_ear_search_runs_about_one_dp_per_ear(dp_runs):
+    # star-4xq4 has 21 ears; a DP per candidate remainder made 748 runs
+    g = _family_graphs()["star-4xq4"]
+    dp_runs.clear()
+    d = find_ear_decomposition(g)
     assert d.r == 21
-    assert len(calls) <= 30, len(calls)
+    assert len(dp_runs) <= 30, len(dp_runs)
+
+
+def test_verdicts_on_one_graph_share_one_dp(dp_runs):
+    g = build_qr(4).graph
+    find_ear_decomposition(g)
+    nf_star_report(g)
+    is_feasible(g, g.edge_set((0,)))
+    verify_equivalent_set(g, g.edge_set((0, 1)))
+    analyze_graph(g, with_chromatic_index=False)
+    assert sum(h is g for h in dp_runs) == 1

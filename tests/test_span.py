@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from matchcover.constructions import (
     complete_graph,
 )
 from matchcover.corpus import build_corpus
-from matchcover.errors import BudgetExhaustedError, InvalidParameterError
+from matchcover.errors import BudgetExhaustedError
 from matchcover.feasibility import parity_spaces
 from matchcover.gf2 import Gf2Subspace
 from matchcover.graph import Graph
@@ -123,19 +125,48 @@ def test_family_graphs_pinned():
         assert set(pms) >= {mt for pair in span.pm_pairs for mt in pair}
 
 
-def test_state_budget(monkeypatch):
-    g = complete_graph(6)
-    with pytest.raises(BudgetExhaustedError):
-        matching_span(g, state_budget=1)
-    with pytest.raises(InvalidParameterError):
-        matching_span(g, state_budget=0)
-    assert matching_span(g, state_budget=1_000).pm_count == 15
-    # the default budget is read at call time
+def test_state_budget(monkeypatch, dp_runs):
+    # the budget is read when the DP runs, so it is set before the graphs
+    # are made
+    monkeypatch.setattr(span_module, "DEFAULT_STATE_BUDGET", 1_000)
+    assert matching_span(complete_graph(6)).pm_count == 15
     monkeypatch.setattr(span_module, "DEFAULT_STATE_BUDGET", 1)
-    with pytest.raises(BudgetExhaustedError):
+    g = complete_graph(6)
+    with pytest.raises(BudgetExhaustedError, match="budget of 1 states"):
         matching_span(g)
+    dp_runs.clear()
+    # the failure is kept on g: later calls raise it without a second DP,
+    # with the budget raised again too
     with pytest.raises(BudgetExhaustedError):
         parity_spaces(g)
+    monkeypatch.setattr(span_module, "DEFAULT_STATE_BUDGET", 1_000)
+    with pytest.raises(BudgetExhaustedError, match="budget of 1 states"):
+        matching_span(g)
+    assert dp_runs == []
+
+
+def test_one_dp_and_one_parity_spaces_per_graph(dp_runs):
+    g = complete_graph(6)
+    ps = parity_spaces(g)
+    assert parity_spaces(g) is ps
+    assert matching_span(g) is ps.span
+    assert dp_runs == [g]
+    # a new graph with the same edges is a new DP
+    assert matching_span(complete_graph(6)) is not ps.span
+    assert len(dp_runs) == 2
+
+
+def test_the_memo_makes_no_reference_cycle():
+    # with the collector off, only reference counts can free g's memo
+    gc.disable()
+    try:
+        g = complete_graph(6)
+        ps = weakref.ref(parity_spaces(g))
+        span = weakref.ref(matching_span(g))
+        del g
+        assert ps() is None and span() is None
+    finally:
+        gc.enable()
 
 
 def test_long_ladder_needs_no_deep_recursion():
