@@ -143,11 +143,11 @@ def graph_from_json_obj(obj: dict) -> Graph:
     try:
         n = obj["n"]
         edges = [tuple(e) for e in obj["edges"]]
-    except (KeyError, TypeError) as exc:
+        labels = obj.get("labels", {})
+        vl = {int(k): v for k, v in labels.get("vertices", {}).items()}
+        el = {int(k): v for k, v in labels.get("edges", {}).items()}
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParseError(f"bad graph json: {exc}")
-    labels = obj.get("labels", {})
-    vl = {int(k): v for k, v in labels.get("vertices", {}).items()}
-    el = {int(k): v for k, v in labels.get("edges", {}).items()}
     try:
         return Graph(n, edges, vertex_labels=vl, edge_labels=el)
     except Exception as exc:

@@ -137,8 +137,7 @@ def brute_force_nf(g: Graph) -> set[int]:
     return out
 
 
-def enumerate_nf(g: Graph,
-                 max_dim: int = MAX_ENUM_DIM) -> Iterator[EdgeSet]:
+def enumerate_nf(g: Graph, max_dim: int = MAX_ENUM_DIM) -> Iterator[EdgeSet]:
     """Yield all 2^dim members of nF(g) once each (Gray-code order)."""
     for mask in parity_spaces(g).nF.members(max_dim):
         yield EdgeSet(mask, g.m)

@@ -136,7 +136,7 @@ def test_state_budget(monkeypatch, dp_runs):
         matching_span(g)
     dp_runs.clear()
     # the failure is kept on g: later calls raise it without a second DP,
-    # with the budget raised again too
+    # even once the budget is back up
     with pytest.raises(BudgetExhaustedError):
         parity_spaces(g)
     monkeypatch.setattr(span_module, "DEFAULT_STATE_BUDGET", 1_000)
