@@ -78,8 +78,7 @@ class AnalysisReport:
         return {"schema_version": 1, **self.__dict__}
 
 
-def analyze_graph(g: Graph,
-                  with_chromatic_index: bool = True) -> AnalysisReport:
+def analyze_graph(g: Graph) -> AnalysisReport:
     """The structural report of `matchcover analyze`.
 
     One span DP gives the exact PM count, matching-coveredness and the
@@ -102,7 +101,7 @@ def analyze_graph(g: Graph,
         span = matching_span(g)
     except BudgetExhaustedError:
         span = None
-    if span is not None and span_matching_covered(g, span) != mc:
+    if span is not None and span_matching_covered(g) != mc:
         raise CrossCheckError("span DP and maximum matchings disagree on "
                               "matching-coveredness")
     pm_count = span.pm_count if span is not None else None
@@ -121,12 +120,10 @@ def analyze_graph(g: Graph,
             res = vertex_connectivity_at_least(g, conn)
             if not res.ok:
                 conn = len(res.separator)
-    chi = None
-    if with_chromatic_index and g.m:
-        chi = chromatic_index_exact(g)
     return AnalysisReport(g.n, g.m, connected, bip, mc,
                           pm_count, span is not None, dims,
-                          nfe, wit, reg, conn, chi)
+                          nfe, wit, reg, conn,
+                          chromatic_index_exact(g) if g.m else None)
 
 
 def _emit(obj, as_json: bool) -> None:

@@ -19,7 +19,7 @@ from .errors import (BudgetExhaustedError, ColoringMismatchError,
                      NotMatchingCoveredError)
 from .feasibility import (is_switch_equiv_empty, is_switch_equiv_full,
                           parity_spaces)
-from .graph import (EdgeSet, Graph, is_bipartite, is_connected,
+from .graph import (EdgeSet, Graph, is_bipartite, is_connected, map_mask,
                     vertex_connectivity_at_least)
 from .matching import is_matching_covered
 from .span import matching_span
@@ -168,6 +168,42 @@ def _recolor_class_to_one(coloring: Sequence[int], target_ids: Sequence[int]) ->
     return [1 if x == c else (c if x == 1 else x) for x in coloring]
 
 
+def _glue(parts: Sequence[tuple[Graph, Sequence[int], Sequence[int]]]):
+    """Disjoint union of the parts, each given as (graph, edge ids to
+    drop, vertex ids to drop); the edges at a dropped vertex go with it,
+    and no dropped edge may be one of them.
+
+    Returns (edges, emaps, vmaps, n, subs): the union's edge list, part
+    by part in edge-id order; each part's old->new edge-id and vertex-id
+    maps into the union; the union's vertex count; and each part after
+    its drops.
+    """
+    edges: list[tuple[int, int]] = []
+    emaps, vmaps, subs = [], [], []
+    n = 0
+    for g, drop_e, drop_v in parts:
+        sub, emap, vmap = g.delete_vertices(drop_v)
+        sub, keep = sub.delete_edges(emap[e] for e in drop_e)
+        emaps.append({old: len(edges) + keep[new]
+                      for old, new in emap.items() if new in keep})
+        vmaps.append({old: n + new for old, new in vmap.items()})
+        edges.extend((u + n, v + n) for u, v in sub.edges)
+        subs.append(sub)
+        n += sub.n
+    return edges, emaps, vmaps, n, subs
+
+
+def _compose(emaps: Sequence[dict[int, int]],
+             colorings: Sequence[Sequence[int]], m: int) -> list[int]:
+    """Colour per glued edge id: each part edge keeps its part's colour,
+    and the edges of no part (the bridges) get colour 1."""
+    out = [1] * m
+    for emap, coloring in zip(emaps, colorings):
+        for old, new in emap.items():
+            out[new] = coloring[old]
+    return out
+
+
 def build_qr(r: int) -> ConstructionCertificate:
     """K_{r,r} with a1b1, a2b2 swapped for same-side edges a1a2, b1b2."""
     if r < 3:
@@ -220,50 +256,30 @@ def splice(g1: Graph, e1: int, g2: Graph, e2: int,
             raise NotMatchingCoveredError("splice parts must be matching-covered")
     x1, y1 = _orient(g1, e1, orient1)
     x2, y2 = _orient(g2, e2, orient2)
-    off = g1.n
-    edges = []
-    emap1: dict[int, int] = {}
-    emap2: dict[int, int] = {}
-    for eid, e in enumerate(g1.edges):
-        if eid != e1:
-            emap1[eid] = len(edges)
-            edges.append(e)
-    for eid, (u, v) in enumerate(g2.edges):
-        if eid != e2:
-            emap2[eid] = len(edges)
-            edges.append((u + off, v + off))
+    edges, (emap1, emap2), (_, vmap2), n, _ = _glue(
+        ((g1, (e1,), ()), (g2, (e2,), ())))
+    x2, y2 = vmap2[x2], vmap2[y2]
     f1 = len(edges)
-    edges.append((x1, x2 + off))
+    edges.append((x1, x2))
     f2 = len(edges)
-    edges.append((y1, y2 + off))
-    g = Graph(g1.n + g2.n, edges)
+    edges.append((y1, y2))
+    g = Graph(n, edges)
 
     equiv_sets = []
     if s1 is not None and s2 is not None:
         if e1 not in s1 or e2 not in s2:
             raise NotEquivalentError("supplied sets must contain the spliced edges")
-        mask = (1 << f1) | (1 << f2)
-        for old, new in emap1.items():
-            if old in s1:
-                mask |= 1 << new
-        for old, new in emap2.items():
-            if old in s2:
-                mask |= 1 << new
+        mask = (1 << f1 | 1 << f2 | map_mask(s1.mask, emap1)
+                | map_mask(s2.mask, emap2))
         equiv_sets.append(EdgeSet(mask, g.m))
 
     r1, r2 = g1.is_regular(), g2.is_regular()
     r = r1 if r1 is not None and r1 == r2 else None
     coloring = None
     if coloring1 is not None and coloring2 is not None and r is not None:
-        c1 = _recolor_class_to_one(coloring1, (e1,))
-        c2 = _recolor_class_to_one(coloring2, (e2,))
-        out = [0] * g.m
-        for old, new in emap1.items():
-            out[new] = c1[old]
-        for old, new in emap2.items():
-            out[new] = c2[old]
-        out[f1] = out[f2] = 1
-        coloring = tuple(out)
+        coloring = tuple(_compose(
+            (emap1, emap2), (_recolor_class_to_one(coloring1, (e1,)),
+                             _recolor_class_to_one(coloring2, (e2,))), g.m))
     conn = 2 if (vertex_connectivity_at_least(g1, 2)
                  and vertex_connectivity_at_least(g2, 2)) else None
     return ConstructionCertificate(
@@ -271,7 +287,7 @@ def splice(g1: Graph, e1: int, g2: Graph, e2: int,
         graph=g, r=r, claimed_connectivity=conn, coloring=coloring,
         equivalent_sets=tuple(equiv_sets), nf_star_witness=None,
         labels={"f1": f1, "f2": f2, "emap1": emap1, "emap2": emap2,
-                "x1": x1, "y1": y1, "x2": x2 + off, "y2": y2 + off})
+                "x1": x1, "y1": y1, "x2": x2, "y2": y2})
 
 
 def _orient(g: Graph, eid: int, orient: Optional[tuple[int, int]]) -> tuple[int, int]:
@@ -322,29 +338,22 @@ def build_chain(parts: Sequence[ChainPart],
 
     cur = parts[0].graph
     cur_coloring: Sequence[int] = parts[0].coloring
-    cur_equiv_mask = parts[0].equiv_set.mask
+    cur_equiv = parts[0].equiv_set
     cur_e_prime = parts[0].e_prime
     # per-part maps into the current chain graph
     part_maps: list[dict[int, int]] = [dict((i, i) for i in range(cur.m))]
     for p in parts[1:]:
         cert = splice(cur, cur_e_prime, p.graph, p.e,
-                      s1=EdgeSet(cur_equiv_mask, cur.m), s2=p.equiv_set,
+                      s1=cur_equiv, s2=p.equiv_set,
                       coloring1=cur_coloring, coloring2=p.coloring)
         emap1 = cert.labels["emap1"]
         emap2 = cert.labels["emap2"]
-        new_mask = (1 << cert.labels["f1"]) | (1 << cert.labels["f2"])
-        for old, new in emap1.items():
-            if cur_equiv_mask >> old & 1:
-                new_mask |= 1 << new
-        for old, new in emap2.items():
-            if old in p.equiv_set:
-                new_mask |= 1 << new
         part_maps = [{o: emap1[n] for o, n in pm.items() if n in emap1}
                      for pm in part_maps]
         part_maps.append(dict(emap2))
         cur = cert.graph
         cur_coloring = cert.coloring
-        cur_equiv_mask = new_mask
+        cur_equiv = cert.equivalent_sets[0]
         cur_e_prime = emap2[p.e_prime]   # survives: e' only consumed rightward
     g = cur
 
@@ -382,7 +391,7 @@ def build_chain(parts: Sequence[ChainPart],
     return ConstructionCertificate(
         name="chain", params={"k": k, "witness_note": witness_note},
         graph=g, r=r, claimed_connectivity=2, coloring=tuple(cur_coloring),
-        equivalent_sets=(EdgeSet(cur_equiv_mask, g.m),),
+        equivalent_sets=(cur_equiv,),
         nf_star_witness=witness,
         labels={"part_maps": part_maps})
 
@@ -463,43 +472,27 @@ def build_cycle_cl(parts: Sequence[CyclePart]) -> ConstructionCertificate:
         xps.append(xp)
         yps.append(yp)
 
-    offsets = []
-    total = 0
-    for p in parts:
-        offsets.append(total)
-        total += p.graph.n
-    edges = []
-    coloring_out = []
-    part_maps: list[dict[int, int]] = []
-    for i, p in enumerate(parts):
-        pm = {}
-        for eid, (u, v) in enumerate(p.graph.edges):
-            if eid in (p.e, p.e_prime):
-                continue
-            pm[eid] = len(edges)
-            edges.append((u + offsets[i], v + offsets[i]))
-            coloring_out.append(colorings[i][eid])
-        part_maps.append(pm)
+    edges, part_maps, vmaps, n, subs = _glue(
+        [(p.graph, (p.e, p.e_prime), ()) for p in parts])
     f_ids, fp_ids = [], []
     for i in range(k):
         nxt = (i + 1) % k
         f_ids.append(len(edges))
-        edges.append((xs[i] + offsets[i], ys[nxt] + offsets[nxt]))
-        coloring_out.append(1)
+        edges.append((vmaps[i][xs[i]], vmaps[nxt][ys[nxt]]))
         fp_ids.append(len(edges))
-        edges.append((xps[i] + offsets[i], yps[nxt] + offsets[nxt]))
-        coloring_out.append(1)
-    g = Graph(total, edges)
+        edges.append((vmaps[i][xps[i]], vmaps[nxt][yps[nxt]]))
+    g = Graph(n, edges)
 
     equiv_sets = tuple(g.edge_set((f_ids[i], fp_ids[i])) for i in range(k))
     witness = None
-    nonbip = [i for i, p in enumerate(parts)
-              if not is_bipartite(p.graph.delete_edges((p.e, p.e_prime))[0]).bipartite]
+    nonbip = [i for i, sub in enumerate(subs)
+              if not is_bipartite(sub).bipartite]
     if nonbip:
         witness = g.edge_set(f_ids + fp_ids)
     return ConstructionCertificate(
         name="cycle", params={"k": k, "nonbipartite_parts": nonbip},
-        graph=g, r=r, claimed_connectivity=4, coloring=tuple(coloring_out),
+        graph=g, r=r, claimed_connectivity=4,
+        coloring=tuple(_compose(part_maps, colorings, g.m)),
         equivalent_sets=equiv_sets, nf_star_witness=witness,
         labels={"f": f_ids, "f_prime": fp_ids, "part_maps": part_maps})
 
@@ -549,41 +542,23 @@ def build_star_xs(parts: Sequence[StarPart]) -> ConstructionCertificate:
             raise ColoringMismatchError("removed vertex misses a color")
         v_of.append(nbrs)
 
-    edges = []
-    coloring_out = []
-    offsets = []
-    total = 0
-    part_maps: list[dict[int, int]] = []
-    vmaps: list[dict[int, int]] = []
-    for i, (p, w) in enumerate(zip(parts, ws)):
-        sub, emap, vmap = p.graph.delete_vertices((w,))
-        offsets.append(total)
-        pm = {}
-        for old, new in emap.items():
-            pm[old] = len(edges)
-            u_, v_ = sub.edges[new]
-            edges.append((u_ + total, v_ + total))
-            c = p.coloring[old]
-            # class s satisfies pi_s(i+1) = c with 1-based part index
-            coloring_out.append((c - (i + 1)) % r + 1)
-        part_maps.append(pm)
-        vmaps.append({o: n + total for o, n in vmap.items()})
-        total += sub.n
+    edges, part_maps, vmaps, total, subs = _glue(
+        [(p.graph, (), (w,)) for p, w in zip(parts, ws)])
     hubs = [total + j for j in range(r)]
-    hub_edge: dict[tuple[int, int], int] = {}
+    hub_colors = []
     for i in range(r):
         for j in range(1, r + 1):
-            hub_edge[(i, j)] = len(edges)
             edges.append((hubs[j - 1], vmaps[i][v_of[i][j]]))
-            coloring_out.append((j - (i + 1)) % r + 1)
+            hub_colors.append((j - (i + 1)) % r + 1)
     g = Graph(total + r, edges)
+    # class s satisfies pi_s(i+1) = c with 1-based part index
+    coloring = _compose(part_maps, [[(c - (i + 1)) % r + 1 for c in p.coloring]
+                                    for i, p in enumerate(parts)], g.m)
+    coloring[g.m - len(hub_colors):] = hub_colors
 
     # nF* witness: the whole remainder of a non-bipartite part, provided a
     # second part also stays non-bipartite after its deletion
-    nonbip = []
-    for p, w in zip(parts, ws):
-        sub, _, _ = p.graph.delete_vertices((w,))
-        nonbip.append(not is_bipartite(sub).bipartite)
+    nonbip = [not is_bipartite(sub).bipartite for sub in subs]
     witness = None
     witness_part = None
     for i in range(r):
@@ -600,14 +575,12 @@ def build_star_xs(parts: Sequence[StarPart]) -> ConstructionCertificate:
         protected = {p0.labels["a1"], p0.labels["a2"],
                      p0.labels["b1"], p0.labels["b2"]}
         if ws[0] not in protected:
-            mask = (1 << part_maps[0][p0.labels["a1a2"]]) \
-                | (1 << part_maps[0][p0.labels["b1b2"]])
-            equiv_sets.append(EdgeSet(mask, g.m))
             labels["a1a2"] = part_maps[0][p0.labels["a1a2"]]
             labels["b1b2"] = part_maps[0][p0.labels["b1b2"]]
+            equiv_sets.append(g.edge_set((labels["a1a2"], labels["b1b2"])))
     return ConstructionCertificate(
         name="star", params={"r": r, "nonbipartite_parts": nonbip},
-        graph=g, r=r, claimed_connectivity=r, coloring=tuple(coloring_out),
+        graph=g, r=r, claimed_connectivity=r, coloring=tuple(coloring),
         equivalent_sets=tuple(equiv_sets), nf_star_witness=witness,
         labels=labels)
 

@@ -24,7 +24,7 @@ from .constructions import (
 )
 from .errors import InvalidParameterError
 from .graph import Graph
-from .span import matching_span, span_matching_covered
+from .span import span_matching_covered
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def random_matching_covered(rng: random.Random, n: int,
             pairs.add((min(u, v), max(u, v)))
             tries += 1
         g = Graph(n, sorted(pairs))
-        if span_matching_covered(g, matching_span(g)):
+        if span_matching_covered(g):
             return g
 
 

@@ -47,7 +47,7 @@ from typing import Optional
 from .errors import CrossCheckError, NotMatchingCoveredError
 from .feasibility import parity_spaces
 from .gf2 import Gf2Subspace
-from .graph import EdgeSet, Graph, is_bipartite, is_connected
+from .graph import EdgeSet, Graph, is_bipartite, is_connected, map_mask
 from .matching import has_perfect_matching
 from .span import matching_span, span_matching_covered
 
@@ -202,7 +202,7 @@ def _next_ear(g: Graph):
         if bad[i] or not single_connected(i):
             continue
         h = _remainder(g, (c,))
-        if not span_matching_covered(h, matching_span(h)):
+        if not span_matching_covered(h):
             raise CrossCheckError(
                 "the span DP finds the remainder of an ear that the "
                 "dependence masks accept not matching-covered")
@@ -217,7 +217,7 @@ def _next_ear(g: Graph):
                     or not single_connected(i) or not single_connected(j)):
                 continue
             h = _remainder(g, (a, b))
-            if is_connected(h) and span_matching_covered(h, matching_span(h)):
+            if is_connected(h) and span_matching_covered(h):
                 return (a, b), h
     raise CrossCheckError("no removable ear found")
 
@@ -251,7 +251,7 @@ def _require_matching_covered(g: Graph) -> None:
     """Raise unless the DP finds g connected and matching-covered."""
     if g.n == 0 or not is_connected(g):
         raise NotMatchingCoveredError("not matching-covered: not-connected")
-    if not span_matching_covered(g, matching_span(g)):
+    if not span_matching_covered(g):
         raise NotMatchingCoveredError("not matching-covered: uncovered-edge")
 
 
@@ -414,7 +414,7 @@ def classify_nf_star(g: Graph, d: EarDecomposition) -> NfStarClassification:
     lift = {new: old for old, new in emap_del.items()}
     n_space = Gf2Subspace(prev.m, (
         *ps_prev.span.d_rows,
-        *(_map_mask(row, lift) for row in span_del.d_rows),
+        *(map_mask(row, lift) for row in span_del.d_rows),
     )).orthogonal_complement()
     x = next((x for x in n_space.basis()
               if not ps_prev.cut_plus_E.contains(x)), None)
@@ -424,22 +424,12 @@ def classify_nf_star(g: Graph, d: EarDecomposition) -> NfStarClassification:
             f"members of the prefix that restrict non-feasibly lies in "
             f"cut + <E>")
     if (0 not in ps_prev.span.parity_counts(x)
-            or 0 not in span_del.parity_counts(_map_mask(x, emap_del))):
+            or 0 not in span_del.parity_counts(map_mask(x, emap_del))):
         raise CrossCheckError("case-iv witness is feasible by its parity "
                               "counts in the prefix or its deletion")
-    witness = EdgeSet(_map_mask(x, {new: old for old, new
+    witness = EdgeSet(map_mask(x, {new: old for old, new
                                     in emap_prev.items()}), g.m)
     return NfStarClassification(
         False, "case-iv", f"edges {list(witness.ids())}, a member of nF* of "
         f"the prefix, restrict non-feasibly to the prefix minus the ear ends",
         witness)
-
-
-def _map_mask(mask: int, id_map: dict[int, int]) -> int:
-    """The edge mask whose bit id_map[i] is set for each set bit i of mask
-    that id_map has."""
-    out = 0
-    for old, new in id_map.items():
-        if mask >> old & 1:
-            out |= 1 << new
-    return out

@@ -209,7 +209,7 @@ def nf_star_report(g: Graph,
     first reduced nF basis vector outside cut + <E>, re-verified by the
     DP's signed parity count and by the combinatorial cut tests.
     """
-    if not span_matching_covered(g, matching_span(g)):
+    if not span_matching_covered(g):
         raise NotMatchingCoveredError(
             "not matching-covered: disconnected, or an edge lies in no "
             "perfect matching")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import ClassVar, Iterable, Optional
 
 import networkx as nx
 
@@ -35,37 +35,58 @@ def _bit_ids(mask: int, size: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class EdgeSet:
-    """Bit vector over one graph's edge-id space (bit i = edge i)."""
+class _BitSet:
+    """Bit vector over one graph's id space (bit i = id i) of one kind."""
 
+    kind: ClassVar[str]
     mask: int
     size: int
 
     @classmethod
-    def empty(cls, size: int) -> "EdgeSet":
+    def empty(cls, size: int):
         return cls(0, size)
 
     @classmethod
-    def full(cls, size: int) -> "EdgeSet":
+    def full(cls, size: int):
         return cls((1 << size) - 1, size)
 
     @classmethod
-    def from_ids(cls, size: int, ids: Iterable[int]) -> "EdgeSet":
+    def from_ids(cls, size: int, ids: Iterable[int]):
         mask = 0
         for i in ids:
             if not 0 <= i < size:
-                raise DimensionMismatch(f"edge id {i} outside 0..{size - 1}")
+                raise DimensionMismatch(
+                    f"{cls.kind} id {i} outside 0..{size - 1}")
             mask |= 1 << i
         return cls(mask, size)
 
-    def _check(self, other: "EdgeSet") -> None:
+    def _check(self, other) -> None:
         if self.size != other.size:
             raise DimensionMismatch(
-                f"edge spaces differ: {self.size} vs {other.size}")
+                f"{self.kind} spaces differ: {self.size} vs {other.size}")
 
-    def __xor__(self, other: "EdgeSet") -> "EdgeSet":
+    def __xor__(self, other):
         self._check(other)
-        return EdgeSet(self.mask ^ other.mask, self.size)
+        return type(self)(self.mask ^ other.mask, self.size)
+
+    def __contains__(self, i: int) -> bool:
+        return 0 <= i < self.size and bool(self.mask >> i & 1)
+
+    def __len__(self) -> int:
+        return _popcount(self.mask)
+
+    def __bool__(self) -> bool:
+        return self.mask != 0
+
+    def ids(self) -> tuple[int, ...]:
+        return _bit_ids(self.mask, self.size)
+
+
+@dataclass(frozen=True)
+class EdgeSet(_BitSet):
+    """Bit vector over one graph's edge-id space (bit i = edge i)."""
+
+    kind: ClassVar[str] = "edge"
 
     def __and__(self, other: "EdgeSet") -> "EdgeSet":
         self._check(other)
@@ -75,70 +96,30 @@ class EdgeSet:
         self._check(other)
         return EdgeSet(self.mask | other.mask, self.size)
 
-    def __contains__(self, eid: int) -> bool:
-        return 0 <= eid < self.size and bool(self.mask >> eid & 1)
-
-    def __len__(self) -> int:
-        return _popcount(self.mask)
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
-    def ids(self) -> tuple[int, ...]:
-        return _bit_ids(self.mask, self.size)
-
     def issubset(self, other: "EdgeSet") -> bool:
         self._check(other)
         return self.mask & ~other.mask == 0
 
 
 @dataclass(frozen=True)
-class VertexSet:
+class VertexSet(_BitSet):
     """Bit vector over one graph's vertex ids."""
 
-    mask: int
-    size: int
-
-    @classmethod
-    def empty(cls, size: int) -> "VertexSet":
-        return cls(0, size)
-
-    @classmethod
-    def full(cls, size: int) -> "VertexSet":
-        return cls((1 << size) - 1, size)
-
-    @classmethod
-    def from_ids(cls, size: int, ids: Iterable[int]) -> "VertexSet":
-        mask = 0
-        for i in ids:
-            if not 0 <= i < size:
-                raise DimensionMismatch(f"vertex id {i} outside 0..{size - 1}")
-            mask |= 1 << i
-        return cls(mask, size)
-
-    def _check(self, other: "VertexSet") -> None:
-        if self.size != other.size:
-            raise DimensionMismatch(
-                f"vertex spaces differ: {self.size} vs {other.size}")
-
-    def __xor__(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.mask ^ other.mask, self.size)
-
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.size and bool(self.mask >> v & 1)
-
-    def __len__(self) -> int:
-        return _popcount(self.mask)
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
-    def ids(self) -> tuple[int, ...]:
-        return _bit_ids(self.mask, self.size)
+    kind: ClassVar[str] = "vertex"
 
     def complement(self) -> "VertexSet":
         return VertexSet(~self.mask & ((1 << self.size) - 1), self.size)
+
+
+def map_mask(mask: int, id_map: dict[int, int]) -> int:
+    """The mask whose bit id_map[i] is set for each set bit i of mask
+    that id_map has: a set carried between a graph and its parts or
+    subgraphs by their id maps."""
+    out = 0
+    for old, new in id_map.items():
+        if mask >> old & 1:
+            out |= 1 << new
+    return out
 
 
 class Graph:

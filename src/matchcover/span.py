@@ -117,9 +117,10 @@ class MatchingSpan:
         return dep
 
 
-def span_matching_covered(g: Graph, span: MatchingSpan) -> bool:
+def span_matching_covered(g: Graph) -> bool:
     """Matching-covered by the DP: connected, and every edge lies in some
     perfect matching."""
+    span = matching_span(g)
     return (g.n > 0 and span.pm_count > 0 and is_connected(g)
             and span.edge_union == (1 << g.m) - 1)
 

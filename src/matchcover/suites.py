@@ -2,9 +2,11 @@
 
 Each suite re-checks one family of structural properties (switching
 invariance, the bipartite characterisation, oracle agreement, ear
-machinery, ear lemmas, construction certificates) and returns a
-machine-readable list of named pass/fail checks.  The CLI `verify`
-command and the test suite both run these.
+machinery, ear lemmas, construction certificates).  Each suite takes
+the corpus entries, one seeded rng and a trial count, and returns its
+named pass/fail checks; `run_suite` builds those inputs and wraps the
+checks in a machine-readable report.  The CLI `verify` command and the
+test suite both run these.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .constructions import (
     verify_certificate,
 )
 from .corpus import CorpusEntry, build_corpus
-from .errors import BudgetExhaustedError
+from .errors import BudgetExhaustedError, InvalidParameterError
 from .feasibility import (
     ParitySpaces,
     is_feasible,
@@ -34,7 +36,7 @@ from .feasibility import (
     nf_star_report,
     parity_spaces,
 )
-from .graph import EdgeSet, Graph, boundary, is_bipartite
+from .graph import EdgeSet, Graph, boundary, is_bipartite, map_mask
 from .ears import (
     classify_nf_star,
     find_ear_decomposition,
@@ -46,6 +48,7 @@ from .matching import (enumerate_perfect_matchings, has_perfect_matching,
 
 DEFAULT_TRIALS = 100
 MAX_ENUM_DIM = 24
+ORACLE_MAX_M = 14       # the 2^m brute-force scan of oracle-nf
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,8 @@ class SuiteReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        """At least one check ran, and every check passed."""
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     def to_json_obj(self) -> dict:
         return {"suite": self.suite, "seed": self.seed,
@@ -72,18 +76,13 @@ class SuiteReport:
                             "detail": c.detail} for c in self.checks]}
 
 
-def _corpus(seed: int, max_n: int) -> list[CorpusEntry]:
-    return [e for e in build_corpus(seed=seed) if e.graph.n <= max_n]
-
-
 # ------------------------------------------------------ switching invariance
 
-def suite_sep_invariance(max_n: int = 24, seed: int = 0,
-                         trials: int = DEFAULT_TRIALS) -> SuiteReport:
+def suite_sep_invariance(entries: list[CorpusEntry], rng: random.Random,
+                         trials: int) -> list[SuiteCheck]:
     """Feasibility is invariant under xor with any vertex-set boundary."""
-    rng = random.Random(seed)
     checks = []
-    for entry in _corpus(seed, max_n):
+    for entry in entries:
         g = entry.graph
         bad = 0
         for _ in range(trials):
@@ -94,16 +93,16 @@ def suite_sep_invariance(max_n: int = 24, seed: int = 0,
                 bad += 1
         checks.append(SuiteCheck(f"switch-invariance[{entry.name}]", bad == 0,
                                  f"{trials} trials, {bad} failures"))
-    return SuiteReport("sep-invariance", seed, tuple(checks))
+    return checks
 
 
 # -------------------------------------------------- bipartite characterisation
 
-def suite_bipartite_theorem(max_n: int = 10, seed: int = 0,
-                            trials: int = 0) -> SuiteReport:
+def suite_bipartite_theorem(entries: list[CorpusEntry], rng: random.Random,
+                            trials: int) -> list[SuiteCheck]:
     """Bipartite matching-covered graphs have nF = cut space; no others do."""
     checks = []
-    for entry in _corpus(seed, max_n):
+    for entry in entries:
         g = entry.graph
         ps = parity_spaces(g)
         bip = is_bipartite(g).bipartite
@@ -117,7 +116,7 @@ def suite_bipartite_theorem(max_n: int = 10, seed: int = 0,
                 checks.append(SuiteCheck(
                     f"regular-bipartite-E-in-cut[{entry.name}]",
                     ps.cut.contains(g.full_edge_set().mask), ""))
-    return SuiteReport("bipartite-theorem", seed, tuple(checks))
+    return checks
 
 
 # ----------------------------------------------------------- exhaustive oracle
@@ -143,28 +142,28 @@ def enumerate_nf(g: Graph, max_dim: int = MAX_ENUM_DIM) -> Iterator[EdgeSet]:
         yield EdgeSet(mask, g.m)
 
 
-def suite_oracle_nf(max_n: int = 24, seed: int = 0,
-                    trials: int = 0, max_m: int = 14) -> SuiteReport:
+def suite_oracle_nf(entries: list[CorpusEntry], rng: random.Random,
+                    trials: int) -> list[SuiteCheck]:
     """enumerate_nf matches the 2^m brute-force classification exactly."""
     checks = []
-    for entry in _corpus(seed, max_n):
+    for entry in entries:
         g = entry.graph
-        if g.m > max_m:
+        if g.m > ORACLE_MAX_M:
             continue
         brute = brute_force_nf(g)
         alg = {x.mask for x in enumerate_nf(g)}
         checks.append(SuiteCheck(
             f"oracle-agreement[{entry.name}]", alg == brute,
             f"m={g.m} |nF|={len(brute)} algebraic={len(alg)}"))
-    return SuiteReport("oracle-nf", seed, tuple(checks))
+    return checks
 
 
 # ------------------------------------------------------------- ear machinery
 
-def suite_ear_classify(max_n: int = 24, seed: int = 0,
-                       trials: int = 0) -> SuiteReport:
+def suite_ear_classify(entries: list[CorpusEntry], rng: random.Random,
+                       trials: int) -> list[SuiteCheck]:
     checks = []
-    for entry in _corpus(seed, max_n):
+    for entry in entries:
         g = entry.graph
         d = find_ear_decomposition(g)
         val = validate_decomposition(g, d)
@@ -181,23 +180,22 @@ def suite_ear_classify(max_n: int = 24, seed: int = 0,
         checks.append(SuiteCheck(
             f"classifier-agrees[{entry.name}]", cls.empty == direct.empty,
             f"rule={cls.rule} direct_empty={direct.empty}"))
-    return SuiteReport("ear-classify", seed, tuple(checks))
+    return checks
 
 
 def _nf_star_member(ps: ParitySpaces, mask: int) -> bool:
     return ps.nF.contains(mask) and not ps.cut_plus_E.contains(mask)
 
 
-def suite_ear_lemmas(max_n: int = 10, seed: int = 0,
-                     trials: int = 30) -> SuiteReport:
+def suite_ear_lemmas(entries: list[CorpusEntry], rng: random.Random,
+                     trials: int) -> list[SuiteCheck]:
     """Restriction/extension lemmas along every found ear decomposition."""
-    rng = random.Random(seed)
     checks = []
-    for entry in _corpus(seed, max_n):
+    for entry in entries:
         g = entry.graph
         d = find_ear_decomposition(g)
         checks.extend(_lemma_checks(entry.name, g, d, rng, trials))
-    return SuiteReport("ear-lemmas", seed, tuple(checks))
+    return checks
 
 
 def _lemma_checks(name: str, g: Graph, d, rng: random.Random,
@@ -212,24 +210,10 @@ def _lemma_checks(name: str, g: Graph, d, rng: random.Random,
     ps_p = parity_spaces(gp)
     ear_edges = [eid for p in last.ear.paths for eid in p.edge_ids]
 
-    def restrict(mask: int) -> int:
-        out = 0
-        for old, new in emap.items():
-            if mask >> old & 1:
-                out |= 1 << new
-        return out
-
-    def lift(mask: int) -> int:
-        out = 0
-        for new in range(gp.m):
-            if mask >> new & 1:
-                out |= 1 << back[new]
-        return out
-
     if last.ear.kind == "single" and ps_g.nF.dim <= 16:
         ok_24i = ok_32 = True
         for x in enumerate_nf(g):
-            xp = restrict(x.mask)
+            xp = map_mask(x.mask, emap)
             if not ps_p.nF.contains(xp):
                 ok_24i = False
             if _nf_star_member(ps_p, xp) != _nf_star_member(ps_g, x.mask):
@@ -248,7 +232,7 @@ def _lemma_checks(name: str, g: Graph, d, rng: random.Random,
                 if rng.random() < 0.5:
                     xp ^= row
             x0 = [e for e in ear_edges if rng.random() < 0.5]
-            x = EdgeSet(lift(xp), g.m) ^ g.edge_set(x0)
+            x = EdgeSet(map_mask(xp, back), g.m) ^ g.edge_set(x0)
             if not is_switch_equiv_empty(g, x):
                 if not all(is_switch_equiv(g, x, g.edge_set((e,)))
                            for e in ear_edges):
@@ -263,14 +247,11 @@ def _lemma_checks(name: str, g: Graph, d, rng: random.Random,
         ok_42 = True
         if has_perfect_matching(go) and ps_p.nF.dim <= 16:
             for xp_set in enumerate_nf(gp):
-                x = EdgeSet(lift(xp_set.mask), g.m)
+                x = EdgeSet(map_mask(xp_set.mask, back), g.m)
                 lhs = (is_feasible(g, x)
                        and is_feasible(g, x ^ g.edge_set(ear_edges)))
-                xo = 0
-                for old, new in go_emap.items():
-                    if xp_set.mask >> old & 1:
-                        xo |= 1 << new
-                rhs = is_feasible(go, EdgeSet(xo, go.m))
+                rhs = is_feasible(go, EdgeSet(map_mask(xp_set.mask, go_emap),
+                                              go.m))
                 if lhs != rhs:
                     ok_42 = False
                     break
@@ -290,7 +271,7 @@ def _lemma_checks(name: str, g: Graph, d, rng: random.Random,
                 if rng.random() < 0.5:
                     xp ^= row
             x0 = [e for e in ear_edges if rng.random() < 0.5]
-            x = EdgeSet(lift(xp), g.m) ^ g.edge_set(x0)
+            x = EdgeSet(map_mask(xp, back), g.m) ^ g.edge_set(x0)
             if is_switch_equiv_empty(g, x):
                 continue
             if any(is_switch_equiv(g, x, g.edge_set((e,)))
@@ -319,8 +300,8 @@ def _lemma_checks(name: str, g: Graph, d, rng: random.Random,
 
 # ------------------------------------------------------------- constructions
 
-def suite_constructions(max_n: int = 24, seed: int = 0,
-                        trials: int = 0) -> SuiteReport:
+def suite_constructions(entries: list[CorpusEntry], rng: random.Random,
+                        trials: int) -> list[SuiteCheck]:
     checks = []
 
     def add(cert, claims, label):
@@ -346,7 +327,7 @@ def suite_constructions(max_n: int = 24, seed: int = 0,
     col = find_proper_coloring(k4, 3)
     star = build_star_xs([StarPart(k4, tuple(col)) for _ in range(3)])
     add(star, verify_certificate(star), "star-3xk4")
-    return SuiteReport("constructions", seed, tuple(checks))
+    return checks
 
 
 def cycle_alternation_check(cert) -> SuiteCheck:
@@ -385,10 +366,13 @@ SUITES = {
 
 def run_suite(name: str, max_n: int = 24, seed: int = 0,
               trials: int = DEFAULT_TRIALS) -> SuiteReport:
+    """Run one suite on the corpus graphs of at most max_n vertices, with
+    random.Random(seed) and `trials` random trials per graph where the
+    suite draws any."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    kwargs = {"max_n": max_n, "seed": seed}
-    fn = SUITES[name]
-    if name in ("sep-invariance", "ear-lemmas"):
-        kwargs["trials"] = trials
-    return fn(**kwargs)
+    if trials < 0:
+        raise InvalidParameterError(f"trials must be >= 0, not {trials}")
+    entries = [e for e in build_corpus(seed=seed) if e.graph.n <= max_n]
+    checks = SUITES[name](entries, random.Random(seed), trials)
+    return SuiteReport(name, seed, tuple(checks))

@@ -282,7 +282,7 @@ def brute_peel(g: Graph) -> list:
     list [(vertices, edge ids, Ear), ...] bottom-up, in the ids of g."""
     from matchcover.ears import Ear, EarPath
     from matchcover.graph import is_connected
-    from matchcover.span import matching_span, span_matching_covered
+    from matchcover.span import span_matching_covered
     removal = []
     vmap, emap = tuple(range(g.n)), tuple(range(g.m))
     while not (g.n == 2 and g.m == 1):
@@ -291,7 +291,7 @@ def brute_peel(g: Graph) -> list:
             drop_e = {e for c in chains for e in c[3]}
             h, _ = g.delete_edges(drop_e)
             h, _, _ = h.delete_vertices(drop_v)
-            if is_connected(h) and span_matching_covered(h, matching_span(h)):
+            if is_connected(h) and span_matching_covered(h):
                 break
         else:
             raise AssertionError("no removable ear found")

@@ -44,12 +44,7 @@ from matchcover.feasibility import (
 )
 from matchcover.graph import EdgeSet, is_bipartite, vertex_connectivity_at_least
 from matchcover.matching import enumerate_perfect_matchings, is_matching_covered
-from matchcover.suites import (
-    enumerate_nf,
-    run_suite,
-    suite_bipartite_theorem,
-    suite_sep_invariance,
-)
+from matchcover.suites import enumerate_nf, run_suite
 
 
 def _verdict(num, label, ok, elapsed, budget):
@@ -110,7 +105,7 @@ def test_criterion_03_oracle_equivalence(capsys):
 
 def test_criterion_04_bipartite_characterisation(capsys):
     t0 = time.perf_counter()
-    rep = suite_bipartite_theorem(max_n=10)
+    rep = run_suite("bipartite-theorem", max_n=10)
     both = {is_bipartite(e.graph).bipartite
             for e in build_corpus() if e.graph.n <= 10}
     ok = rep.passed and both == {True, False}
@@ -121,7 +116,7 @@ def test_criterion_04_bipartite_characterisation(capsys):
 
 def test_criterion_05_switching_invariance(capsys):
     t0 = time.perf_counter()
-    rep = suite_sep_invariance(trials=100)
+    rep = run_suite("sep-invariance", trials=100)
     ok = rep.passed and len(rep.checks) >= 15
     with capsys.disabled():
         _verdict(5, "switching invariance (100 trials/graph)", ok,

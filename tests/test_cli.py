@@ -122,6 +122,23 @@ def test_verify_suite(capsys):
     assert obj["checks"]
 
 
+@pytest.mark.parametrize("suite", ["sep-invariance", "bipartite-theorem",
+                                   "oracle-nf", "ear-classify", "ear-lemmas"])
+def test_verify_that_checks_nothing_fails(suite, capsys):
+    # no corpus graph has at most 0 vertices, so no check runs
+    rc = main(["verify", suite, "--max-n", "0"])
+    obj = json.loads(capsys.readouterr().out)
+    assert (rc, obj["passed"], obj["checks"]) == (1, False, [])
+
+
+def test_verify_refuses_negative_trials(capsys):
+    rc = main(["verify", "sep-invariance", "--trials", "-5"])
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert cap.out == ""
+    assert cap.err.splitlines() == ["error: trials must be >= 0, not -5"]
+
+
 def test_usage_errors():
     assert run_cli().returncode == 2
     assert run_cli("analyze", "/nonexistent/file.g6").returncode == 2

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -25,6 +27,7 @@ from matchcover.constructions import (
 from matchcover.corpus import build_corpus
 from matchcover.errors import InvalidParameterError
 from matchcover.feasibility import nf_star_report
+from matchcover.formats import certificate_to_json_obj
 from matchcover.graph import is_bipartite, vertex_connectivity_at_least
 from matchcover.matching import enumerate_perfect_matchings, is_matching_covered
 
@@ -175,3 +178,65 @@ def test_equivalent_set_matches_enumeration_on_corpus():
                 assert verify_equivalent_set(g, s) is want, (entry.name, s)
                 verdicts.add(want)
     assert verdicts == {True, False}
+
+
+def _family(name, r=None, k=None):
+    """The certificate `matchcover construct` builds for these arguments."""
+    if name == "splice":
+        k4 = complete_graph(4)
+        return splice(k4, 0, k4, 0)
+    q = build_qr(r)
+    f, fp = q.labels["a1a2"], q.labels["b1b2"]
+    if name == "chain":
+        eq = q.graph.edge_set((f, fp))
+        return build_chain([ChainPart(q.graph, f, fp, eq, q.coloring)
+                            for _ in range(k)])
+    if name == "cycle":
+        return build_cycle_cl([CyclePart(q.graph, f, fp, q.coloring)
+                               for _ in range(k)])
+    return build_star_xs([StarPart(q.graph, q.coloring) for _ in range(k)])
+
+
+def _part_maps(cert, part_graphs):
+    """(part graph, edge-id map, vertex-id map) for each part of cert."""
+    if cert.name == "splice":
+        g1, g2 = part_graphs
+        return [(g1, cert.labels["emap1"], {v: v for v in range(g1.n)}),
+                (g2, cert.labels["emap2"],
+                 {v: v + g1.n for v in range(g2.n)})]
+    if cert.name == "star":
+        return list(zip(part_graphs, cert.labels["part_maps"],
+                        cert.labels["vmaps"]))
+    out, off = [], 0
+    for h, emap in zip(part_graphs, cert.labels["part_maps"]):
+        out.append((h, emap, {v: v + off for v in range(h.n)}))
+        off += h.n
+    return out
+
+
+@pytest.mark.parametrize("args, digest", [
+    (("splice",),
+     "85b636fbe046c37b485c18f2b90ca5a938cbce2555340683dd74a6e1b60835ff"),
+    (("chain", 4, 3),
+     "6f917704dc9701184249ad220b90400cffa8d82dcd6c25729b93c5521b10bba5"),
+    (("cycle", 4, 3),
+     "06edb61c266a2b99be013d8b2db8a4eb2220a8ac1c262f44dfe0c90cf2e0f64a"),
+    (("cycle", 5, 3),
+     "3188c1854e701d8541c605ad65ab9a79ef3fa0598c900d3debdf1b82660ef9d8"),
+    (("star", 4, 4),
+     "ebb5724e639c446894201d1499ace18df664dac4be188164985a8c02a71f6743"),
+])
+def test_glued_ids_are_pinned(args, digest):
+    cert = _family(*args)
+    text = json.dumps(certificate_to_json_obj(cert), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    g = cert.graph
+    part = complete_graph(4) if args[0] == "splice" else build_qr(args[1]).graph
+    parts = 2 if args[0] == "splice" else args[2]
+    images = []
+    for h, emap, vmap in _part_maps(cert, [part] * parts):
+        for old, new in emap.items():
+            u, v = h.edges[old]
+            assert sorted(g.edges[new]) == sorted((vmap[u], vmap[v]))
+        images.extend(emap.values())
+    assert len(images) == len(set(images))

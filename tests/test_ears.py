@@ -339,5 +339,5 @@ def test_verdicts_on_one_graph_share_one_dp(dp_runs):
     nf_star_report(g)
     is_feasible(g, g.edge_set((0,)))
     verify_equivalent_set(g, g.edge_set((0, 1)))
-    analyze_graph(g, with_chromatic_index=False)
+    analyze_graph(g)
     assert sum(h is g for h in dp_runs) == 1

@@ -334,7 +334,7 @@ _LYING_ROUTES = textwrap.dedent("""
         g, [(tuple(range(g.n)), tuple(range(g.m)), Ear("single", ()))]))
     # the DP accepts g itself but no remainder of an ear removal
     span_matching_covered = ears.span_matching_covered
-    ears.span_matching_covered = lambda h, span: h.m == g.m
+    ears.span_matching_covered = lambda h: h.m == g.m
     expect("no removable ear", lambda: find_ear_decomposition(g))
     ears.span_matching_covered = span_matching_covered
     # dependence masks that report no dependences accept K4 less a chord,
@@ -359,12 +359,11 @@ _LYING_ROUTES = textwrap.dedent("""
     MatchingSpan.parity_counts = parity_counts
     # the cube is bipartite and matching-covered
     matching._bipartite_uncovered_edge = lambda h, side: 0
-    expect("bipartite matching-covered route", lambda: cli.analyze_graph(
-        cube_graph(), with_chromatic_index=False))
+    expect("bipartite matching-covered route",
+           lambda: cli.analyze_graph(cube_graph()))
     cli.is_matching_covered = (
         lambda g: MatchingCoveredResult(False, "uncovered-edge", 0))
-    expect("analyze_graph", lambda: cli.analyze_graph(
-        g, with_chromatic_index=False))
+    expect("analyze_graph", lambda: cli.analyze_graph(g))
     # Petersen is 3-connected; a cut of size 0 separates nothing
     nx.minimum_node_cut = lambda h: set()
     expect("vertex_connectivity_at_least",

@@ -20,7 +20,7 @@ from matchcover.matching import (
     is_nice_subgraph,
     max_matching,
 )
-from matchcover.span import matching_span, span_matching_covered
+from matchcover.span import span_matching_covered
 
 
 def test_known_perfect_matching_counts():
@@ -107,7 +107,7 @@ def test_is_matching_covered_reasons():
 def test_is_matching_covered_matches_oracle_on_random_multigraphs(g):
     res = is_matching_covered(g)
     assert res.covered == brute_is_matching_covered(g) == \
-        span_matching_covered(g, matching_span(g))
+        span_matching_covered(g)
     if res.covered:
         assert (res.reason, res.uncovered_edge) == (None, None)
     elif g.n == 0 or not is_connected(g):

@@ -41,7 +41,7 @@ def _check_against_brute(g: Graph, rng: random.Random, queries: int) -> None:
     for pm in pms:
         union |= pm
     assert span.edge_union == union
-    assert span_matching_covered(g, span) == brute_is_matching_covered(g)
+    assert span_matching_covered(g) == brute_is_matching_covered(g)
     if not pms:
         assert span.d_rows == ()
         return
@@ -117,7 +117,7 @@ def test_family_graphs_pinned():
         span = matching_span(g)
         assert span.pm_count == count
         assert len(span.d_rows) == dim_d
-        assert span_matching_covered(g, span)
+        assert span_matching_covered(g)
         pms = [mt.mask for mt in enumerate_perfect_matchings(g).matchings]
         assert len(pms) == count
         d_enum = Gf2Subspace(g.m, [pm ^ pms[0] for pm in pms])
