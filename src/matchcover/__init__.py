@@ -14,7 +14,6 @@ from .errors import (
     ColoringMismatchError,
     CrossCheckError,
     DimensionMismatch,
-    DimensionTooLargeError,
     EdgeNotInGraphError,
     Graph6MultigraphError,
     InvalidParameterError,

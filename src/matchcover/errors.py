@@ -26,10 +26,6 @@ class CrossCheckError(MatchcoverError):
     """Two independent routes to the same verdict disagreed."""
 
 
-class DimensionTooLargeError(MatchcoverError):
-    """Explicit subspace enumeration was refused: 2^dim too large."""
-
-
 class InvalidParameterError(MatchcoverError, ValueError):
     """A construction parameter is out of range."""
 

@@ -11,13 +11,9 @@ row and an insert finds its place by bisection.
 from __future__ import annotations
 
 from bisect import bisect
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .errors import DimensionMismatch, DimensionTooLargeError
-
-
-def _lowest_bit(x: int) -> int:
-    return (x & -x).bit_length() - 1
+from .errors import DimensionMismatch
 
 
 class Gf2Subspace:
@@ -96,17 +92,6 @@ class Gf2Subspace:
                     vec |= p
             comp.insert(vec)
         return comp
-
-    def members(self, max_dim: int = 24) -> Iterator[int]:
-        """All 2^dim members once each, Gray-code order over the basis."""
-        if self.dim > max_dim:
-            raise DimensionTooLargeError(
-                f"dim {self.dim} exceeds enumeration limit {max_dim}")
-        cur = 0
-        yield cur
-        for i in range(1, 1 << self.dim):
-            cur ^= self._rows[_lowest_bit(i)]
-            yield cur
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Gf2Subspace):

@@ -44,7 +44,7 @@ from matchcover.feasibility import (
 )
 from matchcover.graph import EdgeSet, is_bipartite, vertex_connectivity_at_least
 from matchcover.matching import enumerate_perfect_matchings, is_matching_covered
-from matchcover.suites import enumerate_nf, run_suite
+from matchcover.suites import run_suite
 
 
 def _verdict(num, label, ok, elapsed, budget):
@@ -63,7 +63,8 @@ def test_criterion_01_k4_baseline(capsys):
           and rep.dims == {"D": 2, "nF": 4, "cut": 3, "E_in_cut": False})
     # brute-force subset oracle over all 2^6 edge sets
     brute = brute_nf_masks(g)
-    alg = {x.mask for x in enumerate_nf(g)}
+    nf = parity_spaces(g).nF
+    alg = {x for x in range(1 << g.m) if nf.contains(x)}
     ok = ok and alg == brute and len(brute) == 2 ** 4
     with capsys.disabled():
         _verdict(1, "k4 baseline", ok, time.perf_counter() - t0, 1.0)
@@ -94,7 +95,9 @@ def test_criterion_03_oracle_equivalence(capsys):
     for entry in small_corpus():
         g = entry.graph
         assert g.m <= 14
-        if brute_nf_masks(g) != {x.mask for x in enumerate_nf(g)}:
+        nf = parity_spaces(g).nF
+        if brute_nf_masks(g) != {x for x in range(1 << g.m)
+                                 if nf.contains(x)}:
             ok = False
         checked += 1
     ok = ok and checked >= 5

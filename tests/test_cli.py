@@ -17,6 +17,7 @@ from matchcover.matching import MatchingCoveredResult
 from matchcover.errors import BudgetExhaustedError
 from matchcover.feasibility import nf_star_report
 from matchcover.formats import write_graph
+from matchcover.suites import SUITES
 
 
 @pytest.fixture
@@ -132,11 +133,14 @@ def test_verify_that_checks_nothing_fails(suite, capsys):
 
 
 def test_verify_refuses_negative_trials(capsys):
-    rc = main(["verify", "sep-invariance", "--trials", "-5"])
-    cap = capsys.readouterr()
-    assert rc == 2
-    assert cap.out == ""
-    assert cap.err.splitlines() == ["error: trials must be >= 0, not -5"]
+    # zero trials would pass checks that tested nothing
+    for trials in ("-5", "0"):
+        rc = main(["verify", "sep-invariance", "--trials", trials])
+        cap = capsys.readouterr()
+        assert rc == 2
+        assert cap.out == ""
+        assert cap.err.splitlines() == [
+            f"error: trials must be >= 1, not {trials}"]
 
 
 def test_usage_errors():
@@ -276,7 +280,10 @@ def test_no_user_facing_path_enumerates(tmp_path, monkeypatch, capsys):
                  ["decompose", str(p), "--json"],
                  ["construct", "qr", "--strict"],
                  ["construct", "splice", "--strict"],
-                 ["construct", "star", "--r", "4", "--k", "4", "--strict"]):
+                 ["construct", "star", "--r", "4", "--k", "4", "--strict"],
+                 # only oracle-nf's brute-force oracle may enumerate
+                 *(["verify", suite] for suite in SUITES
+                   if suite != "oracle-nf")):
         assert main(argv) == 0, argv
         capsys.readouterr()
     assert len(build_corpus()) == 20
