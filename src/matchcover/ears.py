@@ -26,11 +26,12 @@ candidate (its ends have degree >= 3 unless the graph is an even cycle),
 so a matching-covered remainder always has a removable ear; if none is
 found, CrossCheckError is raised.
 
-Validation instead uses the ear lemma with networkx's blossom matching.
-If G_{i-1} is matching-covered, adding a single ear with ends u, v keeps
-it so iff G_{i-1} - u - v has a perfect matching (so u != v), and adding
-a double ear (P_1, P_2) does iff, for each j, G_{i-1} - ends(P_j) or
-G_{i-1} - ends(P_1) - ends(P_2) has one.
+Validation instead uses the ear lemma, answered by the blossom kernel of
+`matching.py` from a perfect matching of G_{i-1} carried along the
+decomposition.  If G_{i-1} is matching-covered, adding a single ear with
+ends u, v keeps it so iff G_{i-1} - u - v has a perfect matching (so
+u != v), and adding a double ear (P_1, P_2) does iff, for each j,
+G_{i-1} - ends(P_j) or G_{i-1} - ends(P_1) - ends(P_2) has one.
 
 `classify_nf_star` decides whether nF* is empty from a decomposition.
 Its one costly case is subspace algebra on the span DP of `span.py`, run
@@ -48,7 +49,7 @@ from .errors import CrossCheckError, NotMatchingCoveredError
 from .feasibility import parity_spaces
 from .gf2 import Gf2Subspace
 from .graph import EdgeSet, Graph, is_bipartite, is_connected, map_mask
-from .matching import has_perfect_matching
+from .matching import check_perfect, rematch_without
 from .span import matching_span, span_matching_covered
 
 
@@ -307,13 +308,24 @@ class ValidationResult:
 
 def validate_decomposition(g: Graph, d: EarDecomposition) -> ValidationResult:
     """Re-check every clause of the decomposition definition, each prefix
-    by the ear lemma, a route that shares nothing with the search's DP."""
+    by the ear lemma, a route that shares nothing with the search's DP.
+
+    A PM of each prefix is carried along, on neighbour lists in g's ids:
+    the base edge, then each ear's internal vertices paired along its
+    path (an odd path has an even number of them), re-checked after each
+    ear.  Each lemma question starts from it (`rematch_without`).
+    """
     u0, v0 = d.base_vertices
     bu, bv = g.edges[d.base_edge]
     if {u0, v0} != {bu, bv}:
         return ValidationResult(False, "base is not the K2 edge", 0)
     cur_v = {u0, v0}
     cur_e = {d.base_edge}
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    mate = [-1] * g.n
+    adj[u0].append(v0)
+    adj[v0].append(u0)
+    mate[u0], mate[v0] = v0, u0
     for i, step in enumerate(d.steps, start=1):
         ear = step.ear
         if ear.kind not in ("single", "double"):
@@ -325,7 +337,6 @@ def validate_decomposition(g: Graph, d: EarDecomposition) -> ValidationResult:
             vb = {ear.paths[1].end_u, ear.paths[1].end_v, *ear.paths[1].internal}
             if va & vb:
                 return ValidationResult(False, "double-ear paths share a vertex", i)
-        prior_e = tuple(cur_e)
         for p in ear.paths:
             if p.length % 2 == 0:
                 return ValidationResult(False, "odd length", i)
@@ -342,22 +353,30 @@ def validate_decomposition(g: Graph, d: EarDecomposition) -> ValidationResult:
             cur_e.update(p.edge_ids)
         if set(step.vertices) != cur_v or set(step.edge_ids) != cur_e:
             return ValidationResult(False, "step vertex/edge sets mismatch", i)
-        if not _ear_keeps_matching_covered(g, prior_e, ear):
+        if not _ear_keeps_matching_covered(adj, mate, ear):
             return ValidationResult(False, "intermediate graph not matching-covered", i)
+        for p in ear.paths:
+            seq = (p.end_u, *p.internal, p.end_v)
+            for a, b in zip(seq, seq[1:]):
+                adj[a].append(b)
+                adj[b].append(a)
+            for a, b in zip(p.internal[::2], p.internal[1::2]):
+                mate[a], mate[b] = b, a
+        check_perfect(adj, mate)
     if cur_e != set(range(g.m)) or cur_v != set(range(g.n)):
         return ValidationResult(False, "decomposition does not reach G", len(d.steps))
     return ValidationResult(True, None, None)
 
 
-def _ear_keeps_matching_covered(g: Graph, prior_edges: tuple[int, ...],
+def _ear_keeps_matching_covered(adj: list[list[int]], mate: list[int],
                                 ear: Ear) -> bool:
-    """The ear lemma on g's subgraph on prior_edges (a closed ear fails)."""
-    prev, _, vmap = g.edge_subgraph(prior_edges)
+    """The ear lemma on the prefix with neighbour lists adj and PM mate
+    (a closed ear fails)."""
     ends = [(p.end_u, p.end_v) for p in ear.paths]
 
     def pm_without(*pairs: tuple[int, int]) -> bool:
-        h, _, _ = prev.delete_vertices(vmap[x] for pair in pairs for x in pair)
-        return has_perfect_matching(h)
+        return rematch_without(
+            adj, mate, [x for pair in pairs for x in pair]) is not None
 
     if len(ends) == 1:
         return pm_without(ends[0])

@@ -11,9 +11,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from typing import ClassVar, Iterable, Optional
 
 import networkx as nx
+from networkx.algorithms.connectivity import (
+    build_auxiliary_node_connectivity, local_node_connectivity,
+    minimum_st_node_cut)
+from networkx.algorithms.flow import build_residual_network
 
 from .errors import CrossCheckError, DimensionMismatch, InvalidParameterError
 from .gf2 import Gf2Subspace
@@ -372,10 +377,12 @@ class ConnectivityResult:
 def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
     """Exact k-connectivity test.
 
-    κ is computed once, by Even's flow-based method as networkx implements
-    it, on the simple graph underneath g (parallel edges do not change κ).
-    When κ < k, the separator is a minimum vertex cut, re-verified here:
-    it has fewer than k vertices and deleting it disconnects g.
+    κ ≥ k is decided by Even's flow-based method in the loop of
+    Esfahanian and Hakimi, as networkx's `node_connectivity` runs it, on
+    the simple graph underneath g (parallel edges do not change κ).  When
+    κ < k, the separator is the minimum vertex cut that networkx's
+    `minimum_node_cut` picks, re-verified here: it has fewer than k
+    vertices and deleting it disconnects g.
     """
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
@@ -384,11 +391,45 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
     if not is_connected(g):
         return ConnectivityResult(False, (), "disconnected")
     h = simple_nx_graph(g)
-    if nx.node_connectivity(h) >= k:
+    aux = build_auxiliary_node_connectivity(h)
+    res = build_residual_network(aux, "capacity")
+    try:
+        cut = _vertex_cut_below(h, aux, res, k)
+    finally:
+        # networkx caches views on a graph (G.edges, G.degree) that point
+        # back at it; dropping them lets these graphs die by reference
+        # counting instead of waiting for a full garbage collection
+        for nxg in (h, aux, res):
+            vars(nxg).clear()
+    if cut is None:
         return ConnectivityResult(True, None, None)
-    sep = tuple(sorted(nx.minimum_node_cut(h)))
+    sep = tuple(sorted(cut))
     rest, _, _ = g.delete_vertices(sep)
     if len(sep) >= k or len(components(rest)) < 2:
         raise CrossCheckError(f"vertex cut {sep} does not separate the "
                               f"graph with fewer than {k} vertices")
     return ConnectivityResult(False, sep, None)
+
+
+def _vertex_cut_below(h: nx.Graph, aux: nx.DiGraph, res: nx.DiGraph,
+                      k: int) -> Optional[set[int]]:
+    """None if the connected graph h is k-connected, else a minimum
+    vertex cut.  κ(h) is the least of the minimum degree, at a vertex v,
+    and the local connectivities of v and each non-neighbour and of each
+    non-adjacent pair of v's neighbours, all on one auxiliary digraph and
+    residual network."""
+    v = min(h, key=h.degree)
+    pairs = [(v, w) for w in set(h) - set(h[v]) - {v}]
+    pairs += [(x, y) for x, y in combinations(h[v], 2) if y not in h[x]]
+    if h.degree(v) >= k and all(
+            local_node_connectivity(h, s, t, auxiliary=aux, residual=res,
+                                    cutoff=k) >= k
+            for s, t in pairs):
+        return None
+    cut = set(h[v])
+    # ties go to the later pair, as in networkx's minimum_node_cut
+    for s, t in pairs:
+        this = minimum_st_node_cut(h, s, t, auxiliary=aux, residual=res)
+        if len(cut) >= len(this):
+            cut = this
+    return cut

@@ -1,36 +1,169 @@
 """Maximum matching, perfect-matching enumeration, matching-covered test.
 
-Maximum cardinality matching is delegated to networkx's blossom
-implementation.  Enumeration is our own DFS kernel (see kernels.py), the
-ground truth of the verification suites; no verdict is built on it.  The
+Every perfect-matching (PM) question is answered by one pure-Python
+cardinality-blossom kernel, `_augment`: one search of Edmonds's
+algorithm from an exposed vertex.  A maximum matching is a greedy start
+plus one search per exposed vertex; whether G - S has a PM, given a PM
+of G, takes one search per vertex that losing S leaves exposed
+(`rematch_without`).  Every matching the kernel reports is re-checked
+by `check_perfect`, and a "no PM" answer is exact by Berge's theorem.
+Enumeration is our own DFS kernel (see kernels.py), the ground truth of
+the verification suites; no verdict is built on it.  The
 matching-covered test enumerates nothing and shares nothing with the
 span DP of `span.py`, so the two cross-check each other.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Collection, Optional, Sequence
 
 import networkx as nx
 
 from . import kernels
-from .errors import InvalidParameterError
+from .errors import CrossCheckError, InvalidParameterError
 from .graph import (EdgeSet, Graph, VertexSet, is_bipartite, is_connected,
                     simple_nx_graph)
 
 DEFAULT_CAP = 1_000_000
 
 
+def _adjacency(g: Graph) -> list[list[int]]:
+    """Neighbour lists of g, parallel edges collapsed."""
+    return [list(dict.fromkeys(w for w, _ in nbrs)) for nbrs in g.adjacency()]
+
+
+def _augment(adj: Sequence[Sequence[int]], mate: list[int], root: int,
+             removed: Collection[int]) -> bool:
+    """One search of Edmonds's blossom algorithm ("Paths, trees, and
+    flowers", 1965) from the exposed vertex root of the graph on adj less
+    the vertices in removed: grow an alternating BFS tree, contract each
+    odd cycle it closes into its base, and flip the first augmenting path
+    into mate (-1 marks an exposed vertex).  False iff there is none."""
+    n = len(adj)
+    base = list(range(n))
+    parent = [-1] * n           # tree parent of each odd vertex
+    outer = [False] * n
+    outer[root] = True
+    queue = deque([root])
+
+    def lca(a: int, b: int) -> int:
+        """The base of the blossom that the tree paths of a and b close."""
+        seen = set()
+        while True:
+            a = base[a]
+            seen.add(a)
+            if mate[a] == -1:
+                break
+            a = parent[mate[a]]
+        while base[b] not in seen:
+            b = parent[mate[base[b]]]
+        return base[b]
+
+    def mark(v: int, b: int, child: int, blossom: set) -> None:
+        while base[v] != b:
+            blossom.update((base[v], base[mate[v]]))
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if w in removed or base[v] == base[w] or mate[v] == w:
+                continue
+            if w == root or mate[w] != -1 and parent[mate[w]] != -1:
+                b = lca(v, w)
+                blossom: set[int] = set()
+                mark(v, b, w, blossom)
+                mark(w, b, v, blossom)
+                for x in range(n):
+                    if base[x] in blossom:
+                        base[x] = b
+                        if not outer[x]:
+                            outer[x] = True
+                            queue.append(x)
+            elif parent[w] == -1:
+                parent[w] = v
+                if mate[w] == -1:
+                    while w != -1:
+                        v = parent[w]
+                        w_next = mate[v]
+                        mate[v], mate[w] = w, v
+                        w = w_next
+                    return True
+                outer[mate[w]] = True
+                queue.append(mate[w])
+    return False
+
+
+def check_perfect(adj: Sequence[Sequence[int]], mate: Sequence[int],
+                   removed: Collection[int] = ()) -> None:
+    """Raise CrossCheckError unless mate pairs every vertex of the graph
+    on adj (every vertex with a neighbour) outside removed with one of
+    its neighbours, both ways, and leaves every other vertex exposed."""
+    for v, w in enumerate(mate):
+        live = bool(adj[v]) and v not in removed
+        if (w != -1) != live or live and (
+                w in removed or mate[w] != v or w not in adj[v]):
+            raise CrossCheckError(f"a reported perfect matching is not "
+                                  f"one at vertex {v}")
+
+
+def _maximum_matching(adj: Sequence[Sequence[int]]) -> list[int]:
+    """A maximum matching as a mate list: a greedy start, then one
+    augmenting search per exposed vertex."""
+    mate = [-1] * len(adj)
+    for v, nbrs in enumerate(adj):
+        for w in nbrs:
+            if mate[v] == mate[w] == -1:
+                mate[v], mate[w] = w, v
+    greedy = mate.count(-1)
+    grown = sum(1 for v in range(len(adj))
+                if mate[v] == -1 and _augment(adj, mate, v, ()))
+    exposed = {v for v, w in enumerate(mate) if w == -1}
+    if len(exposed) != greedy - 2 * grown:
+        raise CrossCheckError("the blossom kernel reported an augmenting "
+                              "path that it did not flip")
+    check_perfect(adj, mate, exposed)
+    return mate
+
+
+def rematch_without(adj: Sequence[Sequence[int]], mate: Sequence[int],
+                    drop: Sequence[int]) -> Optional[list[int]]:
+    """A PM of the graph on adj less the vertices in drop, grown from a
+    PM mate of the whole graph, or None when there is none.
+
+    Each vertex whose mate is dropped is left exposed and gets one
+    augmenting search; a failed search proves that no PM exists, since a
+    PM P would make mate ⊕ P hold an augmenting path from that vertex.
+    """
+    removed = set(drop)
+    trial = list(mate)
+    exposed = []
+    for x in removed:
+        y, trial[x] = trial[x], -1
+        if y != -1 and y not in removed:
+            trial[y] = -1
+            exposed.append(y)
+    for y in exposed:
+        if trial[y] == -1 and not _augment(adj, trial, y, removed):
+            return None
+    check_perfect(adj, trial, removed)
+    return trial
+
+
 def max_matching(g: Graph) -> EdgeSet:
-    """A maximum-cardinality matching, as an EdgeSet of this graph."""
-    pairs = nx.max_weight_matching(simple_nx_graph(g),
-                                  maxcardinality=True)
-    lowest: dict[frozenset[int], int] = {}
+    """A maximum-cardinality matching, as an EdgeSet of this graph; among
+    parallel edges, the lowest id."""
+    mate = _maximum_matching(_adjacency(g))
+    ids = []
     for eid, (u, v) in enumerate(g.edges):
-        key = frozenset((u, v))
-        lowest.setdefault(key, eid)
-    return g.edge_set(lowest[frozenset(p)] for p in pairs)
+        if mate[u] == v:
+            ids.append(eid)
+            mate[u] = mate[v] = -1
+    return g.edge_set(ids)
 
 
 def has_perfect_matching(g: Graph) -> bool:
@@ -74,9 +207,10 @@ def is_matching_covered(g: Graph) -> MatchingCoveredResult:
 
     Bipartite graphs take one Hopcroft-Karp matching M and the strongly
     connected components of the digraph that orients M one way and the
-    other edges back (Dulmage-Mendelsohn); other graphs take a blossom
-    matching of g - u - v for each edge uv that no perfect matching found
-    so far covers (Lovasz-Plummer, Matching Theory, 1986).
+    other edges back (Dulmage-Mendelsohn); other graphs take one PM M
+    and, for each edge uv that no PM found so far covers, one or two
+    augmenting searches for a PM of g - u - v from M (Lovasz-Plummer,
+    Matching Theory, 1986).
     """
     if g.n == 0 or not is_connected(g):
         return MatchingCoveredResult(False, "not-connected", None)
@@ -111,20 +245,23 @@ def _bipartite_uncovered_edge(g: Graph,
 
 
 def _blossom_uncovered_edge(g: Graph) -> Optional[int]:
-    """Each perfect matching found, of g - u - v plus uv, covers all its
-    edges and their parallel copies."""
-    h = simple_nx_graph(g)
-    covered: set[frozenset[int]] = set()
+    """Find one PM M of g; for each edge uv that no PM found so far
+    covers, look for a PM of g - u - v from M less u, v and their mates.
+    Each PM found, plus uv, covers its pairs and their parallel copies."""
+    adj = _adjacency(g)
+    mate = _maximum_matching(adj)
+    if -1 in mate:
+        return 0
+    covered = set(enumerate(mate))
     for eid, (u, v) in enumerate(g.edges):
-        if frozenset((u, v)) in covered:
+        if (u, v) in covered:
             continue
-        rest = h.copy()
-        rest.remove_nodes_from((u, v))
-        pairs = nx.max_weight_matching(rest, maxcardinality=True)
-        if 2 * len(pairs) < rest.number_of_nodes():
+        rest = rematch_without(adj, mate, (u, v))
+        if rest is None:
             return eid
-        covered.add(frozenset((u, v)))
-        covered.update(frozenset(p) for p in pairs)
+        rest[u], rest[v] = v, u
+        mate = rest
+        covered.update(enumerate(mate))
     return None
 
 

@@ -47,6 +47,24 @@ def brute_perfect_matchings(g: Graph) -> list[frozenset[int]]:
     return out
 
 
+def brute_matching_number(g: Graph) -> int:
+    """The size of a maximum matching: the least vertex left is either
+    unmatched or matched to one of its neighbours left."""
+    nbrs: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+
+    def rec(free: frozenset[int]) -> int:
+        if not free:
+            return 0
+        u = min(free)
+        rest = free - {u}
+        return max([rec(rest), *(1 + rec(rest - {v}) for v in nbrs[u] & rest)])
+
+    return rec(frozenset(range(g.n)))
+
+
 def brute_is_matching_covered(g: Graph) -> bool:
     from matchcover.graph import is_connected
     if g.n == 0 or not is_connected(g):

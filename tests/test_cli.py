@@ -5,6 +5,7 @@ import sys
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 import matchcover
@@ -267,6 +268,17 @@ def test_pm_count_exact_above_the_cap(tmp_path, capsys):
     assert obj["nf_star_empty"] is True and obj["nf_star_witness"] is None
 
 
+def _user_facing_commands(path: str, suites) -> list[list[str]]:
+    return [["analyze", path, "--json"],
+            ["feasible", path, "--edges", "", "--json"],
+            ["feasible", path, "--edges", "0", "--json"],
+            ["decompose", path, "--json"],
+            ["construct", "qr", "--strict"],
+            ["construct", "splice", "--strict"],
+            ["construct", "star", "--r", "4", "--k", "4", "--strict"],
+            *(["verify", suite] for suite in suites)]
+
+
 def test_no_user_facing_path_enumerates(tmp_path, monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("perfect matchings enumerated")
@@ -274,19 +286,27 @@ def test_no_user_facing_path_enumerates(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(kernels, "enumerate_perfect_matchings", refuse)
     p = tmp_path / "cycle-3xq4.json"
     write_graph(_cycle_family(3), str(p))
-    for argv in (["analyze", str(p), "--json"],
-                 ["feasible", str(p), "--edges", "", "--json"],
-                 ["feasible", str(p), "--edges", "0", "--json"],
-                 ["decompose", str(p), "--json"],
-                 ["construct", "qr", "--strict"],
-                 ["construct", "splice", "--strict"],
-                 ["construct", "star", "--r", "4", "--k", "4", "--strict"],
-                 # only oracle-nf's brute-force oracle may enumerate
-                 *(["verify", suite] for suite in SUITES
-                   if suite != "oracle-nf")):
+    # only oracle-nf's brute-force oracle may enumerate
+    for argv in _user_facing_commands(
+            str(p), [suite for suite in SUITES if suite != "oracle-nf"]):
         assert main(argv) == 0, argv
         capsys.readouterr()
     assert len(build_corpus()) == 20
+
+
+def test_no_path_runs_networkx_weighted_matching(tmp_path, monkeypatch,
+                                                 capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("networkx's max_weight_matching called")
+
+    monkeypatch.setattr(nx, "max_weight_matching", refuse)
+    monkeypatch.setattr(nx.algorithms.matching, "max_weight_matching",
+                        refuse)
+    p = tmp_path / "cycle-3xq4.json"
+    write_graph(_cycle_family(3), str(p))
+    for argv in _user_facing_commands(str(p), SUITES):
+        assert main(argv) == 0, argv
+        capsys.readouterr()
 
 
 def test_entry_point_installed():

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -237,6 +240,27 @@ def _with_ears(d, ears) -> EarDecomposition:
     return EarDecomposition(d.base_vertices, d.base_edge, tuple(steps))
 
 
+def _swapped(d, i: int, j: int) -> EarDecomposition:
+    ears = [s.ear for s in d.steps]
+    ears[i], ears[j] = ears[j], ears[i]
+    return _with_ears(d, ears)
+
+
+def _oracle_clause(g, d) -> tuple:
+    """The first step whose ear ends lie outside the prefix before it, or
+    whose prefix the oracle finds not matching-covered."""
+    cur = set(d.base_vertices)
+    for k, step in enumerate(d.steps, start=1):
+        paths = step.ear.paths
+        if any(p.end_u not in cur or p.end_v not in cur for p in paths):
+            return ("ear ends not in current subgraph", k)
+        if not brute_is_matching_covered(
+                g.edge_subgraph(step.edge_ids)[0]):
+            return ("intermediate graph not matching-covered", k)
+        cur.update(x for p in paths for x in p.internal)
+    return (None, None)
+
+
 @given(matching_covered_multigraphs(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_validation_of_swapped_steps_against_the_oracle(g, data):
@@ -245,25 +269,44 @@ def test_validation_of_swapped_steps_against_the_oracle(g, data):
         return
     i = data.draw(st.integers(0, d.r - 2))
     j = data.draw(st.integers(i + 1, d.r - 1))
-    ears = [s.ear for s in d.steps]
-    ears[i], ears[j] = ears[j], ears[i]
-    swapped = _with_ears(d, ears)
-    # the first step whose ear ends lie outside the prefix before it, or
-    # whose prefix the oracle finds not matching-covered
-    expected = (None, None)
-    cur = set(d.base_vertices)
-    for k, step in enumerate(swapped.steps, start=1):
-        paths = step.ear.paths
-        if any(p.end_u not in cur or p.end_v not in cur for p in paths):
-            expected = ("ear ends not in current subgraph", k)
-            break
-        if not brute_is_matching_covered(
-                g.edge_subgraph(step.edge_ids)[0]):
-            expected = ("intermediate graph not matching-covered", k)
-            break
-        cur.update(x for p in paths for x in p.internal)
+    swapped = _swapped(d, i, j)
     val = validate_decomposition(g, swapped)
-    assert (val.clause, val.step) == expected
+    assert (val.clause, val.step) == _oracle_clause(g, swapped)
+
+
+def test_validation_of_inserted_chord_ears():
+    """A corpus graph's decomposition grown, at each step, by one more ear
+    of one chord or two disjoint chords: the warm-started ear lemma
+    rejects it at the first step whose prefix the oracle finds not
+    matching-covered, and accepts it when there is none."""
+    rng = random.Random(3)
+    rejected = 0
+    for entry in build_corpus():
+        g = entry.graph
+        if g.n > 10:
+            continue
+        d = find_ear_decomposition(g)
+        assert validate_decomposition(g, d), entry.name
+        for i in range(d.r + 1):
+            verts = d.steps[i - 1].vertices if i else d.base_vertices
+            pairs = list(combinations(sorted(verts), 2))
+            twos = [(a, b) for a, b in combinations(pairs, 2)
+                    if not set(a) & set(b)]
+            for ends in [(p,) for p in pairs] + rng.sample(
+                    twos, min(len(twos), 8)):
+                grown_g = Graph(g.n, [*g.edges, *ends])
+                paths = tuple(EarPath(u, v, (), (g.m + k,))
+                              for k, (u, v) in enumerate(ends))
+                ears = [s.ear for s in d.steps]
+                ears.insert(i, Ear(("single", "double")[len(paths) - 1],
+                                   paths))
+                grown = _with_ears(d, ears)
+                val = validate_decomposition(grown_g, grown)
+                expected = _oracle_clause(grown_g, grown)
+                assert (val.clause, val.step) == expected, (entry.name, ends)
+                rejected += expected[0] == ("intermediate graph not "
+                                            "matching-covered")
+    assert rejected >= 100, rejected
 
 
 @given(matching_covered_multigraphs(), st.data())

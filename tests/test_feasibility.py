@@ -279,8 +279,7 @@ def test_nf_star_report_matches_oracle_on_random_multigraphs(g):
 _LYING_ROUTES = textwrap.dedent("""
     import sys
     from dataclasses import replace
-    import networkx as nx
-    from matchcover import cli, ears, feasibility, kernels, matching
+    from matchcover import cli, ears, feasibility, graph, kernels, matching
     from matchcover.constructions import (chromatic_index_exact,
                                           complete_graph, cube_graph,
                                           petersen)
@@ -347,6 +346,14 @@ _LYING_ROUTES = textwrap.dedent("""
     MatchingSpan.parity_counts = lambda self, mask: (1, 1)
     expect("nF basis", lambda: is_feasible(fresh, fresh.empty_edge_set()))
     MatchingSpan.parity_counts = parity_counts
+    # a blossom kernel that reports augmenting paths it never flips
+    augment = matching._augment
+    matching._augment = lambda adj, mate, root, removed: True
+    expect("blossom kernel in is_matching_covered",
+           lambda: matching.is_matching_covered(g))
+    expect("blossom kernel in validate_decomposition",
+           lambda: ears.validate_decomposition(g, d))
+    matching._augment = augment
     # the cube is bipartite and matching-covered
     matching._bipartite_uncovered_edge = lambda h, side: 0
     expect("bipartite matching-covered route",
@@ -355,7 +362,7 @@ _LYING_ROUTES = textwrap.dedent("""
         lambda g: MatchingCoveredResult(False, "uncovered-edge", 0))
     expect("analyze_graph", lambda: cli.analyze_graph(g))
     # Petersen is 3-connected; a cut of size 0 separates nothing
-    nx.minimum_node_cut = lambda h: set()
+    graph._vertex_cut_below = lambda h, aux, res, k: set()
     expect("vertex_connectivity_at_least",
            lambda: vertex_connectivity_at_least(g, 4))
     # a kernel that gives every edge colour 1
@@ -380,6 +387,8 @@ def test_cross_checks_raise_under_python_O():
         "_assemble raised", "no removable ear raised",
         "dependence masks raised",
         "single-ear mode raised", "PM pairs raised", "nF basis raised",
+        "blossom kernel in is_matching_covered raised",
+        "blossom kernel in validate_decomposition raised",
         "bipartite matching-covered route raised", "analyze_graph raised",
         "vertex_connectivity_at_least raised", "chromatic_index_exact raised",
         "switch witness raised", "optimize 1", ""]

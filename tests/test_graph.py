@@ -1,3 +1,6 @@
+import gc
+
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -134,6 +137,27 @@ def test_vertex_connectivity_petersen():
     assert sep is not None and len(sep) == 3
     h, _, _ = g.delete_vertices(sep)
     assert not is_connected(h)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_vertex_connectivity_leaves_no_networkx_graph_to_collect(k):
+    """The flow graphs die by reference counting when the call returns,
+    on the passing route and on the minimum-cut route, with no cycle
+    left for the garbage collector."""
+    g = petersen()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert vertex_connectivity_at_least(g, k).ok == (k == 3)
+        gc.collect()
+        left = [type(o).__name__ for o in gc.garbage
+                if isinstance(o, nx.Graph)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert left == []
 
 
 def test_vertex_connectivity_complete_bipartite():

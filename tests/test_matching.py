@@ -1,8 +1,13 @@
+import random
+from itertools import combinations
+
+import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies
-from oracles import brute_is_matching_covered, brute_perfect_matchings
+from oracles import (brute_is_matching_covered, brute_matching_number,
+                     brute_perfect_matchings)
 
 from matchcover.constructions import (
     complete_bipartite,
@@ -12,13 +17,17 @@ from matchcover.constructions import (
     petersen,
 )
 from matchcover.corpus import build_corpus
+from matchcover.ears import find_ear_decomposition
 from matchcover.graph import Graph, is_connected
 from matchcover.matching import (
+    _adjacency,
+    _maximum_matching,
     enumerate_perfect_matchings,
     has_perfect_matching,
     is_matching_covered,
     is_nice_subgraph,
     max_matching,
+    rematch_without,
 )
 from matchcover.span import span_matching_covered
 
@@ -77,6 +86,59 @@ def test_max_matching_and_has_perfect():
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     assert len(max_matching(star)) == 1
     assert not has_perfect_matching(star)
+
+
+@given(st.one_of(strategies.multigraphs(max_edges=18),
+                 strategies.matching_covered_multigraphs()))
+@settings(max_examples=200, deadline=None)
+def test_max_matching_matches_oracle_on_random_multigraphs(g):
+    mm = max_matching(g)
+    ends = [w for eid in mm.ids() for w in g.edges[eid]]
+    assert len(ends) == len(set(ends))
+    assert len(mm) == brute_matching_number(g)
+    assert has_perfect_matching(g) == bool(brute_perfect_matchings(g))
+    # among parallel copies, the lowest id
+    for eid in mm.ids():
+        assert g.edges[eid] not in g.edges[:eid]
+        assert g.edges[eid][::-1] not in g.edges[:eid]
+
+
+def test_max_matching_matches_networkx_weighted_matching():
+    rng = random.Random(14)
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        p = rng.random()
+        edges = [(u, v) for u, v in combinations(range(n), 2)
+                 if rng.random() < p]
+        h = nx.Graph(edges)
+        h.add_nodes_from(range(n))
+        assert len(max_matching(Graph(n, edges))) == len(
+            nx.max_weight_matching(h, maxcardinality=True)), (n, edges)
+
+
+def test_rematch_without_matches_oracle_on_ear_prefixes():
+    """From one perfect matching of each ear-decomposition prefix, the
+    warm-started search decides whether the prefix less two or four
+    vertices has a perfect matching."""
+    rng = random.Random(5)
+    for entry in build_corpus():
+        g = entry.graph
+        if g.n > 10:
+            continue
+        d = find_ear_decomposition(g)
+        for i in range(d.r + 1):
+            prefix, _, _ = g.edge_subgraph(d.prefix_edges(i))
+            adj = _adjacency(prefix)
+            mate = _maximum_matching(adj)
+            drops = []
+            for size in (2, 4):
+                subsets = list(combinations(range(prefix.n), size))
+                drops += rng.sample(subsets, min(len(subsets), 12))
+            for drop in drops:
+                rest = prefix.delete_vertices(drop)[0]
+                found = rematch_without(adj, mate, drop)
+                assert (found is not None) == bool(
+                    brute_perfect_matchings(rest)), (entry.name, i, drop)
 
 
 def test_is_matching_covered_agrees_with_oracle():
