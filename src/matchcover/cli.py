@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from . import __version__
@@ -244,7 +245,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if rep.passed else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    call of `main`; parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="matchcover",
         description="Exact analysis of feasible edge sets in "

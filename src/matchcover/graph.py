@@ -4,7 +4,8 @@ Edge identity is always by id, never by endpoint pair: ear machinery and
 the splice constructions create parallel edges that must stay
 distinguishable.  All values are immutable after construction; deletion
 returns a fresh graph together with old-id -> new-id maps.  Vertex
-connectivity is computed by networkx on the simple graph underneath.
+connectivity is a unit-capacity flow kernel on flat integer arrays, run
+on the simple graph underneath.
 """
 
 from __future__ import annotations
@@ -13,12 +14,6 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import ClassVar, Iterable, Optional
-
-import networkx as nx
-from networkx.algorithms.connectivity import (
-    build_auxiliary_node_connectivity, local_node_connectivity,
-    minimum_st_node_cut)
-from networkx.algorithms.flow import build_residual_network
 
 from .errors import CrossCheckError, DimensionMismatch, InvalidParameterError
 from .gf2 import Gf2Subspace
@@ -312,16 +307,6 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(components(g)) == 1
 
 
-def simple_nx_graph(g: Graph) -> nx.Graph:
-    """The simple graph underneath g, for networkx.  Parallel edges
-    collapse, which changes neither the maximum matching size nor the
-    vertex connectivity."""
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges)
-    return h
-
-
 @dataclass(frozen=True)
 class BipartiteResult:
     bipartite: bool
@@ -374,15 +359,25 @@ class ConnectivityResult:
         return self.ok
 
 
-def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
-    """Exact k-connectivity test.
 
-    κ ≥ k is decided by Even's flow-based method in the loop of
-    Esfahanian and Hakimi, as networkx's `node_connectivity` runs it, on
-    the simple graph underneath g (parallel edges do not change κ).  When
-    κ < k, the separator is the minimum vertex cut that networkx's
-    `minimum_node_cut` picks, re-verified here: it has fewer than k
-    vertices and deleting it disconnects g.
+
+def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
+    """Exact k-connectivity test on the simple graph underneath g
+    (parallel edges do not change κ).
+
+    κ is the least of the minimum degree δ, at a vertex v of degree δ,
+    and the local connectivities of v and each non-neighbour and of each
+    non-adjacent pair of v's neighbours (Esfahanian and Hakimi, 1984).
+    Each local connectivity is a maximum flow on Even's split network
+    (1975), built once, stopped at a cutoff that starts at min(k, δ) and
+    drops to each smaller flow found.  When κ ≥ k, each pair's k paths
+    are walked out of its flow and checked to be s-t paths of g with no
+    inner vertex in common (Menger's certificate).  When κ < k, the
+    separator is a minimum vertex cut: the vertices whose in-node the
+    last pair that lowered the cutoff still reaches in its residual
+    network and whose out-node it does not, or v's neighbours when no
+    pair went below δ.  Its size must equal that flow, below k, and
+    deleting it must disconnect g.
     """
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
@@ -390,46 +385,126 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
         return ConnectivityResult(False, None, f"n={g.n} <= k={k}")
     if not is_connected(g):
         return ConnectivityResult(False, (), "disconnected")
-    h = simple_nx_graph(g)
-    aux = build_auxiliary_node_connectivity(h)
-    res = build_residual_network(aux, "capacity")
-    try:
-        cut = _vertex_cut_below(h, aux, res, k)
-    finally:
-        # networkx caches views on a graph (G.edges, G.degree) that point
-        # back at it; dropping them lets these graphs die by reference
-        # counting instead of waiting for a full garbage collection
-        for nxg in (h, aux, res):
-            vars(nxg).clear()
-    if cut is None:
+    nbrs = [{w for w, _ in a} for a in g.adjacency()]
+    v = min(range(g.n), key=lambda x: len(nbrs[x]))
+    near = sorted(nbrs[v])
+    pairs = [(v, w) for w in range(g.n) if w != v and w not in nbrs[v]]
+    pairs += [(x, y) for x, y in combinations(near, 2) if y not in nbrs[x]]
+    head, cap0, out = _split_network(nbrs)
+    cutoff = min(k, len(near))
+    reached = None
+    for s, t in pairs:
+        src, snk = 2 * s + 1, 2 * t
+        cap = cap0[:]
+        flow, seen = _max_flow(head, cap, out, src, snk, cutoff)
+        if flow < cutoff:
+            cutoff, reached = flow, seen
+        elif cutoff == k:
+            _check_menger(nbrs, s, t, k,
+                          _flow_paths(head, cap, cap0, out, src, snk, k))
+    if cutoff == k:
         return ConnectivityResult(True, None, None)
-    sep = tuple(sorted(cut))
+    if reached is None:
+        sep = tuple(near)
+    else:
+        sep = tuple(x for x in range(g.n)
+                    if reached[2 * x] != -1 and reached[2 * x + 1] == -1)
     rest, _, _ = g.delete_vertices(sep)
-    if len(sep) >= k or len(components(rest)) < 2:
-        raise CrossCheckError(f"vertex cut {sep} does not separate the "
-                              f"graph with fewer than {k} vertices")
+    if len(sep) != cutoff or len(sep) >= k or len(components(rest)) < 2:
+        raise CrossCheckError(f"vertex cut {sep} is not a separator of "
+                              f"{cutoff} < {k} vertices")
     return ConnectivityResult(False, sep, None)
 
 
-def _vertex_cut_below(h: nx.Graph, aux: nx.DiGraph, res: nx.DiGraph,
-                      k: int) -> Optional[set[int]]:
-    """None if the connected graph h is k-connected, else a minimum
-    vertex cut.  κ(h) is the least of the minimum degree, at a vertex v,
-    and the local connectivities of v and each non-neighbour and of each
-    non-adjacent pair of v's neighbours, all on one auxiliary digraph and
-    residual network."""
-    v = min(h, key=h.degree)
-    pairs = [(v, w) for w in set(h) - set(h[v]) - {v}]
-    pairs += [(x, y) for x, y in combinations(h[v], 2) if y not in h[x]]
-    if h.degree(v) >= k and all(
-            local_node_connectivity(h, s, t, auxiliary=aux, residual=res,
-                                    cutoff=k) >= k
-            for s, t in pairs):
-        return None
-    cut = set(h[v])
-    # ties go to the later pair, as in networkx's minimum_node_cut
-    for s, t in pairs:
-        this = minimum_st_node_cut(h, s, t, auxiliary=aux, residual=res)
-        if len(cut) >= len(this):
-            cut = this
-    return cut
+def _split_network(nbrs: list[set[int]]) -> tuple[list[int], list[int],
+                                                   list[list[int]]]:
+    """Even's split digraph of the graph on nbrs, as flat arc lists
+    (head, capacity) and one list of arc ids per node.
+
+    Node 2v is v_in and 2v+1 is v_out.  Each vertex has an arc v_in ->
+    v_out of capacity 1, each ordered adjacent pair (u, w) an arc u_out
+    -> w_in of capacity n, so every minimum cut is made of vertex arcs;
+    arc a ^ 1 is the reverse of arc a, with capacity 0.
+    """
+    n = len(nbrs)
+    head: list[int] = []
+    cap: list[int] = []
+    out: list[list[int]] = [[] for _ in range(2 * n)]
+    for u in range(n):
+        for a, b, c in [(2 * u, 2 * u + 1, 1),
+                        *((2 * u + 1, 2 * w, n) for w in sorted(nbrs[u]))]:
+            out[a].append(len(head))
+            head.append(b)
+            cap.append(c)
+            out[b].append(len(head))
+            head.append(a)
+            cap.append(0)
+    return head, cap, out
+
+
+def _max_flow(head: list[int], cap: list[int], out: list[list[int]],
+              src: int, snk: int, cutoff: int) -> tuple[int, Optional[list[int]]]:
+    """Augment one unit at a time along BFS paths of the residual network
+    cap (updated in place) until the flow from src to snk reaches cutoff.
+    Returns the flow and, when it stays below cutoff, the last BFS's
+    arc into each node it reached (-1 for a node not reached)."""
+    flow = 0
+    while flow < cutoff:
+        pred = [-1] * len(out)
+        pred[src] = -2
+        queue = [src]
+        for x in queue:
+            for a in out[x]:
+                if cap[a]:
+                    y = head[a]
+                    if pred[y] == -1:
+                        pred[y] = a
+                        queue.append(y)
+            if pred[snk] != -1:
+                break
+        else:
+            return flow, pred
+        y = snk
+        while y != src:
+            a = pred[y]
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+            y = head[a ^ 1]
+        flow += 1
+    return flow, None
+
+
+def _flow_paths(head: list[int], cap: list[int], cap0: list[int],
+                out: list[list[int]], src: int, snk: int,
+                k: int) -> list[list[int]]:
+    """k paths from src to snk walked out of the flow cap0 - cap, each as
+    the vertex of src followed by the vertices whose in-nodes it enters."""
+    left = [c0 - c for c0, c in zip(cap0, cap)]
+    paths = []
+    for _ in range(k):
+        x, path = src, [src >> 1]
+        while x != snk:
+            a = next((a for a in out[x] if left[a] > 0), None)
+            if a is None:
+                raise CrossCheckError(f"the flow from {src >> 1} to "
+                                      f"{snk >> 1} is not {k} paths")
+            left[a] -= 1
+            x = head[a]
+            if not x & 1:
+                path.append(x >> 1)
+        paths.append(path)
+    return paths
+
+
+def _check_menger(nbrs: list[set[int]], s: int, t: int, k: int,
+                  paths: list[list[int]]) -> None:
+    """Raise CrossCheckError unless paths are k s-t paths of the graph on
+    nbrs with no inner vertex in common, so κ(s, t) ≥ k by Menger."""
+    inner = [x for p in paths for x in p[1:-1]]
+    if (len(paths) != k or len(set(inner)) != len(inner)
+            or s in inner or t in inner
+            or any(p[0] != s or p[-1] != t
+                   or any(b not in nbrs[a] for a, b in zip(p, p[1:]))
+                   for p in paths)):
+        raise CrossCheckError(f"the flow from {s} to {t} is not {k} "
+                              f"internally disjoint paths")

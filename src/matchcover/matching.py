@@ -19,12 +19,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Collection, Optional, Sequence
 
-import networkx as nx
-
 from . import kernels
 from .errors import CrossCheckError, InvalidParameterError
-from .graph import (EdgeSet, Graph, VertexSet, is_bipartite, is_connected,
-                    simple_nx_graph)
+from .graph import EdgeSet, Graph, VertexSet, is_bipartite, is_connected
 
 DEFAULT_CAP = 1_000_000
 
@@ -205,12 +202,12 @@ def is_matching_covered(g: Graph) -> MatchingCoveredResult:
     """Connected and every edge lies in some perfect matching; when not,
     why, with the lowest-id edge in no perfect matching.
 
-    Bipartite graphs take one Hopcroft-Karp matching M and the strongly
-    connected components of the digraph that orients M one way and the
-    other edges back (Dulmage-Mendelsohn); other graphs take one PM M
-    and, for each edge uv that no PM found so far covers, one or two
-    augmenting searches for a PM of g - u - v from M (Lovasz-Plummer,
-    Matching Theory, 1986).
+    Both routes start from one PM M of the blossom kernel.  Bipartite
+    graphs take the strongly connected components of the digraph that
+    orients M one way and the other edges back (Dulmage-Mendelsohn);
+    other graphs take, for each edge uv that no PM found so far covers,
+    one or two augmenting searches for a PM of g - u - v from M
+    (Lovasz-Plummer, Matching Theory, 1986).
     """
     if g.n == 0 or not is_connected(g):
         return MatchingCoveredResult(False, "not-connected", None)
@@ -230,18 +227,59 @@ def _bipartite_uncovered_edge(g: Graph,
     """An edge outside a perfect matching M lies in another one iff it
     lies on an M-alternating cycle: iff its ends share a strongly
     connected component once M points from side 0 to side 1 and the
-    other edges point back."""
-    h = simple_nx_graph(g)
-    mate = nx.bipartite.hopcroft_karp_matching(
-        h, [v for v in range(g.n) if side[v] == 0])
-    if len(mate) < g.n:
+    other edges point back.  The edges in no PM do not depend on M."""
+    adj = _adjacency(g)
+    mate = _maximum_matching(adj)
+    if -1 in mate:
         return 0
-    arcs = [(a, b) if side[a] == 0 else (b, a) for a, b in h.edges]
-    dg = nx.DiGraph([(a, b) if mate[a] == b else (b, a) for a, b in arcs])
-    comp = {v: i for i, scc in enumerate(nx.strongly_connected_components(dg))
-            for v in scc}
+    succ = [[mate[a]] if side[a] == 0 else [b for b in nbrs if b != mate[a]]
+            for a, nbrs in enumerate(adj)]
+    comp = _strong_components(succ)
     return next((eid for eid, (u, v) in enumerate(g.edges)
                  if mate[u] != v and comp[u] != comp[v]), None)
+
+
+def _strong_components(succ: Sequence[Sequence[int]]) -> list[int]:
+    """Strongly connected component id of each node of the digraph on
+    successor lists succ, by Tarjan's algorithm (1972) run iteratively."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    stack: list[int] = []
+    count = ncomp = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, 0)]
+        while work:
+            v, i = work[-1]
+            if i < len(succ[v]):
+                work[-1] = (v, i + 1)
+                w = succ[v][i]
+                if index[w] == -1:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    work.append((w, 0))
+                elif comp[w] == -1:
+                    low[v] = min(low[v], index[w])
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    comp[w] = ncomp
+                    if w == v:
+                        break
+                ncomp += 1
+    return comp
 
 
 def _blossom_uncovered_edge(g: Graph) -> Optional[int]:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 
 import matchcover
 from matchcover import cli, kernels, span
-from matchcover.cli import main
+from matchcover.cli import build_parser, main
 from matchcover.constructions import (CyclePart, build_cycle_cl, build_qr,
                                       complete_graph, petersen)
 from matchcover.corpus import build_corpus
@@ -307,6 +308,50 @@ def test_no_path_runs_networkx_weighted_matching(tmp_path, monkeypatch,
     for argv in _user_facing_commands(str(p), SUITES):
         assert main(argv) == 0, argv
         capsys.readouterr()
+
+
+def test_no_user_facing_path_imports_networkx(tmp_path):
+    """networkx is a test dependency only: a fresh interpreter runs every
+    user-facing command without importing it."""
+    p = tmp_path / "cycle-3xq4.json"
+    write_graph(_cycle_family(3), str(p))
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from matchcover.cli import main
+        for argv in json.loads(sys.argv[1]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                if main(argv) != 0:
+                    sys.exit(f"{argv} failed")
+        print("networkx" in sys.modules)
+    """)
+    argvs = _user_facing_commands(str(p), sorted(SUITES))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_one_parser_serves_every_call(k4_file, capsys):
+    """main reuses one parser; a call's output does not depend on the
+    calls made before it in the same process."""
+    argvs = [["analyze", k4_file, "--json"], ["construct", "qr", "--strict"],
+             ["analyze", k4_file, "--json"]]
+
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr()
+
+    single = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        single.append(run(argv))
+    build_parser.cache_clear()
+    assert [run(argv) for argv in argvs] == single
+    assert single[0] == single[2] and single[0][0] == single[1][0] == 0
+    assert build_parser.cache_info().misses == 1
 
 
 def test_entry_point_installed():

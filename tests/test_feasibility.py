@@ -361,10 +361,19 @@ _LYING_ROUTES = textwrap.dedent("""
     cli.is_matching_covered = (
         lambda g: MatchingCoveredResult(False, "uncovered-edge", 0))
     expect("analyze_graph", lambda: cli.analyze_graph(g))
-    # Petersen is 3-connected; a cut of size 0 separates nothing
-    graph._vertex_cut_below = lambda h, aux, res, k: set()
+    # Petersen is 3-connected; a flow of 0 whose residual network reaches
+    # nothing gives a cut of size 0, which separates nothing
+    max_flow = graph._max_flow
+    graph._max_flow = lambda head, cap, out, src, snk, cutoff: (
+        0, [-1] * len(out))
     expect("vertex_connectivity_at_least",
            lambda: vertex_connectivity_at_least(g, 4))
+    graph._max_flow = max_flow
+    # k copies of one real path, which share its inner vertices
+    flow_paths = graph._flow_paths
+    graph._flow_paths = lambda *args: flow_paths(*args)[:1] * args[-1]
+    expect("Menger paths", lambda: vertex_connectivity_at_least(g, 3))
+    graph._flow_paths = flow_paths
     # a kernel that gives every edge colour 1
     kernels.edge_coloring = lambda n, edges, colors, budget: (
         [1] * len(edges), False)
@@ -390,5 +399,6 @@ def test_cross_checks_raise_under_python_O():
         "blossom kernel in is_matching_covered raised",
         "blossom kernel in validate_decomposition raised",
         "bipartite matching-covered route raised", "analyze_graph raised",
-        "vertex_connectivity_at_least raised", "chromatic_index_exact raised",
+        "vertex_connectivity_at_least raised", "Menger paths raised",
+        "chromatic_index_exact raised",
         "switch witness raised", "optimize 1", ""]

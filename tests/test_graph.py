@@ -1,6 +1,5 @@
 import gc
 
-import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -27,6 +26,7 @@ from matchcover.constructions import (
     cycle_graph,
     petersen,
 )
+from matchcover.matching import is_matching_covered
 
 
 def test_graph_basics():
@@ -139,20 +139,25 @@ def test_vertex_connectivity_petersen():
     assert not is_connected(h)
 
 
-@pytest.mark.parametrize("k", [3, 4])
-def test_vertex_connectivity_leaves_no_networkx_graph_to_collect(k):
-    """The flow graphs die by reference counting when the call returns,
-    on the passing route and on the minimum-cut route, with no cycle
-    left for the garbage collector."""
-    g = petersen()
+@pytest.mark.parametrize("route", ["connectivity-passes",
+                                   "connectivity-fails",
+                                   "bipartite-matching-covered"])
+def test_kernels_leave_no_cyclic_garbage(route):
+    """The flow kernel, on its passing and its failing side, and the
+    bipartite route of is_matching_covered free everything they build
+    by reference counting, with no cycle left for the garbage
+    collector."""
+    g = cube_graph() if route.startswith("bipartite") else petersen()
+    call = {"connectivity-passes": lambda: vertex_connectivity_at_least(g, 3),
+            "connectivity-fails": lambda: not vertex_connectivity_at_least(g, 4),
+            "bipartite-matching-covered": lambda: is_matching_covered(g)}[route]
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        assert vertex_connectivity_at_least(g, k).ok == (k == 3)
+        assert call()
         gc.collect()
-        left = [type(o).__name__ for o in gc.garbage
-                if isinstance(o, nx.Graph)]
+        left = [type(o).__name__ for o in gc.garbage]
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
@@ -180,6 +185,9 @@ def test_vertex_connectivity_matches_oracle(g):
         if res.separator is not None:
             assert len(res.separator) < k
             assert not is_connected(g.delete_vertices(res.separator)[0])
+        if res.separator:
+            # a minimum vertex cut: g is len(separator)-connected
+            assert brute_vertex_connectivity_at_least(g, len(res.separator))
 
 
 def test_induced_subgraph():

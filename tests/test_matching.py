@@ -18,7 +18,7 @@ from matchcover.constructions import (
 )
 from matchcover.corpus import build_corpus
 from matchcover.ears import find_ear_decomposition
-from matchcover.graph import Graph, is_connected
+from matchcover.graph import Graph, is_bipartite, is_connected
 from matchcover.matching import (
     _adjacency,
     _maximum_matching,
@@ -180,6 +180,38 @@ def test_is_matching_covered_matches_oracle_on_random_multigraphs(g):
         missing = [eid for eid in range(g.m) if eid not in used]
         assert res.reason == "uncovered-edge"
         assert res.uncovered_edge == (missing[0] if missing else None)
+
+
+@st.composite
+def _connected_bipartite_multigraphs(draw):
+    """Connected multigraphs on an even number of vertices, at most 10,
+    between the even and the odd vertices: a random spanning tree, random
+    extra pairs, a few doubled edges, all in random edge order."""
+    n = draw(st.sampled_from((2, 4, 6, 8, 10)))
+    edges = [(v, draw(st.sampled_from(
+        [u for u in range(v) if (u + v) % 2]))) for v in range(1, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u + v) % 2]
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=12))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    return Graph(n, draw(st.permutations(edges)))
+
+
+@given(st.one_of(_connected_bipartite_multigraphs(),
+                 strategies.multigraphs(max_edges=18, bipartite=True)))
+@settings(max_examples=300, deadline=None)
+def test_bipartite_route_matches_oracle(g):
+    """The blossom-plus-SCC route: the verdict, and the lowest-id edge in
+    no perfect matching, as the pair-partitioning oracle finds them."""
+    assert is_bipartite(g).bipartite
+    res = is_matching_covered(g)
+    if g.n == 0 or not is_connected(g):
+        assert (res.covered, res.reason) == (False, "not-connected")
+        return
+    pms = brute_perfect_matchings(g)
+    missing = [eid for eid in range(g.m) if eid not in set().union(*pms)]
+    assert res.covered == (bool(pms) and not missing) == \
+        brute_is_matching_covered(g)
+    assert res.uncovered_edge == (missing[0] if missing else None)
 
 
 def test_nice_subgraph():
