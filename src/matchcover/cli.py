@@ -1,9 +1,13 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 usage error, 3 a span DP ran out of its state
-budget (or a verification oracle out of its enumeration cap), 4
-unverified claim under --strict, 5 internal cross-check failed (two
-independent routes to one verdict disagreed; the verdict is withheld).
+Exit codes: 0 success, 2 usage error, 3 a budget left a verdict out (the
+span DP's state budget, the colouring search's budget, or a verification
+oracle's enumeration cap), 4 unverified claim under --strict, 5 internal
+cross-check failed (two independent routes to one verdict disagreed; the
+verdict is withheld).
+
+JSON goes out on one line, as json's C encoder writes it; pipe it through
+`python -m json.tool` to read it.
 """
 
 from __future__ import annotations
@@ -93,7 +97,8 @@ def analyze_graph(g: Graph) -> AnalysisReport:
     false.  For an r-regular graph, `vertex_connectivity_checked` is
     min(κ, r, n−1), from one connectivity test at k = min(r, n−1): k when
     it passes, else the size of the minimum vertex cut it returns.
-    `chromatic_index` is exact, from the DSATUR search.
+    `chromatic_index` is exact, from the DSATUR search, and null when
+    that search ran out of its budget.
     """
     connected = is_connected(g)
     bip = is_bipartite(g).bipartite
@@ -129,7 +134,7 @@ def analyze_graph(g: Graph) -> AnalysisReport:
 
 def _emit(obj, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(obj, indent=2))
+        print(json.dumps(obj))
     else:
         for k, v in obj.items():
             print(f"{k}: {v}")
@@ -139,7 +144,9 @@ def cmd_analyze(args) -> int:
     g = read_graph(args.file, args.format)
     rep = analyze_graph(g)
     _emit(rep.to_json_obj(), args.json)
-    return EXIT_OK if rep.pm_enumeration_complete else EXIT_INCOMPLETE
+    colored = rep.chromatic_index is not None or not rep.m
+    return (EXIT_OK if rep.pm_enumeration_complete and colored
+            else EXIT_INCOMPLETE)
 
 
 def cmd_feasible(args) -> int:
@@ -198,7 +205,7 @@ def cmd_construct(args) -> int:
     cert = _build_certificate(args)
     claims = verify_certificate(cert)
     obj = certificate_to_json_obj(cert, claims)
-    text = json.dumps(obj, indent=2)
+    text = json.dumps(obj)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -234,14 +241,14 @@ def cmd_decompose(args) -> int:
     except BudgetExhaustedError as exc:
         obj["nf_star"] = {"empty": None, "rule": "refused",
                           "detail": str(exc)}
-    print(json.dumps(obj, indent=2))
-    return EXIT_OK
+    print(json.dumps(obj))
+    return EXIT_OK if obj["nf_star"]["empty"] is not None else EXIT_INCOMPLETE
 
 
 def cmd_verify(args) -> int:
     rep = run_suite(args.suite, max_n=args.max_n, seed=args.seed,
                     trials=args.trials)
-    print(json.dumps(rep.to_json_obj(), indent=2))
+    print(json.dumps(rep.to_json_obj()))
     return EXIT_OK if rep.passed else 1
 
 

@@ -125,9 +125,11 @@ def map_mask(mask: int, id_map: dict[int, int]) -> int:
 class Graph:
     """Loopless undirected multigraph; vertices 0..n-1, edge ids 0..m-1."""
 
-    # _span and _ps: memos of span.matching_span and feasibility.parity_spaces
+    # _span and _ps: memos of span.matching_span and feasibility.parity_spaces;
+    # _order: the span DP's vertex order, set by span._vertex_order or
+    # handed down, restricted, to the subgraphs cut from this graph
     __slots__ = ("n", "edges", "vertex_labels", "edge_labels", "_adj", "_cut",
-                 "_span", "_ps")
+                 "_span", "_ps", "_order")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  vertex_labels: Optional[dict] = None,
@@ -148,6 +150,7 @@ class Graph:
         object.__setattr__(self, "_cut", None)
         object.__setattr__(self, "_span", None)
         object.__setattr__(self, "_ps", None)
+        object.__setattr__(self, "_order", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -222,7 +225,7 @@ class Graph:
                 continue
             emap[eid] = len(kept)
             kept.append(e)
-        return Graph(self.n, kept), emap
+        return self._hand_order_to(Graph(self.n, kept), None), emap
 
     def delete_vertices(self, vids: Iterable[int]) -> tuple["Graph", dict[int, int], dict[int, int]]:
         """New graph without the given vertices and their incident edges.
@@ -241,7 +244,7 @@ class Graph:
                 continue
             emap[eid] = len(kept)
             kept.append((vmap[u], vmap[v]))
-        return Graph(len(vmap), kept), emap, vmap
+        return self._hand_order_to(Graph(len(vmap), kept), vmap), emap, vmap
 
     def edge_subgraph(self, eids: Iterable[int]) -> tuple["Graph", dict[int, int], dict[int, int]]:
         """Subgraph on exactly the given edges and their endpoints.
@@ -257,7 +260,19 @@ class Graph:
             u, v = self.edges[eid]
             emap[eid] = len(new_edges)
             new_edges.append((vmap[u], vmap[v]))
-        return Graph(len(verts), new_edges), emap, vmap
+        return (self._hand_order_to(Graph(len(verts), new_edges), vmap),
+                emap, vmap)
+
+    def _hand_order_to(self, sub: "Graph",
+                       vmap: Optional[dict[int, int]]) -> "Graph":
+        """sub, given this graph's DP order (if it has one) restricted to
+        sub's vertices through the old->new vertex map vmap (None: the
+        same vertices).  A restricted order's separation is no larger."""
+        order = object.__getattribute__(self, "_order")
+        if order is not None and vmap is not None:
+            order = tuple(vmap[v] for v in order if v in vmap)
+        object.__setattr__(sub, "_order", order)
+        return sub
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

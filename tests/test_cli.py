@@ -10,10 +10,11 @@ import networkx as nx
 import pytest
 
 import matchcover
-from matchcover import cli, kernels, span
+from matchcover import cli, constructions, kernels, span
 from matchcover.cli import build_parser, main
-from matchcover.constructions import (CyclePart, build_cycle_cl, build_qr,
-                                      complete_graph, petersen)
+from matchcover.constructions import (CyclePart, StarPart, build_cycle_cl,
+                                      build_qr, build_star_xs, complete_graph,
+                                      petersen)
 from matchcover.corpus import build_corpus
 from matchcover.matching import MatchingCoveredResult
 from matchcover.errors import BudgetExhaustedError
@@ -242,11 +243,52 @@ def test_decompose_refuses_classification_over_budget(petersen_file,
         raise BudgetExhaustedError("span DP state budget exhausted")
 
     monkeypatch.setattr(cli, "classify_nf_star", exhausted)
-    assert main(["decompose", petersen_file]) == 0
+    # the decomposition is printed, but a verdict is missing: exit 3
+    assert main(["decompose", petersen_file]) == 3
     obj = json.loads(capsys.readouterr().out)
     assert obj["valid"] is True
     assert obj["nf_star"] == {"empty": None, "rule": "refused",
                               "detail": "span DP state budget exhausted"}
+
+
+def test_colour_budget_exit_code(petersen_file, monkeypatch, capsys):
+    # Petersen is class 2: proving it needs more than 10 search steps
+    monkeypatch.setattr(constructions, "DEFAULT_COLOR_BUDGET", 10)
+    assert main(["analyze", petersen_file, "--json"]) == 3
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["chromatic_index"] is None
+    assert obj["pm_enumeration_complete"] is True
+    assert obj["nf_star_empty"] is False
+
+
+def test_json_output_is_one_line(petersen_file, capsys):
+    for argv in (["analyze", petersen_file, "--json"],
+                 ["decompose", petersen_file],
+                 ["construct", "qr", "--r", "3"]):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and json.loads(out)
+
+
+@pytest.mark.parametrize("r", [5, 6, 7])
+def test_construct_star_family_strict(r, tmp_path, capsys):
+    out = tmp_path / "star.json"
+    assert main(["construct", "star", "--r", str(r), "--k", str(r),
+                 "--strict", "--out", str(out)]) == 0
+    claims = json.loads(out.read_text())["claims"]
+    assert claims and all(c["verified"] for c in claims)
+
+
+def test_decompose_star_r5(tmp_path, capsys):
+    q5 = build_qr(5)
+    g = build_star_xs([StarPart(q5.graph, q5.coloring) for _ in range(5)]).graph
+    path = tmp_path / "star5.json"
+    write_graph(g, str(path))
+    assert main(["decompose", str(path)]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["valid"] is True
+    assert obj["nf_star"]["rule"] == "case-iv"
+    assert obj["nf_star"]["empty"] is False
 
 
 def _cycle_family(k: int):

@@ -186,3 +186,95 @@ def test_vertex_order_visits_every_vertex_once():
     # two components and an isolated vertex
     g = Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (3, 5)])
     assert sorted(span_module._vertex_order(g)) == list(range(7))
+
+
+def _dp_under(g: Graph, order) -> span_module.MatchingSpan:
+    """The DP over a copy of g whose vertex order is `order`."""
+    h = Graph(g.n, g.edges)
+    object.__setattr__(h, "_order", tuple(order))
+    return span_module._run_dp(h)
+
+
+def _assert_same_results(g: Graph, a, b, rng: random.Random) -> None:
+    """Every order-independent result of two DPs over g agrees, and the
+    PM pairs of each are perfect matchings of g."""
+    assert a.pm_count == b.pm_count
+    assert a.edge_union == b.edge_union
+    assert Gf2Subspace(g.m, a.d_rows) == Gf2Subspace(g.m, b.d_rows)
+    assert a.dependences(g.m) == b.dependences(g.m)
+    for _ in range(8):
+        x = rng.getrandbits(g.m) if g.m else 0
+        assert a.parity_counts(x) == b.parity_counts(x)
+    pms = {_mask(pm) for pm in brute_perfect_matchings(g)}
+    for span in (a, b):
+        assert all(pm in pms for pair in span.pm_pairs for pm in pair)
+        assert not span.pm_count or span.base_matching in pms
+
+
+@given(strategies.multigraphs(max_edges=18), st.data(),
+       st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_dp_results_do_not_depend_on_the_vertex_order(g, data, rng):
+    rcm = _dp_under(g, span_module._rcm_order(g))
+    greedy = _dp_under(g, span_module._greedy_order(g))
+    _assert_same_results(g, rcm, greedy, rng)
+    # a parent with one more vertex and more edges, in a drawn order: its
+    # subgraphs on g's vertices and on g's edges inherit that order
+    extra = data.draw(st.lists(st.integers(0, g.n - 1), max_size=6))
+    parent = Graph(g.n + 1, [*g.edges, *((v, g.n) for v in extra),
+                             *((v, (v + 1) % g.n) for v in extra[:2]
+                               if g.n > 1)])
+    object.__setattr__(parent, "_order",
+                       tuple(data.draw(st.permutations(range(parent.n)))))
+    for child in (parent.delete_vertices([g.n])[0],
+                  parent.edge_subgraph(range(g.m))[0]):
+        assert child._order is not None
+        _assert_same_results(
+            child, _dp_under(child, span_module._rcm_order(child)),
+            span_module._run_dp(child), rng)
+
+
+@given(strategies.multigraphs(max_edges=18), st.data())
+@settings(max_examples=100, deadline=None)
+def test_subgraphs_inherit_a_valid_order(g, data):
+    order = tuple(data.draw(st.permutations(range(g.n))))
+    object.__setattr__(g, "_order", order)
+    drop_e = data.draw(st.lists(st.integers(0, max(g.m - 1, 0)), max_size=4))
+    drop_v = data.draw(st.lists(st.integers(0, g.n - 1), max_size=3))
+    h, _ = g.delete_edges(drop_e)
+    assert h._order == order
+    for h, _, vmap in (g.delete_vertices(drop_v),
+                       g.edge_subgraph(set(range(g.m)) - set(drop_e))):
+        assert sorted(h._order) == list(range(h.n))
+        # the parent's order, restricted to the kept vertices
+        assert h._order == tuple(vmap[v] for v in order if v in vmap)
+    # a graph with no order hands none down
+    bare = Graph(g.n, g.edges)
+    assert bare.delete_vertices(drop_v)[0]._order is None
+
+
+def test_subgraphs_run_no_order_of_their_own(monkeypatch):
+    g = complete_graph(8)
+    matching_span(g)
+    calls = []
+    monkeypatch.setattr(span_module, "_rcm_order",
+                        lambda h: calls.append(h) or list(range(h.n)))
+    h, _, _ = g.delete_vertices([0, 5])
+    h, _ = h.delete_edges([0, 3])
+    h, _, _ = h.edge_subgraph(range(h.m - 2))
+    assert matching_span(h).pm_count == len(brute_perfect_matchings(h))
+    assert calls == []
+
+
+def test_star_family_fits_a_small_state_budget(monkeypatch):
+    # r=5, 6 and 7 make 1,146, 6,184 and 32,701 states; under reverse
+    # Cuthill-McKee alone r=5 makes 709,226
+    monkeypatch.setattr(span_module, "DEFAULT_STATE_BUDGET", 10_000)
+    q5 = build_qr(5)
+    g = build_star_xs([StarPart(q5.graph, q5.coloring) for _ in range(5)]).graph
+    order = span_module._vertex_order(g)
+    assert span_module._separation(g, order) < span_module._separation(
+        g, span_module._rcm_order(g))
+    span = matching_span(g)
+    assert span.pm_count == 159_252_480
+    assert len(span.starts) - 1 < 10_000
