@@ -54,7 +54,7 @@ from .graph import Graph, is_bipartite, is_connected, vertex_connectivity_at_lea
 from .ears import classify_nf_star, find_ear_decomposition, find_single_ear_decomposition, validate_decomposition
 from .matching import is_matching_covered
 from .span import matching_span, span_matching_covered
-from .suites import SUITES, run_suite
+from .suites import DEFAULT_TRIALS, SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("suite", choices=sorted(SUITES))
     sp.add_argument("--max-n", type=int, default=24)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     sp.set_defaults(fn=cmd_verify)
     return p
 

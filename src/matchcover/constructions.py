@@ -650,7 +650,3 @@ def _verify_witness(g: Graph, w: EdgeSet) -> Claim:
     if parity_spaces(g).cut_plus_E.contains(w.mask):
         return Claim("nf-star-witness", False, "witness in cut + <E>")
     return Claim("nf-star-witness", True, "")
-
-
-def all_claims_verified(claims: Sequence[Claim]) -> bool:
-    return all(c.ok is True for c in claims)

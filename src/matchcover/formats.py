@@ -245,27 +245,6 @@ def certificate_to_json_obj(cert: ConstructionCertificate,
     return obj
 
 
-def certificate_from_json_obj(obj: dict) -> ConstructionCertificate:
-    g = graph_from_json_obj(obj["graph"])
-    m = g.m
-    eq = tuple(EdgeSet.from_ids(m, ids) for ids in obj.get("equivalent_sets", []))
-    wit = obj.get("nf_star_witness")
-    labels = obj.get("labels", {})
-    # integer-keyed label maps (edge-id maps) come back with string keys
-    labels = {k: ({int(a): b for a, b in v.items()} if isinstance(v, dict) else v)
-              for k, v in labels.items()}
-    return ConstructionCertificate(
-        name=obj.get("construction", "unknown"),
-        params=obj.get("params", {}),
-        graph=g,
-        r=obj.get("r"),
-        claimed_connectivity=obj.get("claimed_connectivity"),
-        coloring=tuple(obj["coloring"]) if obj.get("coloring") else None,
-        equivalent_sets=eq,
-        nf_star_witness=EdgeSet.from_ids(m, wit) if wit is not None else None,
-        labels=labels)
-
-
 # ---------------------------------------------------------- decompositions
 
 def decomposition_to_json_obj(d) -> dict:

@@ -68,11 +68,6 @@ class Gf2Subspace:
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
 
-    def coset_contains(self, shift: int, v: int) -> bool:
-        """Membership of v in the coset shift + span."""
-        self._check(shift)
-        return self.contains(v ^ shift)
-
     def copy(self) -> "Gf2Subspace":
         s = Gf2Subspace(self.ambient_dim)
         s._rows = list(self._rows)

@@ -96,10 +96,6 @@ class EdgeSet(_BitSet):
         self._check(other)
         return EdgeSet(self.mask | other.mask, self.size)
 
-    def issubset(self, other: "EdgeSet") -> bool:
-        self._check(other)
-        return self.mask & ~other.mask == 0
-
 
 @dataclass(frozen=True)
 class VertexSet(_BitSet):
@@ -198,9 +194,6 @@ class Graph:
 
     def full_edge_set(self) -> EdgeSet:
         return EdgeSet.full(self.m)
-
-    def empty_edge_set(self) -> EdgeSet:
-        return EdgeSet.empty(self.m)
 
     def edge_set(self, ids: Iterable[int]) -> EdgeSet:
         return EdgeSet.from_ids(self.m, ids)

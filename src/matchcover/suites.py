@@ -9,10 +9,11 @@ checks in a machine-readable report.  The CLI `verify` command and the
 test suite both run these.
 
 A lemma that holds for every member of a subspace is checked as one
-statement about subspaces: a containment of basis rows or an equality
-of reduced bases, whatever the dimension.  Only the 2^m scan of
+statement about subspaces: a containment of basis rows, an equality of
+reduced bases, or, for the switch-class lemmas, the subspace's image
+modulo cut(G), whatever the dimension.  Only the 2^m scan of
 `oracle-nf` lists edge sets one by one, and only it enumerates perfect
-matchings.
+matchings.  Only `sep-invariance` draws random trials.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ from .corpus import CorpusEntry, build_corpus
 from .errors import BudgetExhaustedError, InvalidParameterError
 from .feasibility import (
     is_feasible,
-    is_switch_equiv,
-    is_switch_equiv_empty,
     nf_star_report,
     parity_spaces,
 )
@@ -192,7 +191,7 @@ def suite_ear_lemmas(entries: list[CorpusEntry], rng: random.Random,
     for entry in entries:
         g = entry.graph
         d = find_ear_decomposition(g)
-        checks.extend(_lemma_checks(entry.name, g, d, rng, trials))
+        checks.extend(_lemma_checks(entry.name, g, d))
     return checks
 
 
@@ -242,8 +241,50 @@ def _single_ear_spaces(g: Graph, gp: Graph, emap: dict[int, int],
     return spaces
 
 
-def _lemma_checks(name: str, g: Graph, d, rng: random.Random,
-                  trials: int) -> list[SuiteCheck]:
+def _allowed_switch_classes(g: Graph, ear) -> list[int]:
+    """The edge sets of g that the ear's switch-class lemma lets a member
+    of W = L(cut(G_{r-1})) + <E(P)> be switching-equivalent to.
+
+    Always {}.  For a single ear, also the class {e} when every ear edge
+    e shares it; for a double ear, each {e} and each {e1, e2} with e1 on
+    the first path and e2 on the second.
+    """
+    paths = [p.edge_ids for p in ear.paths]
+    if ear.kind == "single":
+        cut = g.cut_space()
+        ones = {cut.reduce(1 << e) for e in paths[0]}
+        return [0, 1 << paths[0][0]] if len(ones) == 1 else [0]
+    return [0, *(1 << e for p in paths for e in p),
+            *((1 << e1) | (1 << e2) for e1 in paths[0] for e2 in paths[1])]
+
+
+def _switch_class_check(g: Graph, gp: Graph, back: dict[int, int],
+                        ear_edges: Iterable[int],
+                        allowed: Iterable[int]) -> tuple[bool, int]:
+    """Is each member of W = L(cut(gp)) + <ear edges> switching-equivalent
+    to some allowed edge set of g?  Returns the verdict and the dimension
+    of W's image modulo cut(g).
+
+    back lifts gp's edge ids into g.  X ~ A iff X + A lies in cut(g), iff
+    X and A reduce alike against cut(g)'s basis.  That basis is fully
+    reduced, so the reduction is linear: W's image is spanned by the
+    images of W's generators, and it can hold no more members than there
+    are allowed classes.
+    """
+    cut = g.cut_space()
+    gens = chain((map_mask(row, back) for row in gp.cut_space().basis()),
+                 (1 << e for e in ear_edges))
+    image = Gf2Subspace(g.m, (cut.reduce(v) for v in gens))
+    classes = {cut.reduce(a) for a in allowed}
+    if 1 << image.dim > len(classes):
+        return False, image.dim
+    members = [0]
+    for row in image.basis():
+        members += [x ^ row for x in members]
+    return classes.issuperset(members), image.dim
+
+
+def _lemma_checks(name: str, g: Graph, d) -> list[SuiteCheck]:
     checks = []
     last = d.steps[-1]
     prev_ids = d.prefix_edges(d.r - 1)
@@ -265,53 +306,20 @@ def _lemma_checks(name: str, g: Graph, d, rng: random.Random,
             checks.append(SuiteCheck(f"{check}[{name}]", a == b,
                                      f"dims {a.dim} and {b.dim}"))
 
-        # cut of the smaller graph plus any ear subset switches to {} or {e}
-        cut_basis = ps_p.cut.basis()
-        ok_24v = True
-        for _ in range(trials):
-            xp = 0
-            for row in cut_basis:
-                if rng.random() < 0.5:
-                    xp ^= row
-            x0 = [e for e in ear_edges if rng.random() < 0.5]
-            x = EdgeSet(map_mask(xp, back), g.m) ^ g.edge_set(x0)
-            if not is_switch_equiv_empty(g, x):
-                if not all(is_switch_equiv(g, x, g.edge_set((e,)))
-                           for e in ear_edges):
-                    ok_24v = False
-        checks.append(SuiteCheck(f"cut-plus-ear-switch-class[{name}]",
-                                 ok_24v, f"{trials} trials"))
+    # cut of the smaller graph plus any ear subset switches to {} or {e}
+    # (single ear), or to {} / {e} / {e1,e2} with one edge from each path
+    ok, dim = _switch_class_check(g, gp, back, ear_edges,
+                                  _allowed_switch_classes(g, last.ear))
+    kind = "ear" if last.ear.kind == "single" else "double-ear"
+    checks.append(SuiteCheck(f"cut-plus-{kind}-switch-class[{name}]", ok,
+                             f"image dim {dim}"))
 
     if last.ear.kind == "double":
-        # cut of the smaller graph plus ear subsets switches to {} / {e} /
-        # {e1,e2} with one edge from each path
-        cut_basis = ps_p.cut.basis()
-        p1 = list(last.ear.paths[0].edge_ids)
-        p2 = list(last.ear.paths[1].edge_ids)
-        ok_25 = True
-        for _ in range(trials):
-            xp = 0
-            for row in cut_basis:
-                if rng.random() < 0.5:
-                    xp ^= row
-            x0 = [e for e in ear_edges if rng.random() < 0.5]
-            x = EdgeSet(map_mask(xp, back), g.m) ^ g.edge_set(x0)
-            if is_switch_equiv_empty(g, x):
-                continue
-            if any(is_switch_equiv(g, x, g.edge_set((e,)))
-                   for e in ear_edges):
-                continue
-            if any(is_switch_equiv(g, x, g.edge_set((e1, e2)))
-                   for e1 in p1 for e2 in p2):
-                continue
-            ok_25 = False
-        checks.append(SuiteCheck(f"cut-plus-double-ear-switch-class[{name}]",
-                                 ok_25, f"{trials} trials"))
-
         # when neither path alone keeps the graph matching-covered,
         # emptiness is decided by bipartiteness of the smaller graph
-        half1, _, _ = g.edge_subgraph(tuple(prev_ids) + tuple(p1))
-        half2, _, _ = g.edge_subgraph(tuple(prev_ids) + tuple(p2))
+        p1, p2 = (p.edge_ids for p in last.ear.paths)
+        half1, _, _ = g.edge_subgraph(tuple(prev_ids) + p1)
+        half2, _, _ = g.edge_subgraph(tuple(prev_ids) + p2)
         if (not is_matching_covered(half1).covered
                 and not is_matching_covered(half2).covered):
             rep = nf_star_report(g)
@@ -367,9 +375,10 @@ SUITES = {
 
 def run_suite(name: str, max_n: int = 24, seed: int = 0,
               trials: int = DEFAULT_TRIALS) -> SuiteReport:
-    """Run one suite on the corpus graphs of at most max_n vertices, with
-    random.Random(seed) and `trials` random trials per graph where the
-    suite draws any."""
+    """Run one suite on the corpus graphs of at most max_n vertices.  The
+    seed picks the corpus's random graphs and seeds the random.Random
+    of `sep-invariance`, the only suite that draws trials (`trials` per
+    graph)."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     if trials < 1:

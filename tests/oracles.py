@@ -121,16 +121,18 @@ def brute_nf_star_masks(g: Graph) -> set[int]:
             if x not in cuts and x ^ full not in cuts}
 
 
+def brute_cut_masks(g: Graph) -> set[int]:
+    """Every vertex-set boundary, as an edge mask, from all 2^n sets."""
+    cuts = set()
+    for bits in range(1 << g.n):
+        cuts.add(sum(1 << eid for eid, (u, v) in enumerate(g.edges)
+                     if (bits >> u ^ bits >> v) & 1))
+    return cuts
+
+
 def brute_switch_equiv_empty(g: Graph, edge_ids) -> bool:
     """Is the set a vertex-set boundary?  Checked by trying all 2^n sets."""
-    target = frozenset(edge_ids)
-    for bits in range(1 << g.n):
-        side = {v for v in range(g.n) if bits >> v & 1}
-        cut = {eid for eid, (u, v) in enumerate(g.edges)
-               if (u in side) != (v in side)}
-        if cut == target:
-            return True
-    return False
+    return sum(1 << eid for eid in set(edge_ids)) in brute_cut_masks(g)
 
 
 def component_switch_witness(g: Graph, edge_ids) -> Optional[int]:

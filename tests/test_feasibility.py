@@ -91,7 +91,7 @@ def test_empty_and_full_sets_not_feasible():
     for entry in build_corpus(include_random=False):
         g = entry.graph
         ps = parity_spaces(g)
-        assert not is_feasible(g, g.empty_edge_set(), ps)
+        assert not is_feasible(g, EdgeSet.empty(g.m), ps)
         assert not is_feasible(g, g.full_edge_set(), ps)
 
 
@@ -130,7 +130,7 @@ def test_switch_equiv_full_and_pairwise():
     star = boundary(g, g.vertex_set((0,)))
     assert is_switch_equiv_empty(g, star)
     assert is_switch_equiv_full(g, full ^ star)
-    assert is_switch_equiv(g, star, g.empty_edge_set())
+    assert is_switch_equiv(g, star, EdgeSet.empty(g.m))
     # a perfect matching of K4 is not a cut
     pm = g.edge_set((0, 5))
     assert not is_switch_equiv_empty(g, pm)
@@ -149,7 +149,7 @@ def test_switch_witness_matches_component_route(g, rng):
     full = g.full_edge_set()
     planted = boundary(g, VertexSet(rng.getrandbits(g.n), g.n))
     random_set = EdgeSet(rng.getrandbits(g.m), g.m)
-    for x in (g.empty_edge_set(), full, planted, planted ^ full, random_set):
+    for x in (EdgeSet.empty(g.m), full, planted, planted ^ full, random_set):
         verdict = is_switch_equiv_empty(g, x)
         want = component_switch_witness(g, x.ids())
         assert verdict.equivalent == (want is not None)
@@ -344,7 +344,7 @@ _LYING_ROUTES = textwrap.dedent("""
     # graph whose ParitySpaces has not yet run its one-off checks
     fresh = petersen()
     MatchingSpan.parity_counts = lambda self, mask: (1, 1)
-    expect("nF basis", lambda: is_feasible(fresh, fresh.empty_edge_set()))
+    expect("nF basis", lambda: is_feasible(fresh, EdgeSet.empty(fresh.m)))
     MatchingSpan.parity_counts = parity_counts
     # a blossom kernel that reports augmenting paths it never flips
     augment = matching._augment

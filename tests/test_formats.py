@@ -2,15 +2,17 @@ import json
 
 import pytest
 
-from matchcover.constructions import build_qr, complete_graph, petersen, verify_certificate
+from matchcover.constructions import (StarPart, build_qr, build_star_xs,
+                                      complete_graph, find_proper_coloring,
+                                      petersen, verify_certificate)
 from matchcover.errors import Graph6MultigraphError, ParseError
 from matchcover.formats import (
-    certificate_from_json_obj,
     certificate_to_json_obj,
     decomposition_to_json_obj,
     graph_from_edgelist,
     graph_from_graph6,
     graph_from_json,
+    graph_from_json_obj,
     graph_to_edgelist,
     graph_to_graph6,
     graph_to_json,
@@ -98,17 +100,24 @@ def test_infer_format():
 
 
 def test_certificate_json_round_trip():
-    cert = build_qr(4)
-    claims = verify_certificate(cert)
-    obj = certificate_to_json_obj(cert, claims)
-    text = json.dumps(obj)   # must be serializable
-    back = certificate_from_json_obj(json.loads(text))
-    assert back.graph.edges == cert.graph.edges
-    assert back.coloring == cert.coloring
-    assert back.equivalent_sets == cert.equivalent_sets
-    assert back.nf_star_witness == cert.nf_star_witness
-    assert obj["schema_version"] == 1
-    assert all("verified" in c for c in obj["claims"])
+    # qr-4 carries equivalent sets, the K4 star an nF* witness
+    k4 = complete_graph(4)
+    col = tuple(find_proper_coloring(k4, 3))
+    for cert in (build_qr(4),
+                 build_star_xs([StarPart(k4, col) for _ in range(3)])):
+        claims = verify_certificate(cert)
+        obj = certificate_to_json_obj(cert, claims)
+        back = json.loads(json.dumps(obj))   # must be serializable
+        assert graph_from_json_obj(back["graph"]).edges == cert.graph.edges
+        assert back["coloring"] == list(cert.coloring)
+        assert back["equivalent_sets"] == [list(s.ids())
+                                           for s in cert.equivalent_sets]
+        witness = cert.nf_star_witness
+        assert back["nf_star_witness"] == (
+            None if witness is None else list(witness.ids()))
+        assert [c["name"] for c in back["claims"]] == [c.name for c in claims]
+        assert all("verified" in c for c in back["claims"])
+        assert back["schema_version"] == 1
 
 
 def test_decomposition_json():

@@ -62,12 +62,6 @@ def test_sum_contains_both(va, vb):
     assert s.dim <= a.dim + b.dim
 
 
-def test_coset_contains():
-    s = Gf2Subspace(4, [0b0011])
-    assert s.coset_contains(0b0100, 0b0111)
-    assert not s.coset_contains(0b0100, 0b0001)
-
-
 def _naive_reduce(rows, v):
     for row in rows:
         if v & row & -row:

@@ -2,14 +2,17 @@ import random
 
 import pytest
 
-from oracles import brute_nf_masks, brute_nf_star_masks, brute_perfect_matchings
+from oracles import (brute_cut_masks, brute_nf_masks, brute_nf_star_masks,
+                     brute_perfect_matchings)
 
 from matchcover.corpus import build_corpus, random_matching_covered
 from matchcover.ears import find_ear_decomposition
 from matchcover.errors import InvalidParameterError
 from matchcover.graph import map_mask
 from matchcover.matching import is_matching_covered
-from matchcover.suites import SUITES, _single_ear_spaces, run_suite
+from matchcover.suites import (SUITES, _allowed_switch_classes,
+                               _single_ear_spaces, _switch_class_check,
+                               run_suite)
 
 
 def test_corpus_deterministic():
@@ -93,3 +96,68 @@ def test_single_ear_spaces_match_brute_force():
                                    if map_mask(x, go_emap) in nf_o}), name
         checked += 1
     assert checked >= 10
+
+
+def test_switch_class_check_matches_brute_force():
+    # W = L(cut(G_{r-1})) + <ear edges> is listed member by member from the
+    # oracle's 2^n cut scans.  A planted allowed list lacks one true member
+    # and may hold a single edge {f} in its place.
+    graphs = {(seed, e.name): e.graph for seed in (0, 1)
+              for e in build_corpus(seed) if e.graph.m <= 12}
+    kinds = set()
+    for name, g in graphs.items():
+        d = find_ear_decomposition(g)
+        ear = d.steps[-1].ear
+        ear_edges = [e for p in ear.paths for e in p.edge_ids]
+        gp, emap, _ = g.edge_subgraph(d.prefix_edges(d.r - 1))
+        back = {v: k for k, v in emap.items()}
+        ear_subsets = {0}
+        for e in ear_edges:
+            ear_subsets |= {x | 1 << e for x in ear_subsets}
+        w = {map_mask(c, back) | x for c in brute_cut_masks(gp)
+             for x in ear_subsets}
+        allowed = _allowed_switch_classes(g, ear)
+        decoys = [1 << f for f in range(g.m)]
+        cuts = brute_cut_masks(g)
+        # the sets each member of W is switching-equivalent to
+        classes = [{a for a in allowed + decoys if x ^ a in cuts} for x in w]
+        ok, _ = _switch_class_check(g, gp, back, ear_edges, allowed)
+        assert ok and all(c & set(allowed) for c in classes), name
+        failed = 0
+        for drop in allowed:
+            for extra in ([], *([f] for f in decoys)):
+                planted = [a for a in allowed if a != drop] + extra
+                brute = all(c & set(planted) for c in classes)
+                ok, _ = _switch_class_check(g, gp, back, ear_edges, planted)
+                assert ok == brute, (name, drop, extra)
+                failed += not ok
+        assert failed, name
+        kinds.add(ear.kind)
+    assert kinds == {"single", "double"}
+
+
+def test_ear_lemmas_ignore_trials_and_rng():
+    assert run_suite("ear-lemmas", trials=1).to_json_obj() \
+        == run_suite("ear-lemmas", trials=500).to_json_obj()
+    entries = build_corpus(seed=0)
+    a = SUITES["ear-lemmas"](entries, random.Random(1), 1)
+    b = SUITES["ear-lemmas"](entries, random.Random(2), 500)
+    assert a == b
+
+
+_DOUBLE_EAR = ("complete-4", "brick-q3", "star-family-3xk4")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ear_lemmas_check_names(seed):
+    # the names the suite reported when it sampled the switch classes
+    single = ("odd-ear-restriction-nonfeasible",
+              "single-ear-nfstar-biconditional",
+              "single-ear-double-feasible-iff", "cut-plus-ear-switch-class")
+    double = ("cut-plus-double-ear-switch-class",
+              "forced-double-ear-bipartite-iff-empty")
+    expect = [f"{check}[{e.name}]" for e in build_corpus(seed)
+              if e.graph.n <= 24
+              for check in (double if e.name in _DOUBLE_EAR else single)]
+    assert [c.name for c in run_suite("ear-lemmas", seed=seed).checks] \
+        == expect
