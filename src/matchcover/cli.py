@@ -21,6 +21,8 @@ from typing import Optional
 
 from . import __version__
 from .constructions import (
+    ChainPart,
+    ConstructionCertificate,
     CyclePart,
     StarPart,
     build_chain,
@@ -174,7 +176,6 @@ def _build_certificate(args):
         return build_qr(args.r)
     if args.family == "petersen":
         g = petersen()
-        from .constructions import ConstructionCertificate
         return ConstructionCertificate(
             "petersen", {}, g, 3, 3, None, (),
             nf_star_report(g).witness, {})
@@ -184,7 +185,6 @@ def _build_certificate(args):
         return splice(g1, args.e1, g2, args.e2)
     base = build_qr(args.r)
     if args.family == "chain":
-        from .constructions import ChainPart
         eq = base.graph.edge_set((base.labels["a1a2"], base.labels["b1b2"]))
         parts = [ChainPart(base.graph, base.labels["a1a2"],
                            base.labels["b1b2"], eq, base.coloring)

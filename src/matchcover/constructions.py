@@ -19,7 +19,7 @@ from .errors import (BudgetExhaustedError, ColoringMismatchError,
                      NotMatchingCoveredError)
 from .feasibility import (is_switch_equiv_empty, is_switch_equiv_full,
                           parity_spaces)
-from .graph import (EdgeSet, Graph, is_bipartite, is_connected, map_mask,
+from .graph import (EdgeSet, Graph, is_bipartite, map_mask,
                     vertex_connectivity_at_least)
 from .matching import is_matching_covered
 from .span import matching_span
@@ -156,16 +156,18 @@ def color_classes_are_perfect_matchings(g: Graph, coloring: Sequence[int],
     return True
 
 
+def _swap_with_one(coloring: Sequence[int], c: int) -> list[int]:
+    """The colouring with classes 1 and c swapped."""
+    return [1 if x == c else (c if x == 1 else x) for x in coloring]
+
+
 def _recolor_class_to_one(coloring: Sequence[int], target_ids: Sequence[int]) -> list[int]:
     """Swap color classes so all target edges end up in class 1."""
     cols = {coloring[e] for e in target_ids}
     if len(cols) != 1:
         raise ColoringMismatchError(
             "edges expected to share a color class do not")
-    c = cols.pop()
-    if c == 1:
-        return list(coloring)
-    return [1 if x == c else (c if x == 1 else x) for x in coloring]
+    return _swap_with_one(coloring, cols.pop())
 
 
 def _glue(parts: Sequence[tuple[Graph, Sequence[int], Sequence[int]]]):
@@ -233,29 +235,19 @@ def build_qr(r: int) -> ConstructionCertificate:
                 "a1a2": f_a, "b1b2": f_b})
 
 
-def splice(g1: Graph, e1: int, g2: Graph, e2: int,
-           s1: Optional[EdgeSet] = None, s2: Optional[EdgeSet] = None,
-           coloring1: Optional[Sequence[int]] = None,
-           coloring2: Optional[Sequence[int]] = None,
-           orient1: Optional[tuple[int, int]] = None,
-           orient2: Optional[tuple[int, int]] = None,
-           ) -> ConstructionCertificate:
-    """Delete e_i = x_i y_i from each graph; join by f1 = x1x2, f2 = y1y2.
+def splice(g1: Graph, e1: int, g2: Graph, e2: int) -> ConstructionCertificate:
+    """Delete e_i = x_i y_i from each graph, x_i its lower end, and join
+    by f1 = x1x2 and f2 = y1y2.
 
-    Orientation of each e_i is caller-supplied; the documented default is
-    x_i = lower vertex id.  When equivalent sets containing e_i are given,
-    the certificate carries the combined equivalent set; when proper
-    class-1 colorings are given, it carries the composed coloring.
+    The certificate claims r-regularity when both graphs are r-regular
+    and 2-connectivity when both are 2-connected; it carries no colouring
+    and no equivalent set.  `build_chain` on two parts is the coloured
+    splice with its equivalent set.
     """
     for g, e in ((g1, e1), (g2, e2)):
-        if not 0 <= e < g.m:
-            raise EdgeNotInGraphError(f"edge id {e} not in graph")
-        if g.m < 2:
-            raise NotMatchingCoveredError("parts need at least 2 edges")
-        if not is_matching_covered(g):
-            raise NotMatchingCoveredError("splice parts must be matching-covered")
-    x1, y1 = _orient(g1, e1, orient1)
-    x2, y2 = _orient(g2, e2, orient2)
+        _check_splice_part(g, (e,))
+    x1, y1 = _orient(g1, e1)
+    x2, y2 = _orient(g2, e2)
     edges, (emap1, emap2), (_, vmap2), n, _ = _glue(
         ((g1, (e1,), ()), (g2, (e2,), ())))
     x2, y2 = vmap2[x2], vmap2[y2]
@@ -264,39 +256,34 @@ def splice(g1: Graph, e1: int, g2: Graph, e2: int,
     f2 = len(edges)
     edges.append((y1, y2))
     g = Graph(n, edges)
-
-    equiv_sets = []
-    if s1 is not None and s2 is not None:
-        if e1 not in s1 or e2 not in s2:
-            raise NotEquivalentError("supplied sets must contain the spliced edges")
-        mask = (1 << f1 | 1 << f2 | map_mask(s1.mask, emap1)
-                | map_mask(s2.mask, emap2))
-        equiv_sets.append(EdgeSet(mask, g.m))
-
     r1, r2 = g1.is_regular(), g2.is_regular()
-    r = r1 if r1 is not None and r1 == r2 else None
-    coloring = None
-    if coloring1 is not None and coloring2 is not None and r is not None:
-        coloring = tuple(_compose(
-            (emap1, emap2), (_recolor_class_to_one(coloring1, (e1,)),
-                             _recolor_class_to_one(coloring2, (e2,))), g.m))
     conn = 2 if (vertex_connectivity_at_least(g1, 2)
                  and vertex_connectivity_at_least(g2, 2)) else None
     return ConstructionCertificate(
         name="splice", params={"e1": e1, "e2": e2},
-        graph=g, r=r, claimed_connectivity=conn, coloring=coloring,
-        equivalent_sets=tuple(equiv_sets), nf_star_witness=None,
+        graph=g, r=r1 if r1 is not None and r1 == r2 else None,
+        claimed_connectivity=conn, coloring=None, equivalent_sets=(),
+        nf_star_witness=None,
         labels={"f1": f1, "f2": f2, "emap1": emap1, "emap2": emap2,
                 "x1": x1, "y1": y1, "x2": x2, "y2": y2})
 
 
-def _orient(g: Graph, eid: int, orient: Optional[tuple[int, int]]) -> tuple[int, int]:
+def _check_splice_part(g: Graph, eids: Sequence[int]) -> None:
+    """Raise unless g is matching-covered with at least 2 edges and has
+    the edges that a splice deletes from it."""
+    for e in eids:
+        if not 0 <= e < g.m:
+            raise EdgeNotInGraphError(f"edge id {e} not in graph")
+    if g.m < 2:
+        raise NotMatchingCoveredError("parts need at least 2 edges")
+    if not is_matching_covered(g):
+        raise NotMatchingCoveredError("splice parts must be matching-covered")
+
+
+def _orient(g: Graph, eid: int) -> tuple[int, int]:
+    """The ends of edge eid, lower id first."""
     u, v = g.edges[eid]
-    if orient is None:
-        return (u, v) if u < v else (v, u)
-    if set(orient) != {u, v}:
-        raise EdgeNotInGraphError(f"orientation {orient} does not match edge {eid}")
-    return orient
+    return (u, v) if u < v else (v, u)
 
 
 @dataclass(frozen=True)
@@ -308,16 +295,29 @@ class ChainPart:
     coloring: tuple[int, ...]
 
 
-def build_chain(parts: Sequence[ChainPart],
-                witness_edges: Optional[Sequence[tuple[int, int]]] = None
-                ) -> ConstructionCertificate:
-    """Left fold of splices: part i's e' is joined to part i+1's e.
+def _consumed(parts: Sequence[ChainPart], i: int) -> tuple[int, ...]:
+    """The edges part i of a chain gives up: e to the join on its left,
+    e' to the join on its right."""
+    p = parts[i]
+    left = (p.e,) if i > 0 else ()
+    return left + ((p.e_prime,) if i < len(parts) - 1 else ())
+
+
+def build_chain(parts: Sequence[ChainPart]) -> ConstructionCertificate:
+    """Splice each part's e' to the next part's e, in one pass.
+
+    Part i's edges, less the ones it gives up, come in id order, then
+    the bridges f = x'x and f' = y'y to part i-1, where x'y' is part
+    i-1's e' and xy is part i's e, each lower end first.  Each join
+    swaps colour 1 with the colour of the e' it consumes over everything
+    built so far, recolours part i so that its e is in class 1, and
+    gives the bridges colour 1; so a chain of two parts is the coloured
+    `splice` of them, with its equivalent set.
 
     The certificate's equivalent set is the full aggregate (survivors of
-    each part's set plus every bridge pair f, f').  A caller-selected
-    even-size subset of the survivors is claimed as an nF* witness when
-    the non-bipartiteness and non-cut side conditions verify; by default
-    the whole survivor set is tried when its size is even.
+    each part's set plus every bridge pair f, f').  The survivors are
+    claimed as an nF* witness when their number is even and the
+    non-bipartiteness and non-cut side conditions verify.
     """
     k = len(parts)
     if k < 2:
@@ -336,62 +336,53 @@ def build_chain(parts: Sequence[ChainPart],
         if not coloring_is_proper(p.graph, p.coloring, r):
             raise ColoringMismatchError("part coloring is not proper")
 
-    cur = parts[0].graph
-    cur_coloring: Sequence[int] = parts[0].coloring
-    cur_equiv = parts[0].equiv_set
-    cur_e_prime = parts[0].e_prime
-    # per-part maps into the current chain graph
-    part_maps: list[dict[int, int]] = [dict((i, i) for i in range(cur.m))]
-    for p in parts[1:]:
-        cert = splice(cur, cur_e_prime, p.graph, p.e,
-                      s1=cur_equiv, s2=p.equiv_set,
-                      coloring1=cur_coloring, coloring2=p.coloring)
-        emap1 = cert.labels["emap1"]
-        emap2 = cert.labels["emap2"]
-        part_maps = [{o: emap1[n] for o, n in pm.items() if n in emap1}
-                     for pm in part_maps]
-        part_maps.append(dict(emap2))
-        cur = cert.graph
-        cur_coloring = cert.coloring
-        cur_equiv = cert.equivalent_sets[0]
-        cur_e_prime = emap2[p.e_prime]   # survives: e' only consumed rightward
-    g = cur
+    edges: list[tuple[int, int]] = []
+    coloring: list[int] = []
+    equiv = 0
+    part_maps: list[dict[int, int]] = []
+    n = 0
+    for i, p in enumerate(parts):
+        drop = _consumed(parts, i)
+        _check_splice_part(p.graph, drop)
+        part_coloring = p.coloring
+        if i > 0:
+            coloring = _swap_with_one(coloring, prev_coloring[prev.e_prime])
+            part_coloring = _recolor_class_to_one(p.coloring, (p.e,))
+        emap = {}
+        for old, (u, v) in enumerate(p.graph.edges):
+            if old not in drop:
+                emap[old] = len(edges)
+                edges.append((u + n, v + n))
+                coloring.append(part_coloring[old])
+        if i > 0:
+            xp, yp = _orient(prev.graph, prev.e_prime)
+            x, y = _orient(p.graph, p.e)
+            equiv |= 3 << len(edges)        # the bridges f, f'
+            edges += [(xp + prev_n, x + n), (yp + prev_n, y + n)]
+            coloring += [1, 1]
+        equiv |= map_mask(p.equiv_set.mask, emap)
+        part_maps.append(emap)
+        prev, prev_coloring, prev_n = p, part_coloring, n
+        n += p.graph.n
+    g = Graph(n, edges)
 
     # survivor pool Q: each part's equivalent set minus its consumed edges
-    q_ids: list[tuple[int, int]] = []
-    for i, p in enumerate(parts):
-        consumed = set()
-        if i > 0:
-            consumed.add(p.e)
-        if i < k - 1:
-            consumed.add(p.e_prime)
-        for old in p.equiv_set.ids():
-            if old not in consumed and old in part_maps[i]:
-                q_ids.append((i, old))
-
+    q_ids = [(i, old) for i, p in enumerate(parts)
+             for old in p.equiv_set.ids() if old in part_maps[i]]
     witness = None
     witness_note = "no witness claimed"
-    select = witness_edges
-    if select is None and len(q_ids) % 2 == 0:
-        select = q_ids
-    if select is not None:
-        sel = list(select)
-        if len(sel) % 2 == 1:
-            raise InvalidParameterError("witness selection must have even size")
-        s_mask = 0
-        for (pi, old) in sel:
-            s_mask |= 1 << part_maps[pi][old]
-        ok, note = _chain_side_conditions(parts, sel)
+    if len(q_ids) % 2 == 0:
+        ok, note = _chain_side_conditions(parts, q_ids)
         if ok:
-            witness = EdgeSet(s_mask, g.m)
+            witness = g.edge_set(part_maps[pi][old] for pi, old in q_ids)
             witness_note = note
         else:
             witness_note = f"side conditions failed: {note}"
 
     return ConstructionCertificate(
         name="chain", params={"k": k, "witness_note": witness_note},
-        graph=g, r=r, claimed_connectivity=2, coloring=tuple(cur_coloring),
-        equivalent_sets=(cur_equiv,),
+        graph=g, r=r, claimed_connectivity=2, coloring=tuple(coloring),
+        equivalent_sets=(EdgeSet(equiv, g.m),),
         nf_star_witness=witness,
         labels={"part_maps": part_maps})
 
@@ -403,19 +394,13 @@ def _chain_side_conditions(parts: Sequence[ChainPart],
     The non-cut condition is checked against both the part minus e alone
     and the part minus both consumed edges, and must agree.
     """
-    k = len(parts)
     by_part: dict[int, list[int]] = {}
     for pi, old in sel:
         by_part.setdefault(pi, []).append(old)
     nonbip = None
     noncut = None
     for i, p in enumerate(parts):
-        consumed = []
-        if i > 0:
-            consumed.append(p.e)
-        if i < k - 1:
-            consumed.append(p.e_prime)
-        gp, emap = p.graph.delete_edges(consumed)
+        gp, emap = p.graph.delete_edges(_consumed(parts, i))
         s_here = [emap[o] for o in by_part.get(i, []) if o in emap]
         rest, _ = gp.delete_edges(s_here)
         if nonbip is None and not is_bipartite(rest).bipartite:
@@ -438,17 +423,18 @@ def _chain_side_conditions(parts: Sequence[ChainPart],
 
 @dataclass(frozen=True)
 class CyclePart:
+    """A part of `build_cycle_cl`: {e, e'} an equivalent set of graph,
+    both edges in one class of the proper r-edge-colouring."""
     graph: Graph
     e: int
     e_prime: int
     coloring: tuple[int, ...]
-    orient_e: Optional[tuple[int, int]] = None
-    orient_e_prime: Optional[tuple[int, int]] = None
 
 
 def build_cycle_cl(parts: Sequence[CyclePart]) -> ConstructionCertificate:
-    """Odd cyclic arrangement: drop each part's pair e_i, e'_i and bridge
-    x_i -> y_{i+1} (edge f_i) and x'_i -> y'_{i+1} (edge f'_i)."""
+    """Odd cyclic arrangement: drop each part's pair e_i = x_i y_i,
+    e'_i = x'_i y'_i (each lower end first) and bridge x_i -> y_{i+1}
+    (edge f_i) and x'_i -> y'_{i+1} (edge f'_i)."""
     k = len(parts)
     if k < 3 or k % 2 == 0:
         raise InvalidParameterError("k must be odd and >= 3")
@@ -465,8 +451,8 @@ def build_cycle_cl(parts: Sequence[CyclePart]) -> ConstructionCertificate:
         if not coloring_is_proper(p.graph, p.coloring, r):
             raise ColoringMismatchError("part coloring is not proper")
         colorings.append(_recolor_class_to_one(p.coloring, (p.e, p.e_prime)))
-        x, y = _orient(p.graph, p.e, p.orient_e)
-        xp, yp = _orient(p.graph, p.e_prime, p.orient_e_prime)
+        x, y = _orient(p.graph, p.e)
+        xp, yp = _orient(p.graph, p.e_prime)
         xs.append(x)
         ys.append(y)
         xps.append(xp)
@@ -499,9 +485,11 @@ def build_cycle_cl(parts: Sequence[CyclePart]) -> ConstructionCertificate:
 
 @dataclass(frozen=True)
 class StarPart:
+    """A part of `build_star_xs` with a proper r-edge-colouring.  The
+    star removes its highest vertex that labels does not name as a1, a2,
+    b1 or b2, so a Q_r part keeps its equivalent set {a1a2, b1b2}."""
     graph: Graph
     coloring: tuple[int, ...]
-    w: Optional[int] = None            # default: highest unprotected vertex
     labels: dict = field(default_factory=dict)
 
 
@@ -588,22 +576,20 @@ def build_star_xs(parts: Sequence[StarPart]) -> ConstructionCertificate:
 def _pick_w(p: StarPart) -> int:
     protected = {p.labels[k] for k in ("a1", "a2", "b1", "b2")
                  if k in p.labels}
-    if p.w is not None:
-        return p.w
     for v in range(p.graph.n - 1, -1, -1):
         if v not in protected:
             return v
     raise InvalidParameterError("no admissible vertex to remove")
 
 
-def star_part_from_certificate(cert: ConstructionCertificate,
-                               w: Optional[int] = None) -> StarPart:
-    """Reuse a built certificate (graph + coloring + labels) as a star part."""
+def star_part_from_certificate(cert: ConstructionCertificate) -> StarPart:
+    """Reuse a built certificate (graph + coloring + labels) as a star
+    part; its a1, a2, b1, b2 labels keep those vertices in the star."""
     if cert.coloring is None:
         raise ColoringMismatchError("certificate carries no coloring")
     labels = {k: cert.labels[k] for k in ("a1", "a2", "b1", "b2", "a1a2", "b1b2")
               if k in cert.labels}
-    return StarPart(cert.graph, tuple(cert.coloring), w=w, labels=labels)
+    return StarPart(cert.graph, tuple(cert.coloring), labels=labels)
 
 
 def verify_certificate(cert: ConstructionCertificate) -> list[Claim]:

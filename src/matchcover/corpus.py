@@ -20,6 +20,7 @@ from .constructions import (
     complete_graph,
     cube_graph,
     cycle_graph,
+    find_proper_coloring,
     petersen,
 )
 from .errors import InvalidParameterError
@@ -55,8 +56,8 @@ def random_matching_covered(rng: random.Random, n: int,
             return g
 
 
-def build_corpus(seed: int = 20240817, include_random: bool = True,
-                 max_random_n: int = 10) -> list[CorpusEntry]:
+def build_corpus(seed: int = 20240817,
+                 include_random: bool = True) -> list[CorpusEntry]:
     entries: list[CorpusEntry] = []
     for length in (4, 6, 8, 10, 12):
         entries.append(CorpusEntry(f"cycle-{length}", cycle_graph(length)))
@@ -77,7 +78,6 @@ def build_corpus(seed: int = 20240817, include_random: bool = True,
     entries.append(CorpusEntry("cycle-family-3xq4", cyc.graph))
 
     k4 = complete_graph(4)
-    from .constructions import find_proper_coloring
     col = find_proper_coloring(k4, 3)
     star = build_star_xs([StarPart(k4, tuple(col)) for _ in range(3)])
     entries.append(CorpusEntry("star-family-3xk4", star.graph))
@@ -85,7 +85,7 @@ def build_corpus(seed: int = 20240817, include_random: bool = True,
     if include_random:
         rng = random.Random(seed)
         for i in range(4):
-            n = rng.choice([nn for nn in range(6, max_random_n + 1, 2)])
+            n = rng.choice((6, 8, 10))
             g = random_matching_covered(rng, n, extra_edges=rng.randint(1, 4))
             entries.append(CorpusEntry(f"random-{i}-n{g.n}-m{g.m}", g))
     return entries

@@ -200,9 +200,12 @@ def _next_ear(g: Graph):
         first = c[3][0]
         bad.append(sum(1 << f for f in range(g.m)
                        if dep[f] >> first & 1 and f not in c[3]))
-        if bad[i] or not single_connected(i):
+        if bad[i]:
             continue
         h = _remainder(g, (c,))
+        connected[i] = is_connected(h)
+        if not connected[i]:
+            continue
         if not span_matching_covered(h):
             raise CrossCheckError(
                 "the span DP finds the remainder of an ear that the "

@@ -94,9 +94,6 @@ class Gf2Subspace:
         return (self.ambient_dim == other.ambient_dim
                 and self._rows == other._rows)
 
-    def __hash__(self):
-        return hash((self.ambient_dim, tuple(self._rows)))
-
     def __repr__(self) -> str:
         return f"Gf2Subspace(ambient={self.ambient_dim}, dim={self.dim})"
 

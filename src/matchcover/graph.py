@@ -103,9 +103,6 @@ class VertexSet(_BitSet):
 
     kind: ClassVar[str] = "vertex"
 
-    def complement(self) -> "VertexSet":
-        return VertexSet(~self.mask & ((1 << self.size) - 1), self.size)
-
 
 def map_mask(mask: int, id_map: dict[int, int]) -> int:
     """The mask whose bit id_map[i] is set for each set bit i of mask
@@ -182,9 +179,6 @@ class Graph:
                 cut.insert(star)
             object.__setattr__(self, "_cut", cut)
         return cut
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency()[v])
 
     def degrees(self) -> list[int]:
         return [len(a) for a in self.adjacency()]

@@ -24,11 +24,16 @@ from matchcover.constructions import (
     verify_equivalent_set,
 )
 from matchcover.corpus import build_corpus
-from matchcover.errors import InvalidParameterError
+from matchcover.errors import InvalidParameterError, NotMatchingCoveredError
 from matchcover.feasibility import nf_star_report
 from matchcover.formats import certificate_to_json_obj
-from matchcover.graph import is_bipartite, vertex_connectivity_at_least
+from matchcover.graph import Graph, is_bipartite, vertex_connectivity_at_least
 from matchcover.matching import enumerate_perfect_matchings, is_matching_covered
+
+
+# a proper 3-edge-colouring of K4 whose class 1 is not the perfect
+# matching {0, 5}, so that joining K4s at edges 0 and 5 swaps colours
+K4_PERMUTED = (3, 1, 2, 2, 1, 3)
 
 
 def _claims_ok(cert):
@@ -107,6 +112,16 @@ def test_chain_of_k4s_builds_but_claims_no_witness():
     _claims_ok(cert)
 
 
+def test_chain_rejects_a_disconnected_middle_part():
+    k4 = complete_graph(4)
+    two_k4 = Graph(8, list(k4.edges) + [(u + 4, v + 4) for u, v in k4.edges])
+    part = ChainPart(k4, 0, 5, k4.edge_set((0, 5)), K4_PERMUTED)
+    middle = ChainPart(two_k4, 0, 5, two_k4.edge_set((0, 5)),
+                       K4_PERMUTED * 2)
+    with pytest.raises(NotMatchingCoveredError):
+        build_chain([part, middle, part])
+
+
 def test_cycle_family_three_q4():
     q4 = build_qr(4)
     parts = [CyclePart(q4.graph, q4.labels["a1a2"], q4.labels["b1b2"],
@@ -180,13 +195,22 @@ def test_equivalent_set_matches_enumeration_on_corpus():
 
 
 def _family(name, r=None, k=None):
-    """The certificate `matchcover construct` builds for these arguments."""
+    """The certificate `matchcover construct` builds for these arguments;
+    "chain-k4" and "chain-swapped" are chains the CLI does not build: K4
+    parts coloured by K4_PERMUTED, and Q_r parts joined at b1b2 on the
+    left and a1a2 on the right."""
     if name == "splice":
         k4 = complete_graph(4)
         return splice(k4, 0, k4, 0)
+    if name == "chain-k4":
+        k4 = complete_graph(4)
+        return build_chain([ChainPart(k4, 0, 5, k4.edge_set((0, 5)),
+                                      K4_PERMUTED) for _ in range(k)])
     q = build_qr(r)
     f, fp = q.labels["a1a2"], q.labels["b1b2"]
-    if name == "chain":
+    if name in ("chain", "chain-swapped"):
+        if name == "chain-swapped":
+            f, fp = fp, f
         eq = q.graph.edge_set((f, fp))
         return build_chain([ChainPart(q.graph, f, fp, eq, q.coloring)
                             for _ in range(k)])
@@ -224,13 +248,20 @@ def _part_maps(cert, part_graphs):
      "3188c1854e701d8541c605ad65ab9a79ef3fa0598c900d3debdf1b82660ef9d8"),
     (("star", 4, 4),
      "ebb5724e639c446894201d1499ace18df664dac4be188164985a8c02a71f6743"),
+    (("chain-k4", 3, 2),
+     "1f770428830bad2d99d77aef3afb52a7d955a9f4f4df1a21f4f4bbc39498860b"),
+    (("chain-k4", 3, 4),
+     "542e90caa4160ab9941a22c2bf86ca53a54212d58e95726dd67d4b2106bebf53"),
+    (("chain-swapped", 4, 3),
+     "ae82e65efab5348423051831584d4eb3d4c7aaf8b6760192852f98c2f510e96d"),
 ])
 def test_glued_ids_are_pinned(args, digest):
     cert = _family(*args)
     text = json.dumps(certificate_to_json_obj(cert), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     g = cert.graph
-    part = complete_graph(4) if args[0] == "splice" else build_qr(args[1]).graph
+    part = (complete_graph(4) if args[0] in ("splice", "chain-k4")
+            else build_qr(args[1]).graph)
     parts = 2 if args[0] == "splice" else args[2]
     images = []
     for h, emap, vmap in _part_maps(cert, [part] * parts):
