@@ -4,8 +4,9 @@ Edge identity is always by id, never by endpoint pair: ear machinery and
 the splice constructions create parallel edges that must stay
 distinguishable.  All values are immutable after construction; deletion
 returns a fresh graph together with old-id -> new-id maps.  Vertex
-connectivity is a unit-capacity flow kernel on flat integer arrays, run
-on the simple graph underneath.
+connectivity runs on the sorted neighbour lists of the simple graph
+underneath: an augmenting-path search for internally disjoint paths,
+kept as predecessor and successor arrays.
 """
 
 from __future__ import annotations
@@ -361,8 +362,6 @@ class ConnectivityResult:
         return self.ok
 
 
-
-
 def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
     """Exact k-connectivity test on the simple graph underneath g
     (parallel edges do not change κ).
@@ -371,15 +370,16 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
     and the local connectivities of v and each non-neighbour and of each
     non-adjacent pair of v's neighbours (Esfahanian and Hakimi, 1984).
     Each local connectivity is a maximum flow on Even's split network
-    (1975), built once, stopped at a cutoff that starts at min(k, δ) and
-    drops to each smaller flow found.  When κ ≥ k, each pair's k paths
-    are walked out of its flow and checked to be s-t paths of g with no
-    inner vertex in common (Menger's certificate).  When κ < k, the
-    separator is a minimum vertex cut: the vertices whose in-node the
-    last pair that lowered the cutoff still reaches in its residual
-    network and whose out-node it does not, or v's neighbours when no
-    pair went below δ.  Its size must equal that flow, below k, and
-    deleting it must disconnect g.
+    (1975), searched on g's neighbour lists by `_vertex_flow` and stopped
+    at a cutoff that starts at min(k, δ) and drops to each smaller flow
+    found.  When κ ≥ k, each pair's k paths are walked along the flow's
+    successor pointers and checked to be s-t paths of g with no inner
+    vertex in common (Menger's certificate).  When κ < k, the separator
+    is a minimum vertex cut: the vertices whose in-node the last pair
+    that lowered the cutoff still reaches in its residual network and
+    whose out-node it does not, or v's neighbours when no pair went below
+    δ.  Its size must equal that flow, below k, and deleting it must
+    disconnect g.
     """
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
@@ -387,30 +387,29 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
         return ConnectivityResult(False, None, f"n={g.n} <= k={k}")
     if not is_connected(g):
         return ConnectivityResult(False, (), "disconnected")
-    nbrs = [{w for w, _ in a} for a in g.adjacency()]
+    nbrs = [sorted({w for w, _ in a}) for a in g.adjacency()]
     v = min(range(g.n), key=lambda x: len(nbrs[x]))
-    near = sorted(nbrs[v])
-    pairs = [(v, w) for w in range(g.n) if w != v and w not in nbrs[v]]
-    pairs += [(x, y) for x, y in combinations(near, 2) if y not in nbrs[x]]
-    head, cap0, out = _split_network(nbrs)
+    near = nbrs[v]
+    adjacent = [set(a) for a in nbrs]
+    pairs = [(v, w) for w in range(g.n) if w != v and w not in adjacent[v]]
+    pairs += [(x, y) for x, y in combinations(near, 2)
+              if y not in adjacent[x]]
     cutoff = min(k, len(near))
     reached = None
     for s, t in pairs:
-        src, snk = 2 * s + 1, 2 * t
-        cap = cap0[:]
-        flow, seen = _max_flow(head, cap, out, src, snk, cutoff)
+        flow, pred, succ, seen = _vertex_flow(nbrs, s, t, cutoff)
         if flow < cutoff:
             cutoff, reached = flow, seen
         elif cutoff == k:
-            _check_menger(nbrs, s, t, k,
-                          _flow_paths(head, cap, cap0, out, src, snk, k))
+            _check_menger(adjacent, s, t, k,
+                          _walk_paths(nbrs, pred, succ, s, t))
     if cutoff == k:
         return ConnectivityResult(True, None, None)
     if reached is None:
         sep = tuple(near)
     else:
-        sep = tuple(x for x in range(g.n)
-                    if reached[2 * x] != -1 and reached[2 * x + 1] == -1)
+        into, out = reached
+        sep = tuple(x for x in range(g.n) if into[x] != -1 and out[x] == -1)
     rest, _, _ = g.delete_vertices(sep)
     if len(sep) != cutoff or len(sep) >= k or len(components(rest)) < 2:
         raise CrossCheckError(f"vertex cut {sep} is not a separator of "
@@ -418,83 +417,78 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
     return ConnectivityResult(False, sep, None)
 
 
-def _split_network(nbrs: list[set[int]]) -> tuple[list[int], list[int],
-                                                   list[list[int]]]:
-    """Even's split digraph of the graph on nbrs, as flat arc lists
-    (head, capacity) and one list of arc ids per node.
+def _vertex_flow(nbrs: list[list[int]], s: int, t: int, cutoff: int
+                 ) -> tuple[int, list[int], list[int],
+                            Optional[tuple[list[int], list[int]]]]:
+    """Internally disjoint paths between the non-adjacent vertices s and t
+    of the graph on nbrs, one augmenting path at a time, until there are
+    cutoff of them.
 
-    Node 2v is v_in and 2v+1 is v_out.  Each vertex has an arc v_in ->
-    v_out of capacity 1, each ordered adjacent pair (u, w) an arc u_out
-    -> w_in of capacity n, so every minimum cut is made of vertex arcs;
-    arc a ^ 1 is the reverse of arc a, with capacity 0.
+    The search runs on Even's split network (an arc x_in -> x_out of
+    capacity 1 per vertex x and x_out -> y_in per neighbour y; source
+    s_out, sink t_in) without building it.  The flow is the paths, kept
+    as pred[x] and succ[x] of each vertex x on one (-1 when x is on none).
+    A reached x_out follows x's neighbours, and steps back to x_in when x
+    is on a path.  A reached y_in has one move: on to y_out when y is on
+    no path, otherwise back to the out-node of pred[y]; the search takes
+    it at once, so it queues out-nodes only, and it stops at the first
+    out-node of a neighbour of t.  Returns the flow, pred, succ and, when
+    the flow stays below cutoff, the last search's reach (into, out):
+    into[y] is the vertex whose out-node reached y_in, out[z] the vertex
+    whose in-node reached z_out, -1 where none did.
     """
     n = len(nbrs)
-    head: list[int] = []
-    cap: list[int] = []
-    out: list[list[int]] = [[] for _ in range(2 * n)]
-    for u in range(n):
-        for a, b, c in [(2 * u, 2 * u + 1, 1),
-                        *((2 * u + 1, 2 * w, n) for w in sorted(nbrs[u]))]:
-            out[a].append(len(head))
-            head.append(b)
-            cap.append(c)
-            out[b].append(len(head))
-            head.append(a)
-            cap.append(0)
-    return head, cap, out
-
-
-def _max_flow(head: list[int], cap: list[int], out: list[list[int]],
-              src: int, snk: int, cutoff: int) -> tuple[int, Optional[list[int]]]:
-    """Augment one unit at a time along BFS paths of the residual network
-    cap (updated in place) until the flow from src to snk reaches cutoff.
-    Returns the flow and, when it stays below cutoff, the last BFS's
-    arc into each node it reached (-1 for a node not reached)."""
+    pred, succ = [-1] * n, [-1] * n
+    near_t = [False] * n
+    for w in nbrs[t]:
+        near_t[w] = True
     flow = 0
     while flow < cutoff:
-        pred = [-1] * len(out)
-        pred[src] = -2
-        queue = [src]
+        into, out = [-1] * n, [-1] * n
+        out[s] = s
+        queue = [s]
         for x in queue:
-            for a in out[x]:
-                if cap[a]:
-                    y = head[a]
-                    if pred[y] == -1:
-                        pred[y] = a
-                        queue.append(y)
-            if pred[snk] != -1:
+            for y in nbrs[x] if pred[x] == -1 else nbrs[x] + [x]:
+                if into[y] == -1:
+                    into[y] = x
+                    z = y if pred[y] == -1 else pred[y]
+                    if out[z] == -1:
+                        out[z] = y
+                        if near_t[z]:
+                            into[t] = z
+                            break
+                        queue.append(z)
+            if into[t] != -1:
                 break
         else:
-            return flow, pred
-        y = snk
-        while y != src:
-            a = pred[y]
-            cap[a] -= 1
-            cap[a ^ 1] += 1
-            y = head[a ^ 1]
+            return flow, pred, succ, (into, out)
+        # walk back from t_in: x_out -> y_in puts y after x on a path,
+        # y_out -> y_in (into[y] == y) takes y off its path
+        y = t
+        while y != s:
+            x = into[y]
+            if x == y:
+                pred[y] = succ[y] = -1
+            else:
+                succ[x], pred[y] = y, x
+            y = out[x]
         flow += 1
-    return flow, None
+    return flow, pred, succ, None
 
 
-def _flow_paths(head: list[int], cap: list[int], cap0: list[int],
-                out: list[list[int]], src: int, snk: int,
-                k: int) -> list[list[int]]:
-    """k paths from src to snk walked out of the flow cap0 - cap, each as
-    the vertex of src followed by the vertices whose in-nodes it enters."""
-    left = [c0 - c for c0, c in zip(cap0, cap)]
+def _walk_paths(nbrs: list[list[int]], pred: list[int], succ: list[int],
+                s: int, t: int) -> list[list[int]]:
+    """The paths of a flow of `_vertex_flow`, one per neighbour y of s
+    with pred[y] == s, walked from s along succ until t (or a broken or
+    overlong walk, which `_check_menger` rejects)."""
     paths = []
-    for _ in range(k):
-        x, path = src, [src >> 1]
-        while x != snk:
-            a = next((a for a in out[x] if left[a] > 0), None)
-            if a is None:
-                raise CrossCheckError(f"the flow from {src >> 1} to "
-                                      f"{snk >> 1} is not {k} paths")
-            left[a] -= 1
-            x = head[a]
-            if not x & 1:
-                path.append(x >> 1)
-        paths.append(path)
+    for y in nbrs[s]:
+        if pred[y] == s:
+            path = [s]
+            while y != t and y != -1 and len(path) < len(nbrs):
+                path.append(y)
+                y = succ[y]
+            paths.append(path + [y])
     return paths
 
 

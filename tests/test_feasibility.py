@@ -361,23 +361,28 @@ _LYING_ROUTES = textwrap.dedent("""
     cli.is_matching_covered = (
         lambda g: MatchingCoveredResult(False, "uncovered-edge", 0))
     expect("analyze_graph", lambda: cli.analyze_graph(g))
-    # Petersen is 3-connected; a flow of 0 whose residual network reaches
+    # Petersen is 3-connected; a search that finds a flow of 0 and reaches
     # nothing gives a cut of size 0, which separates nothing
-    max_flow = graph._max_flow
-    graph._max_flow = lambda head, cap, out, src, snk, cutoff: (
-        0, [-1] * len(out))
+    vertex_flow = graph._vertex_flow
+    graph._vertex_flow = lambda nbrs, s, t, cutoff: (
+        0, None, None, ([-1] * len(nbrs), [-1] * len(nbrs)))
     expect("vertex_connectivity_at_least",
            lambda: vertex_connectivity_at_least(g, 4))
-    graph._max_flow = max_flow
-    # k copies of one real path, which share its inner vertices
-    flow_paths = graph._flow_paths
-    graph._flow_paths = lambda *args: flow_paths(*args)[:1] * args[-1]
+    graph._vertex_flow = vertex_flow
+    # k = 3 copies of one real path, which share its inner vertices
+    walk_paths = graph._walk_paths
+    graph._walk_paths = lambda *args: walk_paths(*args)[:1] * 3
     expect("Menger paths", lambda: vertex_connectivity_at_least(g, 3))
-    graph._flow_paths = flow_paths
+    graph._walk_paths = walk_paths
     # a kernel that gives every edge colour 1
     kernels.edge_coloring = lambda n, edges, colors, budget: (
         [1] * len(edges), False)
     expect("chromatic_index_exact", lambda: chromatic_index_exact(g))
+    # the same lie from the alternating-path route of a bipartite graph
+    kernels.bipartite_edge_coloring = lambda n, edges, colors: (
+        [1] * len(edges))
+    expect("bipartite chromatic_index_exact",
+           lambda: chromatic_index_exact(cube_graph()))
     # a boundary that comes out empty for the witness of a real cut
     feasibility.boundary = lambda h, u: EdgeSet(0, h.m)
     expect("switch witness", lambda: is_switch_equiv_empty(
@@ -401,4 +406,5 @@ def test_cross_checks_raise_under_python_O():
         "bipartite matching-covered route raised", "analyze_graph raised",
         "vertex_connectivity_at_least raised", "Menger paths raised",
         "chromatic_index_exact raised",
+        "bipartite chromatic_index_exact raised",
         "switch witness raised", "optimize 1", ""]

@@ -1,5 +1,9 @@
 import gc
+import hashlib
+import json
+import random
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,12 +24,18 @@ from matchcover.graph import (
     vertex_connectivity_at_least,
 )
 from matchcover.constructions import (
+    CyclePart,
+    StarPart,
+    build_cycle_cl,
+    build_qr,
+    build_star_xs,
     complete_bipartite,
     complete_graph,
     cube_graph,
     cycle_graph,
     petersen,
 )
+from matchcover.corpus import build_corpus
 from matchcover.matching import is_matching_covered
 
 
@@ -142,7 +152,7 @@ def test_vertex_connectivity_petersen():
                                    "connectivity-fails",
                                    "bipartite-matching-covered"])
 def test_kernels_leave_no_cyclic_garbage(route):
-    """The flow kernel, on its passing and its failing side, and the
+    """The connectivity search, on its passing and its failing side, and the
     bipartite route of is_matching_covered free everything they build
     by reference counting, with no cycle left for the garbage
     collector."""
@@ -187,6 +197,97 @@ def test_vertex_connectivity_matches_oracle(g):
         if res.separator:
             # a minimum vertex cut: g is len(separator)-connected
             assert brute_vertex_connectivity_at_least(g, len(res.separator))
+
+
+def _glued_cliques(cliques, links=()):
+    return Graph(1 + max(max(c) for c in cliques),
+                 [(u, v) for c in cliques for u in c for v in c if u < v]
+                 + list(links))
+
+
+def _family_graph(name, r, k):
+    q = build_qr(r)
+    if name == "cycle":
+        return build_cycle_cl([CyclePart(q.graph, q.labels["a1a2"],
+                                         q.labels["b1b2"], q.coloring)
+                               for _ in range(k)]).graph
+    return build_star_xs([StarPart(q.graph, q.coloring)
+                          for _ in range(k)]).graph
+
+
+def _connectivity_table(g):
+    """(ok, separator, reason) of vertex_connectivity_at_least, k = 1..6."""
+    out = []
+    for k in range(1, 7):
+        res = vertex_connectivity_at_least(g, k)
+        out.append([res.ok, None if res.separator is None
+                    else list(res.separator), res.reason])
+    return out
+
+
+# κ and the separator returned for every k > κ with k < n; the last three
+# graphs' separators come from the residual reach of a flow, not from a
+# neighbourhood.  The last one, a 6-cycle and a triangle sharing vertex
+# 1, finds its cut vertex only through the search's step back from an
+# out-node on a path to its in-node.
+PINNED_SEPARATORS = [
+    ("petersen", petersen, 3, [1, 4, 5]),
+    ("cube", cube_graph, 3, [1, 2, 4]),
+    ("k33", lambda: complete_bipartite(3, 3), 3, [3, 4, 5]),
+    ("cycle-r5k3", lambda: _family_graph("cycle", 5, 3), 4, [1, 5, 6, 11]),
+    ("cycle-r6k5", lambda: _family_graph("cycle", 6, 5), 4, [1, 6, 7, 13]),
+    ("star-r4", lambda: _family_graph("star", 4, 4), 4, [1, 5, 6, 31]),
+    ("star-r5", lambda: _family_graph("star", 5, 5), 5, [1, 6, 7, 8, 49]),
+    ("two-k5-sharing-2", lambda: _glued_cliques(
+        [range(5), range(3, 8)]), 2, [3, 4]),
+    ("two-k6-doubled-3-matching", lambda: _glued_cliques(
+        [range(6), range(6, 12)], [(0, 6), (1, 7), (2, 8)] * 2),
+     3, [0, 1, 2]),
+    ("cycle-and-triangle", lambda: Graph(8, [
+        (0, 2), (0, 4), (1, 3), (1, 5), (1, 6), (1, 7), (2, 6), (3, 4),
+        (5, 7)]), 1, [1]),
+]
+
+
+@pytest.mark.parametrize("name, build, kappa, sep", PINNED_SEPARATORS,
+                         ids=[p[0] for p in PINNED_SEPARATORS])
+def test_pinned_separators(name, build, kappa, sep):
+    g = build()
+    assert _connectivity_table(g) == [
+        [False, None, f"n={g.n} <= k={k}"] if g.n <= k
+        else [True, None, None] if k <= kappa else [False, sep, None]
+        for k in range(1, 7)]
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "dc652327910dab5fe9590f9a8256ada9717c23782c1a1e0d0adab5bb0d42ac42"),
+    (1, "b818f9120e233fee2b5f6f63e4c5f902d65ca989e996fd1b279e7c5c132fa072"),
+])
+def test_pinned_separators_on_the_corpus(seed, digest):
+    text = json.dumps([_connectivity_table(e.graph)
+                       for e in build_corpus(seed)])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_vertex_connectivity_matches_networkx(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        n = rng.randint(2, 30)
+        p = rng.choice((0.1, 0.2, 0.4, 0.7))
+        simple = [(u, v) for u in range(n) for v in range(u + 1, n)
+                  if rng.random() < p]
+        doubled = rng.sample(simple, min(len(simple), rng.randint(0, 5)))
+        g = Graph(n, simple + doubled)
+        h = nx.Graph(simple)
+        h.add_nodes_from(range(n))
+        kappa = nx.node_connectivity(h)
+        assert kappa == 0 or vertex_connectivity_at_least(g, kappa).ok
+        res = vertex_connectivity_at_least(g, kappa + 1)
+        assert not res.ok
+        if res.separator is not None:
+            assert len(res.separator) == kappa
+            assert not is_connected(g.delete_vertices(res.separator)[0])
 
 
 def test_induced_subgraph():
