@@ -91,10 +91,8 @@ def verify_equivalent_set(g: Graph, s: EdgeSet) -> Optional[bool]:
 
 
 def chromatic_index_exact(g: Graph) -> Optional[int]:
-    """Exact chromatic index.  A bipartite graph has chromatic index Δ
-    (König), shown by a Δ-colouring from alternating paths; any other
-    graph goes through DSATUR backtracking from Δ colours up to the Vizing
-    bound, and gets None when DEFAULT_COLOR_BUDGET ran out.
+    """Exact chromatic index by DSATUR backtracking from Δ colours up to
+    the Vizing bound; None when DEFAULT_COLOR_BUDGET ran out.
 
     The colouring that settles the answer is re-checked by
     `coloring_is_proper`; a failed check raises `CrossCheckError`.
@@ -102,25 +100,18 @@ def chromatic_index_exact(g: Graph) -> Optional[int]:
     if g.m == 0:
         return 0
     delta = max(g.degrees())
-    if is_bipartite(g).bipartite:
-        return _checked_colours(g, kernels.bipartite_edge_coloring(
-            g.n, list(g.edges), delta), delta)
     mult = max(_multiplicities(g).values())
     for c in range(delta, delta + mult + 1):    # Vizing bound for multigraphs
         coloring, exhausted = kernels.edge_coloring(g.n, list(g.edges), c,
                                                     DEFAULT_COLOR_BUDGET)
         if coloring is not None:
-            return _checked_colours(g, coloring, c)
+            if not coloring_is_proper(g, coloring, c):
+                raise CrossCheckError(f"the {c}-edge-colouring found is "
+                                      "not proper")
+            return c
         if exhausted:
             return None
     return None
-
-
-def _checked_colours(g: Graph, coloring: Sequence[int], c: int) -> int:
-    """c, once coloring is checked to be a proper c-edge-colouring of g."""
-    if not coloring_is_proper(g, coloring, c):
-        raise CrossCheckError(f"the {c}-edge-colouring found is not proper")
-    return c
 
 
 def find_proper_coloring(g: Graph, colors: int) -> Optional[tuple[int, ...]]:

@@ -397,7 +397,7 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
     cutoff = min(k, len(near))
     reached = None
     for s, t in pairs:
-        flow, pred, succ, seen = _vertex_flow(nbrs, s, t, cutoff)
+        flow, pred, succ, seen = _vertex_flow(nbrs, adjacent, s, t, cutoff)
         if flow < cutoff:
             cutoff, reached = flow, seen
         elif cutoff == k:
@@ -417,12 +417,13 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
     return ConnectivityResult(False, sep, None)
 
 
-def _vertex_flow(nbrs: list[list[int]], s: int, t: int, cutoff: int
+def _vertex_flow(nbrs: list[list[int]], adjacent: list[set[int]], s: int,
+                 t: int, cutoff: int
                  ) -> tuple[int, list[int], list[int],
                             Optional[tuple[list[int], list[int]]]]:
     """Internally disjoint paths between the non-adjacent vertices s and t
-    of the graph on nbrs, one augmenting path at a time, until there are
-    cutoff of them.
+    of the graph on nbrs (adjacent holds the same neighbours as sets), one
+    augmenting path at a time, until there are cutoff of them.
 
     The search runs on Even's split network (an arc x_in -> x_out of
     capacity 1 per vertex x and x_out -> y_in per neighbour y; source
@@ -439,9 +440,7 @@ def _vertex_flow(nbrs: list[list[int]], s: int, t: int, cutoff: int
     """
     n = len(nbrs)
     pred, succ = [-1] * n, [-1] * n
-    near_t = [False] * n
-    for w in nbrs[t]:
-        near_t[w] = True
+    near_t = adjacent[t]
     flow = 0
     while flow < cutoff:
         into, out = [-1] * n, [-1] * n
@@ -454,7 +453,7 @@ def _vertex_flow(nbrs: list[list[int]], s: int, t: int, cutoff: int
                     z = y if pred[y] == -1 else pred[y]
                     if out[z] == -1:
                         out[z] = y
-                        if near_t[z]:
+                        if z in near_t:
                             into[t] = z
                             break
                         queue.append(z)

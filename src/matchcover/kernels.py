@@ -1,9 +1,8 @@
-"""The search kernels: perfect-matching enumeration and exact edge
-colouring, plus König's alternating-path edge colouring of bipartite
-graphs.
+"""The two search kernels: perfect-matching enumeration and exact edge
+colouring.
 
-The two searches walk an explicit stack, so their depth is bounded by
-memory, not by the interpreter's recursion limit.
+Both walk an explicit stack, so their depth is bounded by memory, not by
+the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -132,38 +131,3 @@ def edge_coloring(n: int, edges: list[tuple[int, int]], colors: int,
             return assigned, False
         stack.append([nxt, 0, max(below, c)])
     return None, False
-
-
-def bipartite_edge_coloring(n: int, edges: list[tuple[int, int]],
-                            colors: int) -> list[int]:
-    """An edge colouring of a bipartite multigraph with `colors` colours,
-    at least its maximum degree (König 1916), by alternating paths.
-
-    Each edge uv, in id order, takes a colour a free at u.  When a is
-    used at v, a colour b free at v is swapped with a along the path from
-    v whose edges alternate a and b; in a bipartite graph that path does
-    not reach u, so a is then free at both ends.  Returns the colour of
-    each edge, 1..colors.
-    """
-    at = [[-1] * (colors + 1) for _ in range(n)]   # at[x][c]: edge coloured c
-    col = [0] * len(edges)
-    for eid, (u, v) in enumerate(edges):
-        a = at[u].index(-1, 1)
-        if at[v][a] != -1:
-            b = at[v].index(-1, 1)
-            path, x, c = [], v, a
-            while at[x][c] != -1:
-                f = at[x][c]
-                path.append(f)
-                x = edges[f][0] + edges[f][1] - x
-                c = a + b - c
-            for f in path:
-                for w in edges[f]:
-                    at[w][col[f]] = -1
-            for f in path:
-                col[f] = a + b - col[f]
-                for w in edges[f]:
-                    at[w][col[f]] = f
-        col[eid] = a
-        at[u][a] = at[v][a] = eid
-    return col

@@ -364,7 +364,7 @@ _LYING_ROUTES = textwrap.dedent("""
     # Petersen is 3-connected; a search that finds a flow of 0 and reaches
     # nothing gives a cut of size 0, which separates nothing
     vertex_flow = graph._vertex_flow
-    graph._vertex_flow = lambda nbrs, s, t, cutoff: (
+    graph._vertex_flow = lambda nbrs, adjacent, s, t, cutoff: (
         0, None, None, ([-1] * len(nbrs), [-1] * len(nbrs)))
     expect("vertex_connectivity_at_least",
            lambda: vertex_connectivity_at_least(g, 4))
@@ -378,11 +378,6 @@ _LYING_ROUTES = textwrap.dedent("""
     kernels.edge_coloring = lambda n, edges, colors, budget: (
         [1] * len(edges), False)
     expect("chromatic_index_exact", lambda: chromatic_index_exact(g))
-    # the same lie from the alternating-path route of a bipartite graph
-    kernels.bipartite_edge_coloring = lambda n, edges, colors: (
-        [1] * len(edges))
-    expect("bipartite chromatic_index_exact",
-           lambda: chromatic_index_exact(cube_graph()))
     # a boundary that comes out empty for the witness of a real cut
     feasibility.boundary = lambda h, u: EdgeSet(0, h.m)
     expect("switch witness", lambda: is_switch_equiv_empty(
@@ -406,5 +401,4 @@ def test_cross_checks_raise_under_python_O():
         "bipartite matching-covered route raised", "analyze_graph raised",
         "vertex_connectivity_at_least raised", "Menger paths raised",
         "chromatic_index_exact raised",
-        "bipartite chromatic_index_exact raised",
         "switch witness raised", "optimize 1", ""]

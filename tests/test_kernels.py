@@ -10,7 +10,6 @@ from strategies import multigraphs
 from matchcover import kernels
 from matchcover.constructions import (
     chromatic_index_exact,
-    coloring_is_proper,
     complete_graph,
     cycle_graph,
 )
@@ -80,15 +79,3 @@ def test_chromatic_index_of_a_large_grid():
 @settings(max_examples=150, deadline=None)
 def test_chromatic_index_matches_oracle(g):
     assert chromatic_index_exact(g) == brute_chromatic_index(g)
-
-
-@given(multigraphs(max_edges=18, bipartite=True))
-@example(Graph(4, [(0, 1), (0, 1), (0, 1), (1, 2), (2, 3), (3, 0)]))
-@settings(max_examples=150, deadline=None)
-def test_bipartite_chromatic_index_matches_oracle(g):
-    # König: Δ colours, found by alternating paths, not by a search
-    assert chromatic_index_exact(g) == brute_chromatic_index(g)
-    if g.m:
-        delta = max(g.degrees())
-        col = kernels.bipartite_edge_coloring(g.n, list(g.edges), delta)
-        assert coloring_is_proper(g, col, delta)
