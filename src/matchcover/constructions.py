@@ -391,8 +391,7 @@ def _chain_side_conditions(parts: Sequence[ChainPart],
                            sel: Sequence[tuple[int, int]]) -> tuple[bool, str]:
     """Non-bipartite remainder somewhere, and restriction not a cut somewhere.
 
-    The non-cut condition is checked against both the part minus e alone
-    and the part minus both consumed edges, and must agree.
+    Both are checked on each part less the edges it gives up.
     """
     by_part: dict[int, list[int]] = {}
     for pi, old in sel:
@@ -406,13 +405,7 @@ def _chain_side_conditions(parts: Sequence[ChainPart],
         if nonbip is None and not is_bipartite(rest).bipartite:
             nonbip = i
         if noncut is None and s_here:
-            in_gp = is_switch_equiv_empty(gp, gp.edge_set(s_here)).equivalent
-            ge, emap_e = p.graph.delete_edges([p.e])
-            s_e = [emap_e[o] for o in by_part.get(i, []) if o in emap_e]
-            in_ge = is_switch_equiv_empty(ge, ge.edge_set(s_e)).equivalent
-            if in_gp != in_ge:
-                return False, f"part {i}: single/double edge removal disagree"
-            if not in_gp:
+            if not is_switch_equiv_empty(gp, gp.edge_set(s_here)).equivalent:
                 noncut = i
     if nonbip is None:
         return False, "every part remainder is bipartite"

@@ -396,6 +396,25 @@ def _path_consistent(g: Graph, p: EarPath) -> bool:
     return True
 
 
+def case_iv_space(prev: Graph, u: int, v: int
+                  ) -> tuple[Gf2Subspace, Graph, dict[int, int]]:
+    """N = (D(prev) + L(D(prev - u - v)))^perp, the members of nF(prev)
+    that restrict to a non-feasible set of prev - u - v, where L lifts
+    edge sets of prev - u - v into prev; returned with prev - u - v and
+    the map of prev's edge ids into it.
+
+    Raises BudgetExhaustedError when a span DP runs out of its state
+    budget.
+    """
+    deleted, emap, _ = prev.delete_vertices((u, v))
+    lift = {new: old for old, new in emap.items()}
+    n_space = Gf2Subspace(prev.m, (
+        *matching_span(prev).d_rows,
+        *(map_mask(row, lift) for row in matching_span(deleted).d_rows),
+    )).orthogonal_complement()
+    return n_space, deleted, emap
+
+
 @dataclass(frozen=True)
 class NfStarClassification:
     empty: bool
@@ -430,14 +449,8 @@ def classify_nf_star(g: Graph, d: EarDecomposition) -> NfStarClassification:
     prev, emap_prev, vmap = g.edge_subgraph(d.prefix_edges(r - 1))
     ps_prev = parity_spaces(prev)
     path = last.paths[0]
-    deleted, emap_del, _ = prev.delete_vertices(
-        (vmap[path.end_u], vmap[path.end_v]))
-    span_del = matching_span(deleted)
-    lift = {new: old for old, new in emap_del.items()}
-    n_space = Gf2Subspace(prev.m, (
-        *ps_prev.span.d_rows,
-        *(map_mask(row, lift) for row in span_del.d_rows),
-    )).orthogonal_complement()
+    n_space, deleted, emap_del = case_iv_space(
+        prev, vmap[path.end_u], vmap[path.end_v])
     x = next((x for x in n_space.basis()
               if not ps_prev.cut_plus_E.contains(x)), None)
     if x is None:
@@ -446,7 +459,8 @@ def classify_nf_star(g: Graph, d: EarDecomposition) -> NfStarClassification:
             f"members of the prefix that restrict non-feasibly lies in "
             f"cut + <E>")
     if (0 not in ps_prev.span.parity_counts(x)
-            or 0 not in span_del.parity_counts(map_mask(x, emap_del))):
+            or 0 not in matching_span(deleted).parity_counts(
+                map_mask(x, emap_del))):
         raise CrossCheckError("case-iv witness is feasible by its parity "
                               "counts in the prefix or its deletion")
     witness = EdgeSet(map_mask(x, {new: old for old, new

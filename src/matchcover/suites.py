@@ -3,22 +3,20 @@
 Each suite re-checks one family of structural properties (switching
 invariance, the bipartite characterisation, oracle agreement, ear
 machinery, ear lemmas, construction certificates).  Each suite takes
-the corpus entries, one seeded rng and a trial count, and returns its
-named pass/fail checks; `run_suite` builds those inputs and wraps the
-checks in a machine-readable report.  The CLI `verify` command and the
-test suite both run these.
+the corpus entries and returns its named pass/fail checks; `run_suite`
+builds the corpus for a seed and wraps the checks in a machine-readable
+report.  The CLI `verify` command and the test suite both run these.
 
 A lemma that holds for every member of a subspace is checked as one
 statement about subspaces: a containment of basis rows, an equality of
 reduced bases, or, for the switch-class lemmas, the subspace's image
 modulo cut(G), whatever the dimension.  Only the 2^m scan of
 `oracle-nf` lists edge sets one by one, and only it enumerates perfect
-matchings.  Only `sep-invariance` draws random trials.
+matchings.  No suite samples.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
@@ -35,24 +33,24 @@ from .constructions import (
     verify_certificate,
 )
 from .corpus import CorpusEntry, build_corpus
-from .errors import BudgetExhaustedError, InvalidParameterError
+from .errors import BudgetExhaustedError
 from .feasibility import (
     is_feasible,
     nf_star_report,
     parity_spaces,
 )
 from .gf2 import Gf2Subspace
-from .graph import EdgeSet, Graph, boundary, is_bipartite, map_mask
+from .graph import Graph, boundary, is_bipartite, map_mask
 from .ears import (
+    case_iv_space,
     classify_nf_star,
     find_ear_decomposition,
     find_single_ear_decomposition,
     validate_decomposition,
 )
-from .matching import (enumerate_perfect_matchings, has_perfect_matching,
-                       is_matching_covered)
+from .matching import enumerate_perfect_matchings, is_matching_covered
+from .span import matching_span
 
-DEFAULT_TRIALS = 100
 ORACLE_MAX_M = 14       # the 2^m brute-force scan of oracle-nf
 
 
@@ -83,28 +81,26 @@ class SuiteReport:
 
 # ------------------------------------------------------ switching invariance
 
-def suite_sep_invariance(entries: list[CorpusEntry], rng: random.Random,
-                         trials: int) -> list[SuiteCheck]:
-    """Feasibility is invariant under xor with any vertex-set boundary."""
+def suite_sep_invariance(entries: list[CorpusEntry]) -> list[SuiteCheck]:
+    """Feasibility is invariant under xor with any vertex-set boundary.
+
+    nF is a subspace, so X and X + boundary(U) are feasible together for
+    every X iff boundary(U) is non-feasible, and the boundaries are the
+    sums of vertex stars; so the check is that every star is non-feasible.
+    """
     checks = []
     for entry in entries:
         g = entry.graph
-        bad = 0
-        for _ in range(trials):
-            x = EdgeSet(rng.getrandbits(g.m), g.m)
-            u = g.vertex_set([v for v in range(g.n) if rng.random() < 0.5])
-            y = x ^ boundary(g, u)
-            if is_feasible(g, x) != is_feasible(g, y):
-                bad += 1
+        bad = sum(is_feasible(g, boundary(g, g.vertex_set((v,))))
+                  for v in range(g.n))
         checks.append(SuiteCheck(f"switch-invariance[{entry.name}]", bad == 0,
-                                 f"{trials} trials, {bad} failures"))
+                                 f"{g.n} vertex stars, {bad} feasible"))
     return checks
 
 
 # -------------------------------------------------- bipartite characterisation
 
-def suite_bipartite_theorem(entries: list[CorpusEntry], rng: random.Random,
-                            trials: int) -> list[SuiteCheck]:
+def suite_bipartite_theorem(entries: list[CorpusEntry]) -> list[SuiteCheck]:
     """Bipartite matching-covered graphs have nF = cut space; no others do."""
     checks = []
     for entry in entries:
@@ -141,8 +137,7 @@ def brute_force_nf(g: Graph) -> set[int]:
     return out
 
 
-def suite_oracle_nf(entries: list[CorpusEntry], rng: random.Random,
-                    trials: int) -> list[SuiteCheck]:
+def suite_oracle_nf(entries: list[CorpusEntry]) -> list[SuiteCheck]:
     """The 2^m brute-force scan finds exactly the 2^dim members of nF."""
     checks = []
     for entry in entries:
@@ -161,8 +156,7 @@ def suite_oracle_nf(entries: list[CorpusEntry], rng: random.Random,
 
 # ------------------------------------------------------------- ear machinery
 
-def suite_ear_classify(entries: list[CorpusEntry], rng: random.Random,
-                       trials: int) -> list[SuiteCheck]:
+def suite_ear_classify(entries: list[CorpusEntry]) -> list[SuiteCheck]:
     checks = []
     for entry in entries:
         g = entry.graph
@@ -184,8 +178,7 @@ def suite_ear_classify(entries: list[CorpusEntry], rng: random.Random,
     return checks
 
 
-def suite_ear_lemmas(entries: list[CorpusEntry], rng: random.Random,
-                     trials: int) -> list[SuiteCheck]:
+def suite_ear_lemmas(entries: list[CorpusEntry]) -> list[SuiteCheck]:
     """Restriction/extension lemmas along every found ear decomposition."""
     checks = []
     for entry in entries:
@@ -216,7 +209,8 @@ def _single_ear_spaces(g: Graph, gp: Graph, emap: dict[int, int],
       matching: for X in nF(gp), L(X) and L(X) + E(p) are both feasible
       in g iff X restricts to a feasible set of gp - u - v.  The X where
       the left side fails, those with L(X) in nF(g) + <E(p)>, and the X
-      where the right side fails are the two compared subspaces.
+      where the right side fails, `case_iv_space`'s N, are the two
+      compared subspaces.
     """
     ps_g = parity_spaces(g)
     ps_p = parity_spaces(gp)
@@ -228,16 +222,14 @@ def _single_ear_spaces(g: Graph, gp: Graph, emap: dict[int, int],
     spaces = {"single-ear-nfstar-biconditional": (
         _perp(g.m, ps_g.D.basis(), (map_mask(r, back) for r in cut_e_perp)),
         ps_g.cut_plus_E)}
-    go, go_emap, _ = gp.delete_vertices((vmap[p.end_u], vmap[p.end_v]))
-    if has_perfect_matching(go):
+    restricting, go, _ = case_iv_space(gp, vmap[p.end_u], vmap[p.end_v])
+    if matching_span(go).pm_count:
         nf_ear_perp = _perp(g.m, ps_g.nF.basis(),
                             (g.edge_set(p.edge_ids).mask,)).basis()
-        go_back = {v: k for k, v in go_emap.items()}
         spaces["single-ear-double-feasible-iff"] = (
             _perp(gp.m, ps_p.D.basis(),
                   (map_mask(r, emap) for r in nf_ear_perp)),
-            _perp(gp.m, ps_p.D.basis(),
-                  (map_mask(r, go_back) for r in parity_spaces(go).D.basis())))
+            restricting)
     return spaces
 
 
@@ -332,8 +324,7 @@ def _lemma_checks(name: str, g: Graph, d) -> list[SuiteCheck]:
 
 # ------------------------------------------------------------- constructions
 
-def suite_constructions(entries: list[CorpusEntry], rng: random.Random,
-                        trials: int) -> list[SuiteCheck]:
+def suite_constructions(entries: list[CorpusEntry]) -> list[SuiteCheck]:
     checks = []
 
     def add(cert, claims, label):
@@ -373,16 +364,9 @@ SUITES = {
 }
 
 
-def run_suite(name: str, max_n: int = 24, seed: int = 0,
-              trials: int = DEFAULT_TRIALS) -> SuiteReport:
-    """Run one suite on the corpus graphs of at most max_n vertices.  The
-    seed picks the corpus's random graphs and seeds the random.Random
-    of `sep-invariance`, the only suite that draws trials (`trials` per
-    graph)."""
+def run_suite(name: str, seed: int = 0) -> SuiteReport:
+    """Run one suite on the corpus whose random graphs the seed picks."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, not {trials}")
-    entries = [e for e in build_corpus(seed=seed) if e.graph.n <= max_n]
-    checks = SUITES[name](entries, random.Random(seed), trials)
+    checks = SUITES[name](build_corpus(seed=seed))
     return SuiteReport(name, seed, tuple(checks))

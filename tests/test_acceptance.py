@@ -44,7 +44,7 @@ from matchcover.feasibility import (
 )
 from matchcover.graph import EdgeSet, is_bipartite, vertex_connectivity_at_least
 from matchcover.matching import enumerate_perfect_matchings, is_matching_covered
-from matchcover.suites import run_suite
+from matchcover.suites import SUITES
 
 
 def _verdict(num, label, ok, elapsed, budget):
@@ -108,10 +108,11 @@ def test_criterion_03_oracle_equivalence(capsys):
 
 def test_criterion_04_bipartite_characterisation(capsys):
     t0 = time.perf_counter()
-    rep = run_suite("bipartite-theorem", max_n=10)
-    both = {is_bipartite(e.graph).bipartite
-            for e in build_corpus() if e.graph.n <= 10}
-    ok = rep.passed and both == {True, False}
+    entries = [e for e in build_corpus() if e.graph.n <= 10]
+    checks = SUITES["bipartite-theorem"](entries)
+    both = {is_bipartite(e.graph).bipartite for e in entries}
+    ok = (bool(checks) and all(c.passed for c in checks)
+          and both == {True, False})
     with capsys.disabled():
         _verdict(4, "bipartite characterisation", ok,
                  time.perf_counter() - t0, 120.0)
@@ -119,10 +120,14 @@ def test_criterion_04_bipartite_characterisation(capsys):
 
 def test_criterion_05_switching_invariance(capsys):
     t0 = time.perf_counter()
-    rep = run_suite("sep-invariance", trials=100)
-    ok = rep.passed and len(rep.checks) >= 15
+    # every vertex star non-feasible: nF holds the whole cut space
+    entries = [e for e in build_corpus() if e.graph.n <= 24]
+    checks = SUITES["sep-invariance"](entries)
+    ok = (len(checks) == len(entries) >= 15
+          and all(c.passed and c.detail == f"{e.graph.n} vertex stars, "
+                  "0 feasible" for c, e in zip(checks, entries)))
     with capsys.disabled():
-        _verdict(5, "switching invariance (100 trials/graph)", ok,
+        _verdict(5, "switching invariance (every vertex star)", ok,
                  time.perf_counter() - t0, 300.0)
 
 

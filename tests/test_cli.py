@@ -119,7 +119,7 @@ def test_decompose_single_only(petersen_file, capsys):
 
 
 def test_verify_suite(capsys):
-    rc = main(["verify", "bipartite-theorem", "--max-n", "8"])
+    rc = main(["verify", "bipartite-theorem"])
     assert rc == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["passed"] is True
@@ -128,22 +128,41 @@ def test_verify_suite(capsys):
 
 @pytest.mark.parametrize("suite", ["sep-invariance", "bipartite-theorem",
                                    "oracle-nf", "ear-classify", "ear-lemmas"])
-def test_verify_that_checks_nothing_fails(suite, capsys):
-    # no corpus graph has at most 0 vertices, so no check runs
-    rc = main(["verify", suite, "--max-n", "0"])
+def test_verify_that_checks_nothing_fails(suite, monkeypatch, capsys):
+    # a suite that reports no check has tested nothing
+    monkeypatch.setitem(SUITES, suite, lambda entries: [])
+    rc = main(["verify", suite])
     obj = json.loads(capsys.readouterr().out)
     assert (rc, obj["passed"], obj["checks"]) == (1, False, [])
 
 
 def test_verify_refuses_negative_trials(capsys):
-    # zero trials would pass checks that tested nothing
-    for trials in ("-5", "0"):
-        rc = main(["verify", "sep-invariance", "--trials", trials])
+    # --trials and --max-n are gone: no suite samples, and every corpus
+    # graph is checked
+    for option, value in (("--trials", "-5"), ("--trials", "0"),
+                          ("--trials", "5"), ("--max-n", "8")):
+        rc = main(["verify", "sep-invariance", option, value])
         cap = capsys.readouterr()
         assert rc == 2
         assert cap.out == ""
-        assert cap.err.splitlines() == [
-            f"error: trials must be >= 1, not {trials}"]
+        assert f"unrecognized arguments: {option} {value}" in cap.err
+
+
+def test_construct_chain_claims(capsys):
+    # every Q_4 part less what it gives up is bipartite, so no witness
+    assert main(["construct", "chain", "--r", "4", "--k", "3",
+                 "--strict"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["params"] == {
+        "k": 3,
+        "witness_note": "side conditions failed: every part remainder is "
+                        "bipartite"}
+    assert obj["nf_star_witness"] is None
+    assert [(c["name"], c["verified"], c["detail"]) for c in obj["claims"]] \
+        == [("matching-covered", True, ""), ("4-regular", True, ""),
+            ("2-connected", True, ""), ("proper-coloring", True, ""),
+            ("color-classes-perfect-matchings", True, ""),
+            ("equivalent-set-0", True, "(14, 29, 30, 45, 46, 47)")]
 
 
 def test_usage_errors():

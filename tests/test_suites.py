@@ -5,10 +5,12 @@ import pytest
 from oracles import (brute_cut_masks, brute_nf_masks, brute_nf_star_masks,
                      brute_perfect_matchings)
 
+from matchcover import suites
+from matchcover.constructions import petersen
 from matchcover.corpus import build_corpus, random_matching_covered
 from matchcover.ears import find_ear_decomposition
 from matchcover.errors import InvalidParameterError
-from matchcover.graph import map_mask
+from matchcover.graph import boundary, map_mask
 from matchcover.matching import is_matching_covered
 from matchcover.suites import (SUITES, _allowed_switch_classes,
                                _single_ear_spaces, _switch_class_check,
@@ -47,7 +49,7 @@ def test_random_matching_covered(n, extra, m):
 
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_suite_passes(name):
-    rep = run_suite(name, trials=30)
+    rep = run_suite(name)
     failures = [(c.name, c.detail) for c in rep.checks if not c.passed]
     assert rep.passed, failures
     assert rep.checks
@@ -136,13 +138,26 @@ def test_switch_class_check_matches_brute_force():
     assert kinds == {"single", "double"}
 
 
-def test_ear_lemmas_ignore_trials_and_rng():
-    assert run_suite("ear-lemmas", trials=1).to_json_obj() \
-        == run_suite("ear-lemmas", trials=500).to_json_obj()
-    entries = build_corpus(seed=0)
-    a = SUITES["ear-lemmas"](entries, random.Random(1), 1)
-    b = SUITES["ear-lemmas"](entries, random.Random(2), 500)
-    assert a == b
+def test_suite_reports_are_deterministic():
+    for name in SUITES:
+        assert run_suite(name, seed=1) == run_suite(name, seed=1), name
+
+
+def test_sep_invariance_fails_on_a_feasible_star(monkeypatch):
+    # a star called feasible would break invariance under that switching
+    real = suites.is_feasible
+    g10 = petersen()
+    star = boundary(g10, g10.vertex_set((3,))).mask
+
+    def is_feasible(g, x):
+        return (g.edges == g10.edges and x.mask == star) or real(g, x)
+
+    monkeypatch.setattr(suites, "is_feasible", is_feasible)
+    rep = run_suite("sep-invariance")
+    failed = [(c.name, c.detail) for c in rep.checks if not c.passed]
+    assert failed == [("switch-invariance[petersen]",
+                       "10 vertex stars, 1 feasible")]
+    assert not rep.passed
 
 
 _DOUBLE_EAR = ("complete-4", "brick-q3", "star-family-3xk4")
