@@ -294,9 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_construct)
 
     sp = sub.add_parser("decompose", help="find and classify an ear decomposition")
-    sp.add_argument("file")
-    sp.add_argument("--format", choices=["graph6", "edgelist", "json"])
-    sp.add_argument("--json", action="store_true")
+    add_io(sp)
     sp.add_argument("--single-only", action="store_true")
     sp.set_defaults(fn=cmd_decompose)
 

@@ -11,6 +11,7 @@ kept as predecessor and successor arrays.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -128,7 +129,13 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  vertex_labels: Optional[dict] = None,
                  edge_labels: Optional[dict] = None):
-        edges = tuple((int(u), int(v)) for u, v in edges)
+        try:
+            n = operator.index(n)
+            edges = tuple((operator.index(u), operator.index(v))
+                          for u, v in edges)
+        except TypeError as exc:
+            raise InvalidParameterError(
+                f"vertex count and endpoints must be integers: {exc}")
         if n < 0:
             raise InvalidParameterError("vertex count must be non-negative")
         for u, v in edges:
@@ -495,11 +502,11 @@ def _check_menger(nbrs: list[set[int]], s: int, t: int, k: int,
                   paths: list[list[int]]) -> None:
     """Raise CrossCheckError unless paths are k s-t paths of the graph on
     nbrs with no inner vertex in common, so κ(s, t) ≥ k by Menger."""
-    inner = [x for p in paths for x in p[1:-1]]
-    if (len(paths) != k or len(set(inner)) != len(inner)
-            or s in inner or t in inner
-            or any(p[0] != s or p[-1] != t
-                   or any(b not in nbrs[a] for a, b in zip(p, p[1:]))
-                   for p in paths)):
-        raise CrossCheckError(f"the flow from {s} to {t} is not {k} "
-                              f"internally disjoint paths")
+    seen, ok = {s, t}, len(paths) == k
+    for p in paths:
+        ok = ok and p[0] == s and p[-1] == t and p[-2] in nbrs[t]
+        for a, x in zip(p, p[1:-1]):
+            ok = ok and x in nbrs[a] and x not in seen
+            seen.add(x)
+    if not ok:
+        raise CrossCheckError(f"{s}-{t}: not {k} internally disjoint paths")

@@ -9,8 +9,10 @@ of G, takes one search per vertex that losing S leaves exposed
 by `check_perfect`, and a "no PM" answer is exact by Berge's theorem.
 Enumeration is our own DFS kernel (see kernels.py), the ground truth of
 the verification suites; no verdict is built on it.  The
-matching-covered test enumerates nothing and shares nothing with the
-span DP of `span.py`, so the two cross-check each other.
+matching-covered test, on bipartite and other graphs alike, is one
+`rematch_without` per edge that no PM found so far covers; it
+enumerates nothing and shares nothing with the span DP of `span.py`, so
+the two cross-check each other.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Collection, Optional, Sequence
 
 from . import kernels
 from .errors import CrossCheckError, InvalidParameterError
-from .graph import EdgeSet, Graph, VertexSet, is_bipartite, is_connected
+from .graph import EdgeSet, Graph, VertexSet, is_connected
 
 DEFAULT_CAP = 1_000_000
 
@@ -202,11 +204,9 @@ def is_matching_covered(g: Graph) -> MatchingCoveredResult:
     """Connected and every edge lies in some perfect matching; when not,
     why, with the lowest-id edge in no perfect matching.
 
-    Both routes start from one PM M of the blossom kernel.  Bipartite
-    graphs take the strongly connected components of the digraph that
-    orients M one way and the other edges back (Dulmage-Mendelsohn);
-    other graphs take, for each edge uv that no PM found so far covers,
-    one or two augmenting searches for a PM of g - u - v from M
+    One route for every graph, bipartite or not: one PM M of the blossom
+    kernel, then, for each edge uv that no PM found so far covers, one
+    or two augmenting searches for a PM of g - u - v from M
     (Lovasz-Plummer, Matching Theory, 1986).
     """
     if g.n == 0 or not is_connected(g):
@@ -214,72 +214,10 @@ def is_matching_covered(g: Graph) -> MatchingCoveredResult:
     if g.n % 2:
         eid = 0 if g.m else None
     else:
-        side = is_bipartite(g).coloring
-        eid = (_blossom_uncovered_edge(g) if side is None
-               else _bipartite_uncovered_edge(g, side))
+        eid = _blossom_uncovered_edge(g)
         if eid is None:
             return MatchingCoveredResult(True, None, None)
     return MatchingCoveredResult(False, "uncovered-edge", eid)
-
-
-def _bipartite_uncovered_edge(g: Graph,
-                              side: tuple[int, ...]) -> Optional[int]:
-    """An edge outside a perfect matching M lies in another one iff it
-    lies on an M-alternating cycle: iff its ends share a strongly
-    connected component once M points from side 0 to side 1 and the
-    other edges point back.  The edges in no PM do not depend on M."""
-    adj = _adjacency(g)
-    mate = _maximum_matching(adj)
-    if -1 in mate:
-        return 0
-    succ = [[mate[a]] if side[a] == 0 else [b for b in nbrs if b != mate[a]]
-            for a, nbrs in enumerate(adj)]
-    comp = _strong_components(succ)
-    return next((eid for eid, (u, v) in enumerate(g.edges)
-                 if mate[u] != v and comp[u] != comp[v]), None)
-
-
-def _strong_components(succ: Sequence[Sequence[int]]) -> list[int]:
-    """Strongly connected component id of each node of the digraph on
-    successor lists succ, by Tarjan's algorithm (1972) run iteratively."""
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    comp = [-1] * n
-    stack: list[int] = []
-    count = ncomp = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        index[root] = low[root] = count
-        count += 1
-        stack.append(root)
-        work = [(root, 0)]
-        while work:
-            v, i = work[-1]
-            if i < len(succ[v]):
-                work[-1] = (v, i + 1)
-                w = succ[v][i]
-                if index[w] == -1:
-                    index[w] = low[w] = count
-                    count += 1
-                    stack.append(w)
-                    work.append((w, 0))
-                elif comp[w] == -1:
-                    low[v] = min(low[v], index[w])
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-    return comp
 
 
 def _blossom_uncovered_edge(g: Graph) -> Optional[int]:

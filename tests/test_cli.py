@@ -177,12 +177,18 @@ def test_usage_errors():
     ["analyze", "{tmp}/latin1.txt"],          # not ASCII
     ["analyze", "{tmp}/graph.json"],          # a directory
     ["analyze", "{tmp}/labels.json"],         # a label key that is no id
+    ["analyze", "{tmp}/n.json"],              # a vertex count that is no int
+    ["analyze", "{tmp}/endpoint.json"],       # an endpoint that is no int
 ])
 def test_input_errors_exit_2_with_one_line(argv, k4_file, tmp_path, capsys):
     (tmp_path / "latin1.txt").write_bytes(b"2 1\n0 1 \xe9\n")
     (tmp_path / "graph.json").mkdir()
     (tmp_path / "labels.json").write_text(
         '{"n": 2, "edges": [[0, 1]], "labels": {"edges": {"x": 1}}}')
+    (tmp_path / "n.json").write_text(
+        '{"n": 4.5, "edges": [[0, 1], [2, 3], [1, 2], [3, 0]]}')
+    (tmp_path / "endpoint.json").write_text(
+        '{"n": 4, "edges": [[0, 1.5], [2, 3]]}')
     argv = [a.format(k4=k4_file, tmp=tmp_path) for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()

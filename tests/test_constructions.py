@@ -240,22 +240,38 @@ def _part_maps(cert, part_graphs):
 
 
 @pytest.mark.parametrize("args, digest", [
-    (("splice",),
-     "85b636fbe046c37b485c18f2b90ca5a938cbce2555340683dd74a6e1b60835ff"),
-    (("chain", 4, 3),
-     "bec1d4931a5a9ffee0010eaab67dc5abffbabf4fed9464fbe16d057c7974b849"),
-    (("cycle", 4, 3),
-     "06edb61c266a2b99be013d8b2db8a4eb2220a8ac1c262f44dfe0c90cf2e0f64a"),
-    (("cycle", 5, 3),
-     "3188c1854e701d8541c605ad65ab9a79ef3fa0598c900d3debdf1b82660ef9d8"),
-    (("star", 4, 4),
-     "ebb5724e639c446894201d1499ace18df664dac4be188164985a8c02a71f6743"),
-    (("chain-k4", 3, 2),
-     "8b87c3819fd6231aa6a246f4e4a5f973f0f335b75d328bdf9a31d0ee190fce19"),
-    (("chain-k4", 3, 4),
-     "e7c9aa2db5111cfe5c40bffe51b7dc4a9e83e69b7f3c4c7a16816714664fd3c4"),
-    (("chain-swapped", 4, 3),
-     "32d8e36692081982a26f6bb2215c669c3b56d7021eecfd95a0cbd83850eac1a3"),
+    pytest.param(
+        ("splice",),
+        "85b636fbe046c37b485c18f2b90ca5a938cbce2555340683dd74a6e1b60835ff",
+        id="splice"),
+    pytest.param(
+        ("chain", 4, 3),
+        "bec1d4931a5a9ffee0010eaab67dc5abffbabf4fed9464fbe16d057c7974b849",
+        id="chain-4-3"),
+    pytest.param(
+        ("cycle", 4, 3),
+        "06edb61c266a2b99be013d8b2db8a4eb2220a8ac1c262f44dfe0c90cf2e0f64a",
+        id="cycle-4-3"),
+    pytest.param(
+        ("cycle", 5, 3),
+        "3188c1854e701d8541c605ad65ab9a79ef3fa0598c900d3debdf1b82660ef9d8",
+        id="cycle-5-3"),
+    pytest.param(
+        ("star", 4, 4),
+        "ebb5724e639c446894201d1499ace18df664dac4be188164985a8c02a71f6743",
+        id="star-4-4"),
+    pytest.param(
+        ("chain-k4", 3, 2),
+        "8b87c3819fd6231aa6a246f4e4a5f973f0f335b75d328bdf9a31d0ee190fce19",
+        id="chain-k4-3-2"),
+    pytest.param(
+        ("chain-k4", 3, 4),
+        "e7c9aa2db5111cfe5c40bffe51b7dc4a9e83e69b7f3c4c7a16816714664fd3c4",
+        id="chain-k4-3-4"),
+    pytest.param(
+        ("chain-swapped", 4, 3),
+        "32d8e36692081982a26f6bb2215c669c3b56d7021eecfd95a0cbd83850eac1a3",
+        id="chain-swapped-4-3"),
 ])
 def test_glued_ids_are_pinned(args, digest):
     cert = _family(*args)

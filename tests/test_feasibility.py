@@ -355,7 +355,7 @@ _LYING_ROUTES = textwrap.dedent("""
            lambda: ears.validate_decomposition(g, d))
     matching._augment = augment
     # the cube is bipartite and matching-covered
-    matching._bipartite_uncovered_edge = lambda h, side: 0
+    matching._blossom_uncovered_edge = lambda h: 0
     expect("bipartite matching-covered route",
            lambda: cli.analyze_graph(cube_graph()))
     cli.is_matching_covered = (

@@ -152,10 +152,10 @@ def test_vertex_connectivity_petersen():
                                    "connectivity-fails",
                                    "bipartite-matching-covered"])
 def test_kernels_leave_no_cyclic_garbage(route):
-    """The connectivity search, on its passing and its failing side, and the
-    bipartite route of is_matching_covered free everything they build
-    by reference counting, with no cycle left for the garbage
-    collector."""
+    """The connectivity search, on its passing and its failing side, and
+    is_matching_covered's blossom route on a bipartite graph free
+    everything they build by reference counting, with no cycle left for
+    the garbage collector."""
     g = cube_graph() if route.startswith("bipartite") else petersen()
     call = {"connectivity-passes": lambda: vertex_connectivity_at_least(g, 3),
             "connectivity-fails": lambda: not vertex_connectivity_at_least(g, 4),
@@ -260,8 +260,14 @@ def test_pinned_separators(name, build, kappa, sep):
 
 
 @pytest.mark.parametrize("seed, digest", [
-    (0, "dc652327910dab5fe9590f9a8256ada9717c23782c1a1e0d0adab5bb0d42ac42"),
-    (1, "b818f9120e233fee2b5f6f63e4c5f902d65ca989e996fd1b279e7c5c132fa072"),
+    pytest.param(
+        0,
+        "dc652327910dab5fe9590f9a8256ada9717c23782c1a1e0d0adab5bb0d42ac42",
+        id="seed-0"),
+    pytest.param(
+        1,
+        "b818f9120e233fee2b5f6f63e4c5f902d65ca989e996fd1b279e7c5c132fa072",
+        id="seed-1"),
 ])
 def test_pinned_separators_on_the_corpus(seed, digest):
     text = json.dumps([_connectivity_table(e.graph)

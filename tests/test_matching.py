@@ -200,8 +200,9 @@ def _connected_bipartite_multigraphs(draw):
                  strategies.multigraphs(max_edges=18, bipartite=True)))
 @settings(max_examples=300, deadline=None)
 def test_bipartite_route_matches_oracle(g):
-    """The blossom-plus-SCC route: the verdict, and the lowest-id edge in
-    no perfect matching, as the pair-partitioning oracle finds them."""
+    """The blossom route on bipartite graphs: the verdict, and the
+    lowest-id edge in no perfect matching, as the pair-partitioning
+    oracle finds them."""
     assert is_bipartite(g).bipartite
     res = is_matching_covered(g)
     if g.n == 0 or not is_connected(g):
