@@ -17,11 +17,10 @@ from .errors import (BudgetExhaustedError, ColoringMismatchError,
                      CrossCheckError, EdgeNotInGraphError,
                      InvalidParameterError, NotEquivalentError,
                      NotMatchingCoveredError)
-from .feasibility import (is_switch_equiv_empty, is_switch_equiv_full,
-                          parity_spaces)
+from .feasibility import is_switch_equiv_empty, nf_star_witness_fault
 from .graph import (EdgeSet, Graph, is_bipartite, map_mask,
                     vertex_connectivity_at_least)
-from .matching import is_matching_covered
+from .matching import is_matching_covered, is_perfect_matching
 from .span import matching_span
 
 DEFAULT_COLOR_BUDGET = 5_000_000
@@ -146,14 +145,10 @@ def coloring_is_proper(g: Graph, coloring: Sequence[int],
 
 def color_classes_are_perfect_matchings(g: Graph, coloring: Sequence[int],
                                         r: int) -> bool:
-    for c in range(1, r + 1):
-        covered = set()
-        for eid, (u, v) in enumerate(g.edges):
-            if coloring[eid] == c:
-                covered.update((u, v))
-        if len(covered) != g.n:
-            return False
-    return True
+    return all(
+        is_perfect_matching(g.n, g.edges, sum(
+            1 << eid for eid, col in enumerate(coloring) if col == c))
+        for c in range(1, r + 1))
 
 
 def _swap_with_one(coloring: Sequence[int], c: int) -> list[int]:
@@ -616,16 +611,8 @@ def verify_certificate(cert: ConstructionCertificate) -> list[Claim]:
 def _verify_witness(g: Graph, w: EdgeSet) -> Claim:
     """Constant matching parity, and equivalent to neither {} nor E."""
     try:
-        span = matching_span(g)
+        fault = nf_star_witness_fault(g, w)
     except BudgetExhaustedError:
         return Claim("nf-star-witness", None,
                      "span DP state budget exhausted")
-    if 0 not in span.parity_counts(w.mask):
-        return Claim("nf-star-witness", False, "witness is feasible")
-    if is_switch_equiv_empty(g, w):
-        return Claim("nf-star-witness", False, "witness is a cut")
-    if is_switch_equiv_full(g, w):
-        return Claim("nf-star-witness", False, "witness complement is a cut")
-    if parity_spaces(g).cut_plus_E.contains(w.mask):
-        return Claim("nf-star-witness", False, "witness in cut + <E>")
-    return Claim("nf-star-witness", True, "")
+    return Claim("nf-star-witness", fault is None, fault or "")

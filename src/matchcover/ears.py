@@ -45,12 +45,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import CrossCheckError, NotMatchingCoveredError
-from .feasibility import parity_spaces
+from .errors import CrossCheckError
+from .feasibility import nf_star_witness_fault, parity_spaces
 from .gf2 import Gf2Subspace
 from .graph import EdgeSet, Graph, is_bipartite, is_connected, map_mask
 from .matching import check_perfect, rematch_without
-from .span import matching_span, span_matching_covered
+from .span import matching_span, require_matching_covered, span_matching_covered
 
 
 @dataclass(frozen=True)
@@ -251,17 +251,9 @@ def _peel(g: Graph) -> list:
     return removal
 
 
-def _require_matching_covered(g: Graph) -> None:
-    """Raise unless the DP finds g connected and matching-covered."""
-    if g.n == 0 or not is_connected(g):
-        raise NotMatchingCoveredError("not matching-covered: not-connected")
-    if not span_matching_covered(g):
-        raise NotMatchingCoveredError("not matching-covered: uncovered-edge")
-
-
 def find_ear_decomposition(g: Graph) -> EarDecomposition:
     """An ear decomposition of a matching-covered graph (always exists)."""
-    _require_matching_covered(g)
+    require_matching_covered(g)
     return _assemble(g, _peel(g))
 
 
@@ -273,7 +265,7 @@ class SingleEarOutcome:
 
 def find_single_ear_decomposition(g: Graph) -> SingleEarOutcome:
     """All-single decomposition for bipartite inputs, else the odd cycle."""
-    _require_matching_covered(g)
+    require_matching_covered(g)
     bip = is_bipartite(g)
     if not bip.bipartite:
         return SingleEarOutcome(None, bip.odd_walk)
@@ -433,7 +425,8 @@ def classify_nf_star(g: Graph, d: EarDecomposition) -> NfStarClassification:
     of G_{r-1} - u - v.  Those X form the subspace
     N = (D(G_{r-1}) + lift(D(G_{r-1} - u - v)))^perp, so nF* is nonempty
     iff a basis vector of N lies outside cut + <E> of G_{r-1}; that
-    vector is re-verified by its parity counts in both graphs.  Raises
+    vector is re-verified by `nf_star_witness_fault` on G_{r-1} and by
+    its parity counts on G_{r-1} - u - v.  Raises
     BudgetExhaustedError when a span DP runs out of its state budget.
     """
     r = d.r
@@ -458,11 +451,11 @@ def classify_nf_star(g: Graph, d: EarDecomposition) -> NfStarClassification:
             True, "case-iv", f"the {n_space.dim}-dimensional space of nF "
             f"members of the prefix that restrict non-feasibly lies in "
             f"cut + <E>")
-    if (0 not in ps_prev.span.parity_counts(x)
-            or 0 not in matching_span(deleted).parity_counts(
-                map_mask(x, emap_del))):
-        raise CrossCheckError("case-iv witness is feasible by its parity "
-                              "counts in the prefix or its deletion")
+    fault = nf_star_witness_fault(prev, EdgeSet(x, prev.m))
+    if fault is not None or 0 not in matching_span(deleted).parity_counts(
+            map_mask(x, emap_del)):
+        raise CrossCheckError(f"case-iv witness fails its re-check in the "
+                              f"prefix ({fault}) or its deletion")
     witness = EdgeSet(map_mask(x, {new: old for old, new
                                     in emap_prev.items()}), g.m)
     return NfStarClassification(

@@ -27,11 +27,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .errors import (CrossCheckError, DimensionMismatch,
-                     NoPerfectMatchingError, NotMatchingCoveredError)
+from .errors import CrossCheckError, DimensionMismatch, NoPerfectMatchingError
 from .gf2 import Gf2Subspace, subspace_equal, subspace_sum
 from .graph import EdgeSet, Graph, VertexSet, boundary
-from .span import MatchingSpan, matching_span, span_matching_covered
+from .matching import is_perfect_matching
+from .span import MatchingSpan, matching_span, require_matching_covered
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class ParitySpaces:
     @cached_property
     def pairs_are_matchings(self) -> bool:
         """Is each of the DP's pairs two perfect matchings of the graph?"""
-        return all(_is_perfect_matching(self.n, self.edges, mt)
+        return all(is_perfect_matching(self.n, self.edges, mt)
                    for pair in self.span.pm_pairs for mt in pair)
 
     @cached_property
@@ -86,17 +86,6 @@ def parity_spaces(g: Graph) -> ParitySpaces:
                           cut, cut_plus_e)
         object.__setattr__(g, "_ps", ps)
     return ps
-
-
-def _is_perfect_matching(n: int, edges: tuple[tuple[int, int], ...],
-                         mask: int) -> bool:
-    covered = 0
-    for eid in EdgeSet(mask, len(edges)).ids():
-        u, v = edges[eid]
-        if covered >> u & 1 or covered >> v & 1:
-            return False
-        covered |= 1 << u | 1 << v
-    return covered == (1 << n) - 1
 
 
 def is_feasible(g: Graph, x: EdgeSet,
@@ -206,13 +195,10 @@ def nf_star_report(g: Graph,
     Since cut <= nF and E in nF always hold for matching-covered graphs,
     the class {X : X ~ {} or X ~ E} is exactly the subspace cut + <E>, so
     emptiness is a dimension comparison.  A nonempty verdict carries the
-    first reduced nF basis vector outside cut + <E>, re-verified by the
-    DP's signed parity count and by the combinatorial cut tests.
+    first reduced nF basis vector outside cut + <E>, re-verified by
+    `nf_star_witness_fault`.
     """
-    if not span_matching_covered(g):
-        raise NotMatchingCoveredError(
-            "not matching-covered: disconnected, or an edge lies in no "
-            "perfect matching")
+    require_matching_covered(g)
     if ps is None:
         ps = parity_spaces(g)
     full = (1 << g.m) - 1
@@ -222,14 +208,23 @@ def nf_star_report(g: Graph,
     empty = subspace_equal(ps.nF, ps.cut_plus_E)
     if empty:
         return NfStarReport(True, None, ps.dims)
-    witness_mask = next(r for r in ps.nF.basis()
-                        if not ps.cut_plus_E.contains(r))
-    witness = EdgeSet(witness_mask, g.m)
-    # independent re-verification of the witness
-    if 0 not in ps.span.parity_counts(witness_mask):
-        raise CrossCheckError("nF* witness is feasible by its parity count")
-    if is_switch_equiv_empty(g, witness) or is_switch_equiv_full(g, witness):
-        raise CrossCheckError("nF* witness is switching-equivalent to "
-                              "{} or E")
+    witness = EdgeSet(next(r for r in ps.nF.basis()
+                           if not ps.cut_plus_E.contains(r)), g.m)
+    fault = nf_star_witness_fault(g, witness)
+    if fault is not None:
+        raise CrossCheckError(f"nF* witness fails its re-check: {fault}")
     return NfStarReport(False, witness, ps.dims)
 
+
+def nf_star_witness_fault(g: Graph, x: EdgeSet) -> Optional[str]:
+    """Why x is not in nF*(g), or None when it is: x meets every perfect
+    matching with one parity by the span DP's parity counts, and neither
+    x nor E + x is a cut by `is_switch_equiv_empty`.  Raises
+    BudgetExhaustedError when the span DP runs out of its state budget."""
+    if 0 not in matching_span(g).parity_counts(x.mask):
+        return "witness is feasible"
+    if is_switch_equiv_empty(g, x):
+        return "witness is a cut"
+    if is_switch_equiv_full(g, x):
+        return "witness complement is a cut"
+    return None

@@ -56,7 +56,6 @@ def graph_from_graph6(text: str) -> Graph:
     data = s.encode("ascii")
     if not data:
         raise ParseError("empty graph6 string")
-    pos = 0
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
             raise ParseError("graph6 n > 258047 unsupported")
@@ -67,12 +66,14 @@ def graph_from_graph6(text: str) -> Graph:
     else:
         n = data[0] - 63
         pos = 1
-    if n < 0:
+    if not all(63 <= byte <= 126 for byte in data[:pos]):
         raise ParseError("bad graph6 size byte")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(data) - pos < need:
         raise ParseError("truncated graph6 bit vector")
+    if len(data) - pos > need:
+        raise ParseError("bytes after the graph6 bit vector")
     bits = []
     for byte in data[pos:pos + need]:
         w = byte - 63

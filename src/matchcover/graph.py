@@ -106,6 +106,13 @@ class VertexSet(_BitSet):
     kind: ClassVar[str] = "vertex"
 
 
+def _integer(x) -> int:
+    """x by `operator.index`, refusing a bool, which it reads as 0 or 1."""
+    if type(x) is bool:
+        raise TypeError(f"{x} is a boolean")
+    return operator.index(x)
+
+
 def map_mask(mask: int, id_map: dict[int, int]) -> int:
     """The mask whose bit id_map[i] is set for each set bit i of mask
     that id_map has: a set carried between a graph and its parts or
@@ -130,9 +137,8 @@ class Graph:
                  vertex_labels: Optional[dict] = None,
                  edge_labels: Optional[dict] = None):
         try:
-            n = operator.index(n)
-            edges = tuple((operator.index(u), operator.index(v))
-                          for u, v in edges)
+            n = _integer(n)
+            edges = tuple((_integer(u), _integer(v)) for u, v in edges)
         except TypeError as exc:
             raise InvalidParameterError(
                 f"vertex count and endpoints must be integers: {exc}")

@@ -169,6 +169,14 @@ def has_perfect_matching(g: Graph) -> bool:
     return g.n % 2 == 0 and 2 * len(max_matching(g)) == g.n
 
 
+def is_perfect_matching(n: int, edges: Sequence[tuple[int, int]],
+                        mask: int) -> bool:
+    """Do the edges in mask cover each of the n vertices exactly once?"""
+    ends = sorted(x for eid in EdgeSet(mask, len(edges)).ids()
+                  for x in edges[eid])
+    return ends == list(range(n))
+
+
 @dataclass(frozen=True)
 class MatchingEnumeration:
     matchings: tuple[EdgeSet, ...]

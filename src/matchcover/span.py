@@ -63,7 +63,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
-from .errors import BudgetExhaustedError
+from .errors import BudgetExhaustedError, NotMatchingCoveredError
 from .graph import Graph, is_connected
 
 DEFAULT_STATE_BUDGET = 200_000
@@ -140,6 +140,15 @@ def span_matching_covered(g: Graph) -> bool:
     span = matching_span(g)
     return (g.n > 0 and span.pm_count > 0 and is_connected(g)
             and span.edge_union == (1 << g.m) - 1)
+
+
+def require_matching_covered(g: Graph) -> None:
+    """Raise NotMatchingCoveredError, saying why, unless g is connected
+    and the DP finds it matching-covered."""
+    if g.n == 0 or not is_connected(g):
+        raise NotMatchingCoveredError("not matching-covered: not-connected")
+    if not span_matching_covered(g):
+        raise NotMatchingCoveredError("not matching-covered: uncovered-edge")
 
 
 def _rcm_order(g: Graph) -> list[int]:

@@ -45,7 +45,6 @@ from .ears import (
     case_iv_space,
     classify_nf_star,
     find_ear_decomposition,
-    find_single_ear_decomposition,
     validate_decomposition,
 )
 from .matching import enumerate_perfect_matchings, is_matching_covered
@@ -164,9 +163,10 @@ def suite_ear_classify(entries: list[CorpusEntry]) -> list[SuiteCheck]:
         val = validate_decomposition(g, d)
         checks.append(SuiteCheck(f"ear-valid[{entry.name}]", bool(val),
                                  val.clause or ""))
+        # every ear decomposition of g is all single iff g is bipartite
+        # (Lovasz-Plummer, Matching Theory, 1986)
         bip = is_bipartite(g).bipartite
-        single = find_single_ear_decomposition(g)
-        got_single = single.decomposition is not None
+        got_single = all(s.ear.kind == "single" for s in d.steps)
         checks.append(SuiteCheck(
             f"single-ear-iff-bipartite[{entry.name}]", got_single == bip,
             f"bipartite={bip} single-ear={got_single}"))

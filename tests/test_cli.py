@@ -179,6 +179,11 @@ def test_usage_errors():
     ["analyze", "{tmp}/labels.json"],         # a label key that is no id
     ["analyze", "{tmp}/n.json"],              # a vertex count that is no int
     ["analyze", "{tmp}/endpoint.json"],       # an endpoint that is no int
+    ["analyze", "{tmp}/bool_ends.json"],      # booleans as endpoints
+    ["analyze", "{tmp}/bool_n.json"],         # a boolean vertex count
+    ["analyze", "{tmp}/trailing.g6"],         # bytes after the bit vector
+    ["analyze", "{tmp}/two.g6"],              # two graphs in one file
+    ["analyze", "{tmp}/size127.g6"],          # size byte 127
 ])
 def test_input_errors_exit_2_with_one_line(argv, k4_file, tmp_path, capsys):
     (tmp_path / "latin1.txt").write_bytes(b"2 1\n0 1 \xe9\n")
@@ -189,6 +194,12 @@ def test_input_errors_exit_2_with_one_line(argv, k4_file, tmp_path, capsys):
         '{"n": 4.5, "edges": [[0, 1], [2, 3], [1, 2], [3, 0]]}')
     (tmp_path / "endpoint.json").write_text(
         '{"n": 4, "edges": [[0, 1.5], [2, 3]]}')
+    (tmp_path / "bool_ends.json").write_text(
+        '{"n": 2, "edges": [[false, true]]}')
+    (tmp_path / "bool_n.json").write_text('{"n": true, "edges": []}')
+    (tmp_path / "trailing.g6").write_text("Bwxyz\n")
+    (tmp_path / "two.g6").write_text("Bw\nCF\n")
+    (tmp_path / "size127.g6").write_bytes(b"\x7f" + b"?" * 336 + b"\n")
     argv = [a.format(k4=k4_file, tmp=tmp_path) for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()

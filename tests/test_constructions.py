@@ -1,9 +1,11 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
+from matchcover import span
 from matchcover.constructions import (
     ChainPart,
     CyclePart,
@@ -27,7 +29,8 @@ from matchcover.corpus import build_corpus
 from matchcover.errors import InvalidParameterError, NotMatchingCoveredError
 from matchcover.feasibility import nf_star_report
 from matchcover.formats import certificate_to_json_obj
-from matchcover.graph import Graph, is_bipartite, vertex_connectivity_at_least
+from matchcover.graph import (Graph, boundary, is_bipartite,
+                              vertex_connectivity_at_least)
 from matchcover.matching import enumerate_perfect_matchings, is_matching_covered
 
 
@@ -158,6 +161,42 @@ def test_star_family_three_k4():
     assert all(c.ok is True for c in claims)
     rep = nf_star_report(g)
     assert not rep.empty
+
+
+def _witness_claim(cert):
+    return next(c for c in verify_certificate(cert)
+                if c.name == "nf-star-witness")
+
+
+def test_planted_witnesses_fail_the_witness_claim():
+    q4 = build_qr(4)
+    cert = build_star_xs([StarPart(q4.graph, q4.coloring) for _ in range(4)])
+    g = cert.graph
+    claim = _witness_claim(cert)
+    assert (claim.ok, claim.detail) == (True, "")
+    star = boundary(g, g.vertex_set((0,)))
+    for planted, detail in ((g.edge_set((0,)), "witness is feasible"),
+                            (star, "witness is a cut"),
+                            (g.full_edge_set() ^ star,
+                             "witness complement is a cut")):
+        claim = _witness_claim(replace(cert, nf_star_witness=planted))
+        assert (claim.ok, claim.detail) == (False, detail)
+
+
+def test_witness_claim_is_unverified_over_the_dp_budget(monkeypatch):
+    q4 = build_qr(4)
+    cert = build_star_xs([StarPart(q4.graph, q4.coloring) for _ in range(4)])
+    monkeypatch.setattr(span, "DEFAULT_STATE_BUDGET", 1)
+    fresh = Graph(cert.graph.n, cert.graph.edges)   # no DP kept on it yet
+    claim = _witness_claim(replace(cert, graph=fresh))
+    assert (claim.ok, claim.detail) == (None, "span DP state budget exhausted")
+
+
+def test_color_class_that_covers_every_vertex_twice_is_no_matching():
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert not color_classes_are_perfect_matchings(path, [1, 1, 1], 1)
+    assert color_classes_are_perfect_matchings(path, [1, 2, 1], 1)
+    assert not color_classes_are_perfect_matchings(path, [1, 2, 1], 2)
 
 
 def test_star_iteration_feeds_back():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -6,8 +7,9 @@ from oracles import (brute_cut_masks, brute_nf_masks, brute_nf_star_masks,
                      brute_perfect_matchings)
 
 from matchcover import suites
-from matchcover.constructions import petersen
-from matchcover.corpus import build_corpus, random_matching_covered
+from matchcover.constructions import complete_graph, cube_graph, petersen
+from matchcover.corpus import (CorpusEntry, build_corpus,
+                               random_matching_covered)
 from matchcover.ears import find_ear_decomposition
 from matchcover.errors import InvalidParameterError
 from matchcover.graph import boundary, map_mask
@@ -158,6 +160,29 @@ def test_sep_invariance_fails_on_a_feasible_star(monkeypatch):
     assert failed == [("switch-invariance[petersen]",
                        "10 vertex stars, 1 feasible")]
     assert not rep.passed
+
+
+@pytest.mark.parametrize("graph, kind, detail", [
+    (cube_graph, "double", "bipartite=True single-ear=False"),
+    (lambda: complete_graph(4), "single", "bipartite=False single-ear=True"),
+], ids=["cube", "k4"])
+def test_single_ear_check_fails_on_ear_kinds_that_disagree(
+        monkeypatch, graph, kind, detail):
+    """A decomposition whose every ear is of the wrong kind for the
+    graph's bipartiteness fails single-ear-iff-bipartite."""
+    real = suites.find_ear_decomposition
+
+    def find_ear_decomposition(g):
+        d = real(g)
+        return replace(d, steps=tuple(
+            replace(s, ear=replace(s.ear, kind=kind)) for s in d.steps))
+
+    monkeypatch.setattr(suites, "find_ear_decomposition",
+                        find_ear_decomposition)
+    checks = suites.suite_ear_classify([CorpusEntry("g", graph())])
+    check = next(c for c in checks
+                 if c.name == "single-ear-iff-bipartite[g]")
+    assert (check.passed, check.detail) == (False, detail)
 
 
 _DOUBLE_EAR = ("complete-4", "brick-q3", "star-family-3xk4")
