@@ -68,6 +68,8 @@ def graph_from_graph6(text: str) -> Graph:
         pos = 1
     if not all(63 <= byte <= 126 for byte in data[:pos]):
         raise ParseError("bad graph6 size byte")
+    if pos == 4 and n <= 62:
+        raise ParseError(f"graph6 four-byte size form for n = {n} <= 62")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(data) - pos < need:
@@ -80,6 +82,8 @@ def graph_from_graph6(text: str) -> Graph:
         if not 0 <= w < 64:
             raise ParseError(f"bad graph6 byte {byte}")
         bits.extend((w >> k) & 1 for k in range(5, -1, -1))
+    if any(bits[nbits:]):
+        raise ParseError("graph6 padding bit set after the bit vector")
     edges = []
     idx = 0
     for v in range(1, n):
@@ -150,9 +154,14 @@ def graph_from_json_obj(obj: dict) -> Graph:
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParseError(f"bad graph json: {exc}")
     try:
-        return Graph(n, edges, vertex_labels=vl, edge_labels=el)
+        g = Graph(n, edges, vertex_labels=vl, edge_labels=el)
     except Exception as exc:
         raise ParseError(str(exc))
+    for kind, ids, count in (("vertex", vl, g.n), ("edge", el, g.m)):
+        for k in ids:
+            if not 0 <= k < count:
+                raise ParseError(f"{kind} label on missing {kind} {k}")
+    return g
 
 
 def graph_to_json(g: Graph) -> str:

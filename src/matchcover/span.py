@@ -35,23 +35,20 @@ lowest vertex sits at a given position differ only in which later
 vertices an earlier one has already matched, so there are at most 2^s
 of them, where s is the order's vertex separation: the most later
 vertices with an earlier neighbour, over all cut points (the pathwidth
-is the least s over all orders; Kinnersley, IPL 1992).  Reverse
-Cuthill-McKee (RCM) order, computed on the adjacency lists, is cheap and
-does well on grids, but its separation on the paper's star graphs is
-25 at r=5 against 11 for a greedy order.  That greedy order grows from
-a least-degree vertex, placing next the frontier vertex that adds the
-fewest new vertices to the frontier, and is then reversed.  RCM is
-kept unless its separation exceeds GREEDY_ABOVE and the greedy order's
-is smaller; below that bound every order is cheap, and the greedy
-order is not built.  The order is kept on the graph, and the subgraphs
-cut from it by `delete_edges`, `delete_vertices` and `edge_subgraph`
-inherit it, restricted to their vertices: a restriction's separation
-is no larger, so the ear search, which runs one DP per ear it removes,
-computes the order once per input graph.  The results do not depend on
-the order, except for which PM is M0 and which PM pairs are kept.  The
-DAG is walked with an explicit stack, so a long thin graph needs no
-deep recursion, and the DP stops with BudgetExhaustedError once it has
-made DEFAULT_STATE_BUDGET states, so memory stays bounded.
+is the least s over all orders; Kinnersley, IPL 1992).  The order is
+the reverse of a greedy growth that keeps the frontier small: from a
+least-degree vertex of each component, it places next the frontier
+vertex that adds the fewest new vertices to the frontier less its
+placed neighbours, the earliest arrival first among ties.  The order
+is kept on the graph, and the subgraphs cut from it by `delete_edges`,
+`delete_vertices` and `edge_subgraph` inherit it, restricted to their
+vertices: a restriction's separation is no larger, so the ear search,
+which runs one DP per ear it removes, computes the order once per
+input graph.  The results do not depend on the order, except for which
+PM is M0 and which PM pairs are kept.  The DAG is walked with an
+explicit stack, so a long thin graph needs no deep recursion, and the
+DP stops with BudgetExhaustedError once it has made
+DEFAULT_STATE_BUDGET states, so memory stays bounded.
 
 The DP runs at most once per Graph: `matching_span` keeps its result on
 the graph, and so does a DP over budget, whose BudgetExhaustedError is
@@ -67,9 +64,6 @@ from .errors import BudgetExhaustedError, NotMatchingCoveredError
 from .graph import Graph, is_connected
 
 DEFAULT_STATE_BUDGET = 200_000
-# RCM's separation above which the greedy order is built too; below it
-# the DP makes at most 2^GREEDY_ABOVE states per position whatever the order
-GREEDY_ABOVE = 7
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,102 +145,46 @@ def require_matching_covered(g: Graph) -> None:
         raise NotMatchingCoveredError("not matching-covered: uncovered-edge")
 
 
-def _rcm_order(g: Graph) -> list[int]:
-    """Reverse Cuthill-McKee order: breadth-first from a least-degree
-    vertex of each component, unseen neighbours by increasing degree."""
-    adj = g.adjacency()
-    deg = [len(a) for a in adj]
-    seen = [False] * g.n
-    order: list[int] = []
-    head = 0
-    for start in sorted(range(g.n), key=deg.__getitem__):
-        if not seen[start]:
-            seen[start] = True
-            order.append(start)
-        while head < len(order):
-            nbrs = []
-            for w, _ in adj[order[head]]:
-                if not seen[w]:
-                    seen[w] = True
-                    nbrs.append(w)
-            nbrs.sort(key=deg.__getitem__)
-            order.extend(nbrs)
-            head += 1
-    return order[::-1]
+def _vertex_order(g: Graph) -> tuple[int, ...]:
+    """g's DP order, kept on g: the order g was given by the graph it was
+    cut from, else the greedy order."""
+    order = object.__getattribute__(g, "_order")
+    if order is None:
+        order = _greedy_order(g)
+        object.__setattr__(g, "_order", order)
+    return order
 
 
-def _greedy_order(g: Graph) -> list[int]:
+def _greedy_order(g: Graph) -> tuple[int, ...]:
     """The reverse of a greedy growth: from a least-degree vertex of each
     component, place next the frontier vertex (unplaced, with a placed
-    neighbour) that adds the fewest new vertices to the frontier; ties go
-    to the most placed neighbours, then the lowest id."""
+    neighbour) that adds the fewest new vertices to the frontier less its
+    placed neighbours; ties go to the earliest arrival on the frontier."""
     nbrs = [{w for w, _ in a} for a in g.adjacency()]
     fresh = [len(a) for a in nbrs]    # neighbours neither placed nor frontier
     placed_nbrs = [0] * g.n
     touched = [False] * g.n            # placed or on the frontier
-    frontier: set[int] = set()
+    frontier: dict[int, None] = {}     # in order of arrival
     order: list[int] = []
-    starts = iter(sorted(range(g.n), key=fresh.__getitem__))
 
     def touch(v: int) -> None:
         touched[v] = True
+        frontier[v] = None
         for x in nbrs[v]:
             fresh[x] -= 1
 
-    while len(order) < g.n:
-        if frontier:
-            v = min(frontier,
-                    key=lambda w: (fresh[w], -placed_nbrs[w], w))
-            frontier.remove(v)
-        else:
-            v = next(w for w in starts if not touched[w])
-            touch(v)
-        order.append(v)
-        for w in nbrs[v]:
-            placed_nbrs[w] += 1
-            if not touched[w]:
-                touch(w)
-                frontier.add(w)
-    return order[::-1]
-
-
-def _separation(g: Graph, order) -> int:
-    """The vertex separation of order: the most later vertices that have
-    an earlier neighbour, over all cut points.  The DP makes at most
-    2^separation states per position."""
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    # vertex w counts at the cut points after its first neighbour, up to
-    # and including its own position
-    delta = [0] * (g.n + 1)
-    for w, a in enumerate(g.adjacency()):
-        first = min((pos[x] for x, _ in a), default=g.n)
-        if first < pos[w]:
-            delta[first + 1] += 1
-            delta[pos[w] + 1] -= 1
-    best = run = 0
-    for d in delta:
-        run += d
-        best = max(best, run)
-    return best
-
-
-def _vertex_order(g: Graph) -> tuple[int, ...]:
-    """g's DP order, kept on g: the order g was given by the graph it was
-    cut from, else RCM, or the greedy order when RCM's separation exceeds
-    GREEDY_ABOVE and the greedy order's is smaller."""
-    order = object.__getattribute__(g, "_order")
-    if order is None:
-        order = _rcm_order(g)
-        sep = _separation(g, order)
-        if sep > GREEDY_ABOVE:
-            greedy = _greedy_order(g)
-            if _separation(g, greedy) < sep:
-                order = greedy
-        order = tuple(order)
-        object.__setattr__(g, "_order", order)
-    return order
+    for start in sorted(range(g.n), key=fresh.__getitem__):
+        if not touched[start]:
+            touch(start)
+        while frontier:
+            v = min(frontier, key=lambda w: fresh[w] - placed_nbrs[w])
+            del frontier[v]
+            order.append(v)
+            for w in nbrs[v]:
+                placed_nbrs[w] += 1
+                if not touched[w]:
+                    touch(w)
+    return tuple(reversed(order))
 
 
 def matching_span(g: Graph) -> MatchingSpan:

@@ -184,6 +184,10 @@ def test_usage_errors():
     ["analyze", "{tmp}/trailing.g6"],         # bytes after the bit vector
     ["analyze", "{tmp}/two.g6"],              # two graphs in one file
     ["analyze", "{tmp}/size127.g6"],          # size byte 127
+    ["analyze", "{tmp}/padding.g6"],          # a padding bit set
+    ["analyze", "{tmp}/long_size.g6"],        # four size bytes for n = 4
+    ["analyze", "{tmp}/vertex_label.json"],   # a label on a missing vertex
+    ["analyze", "{tmp}/edge_label.json"],     # a label on a missing edge
 ])
 def test_input_errors_exit_2_with_one_line(argv, k4_file, tmp_path, capsys):
     (tmp_path / "latin1.txt").write_bytes(b"2 1\n0 1 \xe9\n")
@@ -200,6 +204,12 @@ def test_input_errors_exit_2_with_one_line(argv, k4_file, tmp_path, capsys):
     (tmp_path / "trailing.g6").write_text("Bwxyz\n")
     (tmp_path / "two.g6").write_text("Bw\nCF\n")
     (tmp_path / "size127.g6").write_bytes(b"\x7f" + b"?" * 336 + b"\n")
+    (tmp_path / "padding.g6").write_text("Bx\n")
+    (tmp_path / "long_size.g6").write_text("~??Cw\n")
+    (tmp_path / "vertex_label.json").write_text(
+        '{"n": 2, "edges": [[0, 1]], "labels": {"vertices": {"-1": "x"}}}')
+    (tmp_path / "edge_label.json").write_text(
+        '{"n": 2, "edges": [[0, 1]], "labels": {"edges": {"5": "x"}}}')
     argv = [a.format(k4=k4_file, tmp=tmp_path) for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()

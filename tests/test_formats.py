@@ -39,6 +39,16 @@ def test_graph6_round_trip():
         assert _edge_key(graph_from_graph6(graph_to_graph6(g))) == _edge_key(g)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 62, 63, 64])
+def test_graph6_files_read_back(n, tmp_path):
+    # every padding length, and both size forms: one byte up to n = 62
+    g = Graph(n, [(u, v) for v in range(n) for u in range(v)
+                  if (u * 7 + v) % 3 == 0])
+    p = tmp_path / "g.g6"
+    write_graph(g, str(p))
+    assert read_graph(str(p)).edges == g.edges
+
+
 def test_graph6_header_prefix_accepted():
     g = graph_from_graph6(">>graph6<<C~")
     assert g.m == 6

@@ -215,11 +215,12 @@ def _assert_same_results(g: Graph, a, b, rng: random.Random) -> None:
        st.randoms(use_true_random=False))
 @settings(max_examples=150, deadline=None)
 def test_dp_results_do_not_depend_on_the_vertex_order(g, data, rng):
-    rcm = _dp_under(g, span_module._rcm_order(g))
-    greedy = _dp_under(g, span_module._greedy_order(g))
-    _assert_same_results(g, rcm, greedy, rng)
+    drawn = data.draw(st.permutations(range(g.n)))
+    _assert_same_results(g, _dp_under(g, span_module._greedy_order(g)),
+                         _dp_under(g, drawn), rng)
     # a parent with one more vertex and more edges, in a drawn order: its
-    # subgraphs on g's vertices and on g's edges inherit that order
+    # subgraphs on g's vertices and on g's edges inherit that order, and
+    # agree with the DP under an order of their own
     extra = data.draw(st.lists(st.integers(0, g.n - 1), max_size=6))
     parent = Graph(g.n + 1, [*g.edges, *((v, g.n) for v in extra),
                              *((v, (v + 1) % g.n) for v in extra[:2]
@@ -230,7 +231,7 @@ def test_dp_results_do_not_depend_on_the_vertex_order(g, data, rng):
                   parent.edge_subgraph(range(g.m))[0]):
         assert child._order is not None
         _assert_same_results(
-            child, _dp_under(child, span_module._rcm_order(child)),
+            child, _dp_under(child, span_module._greedy_order(child)),
             span_module._run_dp(child), rng)
 
 
@@ -257,8 +258,8 @@ def test_subgraphs_run_no_order_of_their_own(monkeypatch):
     g = complete_graph(8)
     matching_span(g)
     calls = []
-    monkeypatch.setattr(span_module, "_rcm_order",
-                        lambda h: calls.append(h) or list(range(h.n)))
+    monkeypatch.setattr(span_module, "_greedy_order",
+                        lambda h: calls.append(h) or tuple(range(h.n)))
     h, _, _ = g.delete_vertices([0, 5])
     h, _ = h.delete_edges([0, 3])
     h, _, _ = h.edge_subgraph(range(h.m - 2))
@@ -267,14 +268,42 @@ def test_subgraphs_run_no_order_of_their_own(monkeypatch):
 
 
 def test_star_family_fits_a_small_state_budget(monkeypatch):
-    # r=5, 6 and 7 make 1,146, 6,184 and 32,701 states; under reverse
+    # r=5, 6 and 7 make 1,113, 6,117 and 33,073 states; under reverse
     # Cuthill-McKee alone r=5 makes 709,226
     monkeypatch.setattr(span_module, "DEFAULT_STATE_BUDGET", 10_000)
     q5 = build_qr(5)
     g = build_star_xs([StarPart(q5.graph, q5.coloring) for _ in range(5)]).graph
-    order = span_module._vertex_order(g)
-    assert span_module._separation(g, order) < span_module._separation(
-        g, span_module._rcm_order(g))
     span = matching_span(g)
     assert span.pm_count == 159_252_480
     assert len(span.starts) - 1 < 10_000
+
+
+# family, r, k and the DP's state count: the benchmark's family graphs,
+# cycle-9xq4 and star r=5
+PINNED_STATES = {
+    "qr6": ("qr", 6, 1, 132),
+    "cycle-3xq4": ("cycle", 4, 3, 92),
+    "star-4xq4": ("star", 4, 4, 199),
+    "cycle-3xq5": ("cycle", 5, 3, 205),
+    "cycle-5xq4": ("cycle", 4, 5, 176),
+    "cycle-9xq4": ("cycle", 4, 9, 344),
+    "star-5xq5": ("star", 5, 5, 1_113),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_STATES)
+def test_dp_state_count_is_pinned(name):
+    # the states with a perfect matching, the empty state included: a
+    # change to the vertex order or to the DP shows as a changed count
+    family, r, k, states = PINNED_STATES[name]
+    base = build_qr(r)
+    if family == "qr":
+        g = base.graph
+    elif family == "cycle":
+        g = build_cycle_cl([CyclePart(base.graph, base.labels["a1a2"],
+                                      base.labels["b1b2"], base.coloring)
+                            for _ in range(k)]).graph
+    else:
+        g = build_star_xs([StarPart(base.graph, base.coloring)
+                           for _ in range(k)]).graph
+    assert len(matching_span(g).starts) - 1 == states
