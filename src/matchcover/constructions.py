@@ -17,7 +17,7 @@ from .errors import (BudgetExhaustedError, ColoringMismatchError,
                      CrossCheckError, EdgeNotInGraphError,
                      InvalidParameterError, NotEquivalentError,
                      NotMatchingCoveredError)
-from .feasibility import is_switch_equiv_empty, nf_star_witness_fault
+from .feasibility import nf_star_report, nf_star_witness_fault
 from .graph import (EdgeSet, Graph, is_bipartite, map_mask,
                     vertex_connectivity_at_least)
 from .matching import is_matching_covered, is_perfect_matching
@@ -310,9 +310,8 @@ def build_chain(parts: Sequence[ChainPart]) -> ConstructionCertificate:
     `splice` of them, with its equivalent set.
 
     The certificate's equivalent set is the full aggregate (survivors of
-    each part's set plus every bridge pair f, f').  The survivors are
-    claimed as an nF* witness when their number is even and the
-    non-bipartiteness and non-cut side conditions verify.
+    each part's set plus every bridge pair f, f').  Its nF* witness is
+    the one `nf_star_report` finds on the chain, if any.
     """
     k = len(parts)
     if k < 2:
@@ -361,18 +360,12 @@ def build_chain(parts: Sequence[ChainPart]) -> ConstructionCertificate:
         n += p.graph.n
     g = Graph(n, edges)
 
-    # survivor pool Q: each part's equivalent set minus its consumed edges
-    q_ids = [(i, old) for i, p in enumerate(parts)
-             for old in p.equiv_set.ids() if old in part_maps[i]]
-    witness = None
-    witness_note = "no witness claimed"
-    if len(q_ids) % 2 == 0:
-        ok, note = _chain_side_conditions(parts, q_ids)
-        if ok:
-            witness = g.edge_set(part_maps[pi][old] for pi, old in q_ids)
-            witness_note = note
-        else:
-            witness_note = f"side conditions failed: {note}"
+    try:
+        witness = nf_star_report(g).witness
+        witness_note = ("nF* is empty" if witness is None
+                        else "nF* witness found by nf_star_report")
+    except BudgetExhaustedError as exc:
+        witness, witness_note = None, f"no witness claimed: {exc}"
 
     return ConstructionCertificate(
         name="chain", params={"k": k, "witness_note": witness_note},
@@ -380,33 +373,6 @@ def build_chain(parts: Sequence[ChainPart]) -> ConstructionCertificate:
         equivalent_sets=(EdgeSet(equiv, g.m),),
         nf_star_witness=witness,
         labels={"part_maps": part_maps})
-
-
-def _chain_side_conditions(parts: Sequence[ChainPart],
-                           sel: Sequence[tuple[int, int]]) -> tuple[bool, str]:
-    """Non-bipartite remainder somewhere, and restriction not a cut somewhere.
-
-    Both are checked on each part less the edges it gives up.
-    """
-    by_part: dict[int, list[int]] = {}
-    for pi, old in sel:
-        by_part.setdefault(pi, []).append(old)
-    nonbip = None
-    noncut = None
-    for i, p in enumerate(parts):
-        gp, emap = p.graph.delete_edges(_consumed(parts, i))
-        s_here = [emap[o] for o in by_part.get(i, []) if o in emap]
-        rest, _ = gp.delete_edges(s_here)
-        if nonbip is None and not is_bipartite(rest).bipartite:
-            nonbip = i
-        if noncut is None and s_here:
-            if not is_switch_equiv_empty(gp, gp.edge_set(s_here)).equivalent:
-                noncut = i
-    if nonbip is None:
-        return False, "every part remainder is bipartite"
-    if noncut is None:
-        return False, "every restriction is a cut of its part"
-    return True, f"non-bipartite at part {nonbip}, non-cut at part {noncut}"
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,11 @@ the last ear added is visible as a chain of internal degree-2 vertices
 (a chord when it has none), so candidates are exactly the maximal such
 chains; a removal is accepted when the remainder is connected and
 matching-covered.  Single-ear removals are tried before double-ear
-removals, biasing the result toward few double ears.  All ids in the
-returned decomposition refer to the input graph.
+removals, biasing the result toward few double ears.  The K2 left at
+the end is the base, and the removed ears in reverse grow it back into
+the input; the decomposition stores just these, in the input's ids, and
+derives each prefix from them.  On the final even cycle only one
+candidate is built, so that step takes one walk around it.
 
 Each step runs one span DP of `span.py`, on the graph left by the step
 before; `matching_span` keeps it on that graph, so no graph gets a
@@ -77,32 +80,25 @@ class Ear:
 
 
 @dataclass(frozen=True)
-class EarStep:
-    """G_i: its vertex/edge sets in original ids plus the ear that built it."""
-    vertices: tuple[int, ...]
-    edge_ids: tuple[int, ...]
-    ear: Ear
-
-
-@dataclass(frozen=True)
 class EarDecomposition:
+    """The base K2 and the ears that grow it into G, in original ids; the
+    prefix G_i is the base plus the first i ears."""
     base_vertices: tuple[int, int]
     base_edge: int
-    steps: tuple[EarStep, ...]
+    ears: tuple[Ear, ...]
 
     @property
     def r(self) -> int:
-        return len(self.steps)
+        return len(self.ears)
 
     @property
     def epsilon_sum(self) -> int:
-        return sum(s.ear.epsilon for s in self.steps)
+        return sum(ear.epsilon for ear in self.ears)
 
     def prefix_edges(self, i: int) -> tuple[int, ...]:
-        """Edge ids of G_i (i=0 is the base K2)."""
-        if i == 0:
-            return (self.base_edge,)
-        return self.steps[i - 1].edge_ids
+        """Edge ids of G_i (i=0 is the base K2), ascending."""
+        return tuple(sorted([self.base_edge, *(
+            e for ear in self.ears[:i] for p in ear.paths for e in p.edge_ids)]))
 
 
 def _chain_candidates(g: Graph) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
@@ -110,61 +106,47 @@ def _chain_candidates(g: Graph) -> list[tuple[int, int, tuple[int, ...], tuple[i
 
     Chords (edges between two retained vertices) appear as chains with no
     internals.  A connected all-degree-2 graph is a single cycle; there the
-    candidates are "cycle minus one edge" with that edge's ends retained.
+    one candidate is the cycle less the edge whose sorted ends come first
+    (the higher id of a parallel pair), walked from that edge's first end
+    to its second: of all "cycle less one edge" candidates, the first in
+    the order below, and its remainder K2 is always matching-covered.
     Deterministic order: sorted endpoint ids, then edge ids.
     """
     adj = g.adjacency()
     degs = g.degrees()
-    out = []
     branch = [v for v in range(g.n) if degs[v] != 2]
     if not branch:
-        # single cycle (including a parallel pair)
-        for eid, (u, v) in enumerate(g.edges):
-            path = _walk_cycle_minus(g, eid)
-            if path is not None:
-                out.append(path)
-    else:
-        seen = set()
-        for b in sorted(branch):
-            for w, eid in adj[b]:
-                path_eids = [eid]
-                internal = []
-                prev_eid, cur = eid, w
-                while degs[cur] == 2:
-                    internal.append(cur)
-                    nxt = next((x, e2) for x, e2 in adj[cur] if e2 != prev_eid)
-                    cur, prev_eid = nxt[0], nxt[1]
-                    path_eids.append(prev_eid)
-                if cur == b:
-                    continue     # chain loops back: not an ear
-                key = tuple(sorted(path_eids))
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append((b, cur, tuple(internal), tuple(path_eids)))
+        drop = min(range(g.m), key=lambda e: (sorted(g.edges[e]), -e))
+        u, v = g.edges[drop]
+        internal, eids = [], []
+        prev_eid, cur = drop, u
+        while True:
+            cur, prev_eid = next((x, e2) for x, e2 in adj[cur] if e2 != prev_eid)
+            eids.append(prev_eid)
+            if cur == v:
+                return [(u, v, tuple(internal), tuple(eids))]
+            internal.append(cur)
+    out = []
+    seen = set()
+    for b in sorted(branch):
+        for w, eid in adj[b]:
+            path_eids = [eid]
+            internal = []
+            prev_eid, cur = eid, w
+            while degs[cur] == 2:
+                internal.append(cur)
+                nxt = next((x, e2) for x, e2 in adj[cur] if e2 != prev_eid)
+                cur, prev_eid = nxt[0], nxt[1]
+                path_eids.append(prev_eid)
+            if cur == b:
+                continue     # chain loops back: not an ear
+            key = tuple(sorted(path_eids))
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append((b, cur, tuple(internal), tuple(path_eids)))
     out.sort(key=lambda c: (tuple(sorted((c[0], c[1]))), c[3]))
     return out
-
-
-def _walk_cycle_minus(g: Graph, drop_eid: int):
-    """The path around a cycle graph avoiding drop_eid, or None."""
-    u, v = g.edges[drop_eid]
-    adj = g.adjacency()
-    internal = []
-    eids = []
-    prev_eid, cur = drop_eid, u
-    while True:
-        nxt = next(((x, e2) for x, e2 in adj[cur] if e2 != prev_eid), None)
-        if nxt is None:
-            return None
-        cur, prev_eid = nxt
-        eids.append(prev_eid)
-        if cur == v:
-            break
-        internal.append(cur)
-    if len(eids) != g.m - 1:
-        return None   # not a single cycle after all
-    return (u, v, tuple(internal), tuple(eids))
 
 
 def _remainder(g: Graph, chains) -> Graph:
@@ -226,10 +208,10 @@ def _next_ear(g: Graph):
     raise CrossCheckError("no removable ear found")
 
 
-def _peel(g: Graph) -> list:
-    """Remove ears by `_next_ear` until K2 is left; the removal list
-    [(vertices, edge ids, Ear), ...] bottom-up, in the ids of g."""
-    removal = []
+def _peel(g: Graph) -> EarDecomposition:
+    """Remove ears by `_next_ear` until K2 is left: that K2 is the base,
+    and the removed ears, reversed, grow it into g, all in the ids of g."""
+    removed = []
     vmap, emap = tuple(range(g.n)), tuple(range(g.m))
     while not (g.n == 2 and g.m == 1):
         chains, h = _next_ear(g)
@@ -240,21 +222,20 @@ def _peel(g: Graph) -> list:
                     tuple(vmap[x] for x in c[2]),
                     tuple(emap[e] for e in c[3]))
             for c in chains)
-        kind = "single" if len(chains) == 1 else "double"
-        removal.append((vmap, emap, Ear(kind, paths)))
+        removed.append(Ear("single" if len(chains) == 1 else "double", paths))
         vmap = tuple(vmap[v] for v in range(g.n) if v not in drop_v)
         emap = tuple(emap[e] for e in range(g.m) if e not in drop_e)
         if len(vmap) != h.n or len(emap) != h.m:
             raise CrossCheckError("ear removal lost track of ids")
         g = h
-    removal.reverse()
-    return removal
+    return EarDecomposition((vmap[0], vmap[1]), emap[0],
+                            tuple(reversed(removed)))
 
 
 def find_ear_decomposition(g: Graph) -> EarDecomposition:
     """An ear decomposition of a matching-covered graph (always exists)."""
     require_matching_covered(g)
-    return _assemble(g, _peel(g))
+    return _peel(g)
 
 
 @dataclass(frozen=True)
@@ -269,26 +250,10 @@ def find_single_ear_decomposition(g: Graph) -> SingleEarOutcome:
     bip = is_bipartite(g)
     if not bip.bipartite:
         return SingleEarOutcome(None, bip.odd_walk)
-    removal = _peel(g)
-    if any(ear.kind == "double" for _, _, ear in removal):
+    d = _peel(g)
+    if any(ear.kind == "double" for ear in d.ears):
         raise CrossCheckError("double ear in a bipartite graph")
-    return SingleEarOutcome(_assemble(g, removal), None)
-
-
-def _assemble(g: Graph, removal: list) -> EarDecomposition:
-    if not removal:
-        return EarDecomposition(g.edges[0], 0, ())
-    # removal[0] holds the step that grew the base K2 into G_1; reconstruct
-    # the base from the first step's prior graph: its vmap/emap minus the ear
-    first_ear = removal[0][2]
-    ear_vs = {x for p in first_ear.paths for x in p.internal}
-    ear_es = {e for p in first_ear.paths for e in p.edge_ids}
-    prior_v = [v for v in removal[0][0] if v not in ear_vs]
-    prior_e = [e for e in removal[0][1] if e not in ear_es]
-    if len(prior_v) != 2 or len(prior_e) != 1:
-        raise CrossCheckError("the first ear was not grown from a K2")
-    steps = tuple(EarStep(vm, em, ear) for vm, em, ear in removal)
-    return EarDecomposition((prior_v[0], prior_v[1]), prior_e[0], steps)
+    return SingleEarOutcome(d, None)
 
 
 @dataclass(frozen=True)
@@ -321,8 +286,7 @@ def validate_decomposition(g: Graph, d: EarDecomposition) -> ValidationResult:
     adj[u0].append(v0)
     adj[v0].append(u0)
     mate[u0], mate[v0] = v0, u0
-    for i, step in enumerate(d.steps, start=1):
-        ear = step.ear
+    for i, ear in enumerate(d.ears, start=1):
         if ear.kind not in ("single", "double"):
             return ValidationResult(False, "unknown ear kind", i)
         if len(ear.paths) != (1 if ear.kind == "single" else 2):
@@ -346,8 +310,6 @@ def validate_decomposition(g: Graph, d: EarDecomposition) -> ValidationResult:
                 return ValidationResult(False, "ear edge not new", i)
             cur_v.update(p.internal)
             cur_e.update(p.edge_ids)
-        if set(step.vertices) != cur_v or set(step.edge_ids) != cur_e:
-            return ValidationResult(False, "step vertex/edge sets mismatch", i)
         if not _ear_keeps_matching_covered(adj, mate, ear):
             return ValidationResult(False, "intermediate graph not matching-covered", i)
         for p in ear.paths:
@@ -359,7 +321,7 @@ def validate_decomposition(g: Graph, d: EarDecomposition) -> ValidationResult:
                 mate[a], mate[b] = b, a
         check_perfect(adj, mate)
     if cur_e != set(range(g.m)) or cur_v != set(range(g.n)):
-        return ValidationResult(False, "decomposition does not reach G", len(d.steps))
+        return ValidationResult(False, "decomposition does not reach G", d.r)
     return ValidationResult(True, None, None)
 
 
@@ -435,7 +397,7 @@ def classify_nf_star(g: Graph, d: EarDecomposition) -> NfStarClassification:
     s = d.epsilon_sum
     if s <= r + 1:
         return NfStarClassification(True, "case-ii", f"sum eps={s} <= r+1={r + 1}")
-    last = d.steps[-1].ear
+    last = d.ears[-1]
     if last.epsilon == 2:
         return NfStarClassification(False, "case-iii",
                                     f"sum eps={s} >= r+2, last ear double")

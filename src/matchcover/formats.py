@@ -258,22 +258,29 @@ def certificate_to_json_obj(cert: ConstructionCertificate,
 # ---------------------------------------------------------- decompositions
 
 def decomposition_to_json_obj(d) -> dict:
+    vertices, edge_ids = set(d.base_vertices), {d.base_edge}
+    steps = []
+    for ear in d.ears:
+        for p in ear.paths:
+            vertices.update(p.internal)
+            edge_ids.update(p.edge_ids)
+        steps.append({
+            "vertices": sorted(vertices),
+            "edge_ids": sorted(edge_ids),
+            "epsilon": ear.epsilon,
+            "ear": {
+                "kind": ear.kind,
+                "paths": [{"end_u": p.end_u, "end_v": p.end_v,
+                           "internal": list(p.internal),
+                           "edge_ids": list(p.edge_ids)}
+                          for p in ear.paths],
+            },
+        })
     return {
         "schema_version": SCHEMA_VERSION,
         "base_vertices": list(d.base_vertices),
         "base_edge": d.base_edge,
         "r": d.r,
         "epsilon_sum": d.epsilon_sum,
-        "steps": [{
-            "vertices": list(s.vertices),
-            "edge_ids": list(s.edge_ids),
-            "epsilon": s.ear.epsilon,
-            "ear": {
-                "kind": s.ear.kind,
-                "paths": [{"end_u": p.end_u, "end_v": p.end_v,
-                           "internal": list(p.internal),
-                           "edge_ids": list(p.edge_ids)}
-                          for p in s.ear.paths],
-            },
-        } for s in d.steps],
+        "steps": steps,
     }

@@ -297,30 +297,36 @@ def boundary(g: Graph, u: VertexSet) -> EdgeSet:
     return EdgeSet(mask, g.m)
 
 
+def _reach(adj: list[list[tuple[int, int]]], s: int,
+           seen: list[bool]) -> list[int]:
+    """The vertices reachable from s that are not yet seen, now marked."""
+    seen[s] = True
+    out = [s]
+    for v in out:
+        for w, _ in adj[v]:
+            if not seen[w]:
+                seen[w] = True
+                out.append(w)
+    return out
+
+
 def components(g: Graph) -> list[VertexSet]:
     """Connected components, each as a VertexSet, ordered by least vertex."""
     seen = [False] * g.n
     adj = g.adjacency()
     out = []
     for s in range(g.n):
-        if seen[s]:
-            continue
-        mask = 0
-        dq = deque([s])
-        seen[s] = True
-        while dq:
-            v = dq.popleft()
-            mask |= 1 << v
-            for w, _ in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    dq.append(w)
-        out.append(VertexSet(mask, g.n))
+        if not seen[s]:
+            mask = 0
+            for v in _reach(adj, s, seen):
+                mask |= 1 << v
+            out.append(VertexSet(mask, g.n))
     return out
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(components(g)) == 1
+    """One traversal from vertex 0 reaches every vertex."""
+    return g.n <= 1 or len(_reach(g.adjacency(), 0, [False] * g.n)) == g.n
 
 
 @dataclass(frozen=True)
@@ -359,7 +365,8 @@ def _odd_cycle(parent: list[int], u: int, v: int) -> tuple[int, ...]:
         pu.append(parent[pu[-1]])
     while parent[pv[-1]] != -1:
         pv.append(parent[pv[-1]])
-    lca = next(x for x in pu if x in set(pv))
+    on_pv = set(pv)
+    lca = next(x for x in pu if x in on_pv)
     a = pu[:pu.index(lca) + 1]      # u .. lca
     b = pv[:pv.index(lca)]          # v .. just below lca
     return tuple(reversed(a)) + tuple(b)  # lca .. u then v .. below-lca
@@ -424,7 +431,7 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
         into, out = reached
         sep = tuple(x for x in range(g.n) if into[x] != -1 and out[x] == -1)
     rest, _, _ = g.delete_vertices(sep)
-    if len(sep) != cutoff or len(sep) >= k or len(components(rest)) < 2:
+    if len(sep) != cutoff or len(sep) >= k or is_connected(rest):
         raise CrossCheckError(f"vertex cut {sep} is not a separator of "
                               f"{cutoff} < {k} vertices")
     return ConnectivityResult(False, sep, None)

@@ -166,7 +166,7 @@ def suite_ear_classify(entries: list[CorpusEntry]) -> list[SuiteCheck]:
         # every ear decomposition of g is all single iff g is bipartite
         # (Lovasz-Plummer, Matching Theory, 1986)
         bip = is_bipartite(g).bipartite
-        got_single = all(s.ear.kind == "single" for s in d.steps)
+        got_single = all(ear.kind == "single" for ear in d.ears)
         checks.append(SuiteCheck(
             f"single-ear-iff-bipartite[{entry.name}]", got_single == bip,
             f"bipartite={bip} single-ear={got_single}"))
@@ -278,38 +278,38 @@ def _switch_class_check(g: Graph, gp: Graph, back: dict[int, int],
 
 def _lemma_checks(name: str, g: Graph, d) -> list[SuiteCheck]:
     checks = []
-    last = d.steps[-1]
+    last = d.ears[-1]
     prev_ids = d.prefix_edges(d.r - 1)
     gp, emap, vmap = g.edge_subgraph(prev_ids)
     # sub-id -> original-id for lifting subsets back into g's edge space
     back = {v: k for k, v in emap.items()}
     ps_g = parity_spaces(g)
     ps_p = parity_spaces(gp)
-    ear_edges = [eid for p in last.ear.paths for eid in p.edge_ids]
+    ear_edges = [eid for p in last.paths for eid in p.edge_ids]
 
-    if last.ear.kind == "single":
+    if last.kind == "single":
         # restriction is linear, so nF's basis rows stand for all of nF
         checks.append(SuiteCheck(
             f"odd-ear-restriction-nonfeasible[{name}]",
             all(ps_p.nF.contains(map_mask(row, emap))
                 for row in ps_g.nF.basis()), f"dim nF={ps_g.nF.dim}"))
         for check, (a, b) in _single_ear_spaces(g, gp, emap, vmap,
-                                                last.ear.paths[0]).items():
+                                                last.paths[0]).items():
             checks.append(SuiteCheck(f"{check}[{name}]", a == b,
                                      f"dims {a.dim} and {b.dim}"))
 
     # cut of the smaller graph plus any ear subset switches to {} or {e}
     # (single ear), or to {} / {e} / {e1,e2} with one edge from each path
     ok, dim = _switch_class_check(g, gp, back, ear_edges,
-                                  _allowed_switch_classes(g, last.ear))
-    kind = "ear" if last.ear.kind == "single" else "double-ear"
+                                  _allowed_switch_classes(g, last))
+    kind = "ear" if last.kind == "single" else "double-ear"
     checks.append(SuiteCheck(f"cut-plus-{kind}-switch-class[{name}]", ok,
                              f"image dim {dim}"))
 
-    if last.ear.kind == "double":
+    if last.kind == "double":
         # when neither path alone keeps the graph matching-covered,
         # emptiness is decided by bipartiteness of the smaller graph
-        p1, p2 = (p.edge_ids for p in last.ear.paths)
+        p1, p2 = (p.edge_ids for p in last.paths)
         half1, _, _ = g.edge_subgraph(tuple(prev_ids) + p1)
         half2, _, _ = g.edge_subgraph(tuple(prev_ids) + p2)
         if (not is_matching_covered(half1).covered

@@ -285,10 +285,30 @@ def brute_chromatic_index(g: Graph) -> int:
     return colors
 
 
+def _brute_chains(g: Graph):
+    """The chains of `ears._chain_candidates`, except that on a single
+    cycle they are every "cycle less one edge", each walked from the
+    dropped edge's first end, in the same order."""
+    from matchcover.ears import _chain_candidates
+    if any(d != 2 for d in g.degrees()):
+        return _chain_candidates(g)
+    adj = g.adjacency()
+    out = []
+    for drop, (u, v) in enumerate(g.edges):
+        internal, eids, prev, cur = [], [], drop, u
+        while True:
+            cur, prev = next((x, e) for x, e in adj[cur] if e != prev)
+            eids.append(prev)
+            if cur == v:
+                break
+            internal.append(cur)
+        out.append((u, v, tuple(internal), tuple(eids)))
+    return sorted(out, key=lambda c: (tuple(sorted(c[:2])), c[3]))
+
+
 def _brute_ear_candidates(g: Graph):
     """Odd chains one at a time, then vertex-disjoint pairs of them."""
-    from matchcover.ears import _chain_candidates
-    odd = [c for c in _chain_candidates(g) if len(c[3]) % 2 == 1]
+    odd = [c for c in _brute_chains(g) if len(c[3]) % 2 == 1]
     for c in odd:
         yield (c,)
     for i, a in enumerate(odd):
@@ -298,14 +318,14 @@ def _brute_ear_candidates(g: Graph):
                 yield (a, b)
 
 
-def brute_peel(g: Graph) -> list:
+def brute_peel(g: Graph):
     """Remove the first candidate ear whose remainder a span DP of its own
-    finds connected and matching-covered, until K2 is left; the removal
-    list [(vertices, edge ids, Ear), ...] bottom-up, in the ids of g."""
-    from matchcover.ears import Ear, EarPath
+    finds connected and matching-covered, until K2 is left; that K2 and
+    the removed ears bottom-up, as an EarDecomposition in the ids of g."""
+    from matchcover.ears import Ear, EarDecomposition, EarPath
     from matchcover.graph import is_connected
     from matchcover.span import span_matching_covered
-    removal = []
+    removed = []
     vmap, emap = tuple(range(g.n)), tuple(range(g.m))
     while not (g.n == 2 and g.m == 1):
         for chains in _brute_ear_candidates(g):
@@ -323,9 +343,9 @@ def brute_peel(g: Graph) -> list:
                     tuple(emap[e] for e in c[3]))
             for c in chains)
         kind = "single" if len(chains) == 1 else "double"
-        removal.append((vmap, emap, Ear(kind, paths)))
+        removed.append(Ear(kind, paths))
         vmap = tuple(vmap[v] for v in range(g.n) if v not in drop_v)
         emap = tuple(emap[e] for e in range(g.m) if e not in drop_e)
         g = h
-    removal.reverse()
-    return removal
+    return EarDecomposition((vmap[0], vmap[1]), emap[0],
+                            tuple(reversed(removed)))

@@ -164,7 +164,7 @@ def test_criterion_07_ear_machinery(capsys):
         if (single is not None) != bip:
             ok = False
         if single is not None:
-            if not all(s.ear.epsilon == 1 for s in single.steps):
+            if not all(ear.epsilon == 1 for ear in single.ears):
                 ok = False
             if not validate_decomposition(g, single):
                 ok = False

@@ -18,8 +18,8 @@ from matchcover.constructions import (CyclePart, StarPart, build_cycle_cl,
 from matchcover.corpus import build_corpus
 from matchcover.matching import MatchingCoveredResult
 from matchcover.errors import BudgetExhaustedError
-from matchcover.feasibility import nf_star_report
-from matchcover.formats import write_graph
+from matchcover.feasibility import nf_star_report, nf_star_witness_fault
+from matchcover.formats import graph_from_json_obj, write_graph
 from matchcover.suites import SUITES
 
 
@@ -149,20 +149,21 @@ def test_verify_refuses_negative_trials(capsys):
 
 
 def test_construct_chain_claims(capsys):
-    # every Q_4 part less what it gives up is bipartite, so no witness
+    # the chain's nF* witness is the one nf_star_report finds on it
     assert main(["construct", "chain", "--r", "4", "--k", "3",
                  "--strict"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["params"] == {
-        "k": 3,
-        "witness_note": "side conditions failed: every part remainder is "
-                        "bipartite"}
-    assert obj["nf_star_witness"] is None
+        "k": 3, "witness_note": "nF* witness found by nf_star_report"}
+    g = graph_from_json_obj(obj["graph"])
+    assert nf_star_witness_fault(g, g.edge_set(obj["nf_star_witness"])) \
+        is None
     assert [(c["name"], c["verified"], c["detail"]) for c in obj["claims"]] \
         == [("matching-covered", True, ""), ("4-regular", True, ""),
             ("2-connected", True, ""), ("proper-coloring", True, ""),
             ("color-classes-perfect-matchings", True, ""),
-            ("equivalent-set-0", True, "(14, 29, 30, 45, 46, 47)")]
+            ("equivalent-set-0", True, "(14, 29, 30, 45, 46, 47)"),
+            ("nf-star-witness", True, "")]
 
 
 def test_usage_errors():

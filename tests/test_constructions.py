@@ -27,7 +27,7 @@ from matchcover.constructions import (
 )
 from matchcover.corpus import build_corpus
 from matchcover.errors import InvalidParameterError, NotMatchingCoveredError
-from matchcover.feasibility import nf_star_report
+from matchcover.feasibility import nf_star_report, nf_star_witness_fault
 from matchcover.formats import certificate_to_json_obj
 from matchcover.graph import (Graph, boundary, is_bipartite,
                               vertex_connectivity_at_least)
@@ -111,10 +111,18 @@ def test_chain_of_k4s_builds_but_claims_no_witness():
     parts = [ChainPart(k4, 0, 5, eq, col) for _ in range(2)]
     cert = build_chain(parts)
     assert is_matching_covered(cert.graph).covered
-    assert cert.nf_star_witness is None
-    assert cert.params["witness_note"] \
-        == "side conditions failed: every part remainder is bipartite"
+    assert nf_star_witness_fault(cert.graph, cert.nf_star_witness) is None
+    assert cert.params["witness_note"] == "nF* witness found by nf_star_report"
     _claims_ok(cert)
+
+
+def test_chain_claims_no_witness_over_the_dp_budget(monkeypatch):
+    monkeypatch.setattr(span, "DEFAULT_STATE_BUDGET", 1)
+    k4 = complete_graph(4)
+    cert = build_chain([ChainPart(k4, 0, 5, k4.edge_set((0, 5)), K4_PERMUTED)
+                        for _ in range(2)])
+    assert cert.nf_star_witness is None
+    assert cert.params["witness_note"].startswith("no witness claimed: ")
 
 
 def test_chain_rejects_a_disconnected_middle_part():
@@ -285,7 +293,7 @@ def _part_maps(cert, part_graphs):
         id="splice"),
     pytest.param(
         ("chain", 4, 3),
-        "bec1d4931a5a9ffee0010eaab67dc5abffbabf4fed9464fbe16d057c7974b849",
+        "8341c139ed421ff9d766199a0f6ffb7a178e0d20f4c7e7cbc4647e5636f17657",
         id="chain-4-3"),
     pytest.param(
         ("cycle", 4, 3),
@@ -301,15 +309,15 @@ def _part_maps(cert, part_graphs):
         id="star-4-4"),
     pytest.param(
         ("chain-k4", 3, 2),
-        "8b87c3819fd6231aa6a246f4e4a5f973f0f335b75d328bdf9a31d0ee190fce19",
+        "656cb4190919b32928f8ceb03d5d1cc7ecd506a676dc9ce88b137a5b9446a3f5",
         id="chain-k4-3-2"),
     pytest.param(
         ("chain-k4", 3, 4),
-        "e7c9aa2db5111cfe5c40bffe51b7dc4a9e83e69b7f3c4c7a16816714664fd3c4",
+        "d459edbb0ac8ae859ac5e5595724de791a71c186c94fbfa26704d4b954f9295d",
         id="chain-k4-3-4"),
     pytest.param(
         ("chain-swapped", 4, 3),
-        "32d8e36692081982a26f6bb2215c669c3b56d7021eecfd95a0cbd83850eac1a3",
+        "c7673d42319af17b4edb250fb6504c721ddd487995d6d74955164add9b0cf1b1",
         id="chain-swapped-4-3"),
 ])
 def test_glued_ids_are_pinned(args, digest):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -10,7 +11,7 @@ from oracles import (brute_is_matching_covered, brute_peel,
                      brute_perfect_matchings, brute_switch_equiv_empty)
 
 from matchcover import ears
-from matchcover.cli import analyze_graph
+from matchcover.cli import analyze_graph, main
 
 from matchcover.constructions import (
     CyclePart,
@@ -29,13 +30,13 @@ from matchcover.ears import (
     Ear,
     EarDecomposition,
     EarPath,
-    EarStep,
     classify_nf_star,
     find_ear_decomposition,
     find_single_ear_decomposition,
     validate_decomposition,
 )
 from matchcover.feasibility import is_feasible, nf_star_report, parity_spaces
+from matchcover.formats import write_graph
 from matchcover.gf2 import Gf2Subspace
 from matchcover.graph import Graph, is_bipartite
 from matchcover.matching import is_matching_covered
@@ -55,7 +56,7 @@ def test_c6_single_ear_all_epsilon_one():
     g = cycle_graph(6)
     d = find_single_ear_decomposition(g).decomposition
     assert d is not None
-    assert all(s.ear.epsilon == 1 for s in d.steps)
+    assert all(ear.epsilon == 1 for ear in d.ears)
     assert validate_decomposition(g, d)
 
 
@@ -94,10 +95,10 @@ def test_edge_and_vertex_counts():
         g = entry.graph
         d = find_ear_decomposition(g)
         assert d is not None, entry.name
-        ear_edges = sum(sum(p.length for p in s.ear.paths) for s in d.steps)
+        ear_edges = sum(sum(p.length for p in ear.paths) for ear in d.ears)
         assert g.m == 1 + ear_edges, entry.name
-        internal = sum(sum(len(p.internal) for p in s.ear.paths)
-                       for s in d.steps)
+        internal = sum(sum(len(p.internal) for p in ear.paths)
+                       for ear in d.ears)
         assert g.n == 2 + internal, entry.name
 
 
@@ -221,7 +222,7 @@ def test_found_decompositions_against_the_oracle(g):
     single = find_single_ear_decomposition(g).decomposition
     if is_bipartite(g).bipartite:
         for dd in (d, single):
-            assert all(s.ear.kind == "single" for s in dd.steps)
+            assert all(ear.kind == "single" for ear in dd.ears)
             assert validate_decomposition(g, dd)
             assert _prefixes_matching_covered(g, dd)
     else:
@@ -229,19 +230,12 @@ def test_found_decompositions_against_the_oracle(g):
 
 
 def _with_ears(d, ears) -> EarDecomposition:
-    """d's base grown by the given ears, with the step sets rebuilt."""
-    cur_v, cur_e = list(d.base_vertices), [d.base_edge]
-    steps = []
-    for ear in ears:
-        for p in ear.paths:
-            cur_v += p.internal
-            cur_e += p.edge_ids
-        steps.append(EarStep(tuple(cur_v), tuple(cur_e), ear))
-    return EarDecomposition(d.base_vertices, d.base_edge, tuple(steps))
+    """d's base grown by the given ears."""
+    return EarDecomposition(d.base_vertices, d.base_edge, tuple(ears))
 
 
 def _swapped(d, i: int, j: int) -> EarDecomposition:
-    ears = [s.ear for s in d.steps]
+    ears = list(d.ears)
     ears[i], ears[j] = ears[j], ears[i]
     return _with_ears(d, ears)
 
@@ -250,12 +244,12 @@ def _oracle_clause(g, d) -> tuple:
     """The first step whose ear ends lie outside the prefix before it, or
     whose prefix the oracle finds not matching-covered."""
     cur = set(d.base_vertices)
-    for k, step in enumerate(d.steps, start=1):
-        paths = step.ear.paths
+    for k, ear in enumerate(d.ears, start=1):
+        paths = ear.paths
         if any(p.end_u not in cur or p.end_v not in cur for p in paths):
             return ("ear ends not in current subgraph", k)
         if not brute_is_matching_covered(
-                g.edge_subgraph(step.edge_ids)[0]):
+                g.edge_subgraph(d.prefix_edges(k))[0]):
             return ("intermediate graph not matching-covered", k)
         cur.update(x for p in paths for x in p.internal)
     return (None, None)
@@ -288,7 +282,7 @@ def test_validation_of_inserted_chord_ears():
         d = find_ear_decomposition(g)
         assert validate_decomposition(g, d), entry.name
         for i in range(d.r + 1):
-            verts = d.steps[i - 1].vertices if i else d.base_vertices
+            verts = {x for e in d.prefix_edges(i) for x in g.edges[e]}
             pairs = list(combinations(sorted(verts), 2))
             twos = [(a, b) for a, b in combinations(pairs, 2)
                     if not set(a) & set(b)]
@@ -297,7 +291,7 @@ def test_validation_of_inserted_chord_ears():
                 grown_g = Graph(g.n, [*g.edges, *ends])
                 paths = tuple(EarPath(u, v, (), (g.m + k,))
                               for k, (u, v) in enumerate(ends))
-                ears = [s.ear for s in d.steps]
+                ears = list(d.ears)
                 ears.insert(i, Ear(("single", "double")[len(paths) - 1],
                                    paths))
                 grown = _with_ears(d, ears)
@@ -320,7 +314,7 @@ def test_validation_rejects_a_closed_ear(g, data):
     closed = Graph(g.n + 2 * k, [*g.edges, *zip(seq, seq[1:])])
     ear = Ear("single", (EarPath(u, u, internal,
                                  tuple(range(g.m, closed.m))),))
-    grown = _with_ears(d, [*(s.ear for s in d.steps), ear])
+    grown = _with_ears(d, [*d.ears, ear])
     assert not brute_is_matching_covered(closed)
     val = validate_decomposition(closed, grown)
     assert not val
@@ -335,7 +329,7 @@ def test_validation_rejects_a_repeated_edge():
     d = find_ear_decomposition(g)
     u, v = g.edges[0]
     ear = Ear("single", (EarPath(u, v, (), (0,)),))
-    grown = _with_ears(d, [*(s.ear for s in d.steps), ear])
+    grown = _with_ears(d, [*d.ears, ear])
     val = validate_decomposition(g, grown)
     assert (val.clause, val.step) == ("ear edge not new", grown.r)
 
@@ -357,8 +351,32 @@ def _family_graphs() -> dict[str, Graph]:
 
 def test_peel_matches_the_candidate_dp_oracle():
     named = [(e.name, e.graph) for e in build_corpus()]
+    named += [("cycle-200", cycle_graph(200)),
+              ("parallel-pair", Graph(2, [(0, 1), (0, 1)]))]
     for name, g in [*named, *_family_graphs().items()]:
         assert ears._peel(g) == brute_peel(g), name
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("qr6", "5738e50b5d1f432773e7e42fd9a4f5c03fe3c1d9dcf2ea38cb77f4552c8f9a31"),
+    ("cycle-3xq4",
+     "6084b644cb7d01bacb617b47171cbb26bbda269d1337a88337b9425f72f506a0"),
+    ("star-4xq4",
+     "0d8253b685d262911c2c7a9ff785a6da194cd0488b4e808020340c01c7b9827a"),
+    ("cycle-3xq5",
+     "cffdd9a9d2e4d8692358c77743e88fda8e9556bcc4f37538493abf4ad3b88dcf"),
+    ("cycle-5xq4",
+     "5dd96e0d3a11ce26631e4d6fa54a32adf8d294c95b31e2bc4eee148d42b347a8"),
+    ("cycle-2000",
+     "5b8d238ebc164faeaf47a9be2404c05aa4063139958a60daa9a7e205a91a3025"),
+])
+def test_decompose_output_is_pinned(name, digest, tmp_path, capsys):
+    graphs = {**_family_graphs(), "cycle-2000": cycle_graph(2000)}
+    path = tmp_path / f"{name}.json"
+    write_graph(graphs[name], str(path))
+    assert main(["decompose", str(path), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @given(matching_covered_multigraphs())

@@ -283,8 +283,7 @@ _LYING_ROUTES = textwrap.dedent("""
     from matchcover.constructions import (chromatic_index_exact,
                                           complete_graph, cube_graph,
                                           petersen)
-    from matchcover.ears import (Ear, _assemble, classify_nf_star,
-                                 find_ear_decomposition,
+    from matchcover.ears import (classify_nf_star, find_ear_decomposition,
                                  find_single_ear_decomposition)
     from matchcover.errors import CrossCheckError
     from matchcover.feasibility import (is_feasible, is_switch_equiv_empty,
@@ -318,9 +317,11 @@ _LYING_ROUTES = textwrap.dedent("""
     expect("nf_star_report", lambda: nf_star_report(g, ps=ps))
     expect("classify_nf_star", lambda: classify_nf_star(g, d))
     MatchingSpan.parity_counts = parity_counts
-    # a removal list whose first ear is not grown from a K2
-    expect("_assemble", lambda: _assemble(
-        g, [(tuple(range(g.n)), tuple(range(g.m)), Ear("single", ()))]))
+    # an ear removal whose remainder still holds the ear
+    remainder = ears._remainder
+    ears._remainder = lambda h, chains: h
+    expect("ear removal ids", lambda: find_ear_decomposition(g))
+    ears._remainder = remainder
     # the DP accepts g itself but no remainder of an ear removal
     span_matching_covered = ears.span_matching_covered
     ears.span_matching_covered = lambda h: h.m == g.m
@@ -393,7 +394,7 @@ def test_cross_checks_raise_under_python_O():
     assert proc.stdout.split("\n") == [
         "is_feasible raised", "is_switch_equiv_empty raised",
         "nf_star_report raised", "classify_nf_star raised",
-        "_assemble raised", "no removable ear raised",
+        "ear removal ids raised", "no removable ear raised",
         "dependence masks raised",
         "single-ear mode raised", "PM pairs raised", "nF basis raised",
         "blossom kernel in is_matching_covered raised",

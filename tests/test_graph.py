@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -118,6 +119,29 @@ def test_components_and_connectivity():
     assert len(comps) == 2
     assert not is_connected(g)
     assert is_connected(complete_graph(4))
+
+
+def test_connectivity_of_an_edgeless_graph_needs_no_set_per_component():
+    # one 50,000-bit set per isolated vertex would take about 156 MB
+    g = Graph(50_000, [])
+    g.adjacency()
+    tracemalloc.start()
+    try:
+        assert not is_connected(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
+
+
+def test_odd_walk_of_a_long_odd_cycle():
+    n = 16_001
+    g = cycle_graph(n)
+    walk = is_bipartite(g).odd_walk
+    assert len(walk) == n
+    pairs = {frozenset(e) for e in g.edges}
+    assert all(frozenset((walk[i], walk[(i + 1) % n])) in pairs
+               for i in range(n))
 
 
 def test_bipartite_detection_and_odd_walk():

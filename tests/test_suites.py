@@ -71,9 +71,9 @@ def test_single_ear_spaces_match_brute_force():
     checked = 0
     for name, g in graphs.items():
         d = find_ear_decomposition(g)
-        if d.steps[-1].ear.kind != "single":
+        if d.ears[-1].kind != "single":
             continue
-        p = d.steps[-1].ear.paths[0]
+        p = d.ears[-1].paths[0]
         gp, emap, vmap = g.edge_subgraph(d.prefix_edges(d.r - 1))
         back = {v: k for k, v in emap.items()}
         go, go_emap, _ = gp.delete_vertices((vmap[p.end_u], vmap[p.end_v]))
@@ -111,7 +111,7 @@ def test_switch_class_check_matches_brute_force():
     kinds = set()
     for name, g in graphs.items():
         d = find_ear_decomposition(g)
-        ear = d.steps[-1].ear
+        ear = d.ears[-1]
         ear_edges = [e for p in ear.paths for e in p.edge_ids]
         gp, emap, _ = g.edge_subgraph(d.prefix_edges(d.r - 1))
         back = {v: k for k, v in emap.items()}
@@ -174,8 +174,8 @@ def test_single_ear_check_fails_on_ear_kinds_that_disagree(
 
     def find_ear_decomposition(g):
         d = real(g)
-        return replace(d, steps=tuple(
-            replace(s, ear=replace(s.ear, kind=kind)) for s in d.steps))
+        return replace(d, ears=tuple(
+            replace(ear, kind=kind) for ear in d.ears))
 
     monkeypatch.setattr(suites, "find_ear_decomposition",
                         find_ear_decomposition)
