@@ -99,7 +99,9 @@ def analyze_graph(g: Graph) -> AnalysisReport:
     false.  For an r-regular graph, `vertex_connectivity_checked` is
     min(κ, r, n−1), from one connectivity test at k = min(r, n−1): k when
     it passes, else the size of the minimum vertex cut it returns.
-    `chromatic_index` is exact, from the DSATUR search, and null when
+    `chromatic_index` is exact, from `chromatic_index_exact`: a checked
+    Kempe-chain Δ-colouring settles class 1, and otherwise the DSATUR
+    search decides it, so it is null only when χ′ > Δ is possible and
     that search ran out of its budget.
     """
     connected = is_connected(g)

@@ -90,27 +90,44 @@ def verify_equivalent_set(g: Graph, s: EdgeSet) -> Optional[bool]:
 
 
 def chromatic_index_exact(g: Graph) -> Optional[int]:
-    """Exact chromatic index by DSATUR backtracking from Δ colours up to
-    the Vizing bound; None when DEFAULT_COLOR_BUDGET ran out.
+    """Exact chromatic index; None when DEFAULT_COLOR_BUDGET ran out.
 
-    The colouring that settles the answer is re-checked by
-    `coloring_is_proper`; a failed check raises `CrossCheckError`.
+    Every colour class is a matching, so χ′ is at least
+    lb = max(Δ, ⌈m / ⌊n/2⌋⌉).  When lb = Δ, the Kempe-chain kernel
+    looks for a Δ-colouring first, and one it finds settles χ′ = Δ.
+    Otherwise, or when it gives up, DSATUR backtracking tries lb colours
+    and up to the Vizing bound Δ + μ.  Every colouring that settles the
+    answer is re-checked by `coloring_is_proper`, and a search that
+    refutes the Vizing bound is a contradiction; either failure raises
+    `CrossCheckError`.
     """
     if g.m == 0:
         return 0
     delta = max(g.degrees())
+    lb = max(delta, -(-g.m // (g.n // 2)))
+    if lb == delta:
+        coloring = kernels.delta_edge_coloring(
+            g.n, list(g.edges), delta, kernels.KEMPE_WORK_PER_EDGE * g.m)
+        if coloring is not None:
+            _check_coloring(g, coloring, delta)
+            return delta
     mult = max(_multiplicities(g).values())
-    for c in range(delta, delta + mult + 1):    # Vizing bound for multigraphs
+    for c in range(lb, delta + mult + 1):       # Vizing bound for multigraphs
         coloring, exhausted = kernels.edge_coloring(g.n, list(g.edges), c,
                                                     DEFAULT_COLOR_BUDGET)
         if coloring is not None:
-            if not coloring_is_proper(g, coloring, c):
-                raise CrossCheckError(f"the {c}-edge-colouring found is "
-                                      "not proper")
+            _check_coloring(g, coloring, c)
             return c
         if exhausted:
             return None
-    return None
+    raise CrossCheckError(f"no edge colouring with {delta + mult} colours, "
+                          "against Vizing's bound Δ + μ")
+
+
+def _check_coloring(g: Graph, coloring: Sequence[int], colors: int) -> None:
+    if not coloring_is_proper(g, coloring, colors):
+        raise CrossCheckError(f"the {colors}-edge-colouring found is not "
+                              "proper")
 
 
 def find_proper_coloring(g: Graph, colors: int) -> Optional[tuple[int, ...]]:

@@ -308,6 +308,20 @@ def test_colour_budget_exit_code(petersen_file, monkeypatch, capsys):
     assert obj["nf_star_empty"] is False
 
 
+def test_analyze_colours_the_star_r5_graph(tmp_path, capsys):
+    # class 1 by construction; the Kempe-chain kernel finds a 5-colouring
+    cert = tmp_path / "star.json"
+    assert main(["construct", "star", "--r", "5", "--k", "5",
+                 "--out", str(cert)]) == 0
+    g = graph_from_json_obj(json.loads(cert.read_text())["graph"])
+    path = tmp_path / "star-graph.json"
+    write_graph(g, str(path))
+    capsys.readouterr()
+    assert main(["analyze", str(path), "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["chromatic_index"] == 5
+
+
 def test_json_output_is_one_line(petersen_file, capsys):
     for argv in (["analyze", petersen_file, "--json"],
                  ["decompose", petersen_file],

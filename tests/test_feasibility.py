@@ -379,6 +379,14 @@ _LYING_ROUTES = textwrap.dedent("""
     kernels.edge_coloring = lambda n, edges, colors, budget: (
         [1] * len(edges), False)
     expect("chromatic_index_exact", lambda: chromatic_index_exact(g))
+    # a search that finds no colouring within the Vizing bound
+    kernels.edge_coloring = lambda n, edges, colors, budget: (None, False)
+    expect("Vizing bound", lambda: chromatic_index_exact(g))
+    # the cube is class 1, so the Kempe-chain kernel's answer settles it
+    kernels.delta_edge_coloring = lambda n, edges, colors, work: (
+        [1] * len(edges))
+    expect("Kempe-chain colouring",
+           lambda: chromatic_index_exact(cube_graph()))
     # a boundary that comes out empty for the witness of a real cut
     feasibility.boundary = lambda h, u: EdgeSet(0, h.m)
     expect("switch witness", lambda: is_switch_equiv_empty(
@@ -401,5 +409,6 @@ def test_cross_checks_raise_under_python_O():
         "blossom kernel in validate_decomposition raised",
         "bipartite matching-covered route raised", "analyze_graph raised",
         "vertex_connectivity_at_least raised", "Menger paths raised",
-        "chromatic_index_exact raised",
+        "chromatic_index_exact raised", "Vizing bound raised",
+        "Kempe-chain colouring raised",
         "switch witness raised", "optimize 1", ""]

@@ -1,6 +1,8 @@
 """The enumeration and colouring kernels against the oracles, and past
 the interpreter's recursion limit."""
 
+import time
+
 import networkx as nx
 from hypothesis import example, given, settings
 
@@ -10,8 +12,10 @@ from strategies import multigraphs
 from matchcover import kernels
 from matchcover.constructions import (
     chromatic_index_exact,
+    coloring_is_proper,
     complete_graph,
     cycle_graph,
+    petersen,
 )
 from matchcover.corpus import build_corpus
 from matchcover.graph import Graph
@@ -68,14 +72,41 @@ def test_chromatic_index_of_a_long_odd_cycle():
 
 
 def test_chromatic_index_of_a_large_grid():
-    assert chromatic_index_exact(_from_nx(nx.grid_2d_graph(24, 24))) == 4
+    # bipartite, so the first Kempe chain at each conflict succeeds
+    g = _from_nx(nx.grid_2d_graph(40, 40))
+    start = time.perf_counter()
+    assert chromatic_index_exact(g) == 4
+    assert time.perf_counter() - start < 0.1
+
+
+def _kempe(g: Graph) -> list[int] | None:
+    delta = max(g.degrees())
+    return kernels.delta_edge_coloring(
+        g.n, list(g.edges), delta, kernels.KEMPE_WORK_PER_EDGE * g.m)
+
+
+@given(multigraphs(max_edges=18, bipartite=True))
+@settings(max_examples=150, deadline=None)
+def test_kempe_colouring_never_fails_on_bipartite_graphs(g):
+    # König: a chain from v never ends at u, so no conflict evicts an edge;
+    # each conflict walks one chain of fewer than n <= 10 edges, so the
+    # work stays under 10·m, inside the kernel's allowance
+    coloring = _kempe(g)
+    assert coloring is not None
+    assert coloring_is_proper(g, coloring, max(g.degrees()))
 
 
 @given(multigraphs(max_edges=18))
 @example(complete_graph(5))
+@example(complete_graph(7))     # overfull: 21 edges, matchings of 3
+@example(petersen())            # class 2, and not overfull
 @example(complete_graph(6))
 @example(Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))
 @example(Graph(3, [(0, 1), (0, 1), (1, 2), (1, 2), (2, 0)]))
 @settings(max_examples=150, deadline=None)
 def test_chromatic_index_matches_oracle(g):
     assert chromatic_index_exact(g) == brute_chromatic_index(g)
+    # any colouring the Kempe-chain kernel returns is proper with Δ colours
+    coloring = _kempe(g)
+    assert coloring is None or coloring_is_proper(g, coloring,
+                                                  max(g.degrees()))
