@@ -28,8 +28,6 @@ from .graph import (
     Graph,
     VertexSet,
     boundary,
-    components,
-    induced_subgraph,
     is_bipartite,
     is_connected,
     vertex_connectivity_at_least,

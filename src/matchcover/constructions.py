@@ -184,8 +184,7 @@ def _recolor_class_to_one(coloring: Sequence[int], target_ids: Sequence[int]) ->
 
 def _glue(parts: Sequence[tuple[Graph, Sequence[int], Sequence[int]]]):
     """Disjoint union of the parts, each given as (graph, edge ids to
-    drop, vertex ids to drop); the edges at a dropped vertex go with it,
-    and no dropped edge may be one of them.
+    drop, vertex ids to drop); the edges at a dropped vertex go with it.
 
     Returns (edges, emaps, vmaps, n, subs): the union's edge list, part
     by part in edge-id order; each part's old->new edge-id and vertex-id
@@ -196,10 +195,8 @@ def _glue(parts: Sequence[tuple[Graph, Sequence[int], Sequence[int]]]):
     emaps, vmaps, subs = [], [], []
     n = 0
     for g, drop_e, drop_v in parts:
-        sub, emap, vmap = g.delete_vertices(drop_v)
-        sub, keep = sub.delete_edges(emap[e] for e in drop_e)
-        emaps.append({old: len(edges) + keep[new]
-                      for old, new in emap.items() if new in keep})
+        sub, emap, vmap = g.delete(vertices=drop_v, edges=drop_e)
+        emaps.append({old: len(edges) + new for old, new in emap.items()})
         vmaps.append({old: n + new for old, new in vmap.items()})
         edges.extend((u + n, v + n) for u, v in sub.edges)
         subs.append(sub)

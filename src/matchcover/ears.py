@@ -151,8 +151,8 @@ def _chain_candidates(g: Graph) -> list[tuple[int, int, tuple[int, ...], tuple[i
 
 def _remainder(g: Graph, chains) -> Graph:
     """g less the chains' edges and internal vertices."""
-    h, _ = g.delete_edges(e for c in chains for e in c[3])
-    return h.delete_vertices(v for c in chains for v in c[2])[0]
+    return g.delete(vertices=(v for c in chains for v in c[2]),
+                    edges=(e for c in chains for e in c[3]))[0]
 
 
 def _next_ear(g: Graph):
@@ -360,7 +360,7 @@ def case_iv_space(prev: Graph, u: int, v: int
     Raises BudgetExhaustedError when a span DP runs out of its state
     budget.
     """
-    deleted, emap, _ = prev.delete_vertices((u, v))
+    deleted, emap, _ = prev.delete(vertices=(u, v))
     lift = {new: old for old, new in emap.items()}
     n_space = Gf2Subspace(prev.m, (
         *matching_span(prev).d_rows,

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .errors import CrossCheckError, DimensionMismatch, NoPerfectMatchingError
+from .errors import (CrossCheckError, DimensionMismatch, InvalidParameterError,
+                     NoPerfectMatchingError)
 from .gf2 import Gf2Subspace, subspace_equal, subspace_sum
 from .graph import EdgeSet, Graph, VertexSet, boundary
 from .matching import is_perfect_matching
@@ -88,6 +89,18 @@ def parity_spaces(g: Graph) -> ParitySpaces:
     return ps
 
 
+def _spaces_of(g: Graph, ps: Optional[ParitySpaces]) -> ParitySpaces:
+    """ps, or g's own ParitySpaces when ps is None.  Raises
+    InvalidParameterError when ps was built for another graph; g's own
+    memo passes without comparing edge lists."""
+    if ps is None:
+        return parity_spaces(g)
+    if ps is not object.__getattribute__(g, "_ps") and (
+            ps.n, ps.edges) != (g.n, g.edges):
+        raise InvalidParameterError("parity spaces of another graph")
+    return ps
+
+
 def is_feasible(g: Graph, x: EdgeSet,
                 ps: Optional[ParitySpaces] = None) -> bool:
     """Two perfect matchings meet x with different parities?
@@ -96,13 +109,13 @@ def is_feasible(g: Graph, x: EdgeSet,
     perfect matchings, one of which meets x with two parities iff x is
     feasible, and, for a non-feasible verdict, by `nf_certified`; the
     pairs and nF's basis are checked once per ParitySpaces.  Raises
+    InvalidParameterError when ps is another graph's, and
     BudgetExhaustedError when ps is not given and the span DP runs out of
     its state budget.
     """
     if x.size != g.m:
         raise DimensionMismatch(f"edge spaces differ: {x.size} vs {g.m}")
-    if ps is None:
-        ps = parity_spaces(g)
+    ps = _spaces_of(g, ps)
     if not ps.pairs_are_matchings:
         raise CrossCheckError("the span DP recorded a pair that is not two "
                               "perfect matchings")
@@ -196,11 +209,11 @@ def nf_star_report(g: Graph,
     the class {X : X ~ {} or X ~ E} is exactly the subspace cut + <E>, so
     emptiness is a dimension comparison.  A nonempty verdict carries the
     first reduced nF basis vector outside cut + <E>, re-verified by
-    `nf_star_witness_fault`.
+    `nf_star_witness_fault`.  Raises InvalidParameterError when ps is
+    another graph's.
     """
     require_matching_covered(g)
-    if ps is None:
-        ps = parity_spaces(g)
+    ps = _spaces_of(g, ps)
     full = (1 << g.m) - 1
     if not (all(ps.nF.contains(r) for r in ps.cut.basis())
             and ps.nF.contains(full)):

@@ -2,11 +2,13 @@
 
 Edge identity is always by id, never by endpoint pair: ear machinery and
 the splice constructions create parallel edges that must stay
-distinguishable.  All values are immutable after construction; deletion
-returns a fresh graph together with old-id -> new-id maps.  Vertex
-connectivity runs on the sorted neighbour lists of the simple graph
-underneath: an augmenting-path search for internally disjoint paths,
-kept as predecessor and successor arrays.
+distinguishable.  All values are immutable after construction.  One
+routine cuts every derived graph (`Graph.delete`, `Graph.edge_subgraph`):
+a fresh graph, its old-id -> new-id edge and vertex maps, and the
+parent's DP order restricted to the kept vertices.  Vertex connectivity
+runs on the sorted neighbour lists of the simple graph underneath: an
+augmenting-path search for internally disjoint paths, kept as
+predecessor and successor arrays.
 """
 
 from __future__ import annotations
@@ -19,10 +21,6 @@ from typing import ClassVar, Iterable, Optional
 
 from .errors import CrossCheckError, DimensionMismatch, InvalidParameterError
 from .gf2 import Gf2Subspace
-
-
-def _popcount(x: int) -> int:
-    return x.bit_count()
 
 
 def _bit_ids(mask: int, size: int) -> tuple[int, ...]:
@@ -75,7 +73,7 @@ class _BitSet:
         return 0 <= i < self.size and bool(self.mask >> i & 1)
 
     def __len__(self) -> int:
-        return _popcount(self.mask)
+        return self.mask.bit_count()
 
     def __bool__(self) -> bool:
         return self.mask != 0
@@ -197,9 +195,6 @@ class Graph:
     def degrees(self) -> list[int]:
         return [len(a) for a in self.adjacency()]
 
-    def endpoints(self, eid: int) -> tuple[int, int]:
-        return self.edges[eid]
-
     def full_edge_set(self) -> EdgeSet:
         return EdgeSet.full(self.m)
 
@@ -216,36 +211,17 @@ class Graph:
             return None
         return degs[0] if all(d == degs[0] for d in degs) else None
 
-    def delete_edges(self, eids: Iterable[int]) -> tuple["Graph", dict[int, int]]:
-        """New graph without the given edges, plus old->new edge-id map."""
-        drop = set(eids)
-        emap: dict[int, int] = {}
-        kept = []
-        for eid, e in enumerate(self.edges):
-            if eid in drop:
-                continue
-            emap[eid] = len(kept)
-            kept.append(e)
-        return self._hand_order_to(Graph(self.n, kept), None), emap
-
-    def delete_vertices(self, vids: Iterable[int]) -> tuple["Graph", dict[int, int], dict[int, int]]:
-        """New graph without the given vertices and their incident edges.
-
-        Returns (graph, old->new edge-id map, old->new vertex-id map).
-        """
-        drop = set(vids)
-        vmap: dict[int, int] = {}
-        for v in range(self.n):
-            if v not in drop:
-                vmap[v] = len(vmap)
-        emap: dict[int, int] = {}
-        kept = []
-        for eid, (u, v) in enumerate(self.edges):
-            if u in drop or v in drop:
-                continue
-            emap[eid] = len(kept)
-            kept.append((vmap[u], vmap[v]))
-        return self._hand_order_to(Graph(len(vmap), kept), vmap), emap, vmap
+    def delete(self, vertices: Iterable[int] = (), edges: Iterable[int] = ()
+               ) -> tuple["Graph", dict[int, int], dict[int, int]]:
+        """(graph, old->new edge-id map, old->new vertex-id map) of this
+        graph less the given vertices, their edges and the given edges,
+        cut in one pass; ids not in the graph are ignored."""
+        drop_v, drop_e = set(vertices), set(edges)
+        vmap = {v: i for i, v in enumerate(
+            w for w in range(self.n) if w not in drop_v)}
+        keep = [eid for eid, (u, v) in enumerate(self.edges)
+                if eid not in drop_e and u in vmap and v in vmap]
+        return self._part(keep, vmap)
 
     def edge_subgraph(self, eids: Iterable[int]) -> tuple["Graph", dict[int, int], dict[int, int]]:
         """Subgraph on exactly the given edges and their endpoints.
@@ -254,35 +230,23 @@ class Graph:
         """
         keep = sorted(set(eids))
         verts = sorted({w for eid in keep for w in self.edges[eid]})
-        vmap = {v: i for i, v in enumerate(verts)}
-        emap = {}
-        new_edges = []
-        for eid in keep:
-            u, v = self.edges[eid]
-            emap[eid] = len(new_edges)
-            new_edges.append((vmap[u], vmap[v]))
-        return (self._hand_order_to(Graph(len(verts), new_edges), vmap),
-                emap, vmap)
+        return self._part(keep, {v: i for i, v in enumerate(verts)})
 
-    def _hand_order_to(self, sub: "Graph",
-                       vmap: Optional[dict[int, int]]) -> "Graph":
-        """sub, given this graph's DP order (if it has one) restricted to
-        sub's vertices through the old->new vertex map vmap (None: the
-        same vertices).  A restricted order's separation is no larger."""
+    def _part(self, keep: list[int], vmap: dict[int, int]
+              ) -> tuple["Graph", dict[int, int], dict[int, int]]:
+        """The graph on vmap's vertices (old->new) and the edges keep
+        (ascending ids), with its maps and this graph's DP order, if any,
+        restricted to the kept vertices: an order of no larger separation."""
+        sub = Graph(len(vmap), [(vmap[u], vmap[v]) for u, v in
+                                (self.edges[eid] for eid in keep)])
         order = object.__getattribute__(self, "_order")
-        if order is not None and vmap is not None:
+        if order is not None:
             order = tuple(vmap[v] for v in order if v in vmap)
         object.__setattr__(sub, "_order", order)
-        return sub
+        return sub, {eid: i for i, eid in enumerate(keep)}, vmap
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def induced_subgraph(g: Graph, keep: VertexSet) -> tuple[Graph, dict[int, int], dict[int, int]]:
-    """Subgraph induced by keep, with old->new edge and vertex id maps."""
-    drop = [v for v in range(g.n) if v not in keep]
-    return g.delete_vertices(drop)
 
 
 def boundary(g: Graph, u: VertexSet) -> EdgeSet:
@@ -307,20 +271,6 @@ def _reach(adj: list[list[tuple[int, int]]], s: int,
             if not seen[w]:
                 seen[w] = True
                 out.append(w)
-    return out
-
-
-def components(g: Graph) -> list[VertexSet]:
-    """Connected components, each as a VertexSet, ordered by least vertex."""
-    seen = [False] * g.n
-    adj = g.adjacency()
-    out = []
-    for s in range(g.n):
-        if not seen[s]:
-            mask = 0
-            for v in _reach(adj, s, seen):
-                mask |= 1 << v
-            out.append(VertexSet(mask, g.n))
     return out
 
 
@@ -430,7 +380,7 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
     else:
         into, out = reached
         sep = tuple(x for x in range(g.n) if into[x] != -1 and out[x] == -1)
-    rest, _, _ = g.delete_vertices(sep)
+    rest, _, _ = g.delete(vertices=sep)
     if len(sep) != cutoff or len(sep) >= k or is_connected(rest):
         raise CrossCheckError(f"vertex cut {sep} is not a separator of "
                               f"{cutoff} < {k} vertices")

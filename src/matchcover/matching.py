@@ -251,5 +251,5 @@ def _blossom_uncovered_edge(g: Graph) -> Optional[int]:
 
 def is_nice_subgraph(g: Graph, h_vertices: VertexSet) -> bool:
     """True iff g minus the given vertices still has a perfect matching."""
-    h, _, _ = g.delete_vertices(h_vertices.ids())
+    h, _, _ = g.delete(vertices=h_vertices.ids())
     return has_perfect_matching(h)

@@ -40,12 +40,12 @@ the reverse of a greedy growth that keeps the frontier small: from a
 least-degree vertex of each component, it places next the frontier
 vertex that adds the fewest new vertices to the frontier less its
 placed neighbours, the earliest arrival first among ties.  The order
-is kept on the graph, and the subgraphs cut from it by `delete_edges`,
-`delete_vertices` and `edge_subgraph` inherit it, restricted to their
-vertices: a restriction's separation is no larger, so the ear search,
-which runs one DP per ear it removes, computes the order once per
-input graph.  The results do not depend on the order, except for which
-PM is M0 and which PM pairs are kept.  The DAG is walked with an
+is kept on the graph, and the subgraphs cut from it by `Graph.delete`
+and `Graph.edge_subgraph` inherit it, restricted to their vertices: a
+restriction's separation is no larger, so the ear search, which runs
+one DP per ear it removes, computes the order once per input graph.
+The results do not depend on the order, except for which PM is M0 and
+which PM pairs are kept.  The DAG is walked with an
 explicit stack, so a long thin graph needs no deep recursion, and the
 DP stops with BudgetExhaustedError once it has made
 DEFAULT_STATE_BUDGET states, so memory stays bounded.

@@ -14,8 +14,9 @@ The ear search oracle is the package's earlier peeling loop, which ran
 a span DP on the remainder of every candidate ear in turn; the package
 now decides single ears by dependence masks and runs one DP per ear.
 The switching witness oracle is the package's earlier route, which
-2-coloured the components of g minus the set; the package now switches
-sides across the set in one traversal of g.
+2-coloured the components of g minus the set (labelled here by a
+traversal of its own); the package now switches sides across the set in
+one traversal of g.
 """
 
 from __future__ import annotations
@@ -141,23 +142,33 @@ def component_switch_witness(g: Graph, edge_ids) -> Optional[int]:
     g minus the set and whose edges are the set's edges.  Components come
     in order of least vertex, and the colouring of each component of g
     puts its first one on side 0; U is the union of the side-1 ones."""
-    from matchcover.graph import components
     drop = frozenset(edge_ids)
-    rest, _ = g.delete_edges(drop)
-    comps = components(rest)
-    comp_of = [0] * g.n
-    for ci, vs in enumerate(comps):
-        for v in vs.ids():
-            comp_of[v] = ci
-    adj: list[list[int]] = [[] for _ in comps]
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for eid, (u, v) in enumerate(g.edges):
+        if eid not in drop:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    comp_of = [-1] * g.n
+    count = 0
+    for s in range(g.n):
+        if comp_of[s] == -1:
+            comp_of[s] = count
+            stack = [s]
+            while stack:
+                for w in nbrs[stack.pop()]:
+                    if comp_of[w] == -1:
+                        comp_of[w] = count
+                        stack.append(w)
+            count += 1
+    adj: list[list[int]] = [[] for _ in range(count)]
     for eid in sorted(drop):
         cu, cv = (comp_of[w] for w in g.edges[eid])
         if cu == cv:
             return None
         adj[cu].append(cv)
         adj[cv].append(cu)
-    side: list[Optional[int]] = [None] * len(comps)
-    for s in range(len(comps)):
+    side: list[Optional[int]] = [None] * count
+    for s in range(count):
         if side[s] is not None:
             continue
         side[s] = 0
@@ -170,7 +181,31 @@ def component_switch_witness(g: Graph, edge_ids) -> Optional[int]:
                     stack.append(b)
                 elif side[b] == side[a]:
                     return None
-    return sum(vs.mask for ci, vs in enumerate(comps) if side[ci] == 1)
+    return sum(1 << v for v in range(g.n) if side[comp_of[v]] == 1)
+
+
+def brute_delete(g: Graph, drop_v, drop_e):
+    """g less the vertices drop_v, every edge at one of them and the edges
+    drop_e, as `_brute_part` gives it."""
+    kept = set(range(g.n)) - set(drop_v)
+    return _brute_part(g, kept, [e for e in range(g.m) if e not in drop_e
+                                 and set(g.edges[e]) <= kept])
+
+
+def brute_edge_subgraph(g: Graph, eids):
+    """The edges eids of g and their ends, as `_brute_part` gives it."""
+    return _brute_part(g, {w for e in eids for w in g.edges[e]}, eids)
+
+
+def _brute_part(g: Graph, vertices, edges):
+    """(n, edges, emap, vmap) of the subgraph of g on the given vertices
+    and edges: the i-th least kept vertex and the i-th least kept edge
+    are renamed i."""
+    vs, es = sorted(set(vertices)), sorted(set(edges))
+    vmap = {v: vs.index(v) for v in vs}
+    emap = {e: es.index(e) for e in es}
+    return (len(vs), tuple((vmap[u], vmap[v]) for u, v in
+                           (g.edges[e] for e in es)), emap, vmap)
 
 
 def brute_vertex_connectivity_at_least(g: Graph, k: int) -> bool:
@@ -331,8 +366,7 @@ def brute_peel(g: Graph):
         for chains in _brute_ear_candidates(g):
             drop_v = {v for c in chains for v in c[2]}
             drop_e = {e for c in chains for e in c[3]}
-            h, _ = g.delete_edges(drop_e)
-            h, _, _ = h.delete_vertices(drop_v)
+            h, _, _ = g.delete(vertices=drop_v, edges=drop_e)
             if is_connected(h) and span_matching_covered(h):
                 break
         else:

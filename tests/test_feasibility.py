@@ -24,8 +24,8 @@ from matchcover.constructions import (
     petersen,
 )
 from matchcover.corpus import build_corpus, small_corpus
-from matchcover.errors import (DimensionMismatch, NoPerfectMatchingError,
-                               NotMatchingCoveredError)
+from matchcover.errors import (DimensionMismatch, InvalidParameterError,
+                               NoPerfectMatchingError, NotMatchingCoveredError)
 from matchcover.feasibility import (
     is_feasible,
     is_switch_equiv,
@@ -230,6 +230,23 @@ def test_no_perfect_matching_raises():
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     with pytest.raises(NoPerfectMatchingError):
         parity_spaces(star)
+
+
+def test_parity_spaces_of_another_graph_are_refused():
+    # C6 and K4 both have m = 6; K4's spaces would find edges 0 and 1 of
+    # C6 feasible and report K4's dimensions for C6
+    c6, k4 = cycle_graph(6), complete_graph(4)
+    x = c6.edge_set((0, 1))
+    assert not is_feasible(c6, x)
+    assert nf_star_report(c6).dims == (1, 5, 5, True)
+    with pytest.raises(InvalidParameterError):
+        is_feasible(c6, x, parity_spaces(k4))
+    with pytest.raises(InvalidParameterError):
+        nf_star_report(c6, ps=parity_spaces(k4))
+    # a graph with the same vertices and edges may use them
+    twin = cycle_graph(6)
+    assert not is_feasible(twin, x, parity_spaces(c6))
+    assert nf_star_report(twin, ps=parity_spaces(c6)).dims == (1, 5, 5, True)
 
 
 @given(st.one_of(strategies.multigraphs(max_edges=18),

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_vertex_connectivity_at_least
+from oracles import (brute_delete, brute_edge_subgraph,
+                     brute_vertex_connectivity_at_least)
 from strategies import multigraphs
 
 from matchcover.errors import DimensionMismatch, InvalidParameterError
@@ -18,8 +19,6 @@ from matchcover.graph import (
     Graph,
     VertexSet,
     boundary,
-    components,
-    induced_subgraph,
     is_bipartite,
     is_connected,
     vertex_connectivity_at_least,
@@ -45,7 +44,7 @@ def test_graph_basics():
     assert g.n == 4 and g.m == 6
     assert g.degrees() == [3, 3, 3, 3]
     assert g.is_regular() == 3
-    assert g.endpoints(4) == (0, 2)
+    assert g.edges[4] == (0, 2)
 
 
 def test_graph_rejects_bad_edges():
@@ -91,17 +90,47 @@ def test_ids_walk_set_bits_like_a_range_scan(size, mask):
 
 def test_delete_and_subgraph_maps():
     g = complete_graph(4)
-    h, emap = g.delete_edges([0])
+    h, emap, _ = g.delete(edges=[0])
     assert h.m == 5 and 0 not in emap
     assert all(h.edges[new] == g.edges[old] for old, new in emap.items())
 
-    h2, emap2, vmap2 = g.delete_vertices([3])
-    assert h2.n == 3
+    h2, emap2, vmap2 = g.delete(vertices=[3])
+    assert h2.n == 3 and h2.m == 3
     assert all(3 not in g.edges[old] for old in emap2)
 
     sub, emap3, vmap3 = g.edge_subgraph([0, 1])
     assert sub.m == 2
     assert sub.n == len({w for e in (0, 1) for w in g.edges[e]})
+
+
+@given(multigraphs(max_edges=20), st.lists(st.integers(0, 11), max_size=5),
+       st.lists(st.integers(0, 25), max_size=8),
+       st.none() | st.integers(0, 1 << 16))
+@example(complete_graph(4), [3], [], None)      # K4 induced on {0, 1, 2}
+@settings(max_examples=200, deadline=None)
+def test_one_cut_matches_its_definition(g, drop_v, drop_e, order_seed):
+    """delete and edge_subgraph against the oracle's renaming: kept ids in
+    ascending order, both maps, and the parent's DP order (when it has
+    one) restricted to the kept vertices.  The drop sets repeat ids, name
+    ids outside g, and drop an edge at a dropped vertex."""
+    if order_seed is not None:
+        object.__setattr__(g, "_order", tuple(
+            random.Random(order_seed).sample(range(g.n), g.n)))
+    drop_e = drop_e + [e for e, (u, _) in enumerate(g.edges)
+                       if u in drop_v][:1]
+    keep_e = [e % g.m for e in drop_e] if g.m else []
+    for (h, emap, vmap), want in (
+            (g.delete(vertices=drop_v, edges=drop_e),
+             brute_delete(g, drop_v, drop_e)),
+            (g.edge_subgraph(keep_e), brute_edge_subgraph(g, keep_e))):
+        assert (h.n, h.edges) == want[:2]
+        assert list(emap.items()) == list(want[2].items())
+        assert list(vmap.items()) == list(want[3].items())
+        if order_seed is None:
+            assert h._order is None
+        else:
+            assert h._order == tuple(
+                vmap[v] for v in sorted(vmap, key=g._order.index))
 
 
 def test_boundary_is_cut():
@@ -113,10 +142,8 @@ def test_boundary_is_cut():
     assert cut == cut2
 
 
-def test_components_and_connectivity():
+def test_is_connected():
     g = Graph(4, [(0, 1), (2, 3)])
-    comps = components(g)
-    assert len(comps) == 2
     assert not is_connected(g)
     assert is_connected(complete_graph(4))
 
@@ -168,7 +195,7 @@ def test_vertex_connectivity_petersen():
     assert not res.ok
     sep = res.separator
     assert sep is not None and len(sep) == 3
-    h, _, _ = g.delete_vertices(sep)
+    h, _, _ = g.delete(vertices=sep)
     assert not is_connected(h)
 
 
@@ -217,7 +244,7 @@ def test_vertex_connectivity_matches_oracle(g):
         assert res.ok == brute_vertex_connectivity_at_least(g, k), k
         if res.separator is not None:
             assert len(res.separator) < k
-            assert not is_connected(g.delete_vertices(res.separator)[0])
+            assert not is_connected(g.delete(vertices=res.separator)[0])
         if res.separator:
             # a minimum vertex cut: g is len(separator)-connected
             assert brute_vertex_connectivity_at_least(g, len(res.separator))
@@ -317,10 +344,5 @@ def test_vertex_connectivity_matches_networkx(seed):
         assert not res.ok
         if res.separator is not None:
             assert len(res.separator) == kappa
-            assert not is_connected(g.delete_vertices(res.separator)[0])
+            assert not is_connected(g.delete(vertices=res.separator)[0])
 
-
-def test_induced_subgraph():
-    g = complete_graph(4)
-    h, emap, vmap = induced_subgraph(g, g.vertex_set([0, 1, 2]))
-    assert h.n == 3 and h.m == 3

@@ -135,7 +135,7 @@ def test_rematch_without_matches_oracle_on_ear_prefixes():
                 subsets = list(combinations(range(prefix.n), size))
                 drops += rng.sample(subsets, min(len(subsets), 12))
             for drop in drops:
-                rest = prefix.delete_vertices(drop)[0]
+                rest = prefix.delete(vertices=drop)[0]
                 found = rematch_without(adj, mate, drop)
                 assert (found is not None) == bool(
                     brute_perfect_matchings(rest)), (entry.name, i, drop)

@@ -227,7 +227,7 @@ def test_dp_results_do_not_depend_on_the_vertex_order(g, data, rng):
                                if g.n > 1)])
     object.__setattr__(parent, "_order",
                        tuple(data.draw(st.permutations(range(parent.n)))))
-    for child in (parent.delete_vertices([g.n])[0],
+    for child in (parent.delete(vertices=[g.n])[0],
                   parent.edge_subgraph(range(g.m))[0]):
         assert child._order is not None
         _assert_same_results(
@@ -242,16 +242,16 @@ def test_subgraphs_inherit_a_valid_order(g, data):
     object.__setattr__(g, "_order", order)
     drop_e = data.draw(st.lists(st.integers(0, max(g.m - 1, 0)), max_size=4))
     drop_v = data.draw(st.lists(st.integers(0, g.n - 1), max_size=3))
-    h, _ = g.delete_edges(drop_e)
+    h, _, _ = g.delete(edges=drop_e)
     assert h._order == order
-    for h, _, vmap in (g.delete_vertices(drop_v),
+    for h, _, vmap in (g.delete(vertices=drop_v),
                        g.edge_subgraph(set(range(g.m)) - set(drop_e))):
         assert sorted(h._order) == list(range(h.n))
         # the parent's order, restricted to the kept vertices
         assert h._order == tuple(vmap[v] for v in order if v in vmap)
     # a graph with no order hands none down
     bare = Graph(g.n, g.edges)
-    assert bare.delete_vertices(drop_v)[0]._order is None
+    assert bare.delete(vertices=drop_v)[0]._order is None
 
 
 def test_subgraphs_run_no_order_of_their_own(monkeypatch):
@@ -260,8 +260,8 @@ def test_subgraphs_run_no_order_of_their_own(monkeypatch):
     calls = []
     monkeypatch.setattr(span_module, "_greedy_order",
                         lambda h: calls.append(h) or tuple(range(h.n)))
-    h, _, _ = g.delete_vertices([0, 5])
-    h, _ = h.delete_edges([0, 3])
+    h, _, _ = g.delete(vertices=[0, 5])
+    h, _, _ = h.delete(edges=[0, 3])
     h, _, _ = h.edge_subgraph(range(h.m - 2))
     assert matching_span(h).pm_count == len(brute_perfect_matchings(h))
     assert calls == []

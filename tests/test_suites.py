@@ -76,7 +76,7 @@ def test_single_ear_spaces_match_brute_force():
         p = d.ears[-1].paths[0]
         gp, emap, vmap = g.edge_subgraph(d.prefix_edges(d.r - 1))
         back = {v: k for k, v in emap.items()}
-        go, go_emap, _ = gp.delete_vertices((vmap[p.end_u], vmap[p.end_v]))
+        go, go_emap, _ = gp.delete(vertices=(vmap[p.end_u], vmap[p.end_v]))
         spaces = _single_ear_spaces(g, gp, emap, vmap, p)
         nf_g, nf_p = brute_nf_masks(g), brute_nf_masks(gp)
         cut_e_p = nf_p - brute_nf_star_masks(gp)
