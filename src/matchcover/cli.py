@@ -15,9 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from functools import cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import __version__
 from .constructions import (
@@ -65,8 +64,7 @@ EXIT_UNVERIFIED = 4
 EXIT_CROSS_CHECK = 5
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     n: int
     m: int
     connected: bool
@@ -82,7 +80,7 @@ class AnalysisReport:
     chromatic_index: Optional[int]
 
     def to_json_obj(self) -> dict:
-        return {"schema_version": 1, **self.__dict__}
+        return {"schema_version": 1, **self._asdict()}
 
 
 def analyze_graph(g: Graph) -> AnalysisReport:

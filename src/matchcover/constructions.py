@@ -9,8 +9,7 @@ from scratch using only the other modules, never the provenance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import kernels
 from .errors import (BudgetExhaustedError, ColoringMismatchError,
@@ -26,15 +25,13 @@ from .span import matching_span
 DEFAULT_COLOR_BUDGET = 5_000_000
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     name: str
     ok: Optional[bool]          # None = could not be verified (a limit hit)
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ConstructionCertificate:
+class ConstructionCertificate(NamedTuple):
     name: str
     params: dict
     graph: Graph
@@ -43,7 +40,8 @@ class ConstructionCertificate:
     coloring: Optional[tuple[int, ...]]         # color per edge id, 1..r
     equivalent_sets: tuple[EdgeSet, ...]
     nf_star_witness: Optional[EdgeSet]
-    labels: dict = field(default_factory=dict)  # named vertices/edges
+    labels: dict = {}       # named vertices/edges; read only, as the
+                            # default {} is shared by every instance
 
 
 def petersen() -> Graph:
@@ -295,8 +293,7 @@ def _orient(g: Graph, eid: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class ChainPart:
+class ChainPart(NamedTuple):
     graph: Graph
     e: int                      # edge consumed by the splice on the left
     e_prime: int                # edge consumed by the splice on the right
@@ -389,8 +386,7 @@ def build_chain(parts: Sequence[ChainPart]) -> ConstructionCertificate:
         labels={"part_maps": part_maps})
 
 
-@dataclass(frozen=True)
-class CyclePart:
+class CyclePart(NamedTuple):
     """A part of `build_cycle_cl`: {e, e'} an equivalent set of graph,
     both edges in one class of the proper r-edge-colouring."""
     graph: Graph
@@ -451,14 +447,13 @@ def build_cycle_cl(parts: Sequence[CyclePart]) -> ConstructionCertificate:
         labels={"f": f_ids, "f_prime": fp_ids, "part_maps": part_maps})
 
 
-@dataclass(frozen=True)
-class StarPart:
+class StarPart(NamedTuple):
     """A part of `build_star_xs` with a proper r-edge-colouring.  The
     star removes its highest vertex that labels does not name as a1, a2,
     b1 or b2, so a Q_r part keeps its equivalent set {a1a2, b1b2}."""
     graph: Graph
     coloring: tuple[int, ...]
-    labels: dict = field(default_factory=dict)
+    labels: dict = {}       # read only: the default {} is shared
 
 
 def build_star_xs(parts: Sequence[StarPart]) -> ConstructionCertificate:

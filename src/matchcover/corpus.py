@@ -8,7 +8,7 @@ matching-covered.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constructions import (
     CyclePart,
@@ -28,8 +28,7 @@ from .graph import Graph
 from .span import span_matching_covered
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str
     graph: Graph
 

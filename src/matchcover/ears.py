@@ -45,8 +45,7 @@ no verdict only when a DP runs out of its state budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import CrossCheckError
 from .feasibility import nf_star_witness_fault, parity_spaces
@@ -56,8 +55,7 @@ from .matching import check_perfect, rematch_without
 from .span import matching_span, require_matching_covered, span_matching_covered
 
 
-@dataclass(frozen=True)
-class EarPath:
+class EarPath(NamedTuple):
     """One odd path: ends stay in the smaller graph, internals are new."""
     end_u: int
     end_v: int
@@ -69,8 +67,7 @@ class EarPath:
         return len(self.edge_ids)
 
 
-@dataclass(frozen=True)
-class Ear:
+class Ear(NamedTuple):
     kind: str                      # "single" | "double"
     paths: tuple[EarPath, ...]
 
@@ -79,8 +76,7 @@ class Ear:
         return 1 if self.kind == "single" else 2
 
 
-@dataclass(frozen=True)
-class EarDecomposition:
+class EarDecomposition(NamedTuple):
     """The base K2 and the ears that grow it into G, in original ids; the
     prefix G_i is the base plus the first i ears."""
     base_vertices: tuple[int, int]
@@ -238,8 +234,7 @@ def find_ear_decomposition(g: Graph) -> EarDecomposition:
     return _peel(g)
 
 
-@dataclass(frozen=True)
-class SingleEarOutcome:
+class SingleEarOutcome(NamedTuple):
     decomposition: Optional[EarDecomposition]
     odd_cycle: Optional[tuple[int, ...]]    # witness when not bipartite
 
@@ -256,8 +251,7 @@ def find_single_ear_decomposition(g: Graph) -> SingleEarOutcome:
     return SingleEarOutcome(d, None)
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     valid: bool
     clause: Optional[str]       # first violated clause
     step: Optional[int]
@@ -369,8 +363,7 @@ def case_iv_space(prev: Graph, u: int, v: int
     return n_space, deleted, emap
 
 
-@dataclass(frozen=True)
-class NfStarClassification:
+class NfStarClassification(NamedTuple):
     empty: bool
     rule: str                   # which classification clause fired
     detail: Optional[str]

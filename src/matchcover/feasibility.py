@@ -23,9 +23,8 @@ verdict is withheld and CrossCheckError is raised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (CrossCheckError, DimensionMismatch, InvalidParameterError,
                      NoPerfectMatchingError)
@@ -35,12 +34,15 @@ from .matching import is_perfect_matching
 from .span import MatchingSpan, matching_span, require_matching_covered
 
 
-@dataclass(frozen=True)
 class ParitySpaces:
     """Everything the parity predicates need, from one span DP; the two
     one-off cross-checks of `is_feasible` run when first needed.  It keeps
-    the graph's n and edges, not the graph, which holds it."""
+    the graph's n and edges, not the graph, which holds it.  Immutable;
+    equal to a ParitySpaces with equal fields."""
 
+    _fields = ("n", "edges", "span", "D", "nF", "cut", "cut_plus_E")
+    # __dict__ holds the two cached checks
+    __slots__ = (*_fields, "__dict__", "__weakref__")
     n: int
     edges: tuple[tuple[int, int], ...]
     span: MatchingSpan
@@ -48,6 +50,20 @@ class ParitySpaces:
     nF: Gf2Subspace                        # orthogonal complement of D
     cut: Gf2Subspace                       # span of vertex stars
     cut_plus_E: Gf2Subspace                # cut + <E>
+
+    def __init__(self, n, edges, span, D, nF, cut, cut_plus_E):
+        for name, value in zip(self._fields,
+                               (n, edges, span, D, nF, cut, cut_plus_E)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ParitySpaces is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not ParitySpaces:
+            return NotImplemented
+        return ([getattr(self, f) for f in self._fields]
+                == [getattr(other, f) for f in self._fields])
 
     @cached_property
     def pairs_are_matchings(self) -> bool:
@@ -131,8 +147,7 @@ def is_feasible(g: Graph, x: EdgeSet,
     return feasible
 
 
-@dataclass(frozen=True)
-class SwitchVerdict:
+class SwitchVerdict(NamedTuple):
     equivalent: bool
     witness: Optional[VertexSet]    # U with X = boundary(U), when yes
 
@@ -194,8 +209,7 @@ def is_switch_equiv(g: Graph, x: EdgeSet, y: EdgeSet) -> SwitchVerdict:
     return is_switch_equiv_empty(g, x ^ y)
 
 
-@dataclass(frozen=True)
-class NfStarReport:
+class NfStarReport(NamedTuple):
     empty: bool
     witness: Optional[EdgeSet]
     dims: tuple[int, int, int, bool]    # (dim D, dim nF, dim cut, E in cut)

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
-from typing import ClassVar, Iterable, Optional
+from typing import ClassVar, Iterable, NamedTuple, Optional
 
 from .errors import CrossCheckError, DimensionMismatch, InvalidParameterError
 from .gf2 import Gf2Subspace
@@ -34,13 +33,30 @@ def _bit_ids(mask: int, size: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class _BitSet:
-    """Bit vector over one graph's id space (bit i = id i) of one kind."""
+    """Bit vector over one graph's id space (bit i = id i) of one kind;
+    immutable, and equal only to a set of the same kind."""
 
+    __slots__ = ("mask", "size")
     kind: ClassVar[str]
-    mask: int
-    size: int
+
+    def __init__(self, mask: int, size: int):
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "size", size)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.mask == other.mask and self.size == other.size
+
+    def __hash__(self) -> int:
+        return hash((self.mask, self.size))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(mask={self.mask}, size={self.size})"
 
     @classmethod
     def empty(cls, size: int):
@@ -82,10 +98,10 @@ class _BitSet:
         return _bit_ids(self.mask, self.size)
 
 
-@dataclass(frozen=True)
 class EdgeSet(_BitSet):
     """Bit vector over one graph's edge-id space (bit i = edge i)."""
 
+    __slots__ = ()
     kind: ClassVar[str] = "edge"
 
     def __and__(self, other: "EdgeSet") -> "EdgeSet":
@@ -97,10 +113,10 @@ class EdgeSet(_BitSet):
         return EdgeSet(self.mask | other.mask, self.size)
 
 
-@dataclass(frozen=True)
 class VertexSet(_BitSet):
     """Bit vector over one graph's vertex ids."""
 
+    __slots__ = ()
     kind: ClassVar[str] = "vertex"
 
 
@@ -227,8 +243,9 @@ class Graph:
         """Subgraph on exactly the given edges and their endpoints.
 
         Returns (graph, old->new edge-id map, old->new vertex-id map).
+        Raises DimensionMismatch on an id outside 0..m-1.
         """
-        keep = sorted(set(eids))
+        keep = list(EdgeSet.from_ids(self.m, eids).ids())
         verts = sorted({w for eid in keep for w in self.edges[eid]})
         return self._part(keep, {v: i for i, v in enumerate(verts)})
 
@@ -279,8 +296,7 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(_reach(g.adjacency(), 0, [False] * g.n)) == g.n
 
 
-@dataclass(frozen=True)
-class BipartiteResult:
+class BipartiteResult(NamedTuple):
     bipartite: bool
     coloring: Optional[tuple[int, ...]]     # value per vertex in {0,1}
     odd_walk: Optional[tuple[int, ...]]     # closed walk with odd edge count
@@ -322,8 +338,7 @@ def _odd_cycle(parent: list[int], u: int, v: int) -> tuple[int, ...]:
     return tuple(reversed(a)) + tuple(b)  # lca .. u then v .. below-lca
 
 
-@dataclass(frozen=True)
-class ConnectivityResult:
+class ConnectivityResult(NamedTuple):
     ok: bool
     separator: Optional[tuple[int, ...]]    # vertex cut of size < k, if any
     reason: Optional[str]

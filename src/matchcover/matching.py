@@ -18,8 +18,7 @@ the two cross-check each other.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Collection, Optional, Sequence
+from typing import Collection, NamedTuple, Optional, Sequence
 
 from . import kernels
 from .errors import CrossCheckError, InvalidParameterError
@@ -177,8 +176,7 @@ def is_perfect_matching(n: int, edges: Sequence[tuple[int, int]],
     return ends == list(range(n))
 
 
-@dataclass(frozen=True)
-class MatchingEnumeration:
+class MatchingEnumeration(NamedTuple):
     matchings: tuple[EdgeSet, ...]
     complete: bool
     cap: int
@@ -198,8 +196,7 @@ def enumerate_perfect_matchings(g: Graph, cap: int = DEFAULT_CAP) -> MatchingEnu
         tuple(EdgeSet(mk, g.m) for mk in masks), complete, cap)
 
 
-@dataclass(frozen=True)
-class MatchingCoveredResult:
+class MatchingCoveredResult(NamedTuple):
     covered: bool
     reason: Optional[str]               # "not-connected" | "uncovered-edge"
     uncovered_edge: Optional[int]

@@ -58,7 +58,6 @@ raised again on every later call without a second run.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
 from .errors import BudgetExhaustedError, NotMatchingCoveredError
 from .graph import Graph, is_connected
@@ -66,10 +65,13 @@ from .graph import Graph, is_connected
 DEFAULT_STATE_BUDGET = 200_000
 
 
-@dataclass(frozen=True, eq=False)
 class MatchingSpan:
-    """The DP's results for one graph; masks are over its edge ids."""
+    """The DP's results for one graph; masks are over its edge ids.
+    Immutable, and equal only to itself."""
 
+    _fields = ("pm_count", "edge_union", "base_matching", "d_rows",
+               "pm_pairs", "transitions", "starts")
+    __slots__ = (*_fields, "__weakref__")
     pm_count: int
     edge_union: int                   # edges lying in some PM
     base_matching: int                # M0; 0 when there is no PM
@@ -81,6 +83,16 @@ class MatchingSpan:
     # flattened.  Both are empty when there is no PM.
     transitions: array
     starts: array
+
+    def __init__(self, pm_count, edge_union, base_matching, d_rows,
+                 pm_pairs, transitions, starts):
+        for name, value in zip(self._fields, (
+                pm_count, edge_union, base_matching, d_rows, pm_pairs,
+                transitions, starts)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MatchingSpan is immutable")
 
     def parity_counts(self, x: int) -> tuple[int, int]:
         """(#PMs meeting edge mask x evenly, #PMs meeting it oddly)."""

@@ -17,9 +17,8 @@ matchings.  No suite samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .constructions import (
     CyclePart,
@@ -53,15 +52,13 @@ from .span import matching_span
 ORACLE_MAX_M = 14       # the 2^m brute-force scan of oracle-nf
 
 
-@dataclass(frozen=True)
-class SuiteCheck:
+class SuiteCheck(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
     seed: int
     checks: tuple[SuiteCheck, ...]

@@ -51,6 +51,11 @@ def test_analyze_k4(k4_file, capsys):
     assert obj["nf_star_empty"] is True
     assert obj["dims"] == {"D": 2, "nF": 4, "cut": 3, "E_in_cut": False}
     assert obj["chromatic_index"] == 3
+    assert list(obj) == [
+        "schema_version", "n", "m", "connected", "bipartite",
+        "matching_covered", "pm_count", "pm_enumeration_complete", "dims",
+        "nf_star_empty", "nf_star_witness", "regularity",
+        "vertex_connectivity_checked", "chromatic_index"]
 
 
 def test_analyze_petersen(petersen_file, capsys):
@@ -414,8 +419,9 @@ def test_no_path_runs_networkx_weighted_matching(tmp_path, monkeypatch,
 
 
 def test_no_user_facing_path_imports_networkx(tmp_path):
-    """networkx is a test dependency only: a fresh interpreter runs every
-    user-facing command without importing it."""
+    """networkx is a test dependency only, and the package's own types
+    generate no code: a fresh interpreter runs every user-facing command
+    without importing networkx or dataclasses."""
     p = tmp_path / "cycle-3xq4.json"
     write_graph(_cycle_family(3), str(p))
     script = textwrap.dedent("""
@@ -425,7 +431,7 @@ def test_no_user_facing_path_imports_networkx(tmp_path):
             with contextlib.redirect_stdout(io.StringIO()):
                 if main(argv) != 0:
                     sys.exit(f"{argv} failed")
-        print("networkx" in sys.modules)
+        print("networkx" in sys.modules, "dataclasses" in sys.modules)
     """)
     argvs = _user_facing_commands(str(p), sorted(SUITES))
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -434,7 +440,7 @@ def test_no_user_facing_path_imports_networkx(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 def test_one_parser_serves_every_call(k4_file, capsys):

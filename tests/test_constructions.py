@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -187,7 +186,7 @@ def test_planted_witnesses_fail_the_witness_claim():
                             (star, "witness is a cut"),
                             (g.full_edge_set() ^ star,
                              "witness complement is a cut")):
-        claim = _witness_claim(replace(cert, nf_star_witness=planted))
+        claim = _witness_claim(cert._replace(nf_star_witness=planted))
         assert (claim.ok, claim.detail) == (False, detail)
 
 
@@ -196,7 +195,7 @@ def test_witness_claim_is_unverified_over_the_dp_budget(monkeypatch):
     cert = build_star_xs([StarPart(q4.graph, q4.coloring) for _ in range(4)])
     monkeypatch.setattr(span, "DEFAULT_STATE_BUDGET", 1)
     fresh = Graph(cert.graph.n, cert.graph.edges)   # no DP kept on it yet
-    claim = _witness_claim(replace(cert, graph=fresh))
+    claim = _witness_claim(cert._replace(graph=fresh))
     assert (claim.ok, claim.detail) == (None, "span DP state budget exhausted")
 
 

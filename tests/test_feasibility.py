@@ -295,7 +295,6 @@ def test_nf_star_report_matches_oracle_on_random_multigraphs(g):
 # check still raised.  Run under `python -O`, where asserts are stripped.
 _LYING_ROUTES = textwrap.dedent("""
     import sys
-    from dataclasses import replace
     from matchcover import cli, ears, feasibility, graph, kernels, matching
     from matchcover.constructions import (chromatic_index_exact,
                                           complete_graph, cube_graph,
@@ -356,7 +355,12 @@ _LYING_ROUTES = textwrap.dedent("""
     expect("single-ear mode", lambda: find_single_ear_decomposition(
         complete_graph(4)))
     # a recorded pair that is not two perfect matchings
-    lying_pairs = replace(ps, span=replace(ps.span, pm_pairs=((0, 1),)))
+    real = ps.span
+    lying_span = MatchingSpan(real.pm_count, real.edge_union,
+                              real.base_matching, real.d_rows, ((0, 1),),
+                              real.transitions, real.starts)
+    lying_pairs = feasibility.ParitySpaces(ps.n, ps.edges, lying_span, ps.D,
+                                           ps.nF, ps.cut, ps.cut_plus_E)
     expect("PM pairs", lambda: is_feasible(g, x, lying_pairs))
     # parity counts that find every nF basis vector feasible, on a new
     # graph whose ParitySpaces has not yet run its one-off checks

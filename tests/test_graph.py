@@ -101,6 +101,10 @@ def test_delete_and_subgraph_maps():
     sub, emap3, vmap3 = g.edge_subgraph([0, 1])
     assert sub.m == 2
     assert sub.n == len({w for e in (0, 1) for w in g.edges[e]})
+    # -1 would wrap to edge 5 and 6 would index past the edge list
+    for eids in ([-1, 0], [0, 6]):
+        with pytest.raises(DimensionMismatch):
+            g.edge_subgraph(eids)
 
 
 @given(multigraphs(max_edges=20), st.lists(st.integers(0, 11), max_size=5),

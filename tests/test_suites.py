@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -174,8 +173,8 @@ def test_single_ear_check_fails_on_ear_kinds_that_disagree(
 
     def find_ear_decomposition(g):
         d = real(g)
-        return replace(d, ears=tuple(
-            replace(ear, kind=kind) for ear in d.ears))
+        return d._replace(ears=tuple(
+            ear._replace(kind=kind) for ear in d.ears))
 
     monkeypatch.setattr(suites, "find_ear_decomposition",
                         find_ear_decomposition)
