@@ -64,6 +64,7 @@ from .constructions import (
     build_chain,
     build_cycle_cl,
     build_qr,
+    build_qr_family,
     build_star_xs,
     chromatic_index_exact,
     petersen,

@@ -20,14 +20,9 @@ from typing import NamedTuple, Optional
 
 from . import __version__
 from .constructions import (
-    ChainPart,
     ConstructionCertificate,
-    CyclePart,
-    StarPart,
-    build_chain,
-    build_cycle_cl,
     build_qr,
-    build_star_xs,
+    build_qr_family,
     chromatic_index_exact,
     complete_graph,
     petersen,
@@ -97,10 +92,10 @@ def analyze_graph(g: Graph) -> AnalysisReport:
     false.  For an r-regular graph, `vertex_connectivity_checked` is
     min(κ, r, n−1), from one connectivity test at k = min(r, n−1): k when
     it passes, else the size of the minimum vertex cut it returns.
-    `chromatic_index` is exact, from `chromatic_index_exact`: a checked
-    Kempe-chain Δ-colouring settles class 1, and otherwise the DSATUR
-    search decides it, so it is null only when χ′ > Δ is possible and
-    that search ran out of its budget.
+    `chromatic_index` is exact, from `chromatic_index_exact`: at each
+    colour count from its lower bound up, a checked Kempe-chain colouring
+    settles it, and the DSATUR search decides the counts where that gives
+    up, so it is null only when DSATUR ran out of its budget.
     """
     connected = is_connected(g)
     bip = is_bipartite(g).bipartite
@@ -183,22 +178,7 @@ def _build_certificate(args):
         g1 = read_graph(args.g1, args.format) if args.g1 else complete_graph(4)
         g2 = read_graph(args.g2, args.format) if args.g2 else complete_graph(4)
         return splice(g1, args.e1, g2, args.e2)
-    base = build_qr(args.r)
-    if args.family == "chain":
-        eq = base.graph.edge_set((base.labels["a1a2"], base.labels["b1b2"]))
-        parts = [ChainPart(base.graph, base.labels["a1a2"],
-                           base.labels["b1b2"], eq, base.coloring)
-                 for _ in range(args.k)]
-        return build_chain(parts)
-    if args.family == "cycle":
-        parts = [CyclePart(base.graph, base.labels["a1a2"],
-                           base.labels["b1b2"], base.coloring)
-                 for _ in range(args.k)]
-        return build_cycle_cl(parts)
-    if args.family == "star":
-        parts = [StarPart(base.graph, base.coloring) for _ in range(args.k)]
-        return build_star_xs(parts)
-    raise MatchcoverError(f"unknown family {args.family}")
+    return build_qr_family(args.family, args.r, args.k)
 
 
 def cmd_construct(args) -> int:
@@ -226,8 +206,8 @@ def cmd_decompose(args) -> int:
         outcome = find_single_ear_decomposition(g)
         d = outcome.decomposition
         if d is None:
-            _emit({"single_ear_decomposition": None,
-                   "odd_cycle": list(outcome.odd_cycle or ())}, args.json)
+            print(json.dumps({"single_ear_decomposition": None,
+                              "odd_cycle": list(outcome.odd_cycle or ())}))
             return EXIT_OK
     else:
         d = find_ear_decomposition(g)

@@ -9,6 +9,8 @@ from scratch using only the other modules, never the provenance.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import count
 from typing import NamedTuple, Optional, Sequence
 
 from . import kernels
@@ -21,8 +23,6 @@ from .graph import (EdgeSet, Graph, is_bipartite, map_mask,
                     vertex_connectivity_at_least)
 from .matching import is_matching_covered, is_perfect_matching
 from .span import matching_span
-
-DEFAULT_COLOR_BUDGET = 5_000_000
 
 
 class Claim(NamedTuple):
@@ -88,58 +88,46 @@ def verify_equivalent_set(g: Graph, s: EdgeSet) -> Optional[bool]:
 
 
 def chromatic_index_exact(g: Graph) -> Optional[int]:
-    """Exact chromatic index; None when DEFAULT_COLOR_BUDGET ran out.
+    """Exact chromatic index; None when the DSATUR search ran out of
+    `kernels.DEFAULT_COLOR_BUDGET`.
 
     Every colour class is a matching, so χ′ is at least
-    lb = max(Δ, ⌈m / ⌊n/2⌋⌉).  When lb = Δ, the Kempe-chain kernel
-    looks for a Δ-colouring first, and one it finds settles χ′ = Δ.
-    Otherwise, or when it gives up, DSATUR backtracking tries lb colours
-    and up to the Vizing bound Δ + μ.  Every colouring that settles the
-    answer is re-checked by `coloring_is_proper`, and a search that
-    refutes the Vizing bound is a contradiction; either failure raises
-    `CrossCheckError`.
+    lb = max(Δ, ⌈m / ⌊n/2⌋⌉).  For c = lb, lb + 1, ... up to the Vizing
+    bound Δ + μ, `kernels.edge_coloring` looks for a c-colouring by the
+    Kempe-chain search and, when that gives up, by DSATUR.  The first
+    colouring found settles χ′ = c and is re-checked by
+    `coloring_is_proper`.  A search that refutes the Vizing bound is a
+    contradiction; either failure raises `CrossCheckError`.
     """
     if g.m == 0:
         return 0
     delta = max(g.degrees())
-    lb = max(delta, -(-g.m // (g.n // 2)))
-    if lb == delta:
-        coloring = kernels.delta_edge_coloring(
-            g.n, list(g.edges), delta, kernels.KEMPE_WORK_PER_EDGE * g.m)
+    for c in count(max(delta, -(-g.m // (g.n // 2)))):
+        coloring, exhausted = _checked_coloring(g, c)
         if coloring is not None:
-            _check_coloring(g, coloring, delta)
-            return delta
-    mult = max(_multiplicities(g).values())
-    for c in range(lb, delta + mult + 1):       # Vizing bound for multigraphs
-        coloring, exhausted = kernels.edge_coloring(g.n, list(g.edges), c,
-                                                    DEFAULT_COLOR_BUDGET)
-        if coloring is not None:
-            _check_coloring(g, coloring, c)
             return c
         if exhausted:
             return None
-    raise CrossCheckError(f"no edge colouring with {delta + mult} colours, "
-                          "against Vizing's bound Δ + μ")
-
-
-def _check_coloring(g: Graph, coloring: Sequence[int], colors: int) -> None:
-    if not coloring_is_proper(g, coloring, colors):
-        raise CrossCheckError(f"the {colors}-edge-colouring found is not "
-                              "proper")
+        # Vizing's bound for multigraphs, counted only once a search fails
+        if c >= delta + max(Counter(map(frozenset, g.edges)).values()):
+            raise CrossCheckError(f"no edge colouring with {c} colours, "
+                                  "against Vizing's bound Δ + μ")
 
 
 def find_proper_coloring(g: Graph, colors: int) -> Optional[tuple[int, ...]]:
-    coloring, _ = kernels.edge_coloring(g.n, list(g.edges), colors,
-                                        DEFAULT_COLOR_BUDGET)
+    coloring, _ = _checked_coloring(g, colors)
     return tuple(coloring) if coloring is not None else None
 
 
-def _multiplicities(g: Graph) -> dict[frozenset[int], int]:
-    mult: dict[frozenset[int], int] = {}
-    for u, v in g.edges:
-        key = frozenset((u, v))
-        mult[key] = mult.get(key, 0) + 1
-    return mult
+def _checked_coloring(g: Graph, colors: int
+                      ) -> tuple[Optional[list[int]], bool]:
+    """`kernels.edge_coloring` on g, with any colouring it finds re-checked
+    by `coloring_is_proper`."""
+    coloring, exhausted = kernels.edge_coloring(g.n, list(g.edges), colors)
+    if coloring is not None and not coloring_is_proper(g, coloring, colors):
+        raise CrossCheckError(f"the {colors}-edge-colouring found is not "
+                              "proper")
+    return coloring, exhausted
 
 
 def coloring_is_proper(g: Graph, coloring: Sequence[int],
@@ -553,6 +541,23 @@ def star_part_from_certificate(cert: ConstructionCertificate) -> StarPart:
     labels = {k: cert.labels[k] for k in ("a1", "a2", "b1", "b2", "a1a2", "b1b2")
               if k in cert.labels}
     return StarPart(cert.graph, tuple(cert.coloring), labels=labels)
+
+
+def build_qr_family(family: str, r: int, k: int) -> ConstructionCertificate:
+    """The chain, cycle or star of k copies of Q_r: chains and cycles join
+    the copies at their equivalent pair {a1a2, b1b2}, and the star takes
+    each copy unlabelled, so it may remove any of its vertices."""
+    q = build_qr(r)
+    e, e_prime = q.labels["a1a2"], q.labels["b1b2"]
+    if family == "chain":
+        part = ChainPart(q.graph, e, e_prime, q.graph.edge_set((e, e_prime)),
+                         q.coloring)
+        return build_chain([part] * k)
+    if family == "cycle":
+        return build_cycle_cl([CyclePart(q.graph, e, e_prime, q.coloring)] * k)
+    if family == "star":
+        return build_star_xs([StarPart(q.graph, q.coloring)] * k)
+    raise InvalidParameterError(f"unknown family {family}")
 
 
 def verify_certificate(cert: ConstructionCertificate) -> list[Claim]:

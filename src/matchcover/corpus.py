@@ -11,10 +11,9 @@ import random
 from typing import NamedTuple
 
 from .constructions import (
-    CyclePart,
     StarPart,
-    build_cycle_cl,
     build_qr,
+    build_qr_family,
     build_star_xs,
     complete_bipartite,
     complete_graph,
@@ -70,11 +69,8 @@ def build_corpus(seed: int = 20240817,
     entries.append(CorpusEntry("brick-q3", build_qr(3).graph))
     entries.append(CorpusEntry("brick-q4", build_qr(4).graph))
 
-    q4 = build_qr(4)
-    cyc = build_cycle_cl([CyclePart(q4.graph, q4.labels["a1a2"],
-                                    q4.labels["b1b2"], q4.coloring)
-                          for _ in range(3)])
-    entries.append(CorpusEntry("cycle-family-3xq4", cyc.graph))
+    entries.append(CorpusEntry("cycle-family-3xq4",
+                               build_qr_family("cycle", 4, 3).graph))
 
     k4 = complete_graph(4)
     col = find_proper_coloring(k4, 3)

@@ -1,8 +1,9 @@
-"""The search kernels: perfect-matching enumeration, exact edge colouring
-and a Kempe-chain Δ-edge-colouring.
+"""The search kernels: perfect-matching enumeration and edge colouring.
 
-The first two walk an explicit stack and the third walks its chains in a
-loop, so none of them is bounded by the interpreter's recursion limit.
+`edge_coloring` tries a Kempe-chain colouring first and falls back on an
+exact DSATUR search only when that gives up.  The enumeration and DSATUR
+walk an explicit stack and the Kempe search walks its chains in a loop,
+so none of them is bounded by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -10,12 +11,15 @@ from __future__ import annotations
 import random
 from itertools import product
 
-# Work per edge that `delta_edge_coloring` may spend on chain steps and
+# Work per edge that the Kempe-chain search may spend on chain steps and
 # evictions before it gives up.  On 520 networkx random regular graphs
 # (degree 3 to 10, 10 to 4,000 vertices) it needed a median of 1 to 5
 # units per edge and never more than 29; a class-2 graph spends all of
 # it before the exact search starts.
 KEMPE_WORK_PER_EDGE = 32
+
+# Colours the DSATUR search may try before it gives up.
+DEFAULT_COLOR_BUDGET = 5_000_000
 
 
 def enumerate_perfect_matchings(n: int, edges: list[tuple[int, int]],
@@ -62,8 +66,24 @@ def enumerate_perfect_matchings(n: int, edges: list[tuple[int, int]],
         untried = iter(adj[v])
 
 
-def edge_coloring(n: int, edges: list[tuple[int, int]], colors: int,
-                  budget: int) -> tuple[list[int] | None, bool]:
+def edge_coloring(n: int, edges: list[tuple[int, int]],
+                  colors: int) -> tuple[list[int] | None, bool]:
+    """An edge colouring with at most `colors` colours.
+
+    The Kempe-chain search runs first; only when it gives up does the
+    exact DSATUR search run.  Returns (coloring list indexed by edge id
+    with values 1..colors, exhausted) where coloring is None if no proper
+    coloring exists or DEFAULT_COLOR_BUDGET ran out; exhausted reports
+    the budget running out.
+    """
+    coloring = _kempe_coloring(n, edges, colors)
+    if coloring is not None:
+        return coloring, False
+    return _dsatur_coloring(n, edges, colors)
+
+
+def _dsatur_coloring(n: int, edges: list[tuple[int, int]],
+                     colors: int) -> tuple[list[int] | None, bool]:
     """Exact DSATUR backtracking search for an edge colouring with at most
     `colors` colours.
 
@@ -72,14 +92,10 @@ def edge_coloring(n: int, edges: list[tuple[int, int]], colors: int,
     CACM 1979).  An edge tries its free colours up to one above the
     largest colour used so far: the colours above it are still unused
     everywhere, so one of them stands for all.  Every colour tried spends
-    one unit of `budget`.  Returns (coloring list indexed by edge id with
-    values 1..colors, exhausted) where coloring is None if no proper
-    coloring exists or the budget ran out; exhausted reports the budget
-    running out.
+    one unit of DEFAULT_COLOR_BUDGET.  Returns what `edge_coloring` does;
+    it runs only where the Kempe search gave up, so edges is not empty.
     """
     m = len(edges)
-    if m == 0:
-        return [], False
     incident: list[list[int]] = [[] for _ in range(n)]
     for eid, (u, v) in enumerate(edges):
         incident[u].append(eid)
@@ -107,7 +123,7 @@ def edge_coloring(n: int, edges: list[tuple[int, int]], colors: int,
                     break
         return best
 
-    left = budget
+    left = DEFAULT_COLOR_BUDGET
     # frame: edge, colour it holds (0 = none yet), largest colour used before
     stack = [[pick(), 0, 0]]
     while stack:
@@ -143,10 +159,11 @@ def edge_coloring(n: int, edges: list[tuple[int, int]], colors: int,
     return None, False
 
 
-def delta_edge_coloring(n: int, edges: list[tuple[int, int]], colors: int,
-                        work: int) -> list[int] | None:
+def _kempe_coloring(n: int, edges: list[tuple[int, int]],
+                    colors: int) -> list[int] | None:
     """A proper edge colouring with at most `colors` colours, found by
-    greedy colouring and Kempe-chain swaps, or None once `work` is spent.
+    greedy colouring and Kempe-chain swaps, or None once
+    KEMPE_WORK_PER_EDGE × m is spent.
 
     Edges are coloured in id order with the lowest colour free at both
     ends.  When uv has none, it takes each pair (α, β) of a colour α
@@ -155,10 +172,11 @@ def delta_edge_coloring(n: int, edges: list[tuple[int, int]], colors: int,
     is swapped, which frees α at v, and uv gets α.  When every chain ends
     at u, one coloured edge at u or v, chosen by a fixed-seed random
     generator, is uncoloured and waits until uv is coloured again.  Every
-    chain step and every eviction spends one unit of `work`.  None proves
+    chain step and every eviction spends one unit of work.  None proves
     nothing: the search is not exhaustive.  It also returns None when a
     vertex has more edges than `colors`.  Memory is O(n·colors + m).
     """
+    work = KEMPE_WORK_PER_EDGE * len(edges)
     at = [[-1] * (colors + 1) for _ in range(n)]    # at[v][c]: edge id
     free = [(1 << colors + 1) - 2] * n              # bits 1..colors
     coloring = [0] * len(edges)

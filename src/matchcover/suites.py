@@ -21,10 +21,9 @@ from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .constructions import (
-    CyclePart,
     StarPart,
-    build_cycle_cl,
     build_qr,
+    build_qr_family,
     build_star_xs,
     complete_graph,
     find_proper_coloring,
@@ -337,10 +336,7 @@ def suite_constructions(entries: list[CorpusEntry]) -> list[SuiteCheck]:
     sp = splice(k4, 0, k4, 0)
     add(sp, verify_certificate(sp), "splice-k4-k4")
 
-    q4 = build_qr(4)
-    cyc = build_cycle_cl([CyclePart(q4.graph, q4.labels["a1a2"],
-                                    q4.labels["b1b2"], q4.coloring)
-                          for _ in range(3)])
+    cyc = build_qr_family("cycle", 4, 3)
     add(cyc, verify_certificate(cyc), "cycle-3xq4")
 
     col = find_proper_coloring(k4, 3)

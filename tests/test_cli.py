@@ -10,7 +10,7 @@ import networkx as nx
 import pytest
 
 import matchcover
-from matchcover import cli, constructions, kernels, span
+from matchcover import cli, kernels, span
 from matchcover.cli import build_parser, main
 from matchcover.constructions import (CyclePart, StarPart, build_cycle_cl,
                                       build_qr, build_star_xs, complete_graph,
@@ -117,10 +117,17 @@ def test_decompose(k4_file, capsys):
 
 
 def test_decompose_single_only(petersen_file, capsys):
-    rc = main(["decompose", petersen_file, "--single-only", "--json"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "odd_cycle" in out
+    # decompose prints one JSON line with or without --json
+    outs = []
+    for flags in (["--json"], []):
+        rc = main(["decompose", petersen_file, "--single-only", *flags])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        outs.append(json.loads(out))
+    assert outs[0] == outs[1]
+    assert outs[0]["single_ear_decomposition"] is None
+    assert len(outs[0]["odd_cycle"]) % 2 == 1
 
 
 def test_verify_suite(capsys):
@@ -305,7 +312,7 @@ def test_decompose_refuses_classification_over_budget(petersen_file,
 
 def test_colour_budget_exit_code(petersen_file, monkeypatch, capsys):
     # Petersen is class 2: proving it needs more than 10 search steps
-    monkeypatch.setattr(constructions, "DEFAULT_COLOR_BUDGET", 10)
+    monkeypatch.setattr(kernels, "DEFAULT_COLOR_BUDGET", 10)
     assert main(["analyze", petersen_file, "--json"]) == 3
     obj = json.loads(capsys.readouterr().out)
     assert obj["chromatic_index"] is None

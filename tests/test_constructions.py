@@ -12,6 +12,7 @@ from matchcover.constructions import (
     build_chain,
     build_cycle_cl,
     build_qr,
+    build_qr_family,
     build_star_xs,
     chromatic_index_exact,
     color_classes_are_perfect_matchings,
@@ -145,6 +146,10 @@ def test_cycle_family_three_q4():
     assert len(cert.equivalent_sets) == 3
     claims = _claims_ok(cert)
     assert all(c.ok is True for c in claims)
+    # the shared builder that `construct`, the corpus and the suites use
+    fam = build_qr_family("cycle", 4, 3)
+    assert (fam.graph.edges, fam._replace(graph=None)) == (
+        g.edges, cert._replace(graph=None))
 
 
 def test_cycle_family_needs_odd_part_count():
@@ -153,6 +158,9 @@ def test_cycle_family_needs_odd_part_count():
                            q4.coloring)
     with pytest.raises(InvalidParameterError):
         build_cycle_cl([mk(), mk()])
+    for family, k in (("cycle", 2), ("ring", 3)):
+        with pytest.raises(InvalidParameterError):
+            build_qr_family(family, 4, k)
 
 
 def test_star_family_three_k4():

@@ -298,7 +298,7 @@ _LYING_ROUTES = textwrap.dedent("""
     from matchcover import cli, ears, feasibility, graph, kernels, matching
     from matchcover.constructions import (chromatic_index_exact,
                                           complete_graph, cube_graph,
-                                          petersen)
+                                          find_proper_coloring, petersen)
     from matchcover.ears import (classify_nf_star, find_ear_decomposition,
                                  find_single_ear_decomposition)
     from matchcover.errors import CrossCheckError
@@ -397,17 +397,21 @@ _LYING_ROUTES = textwrap.dedent("""
     expect("Menger paths", lambda: vertex_connectivity_at_least(g, 3))
     graph._walk_paths = walk_paths
     # a kernel that gives every edge colour 1
-    kernels.edge_coloring = lambda n, edges, colors, budget: (
+    edge_coloring = kernels.edge_coloring
+    kernels.edge_coloring = lambda n, edges, colors: (
         [1] * len(edges), False)
     expect("chromatic_index_exact", lambda: chromatic_index_exact(g))
     # a search that finds no colouring within the Vizing bound
-    kernels.edge_coloring = lambda n, edges, colors, budget: (None, False)
+    kernels.edge_coloring = lambda n, edges, colors: (None, False)
     expect("Vizing bound", lambda: chromatic_index_exact(g))
-    # the cube is class 1, so the Kempe-chain kernel's answer settles it
-    kernels.delta_edge_coloring = lambda n, edges, colors, work: (
-        [1] * len(edges))
+    kernels.edge_coloring = edge_coloring
+    # the cube is class 1, so the Kempe-chain search's answer settles it
+    kernels._kempe_coloring = lambda n, edges, colors: [1] * len(edges)
     expect("Kempe-chain colouring",
            lambda: chromatic_index_exact(cube_graph()))
+    # find_proper_coloring re-checks that search's colouring of K4 too
+    expect("find_proper_coloring",
+           lambda: find_proper_coloring(complete_graph(4), 3))
     # a boundary that comes out empty for the witness of a real cut
     feasibility.boundary = lambda h, u: EdgeSet(0, h.m)
     expect("switch witness", lambda: is_switch_equiv_empty(
@@ -431,5 +435,5 @@ def test_cross_checks_raise_under_python_O():
         "bipartite matching-covered route raised", "analyze_graph raised",
         "vertex_connectivity_at_least raised", "Menger paths raised",
         "chromatic_index_exact raised", "Vizing bound raised",
-        "Kempe-chain colouring raised",
+        "Kempe-chain colouring raised", "find_proper_coloring raised",
         "switch witness raised", "optimize 1", ""]

@@ -26,16 +26,20 @@ def _from_nx(h: nx.Graph) -> Graph:
     return Graph(len(index), [(index[u], index[v]) for u, v in h.edges])
 
 
-def test_kernel_basics():
+def test_kernel_basics(monkeypatch):
     g = complete_graph(4)
     pms, complete = kernels.enumerate_perfect_matchings(g.n, g.edges, 100)
     assert complete and len(pms) == 3
     # the corpus builds its star family from this colouring of K4
-    col, exhausted = kernels.edge_coloring(g.n, g.edges, 3, 10**6)
+    col, exhausted = kernels.edge_coloring(g.n, g.edges, 3)
     assert col == [1, 2, 3, 3, 2, 1] and not exhausted
-    col2, exhausted2 = kernels.edge_coloring(g.n, g.edges, 2, 10**6)
+    col2, exhausted2 = kernels.edge_coloring(g.n, g.edges, 2)
     assert col2 is None and not exhausted2
-    col3, exhausted3 = kernels.edge_coloring(g.n, g.edges, 3, 2)
+    # Petersen is class 2, so the Kempe search gives up and DSATUR needs
+    # more than 2 steps to refute 3 colours
+    monkeypatch.setattr(kernels, "DEFAULT_COLOR_BUDGET", 2)
+    p = petersen()
+    col3, exhausted3 = kernels.edge_coloring(p.n, list(p.edges), 3)
     assert col3 is None and exhausted3
 
 
@@ -66,8 +70,13 @@ def test_enumeration_stops_at_cap_on_a_long_ladder():
     assert len(pms) == 3 and not complete
 
 
-def test_chromatic_index_of_a_long_odd_cycle():
-    # refuting 2 colours needs a search path through all 1,201 edges
+def test_chromatic_index_of_a_long_odd_cycle(monkeypatch):
+    # overfull (lb = 3 > Δ), so the loop starts at 3 colours, where the
+    # Kempe search settles it without the DSATUR search
+    def no_dsatur(*args):
+        raise AssertionError("the DSATUR search ran")
+
+    monkeypatch.setattr(kernels, "_dsatur_coloring", no_dsatur)
     assert chromatic_index_exact(cycle_graph(1201)) == 3
 
 
@@ -80,9 +89,7 @@ def test_chromatic_index_of_a_large_grid():
 
 
 def _kempe(g: Graph) -> list[int] | None:
-    delta = max(g.degrees())
-    return kernels.delta_edge_coloring(
-        g.n, list(g.edges), delta, kernels.KEMPE_WORK_PER_EDGE * g.m)
+    return kernels._kempe_coloring(g.n, list(g.edges), max(g.degrees()))
 
 
 @given(multigraphs(max_edges=18, bipartite=True))
