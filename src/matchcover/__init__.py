@@ -41,7 +41,6 @@ from .matching import (
     max_matching,
 )
 from .feasibility import (
-    ParitySpaces,
     is_feasible,
     is_switch_equiv,
     is_switch_equiv_empty,

@@ -42,6 +42,7 @@ from .feasibility import (
     nf_star_report,
 )
 from .formats import (
+    SCHEMA_VERSION,
     certificate_to_json_obj,
     decomposition_to_json_obj,
     read_graph,
@@ -75,7 +76,7 @@ class AnalysisReport(NamedTuple):
     chromatic_index: Optional[int]
 
     def to_json_obj(self) -> dict:
-        return {"schema_version": 1, **self._asdict()}
+        return {"schema_version": SCHEMA_VERSION, **self._asdict()}
 
 
 def analyze_graph(g: Graph) -> AnalysisReport:

@@ -56,6 +56,11 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+# complete_graph(4)'s proper 3-edge-colouring, whose classes are its three
+# perfect matchings; `build_star_xs` re-checks both on every part
+K4_COLORING = (1, 2, 3, 3, 2, 1)
+
+
 def complete_bipartite(a: int, b: int) -> Graph:
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
@@ -103,8 +108,11 @@ def chromatic_index_exact(g: Graph) -> Optional[int]:
         return 0
     delta = max(g.degrees())
     for c in count(max(delta, -(-g.m // (g.n // 2)))):
-        coloring, exhausted = _checked_coloring(g, c)
+        coloring, exhausted = kernels.edge_coloring(g.n, list(g.edges), c)
         if coloring is not None:
+            if not coloring_is_proper(g, coloring, c):
+                raise CrossCheckError(f"the {c}-edge-colouring found is "
+                                      "not proper")
             return c
         if exhausted:
             return None
@@ -112,22 +120,6 @@ def chromatic_index_exact(g: Graph) -> Optional[int]:
         if c >= delta + max(Counter(map(frozenset, g.edges)).values()):
             raise CrossCheckError(f"no edge colouring with {c} colours, "
                                   "against Vizing's bound Δ + μ")
-
-
-def find_proper_coloring(g: Graph, colors: int) -> Optional[tuple[int, ...]]:
-    coloring, _ = _checked_coloring(g, colors)
-    return tuple(coloring) if coloring is not None else None
-
-
-def _checked_coloring(g: Graph, colors: int
-                      ) -> tuple[Optional[list[int]], bool]:
-    """`kernels.edge_coloring` on g, with any colouring it finds re-checked
-    by `coloring_is_proper`."""
-    coloring, exhausted = kernels.edge_coloring(g.n, list(g.edges), colors)
-    if coloring is not None and not coloring_is_proper(g, coloring, colors):
-        raise CrossCheckError(f"the {colors}-edge-colouring found is not "
-                              "proper")
-    return coloring, exhausted
 
 
 def coloring_is_proper(g: Graph, coloring: Sequence[int],

@@ -11,6 +11,7 @@ import random
 from typing import NamedTuple
 
 from .constructions import (
+    K4_COLORING,
     StarPart,
     build_qr,
     build_qr_family,
@@ -19,7 +20,6 @@ from .constructions import (
     complete_graph,
     cube_graph,
     cycle_graph,
-    find_proper_coloring,
     petersen,
 )
 from .errors import InvalidParameterError
@@ -73,8 +73,7 @@ def build_corpus(seed: int = 20240817,
                                build_qr_family("cycle", 4, 3).graph))
 
     k4 = complete_graph(4)
-    col = find_proper_coloring(k4, 3)
-    star = build_star_xs([StarPart(k4, tuple(col)) for _ in range(3)])
+    star = build_star_xs([StarPart(k4, K4_COLORING) for _ in range(3)])
     entries.append(CorpusEntry("star-family-3xk4", star.graph))
 
     if include_random:

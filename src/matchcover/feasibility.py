@@ -4,8 +4,9 @@ An edge set X is feasible when two perfect matchings meet it with
 different parities.  Algebraically: fix a base matching M0 and let D be
 the GF(2) span of all symmetric differences M xor M0; then X is
 non-feasible iff X is orthogonal to D.  D comes from the span DP of
-`span.py`, which never enumerates the perfect matchings, and
-`parity_spaces` builds D and nF once per Graph and keeps them on it.
+`span.py`, which never enumerates the perfect matchings; its record,
+`MatchingSpan`, builds D and nF when first read, and the graph keeps
+it, so `parity_spaces` returns one record per Graph.
 This reduction is validated against a 2^m brute-force oracle in the test
 suite before being trusted, and `is_feasible` re-derives every verdict by
 a second route: a feasible verdict by the explicit pairs of perfect
@@ -23,108 +24,56 @@ verdict is withheld and CrossCheckError is raised.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .errors import (CrossCheckError, DimensionMismatch, InvalidParameterError,
                      NoPerfectMatchingError)
-from .gf2 import Gf2Subspace, subspace_equal, subspace_sum
+from .gf2 import subspace_equal
 from .graph import EdgeSet, Graph, VertexSet, boundary
-from .matching import is_perfect_matching
 from .span import MatchingSpan, matching_span, require_matching_covered
 
 
-class ParitySpaces:
-    """Everything the parity predicates need, from one span DP; the two
-    one-off cross-checks of `is_feasible` run when first needed.  It keeps
-    the graph's n and edges, not the graph, which holds it.  Immutable;
-    equal to a ParitySpaces with equal fields."""
-
-    _fields = ("n", "edges", "span", "D", "nF", "cut", "cut_plus_E")
-    # __dict__ holds the two cached checks
-    __slots__ = (*_fields, "__dict__", "__weakref__")
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    span: MatchingSpan
-    D: Gf2Subspace                         # span{M xor M0}
-    nF: Gf2Subspace                        # orthogonal complement of D
-    cut: Gf2Subspace                       # span of vertex stars
-    cut_plus_E: Gf2Subspace                # cut + <E>
-
-    def __init__(self, n, edges, span, D, nF, cut, cut_plus_E):
-        for name, value in zip(self._fields,
-                               (n, edges, span, D, nF, cut, cut_plus_E)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ParitySpaces is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not ParitySpaces:
-            return NotImplemented
-        return ([getattr(self, f) for f in self._fields]
-                == [getattr(other, f) for f in self._fields])
-
-    @cached_property
-    def pairs_are_matchings(self) -> bool:
-        """Is each of the DP's pairs two perfect matchings of the graph?"""
-        return all(is_perfect_matching(self.n, self.edges, mt)
-                   for pair in self.span.pm_pairs for mt in pair)
-
-    @cached_property
-    def nf_certified(self) -> bool:
-        """Does every nF basis vector, and so every member of nF, meet all
-        perfect matchings with one parity by the DP's parity counts?"""
-        return all(0 in self.span.parity_counts(row)
-                   for row in self.nF.basis())
-
-    @property
-    def dims(self) -> tuple[int, int, int, bool]:
-        return (self.D.dim, self.nF.dim, self.cut.dim,
-                self.cut.contains((1 << len(self.edges)) - 1))
-
-
-def parity_spaces(g: Graph) -> ParitySpaces:
-    """D, nF, the cut space and cut + <E> of g, built once per Graph from
-    its span DP and returned on every later call.
+def parity_spaces(g: Graph) -> MatchingSpan:
+    """g's span DP record, whose D, nF, cut space and cut + <E> the
+    parity predicates read; the first call fills its cut space from
+    `Graph.cut_space`, and every call returns the same record.
 
     Raises NoPerfectMatchingError when g has no perfect matching and
     BudgetExhaustedError when the DP runs out of its state budget.
     """
-    ps = object.__getattribute__(g, "_ps")
-    if ps is None:
-        span = matching_span(g)
-        if not span.pm_count:
-            raise NoPerfectMatchingError("graph has no perfect matching")
-        d = Gf2Subspace(g.m, span.d_rows)
-        cut = g.cut_space()
-        cut_plus_e = subspace_sum(cut, Gf2Subspace(g.m, ((1 << g.m) - 1,)))
-        ps = ParitySpaces(g.n, g.edges, span, d, d.orthogonal_complement(),
-                          cut, cut_plus_e)
-        object.__setattr__(g, "_ps", ps)
+    return _with_cut(g, matching_span(g))
+
+
+def _with_cut(g: Graph, ps: MatchingSpan) -> MatchingSpan:
+    """ps, its cut space filled from g's, once ps is known to be a record
+    of g's edges."""
+    if not ps.pm_count:
+        raise NoPerfectMatchingError("graph has no perfect matching")
+    if ps.cut is None:
+        object.__setattr__(ps, "cut", g.cut_space())
     return ps
 
 
-def _spaces_of(g: Graph, ps: Optional[ParitySpaces]) -> ParitySpaces:
-    """ps, or g's own ParitySpaces when ps is None.  Raises
+def _spaces_of(g: Graph, ps: Optional[MatchingSpan]) -> MatchingSpan:
+    """ps, or g's own record when ps is None.  Raises
     InvalidParameterError when ps was built for another graph; g's own
     memo passes without comparing edge lists."""
     if ps is None:
         return parity_spaces(g)
-    if ps is not object.__getattribute__(g, "_ps") and (
+    if ps is not object.__getattribute__(g, "_span") and (
             ps.n, ps.edges) != (g.n, g.edges):
         raise InvalidParameterError("parity spaces of another graph")
-    return ps
+    return _with_cut(g, ps)
 
 
 def is_feasible(g: Graph, x: EdgeSet,
-                ps: Optional[ParitySpaces] = None) -> bool:
+                ps: Optional[MatchingSpan] = None) -> bool:
     """Two perfect matchings meet x with different parities?
 
     Decided by nF membership, and cross-checked against the DP's pairs of
     perfect matchings, one of which meets x with two parities iff x is
     feasible, and, for a non-feasible verdict, by `nf_certified`; the
-    pairs and nF's basis are checked once per ParitySpaces.  Raises
+    pairs and nF's basis are checked once per record.  Raises
     InvalidParameterError when ps is another graph's, and
     BudgetExhaustedError when ps is not given and the span DP runs out of
     its state budget.
@@ -137,7 +86,7 @@ def is_feasible(g: Graph, x: EdgeSet,
                               "perfect matchings")
     feasible = not ps.nF.contains(x.mask)
     scan = any(((a ^ b) & x.mask).bit_count() & 1
-               for a, b in ps.span.pm_pairs)
+               for a, b in ps.pm_pairs)
     if scan != feasible:
         raise CrossCheckError("PM pairs and GF(2) route disagree on the "
                               f"feasibility of {sorted(x.ids())}")
@@ -216,7 +165,7 @@ class NfStarReport(NamedTuple):
 
 
 def nf_star_report(g: Graph,
-                   ps: Optional[ParitySpaces] = None) -> NfStarReport:
+                   ps: Optional[MatchingSpan] = None) -> NfStarReport:
     """Is every non-feasible set switching-equivalent to {} or E?
 
     Since cut <= nF and E in nF always hold for matching-covered graphs,

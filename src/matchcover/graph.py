@@ -141,11 +141,11 @@ def map_mask(mask: int, id_map: dict[int, int]) -> int:
 class Graph:
     """Loopless undirected multigraph; vertices 0..n-1, edge ids 0..m-1."""
 
-    # _span and _ps: memos of span.matching_span and feasibility.parity_spaces;
+    # _span: the memo of span.matching_span and feasibility.parity_spaces;
     # _order: the span DP's vertex order, set by span._vertex_order or
     # handed down, restricted, to the subgraphs cut from this graph
     __slots__ = ("n", "edges", "vertex_labels", "edge_labels", "_adj", "_cut",
-                 "_span", "_ps", "_order")
+                 "_span", "_order")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  vertex_labels: Optional[dict] = None,
@@ -170,7 +170,6 @@ class Graph:
         object.__setattr__(self, "_adj", None)
         object.__setattr__(self, "_cut", None)
         object.__setattr__(self, "_span", None)
-        object.__setattr__(self, "_ps", None)
         object.__setattr__(self, "_order", None)
 
     def __setattr__(self, name, value):

@@ -52,26 +52,40 @@ DEFAULT_STATE_BUDGET states, so memory stays bounded.
 
 The DP runs at most once per Graph: `matching_span` keeps its result on
 the graph, and so does a DP over budget, whose BudgetExhaustedError is
-raised again on every later call without a second run.
+raised again on every later call without a second run.  The record is
+the graph's one parity record too: D, nF and cut + <E> are built on it
+when first read, and `feasibility.parity_spaces` returns it with the
+cut space filled in, so no DP on an ear remainder builds one.
 """
 
 from __future__ import annotations
 
 from array import array
+from functools import cached_property
+from typing import Optional
 
 from .errors import BudgetExhaustedError, NotMatchingCoveredError
+from .gf2 import Gf2Subspace, subspace_sum
 from .graph import Graph, is_connected
+from .matching import is_perfect_matching
 
 DEFAULT_STATE_BUDGET = 200_000
 
 
 class MatchingSpan:
-    """The DP's results for one graph; masks are over its edge ids.
-    Immutable, and equal only to itself."""
+    """The DP's results for one graph, and the parity spaces read off
+    them; masks are over its edge ids.  It keeps the graph's n and edges,
+    not the graph, which holds it.  `cut` is None until
+    `feasibility.parity_spaces` fills it from `Graph.cut_space`; D, nF,
+    cut + <E> and the two one-off cross-checks of `is_feasible` are built
+    when first read.  Immutable but for those, and equal only to itself."""
 
-    _fields = ("pm_count", "edge_union", "base_matching", "d_rows",
-               "pm_pairs", "transitions", "starts")
-    __slots__ = (*_fields, "__weakref__")
+    _fields = ("n", "edges", "pm_count", "edge_union", "base_matching",
+               "d_rows", "pm_pairs", "transitions", "starts")
+    # __dict__ holds the cached spaces and checks
+    __slots__ = (*_fields, "cut", "__dict__", "__weakref__")
+    n: int
+    edges: tuple[tuple[int, int], ...]
     pm_count: int
     edge_union: int                   # edges lying in some PM
     base_matching: int                # M0; 0 when there is no PM
@@ -83,16 +97,51 @@ class MatchingSpan:
     # flattened.  Both are empty when there is no PM.
     transitions: array
     starts: array
+    cut: Optional[Gf2Subspace]        # span of vertex stars
 
-    def __init__(self, pm_count, edge_union, base_matching, d_rows,
-                 pm_pairs, transitions, starts):
+    def __init__(self, n, edges, pm_count, edge_union, base_matching,
+                 d_rows, pm_pairs, transitions, starts):
         for name, value in zip(self._fields, (
-                pm_count, edge_union, base_matching, d_rows, pm_pairs,
-                transitions, starts)):
+                n, edges, pm_count, edge_union, base_matching, d_rows,
+                pm_pairs, transitions, starts)):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "cut", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatchingSpan is immutable")
+
+    @cached_property
+    def D(self) -> Gf2Subspace:
+        """span{M xor M0}."""
+        return Gf2Subspace(len(self.edges), self.d_rows)
+
+    @cached_property
+    def nF(self) -> Gf2Subspace:
+        """The orthogonal complement of D: the non-feasible sets."""
+        return self.D.orthogonal_complement()
+
+    @cached_property
+    def cut_plus_E(self) -> Gf2Subspace:
+        """cut + <E>: the sets switching-equivalent to {} or E."""
+        m = len(self.edges)
+        return subspace_sum(self.cut, Gf2Subspace(m, ((1 << m) - 1,)))
+
+    @cached_property
+    def pairs_are_matchings(self) -> bool:
+        """Is each of the DP's pairs two perfect matchings of the graph?"""
+        return all(is_perfect_matching(self.n, self.edges, mt)
+                   for pair in self.pm_pairs for mt in pair)
+
+    @cached_property
+    def nf_certified(self) -> bool:
+        """Does every nF basis vector, and so every member of nF, meet all
+        perfect matchings with one parity by the DP's parity counts?"""
+        return all(0 in self.parity_counts(row) for row in self.nF.basis())
+
+    @property
+    def dims(self) -> tuple[int, int, int, bool]:
+        return (self.D.dim, self.nF.dim, self.cut.dim,
+                self.cut.contains((1 << len(self.edges)) - 1))
 
     def parity_counts(self, x: int) -> tuple[int, int]:
         """(#PMs meeting edge mask x evenly, #PMs meeting it oddly)."""
@@ -222,7 +271,8 @@ def _run_dp(g: Graph) -> MatchingSpan:
     """One run of the DP over g, with no memo."""
     state_budget = DEFAULT_STATE_BUDGET
     if g.n % 2:
-        return MatchingSpan(0, 0, 0, (), (), array("q"), array("q"))
+        return MatchingSpan(g.n, g.edges, 0, 0, 0, (), (), array("q"),
+                            array("q"))
     order = _vertex_order(g)
     pos = [0] * g.n
     for i, v in enumerate(order):
@@ -301,7 +351,8 @@ def _run_dp(g: Graph) -> MatchingSpan:
 
     root = index[full]
     if root < 0:
-        return MatchingSpan(0, 0, 0, (), (), array("q"), array("q"))
-    return MatchingSpan(counts[root], union, reps[root],
+        return MatchingSpan(g.n, g.edges, 0, 0, 0, (), (), array("q"),
+                            array("q"))
+    return MatchingSpan(g.n, g.edges, counts[root], union, reps[root],
                         tuple(pivots.values()), tuple(pairs), transitions,
                         starts)

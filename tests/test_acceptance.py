@@ -14,6 +14,7 @@ from oracles import brute_nf_masks, brute_perfect_matchings
 from matchcover.cli import analyze_graph
 from matchcover.constructions import (
     CyclePart,
+    K4_COLORING,
     StarPart,
     build_cycle_cl,
     build_qr,
@@ -206,8 +207,7 @@ def _star_property_suite(cert, expected_n, expected_m):
 def test_criterion_08_star_instance(capsys):
     t0 = time.perf_counter()
     k4 = complete_graph(4)
-    from matchcover.constructions import find_proper_coloring
-    col = tuple(find_proper_coloring(k4, 3))
+    col = K4_COLORING
     cert = build_star_xs([StarPart(k4, col) for _ in range(3)])
     # the claimed witness is exactly the edges remaining from part 1
     part0_edges = sorted(cert.labels["part_maps"][0].values())
@@ -264,8 +264,7 @@ def test_criterion_09_splice_and_cycle(capsys):
 def test_criterion_10_star_iteration(capsys):
     t0 = time.perf_counter()
     k4 = complete_graph(4)
-    from matchcover.constructions import find_proper_coloring
-    col = tuple(find_proper_coloring(k4, 3))
+    col = K4_COLORING
     first = build_star_xs([StarPart(k4, col) for _ in range(3)])
     part = star_part_from_certificate(first)
     second = build_star_xs([part, StarPart(k4, col), StarPart(k4, col)])

@@ -8,6 +8,7 @@ from matchcover import span
 from matchcover.constructions import (
     ChainPart,
     CyclePart,
+    K4_COLORING,
     StarPart,
     build_chain,
     build_cycle_cl,
@@ -18,7 +19,6 @@ from matchcover.constructions import (
     color_classes_are_perfect_matchings,
     coloring_is_proper,
     complete_graph,
-    find_proper_coloring,
     petersen,
     splice,
     star_part_from_certificate,
@@ -26,7 +26,8 @@ from matchcover.constructions import (
     verify_equivalent_set,
 )
 from matchcover.corpus import build_corpus
-from matchcover.errors import InvalidParameterError, NotMatchingCoveredError
+from matchcover.errors import (ColoringMismatchError, InvalidParameterError,
+                               NotMatchingCoveredError)
 from matchcover.feasibility import nf_star_report, nf_star_witness_fault
 from matchcover.formats import certificate_to_json_obj
 from matchcover.graph import (Graph, boundary, is_bipartite,
@@ -54,13 +55,29 @@ def test_petersen_chromatic_index():
 
 def test_proper_coloring_checkers():
     g = complete_graph(4)
-    col = find_proper_coloring(g, 3)
-    assert col is not None
+    col = K4_COLORING
     assert coloring_is_proper(g, col)
     assert color_classes_are_perfect_matchings(g, col, 3)
     bad = list(col)
     bad[0] = bad[1]
     assert not coloring_is_proper(g, bad)
+
+
+def test_builders_refuse_an_improper_part_coloring():
+    k4, q4 = complete_graph(4), build_qr(4)
+    e, e_prime = q4.labels["a1a2"], q4.labels["b1b2"]
+    # two edges at vertex 0 share colour 1; then a colour above r
+    for bad in ((1, 1, 2, 2, 3, 3), (1, 2, 3, 3, 2, 4)):
+        with pytest.raises(ColoringMismatchError, match="not proper"):
+            build_star_xs([StarPart(k4, bad), StarPart(k4, K4_COLORING),
+                           StarPart(k4, K4_COLORING)])
+        with pytest.raises(ColoringMismatchError, match="not proper"):
+            build_chain([ChainPart(k4, 0, 5, k4.edge_set((0, 5)), c)
+                         for c in (K4_COLORING, bad)])
+    bad = (1,) * q4.graph.m
+    with pytest.raises(ColoringMismatchError, match="not proper"):
+        build_cycle_cl([CyclePart(q4.graph, e, e_prime, c)
+                        for c in (q4.coloring, q4.coloring, bad)])
 
 
 def test_qr_certificates():
@@ -106,7 +123,7 @@ def test_splice_k4_k4():
 
 def test_chain_of_k4s_builds_but_claims_no_witness():
     k4 = complete_graph(4)
-    col = tuple(find_proper_coloring(k4, 3))
+    col = K4_COLORING
     eq = k4.edge_set((0, 5))
     parts = [ChainPart(k4, 0, 5, eq, col) for _ in range(2)]
     cert = build_chain(parts)
@@ -165,7 +182,7 @@ def test_cycle_family_needs_odd_part_count():
 
 def test_star_family_three_k4():
     k4 = complete_graph(4)
-    col = tuple(find_proper_coloring(k4, 3))
+    col = K4_COLORING
     cert = build_star_xs([StarPart(k4, col) for _ in range(3)])
     g = cert.graph
     assert g.n == 12 and g.m == 18
@@ -216,7 +233,7 @@ def test_color_class_that_covers_every_vertex_twice_is_no_matching():
 
 def test_star_iteration_feeds_back():
     k4 = complete_graph(4)
-    col = tuple(find_proper_coloring(k4, 3))
+    col = K4_COLORING
     first = build_star_xs([StarPart(k4, col) for _ in range(3)])
     part = star_part_from_certificate(first)
     second = build_star_xs([part, StarPart(k4, col), StarPart(k4, col)])

@@ -184,7 +184,7 @@ def test_case_iv_witness_on_star():
     prefix, emap, _ = g.edge_subgraph(d.prefix_edges(d.r - 1))
     x = sum(1 << emap[e] for e in cls.witness.ids())
     ps = parity_spaces(prefix)
-    assert 0 in ps.span.parity_counts(x)
+    assert 0 in ps.parity_counts(x)
     assert not ps.cut_plus_E.contains(x)
     assert classify_nf_star(q4.graph, find_ear_decomposition(
         q4.graph)).witness is None

@@ -1,7 +1,9 @@
+import ast
 import random
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,6 +37,7 @@ from matchcover.feasibility import (
     parity_spaces,
 )
 from matchcover.graph import EdgeSet, Graph, VertexSet, boundary
+from matchcover.span import matching_span
 
 
 def test_k4_dimensions():
@@ -247,6 +250,13 @@ def test_parity_spaces_of_another_graph_are_refused():
     twin = cycle_graph(6)
     assert not is_feasible(twin, x, parity_spaces(c6))
     assert nf_star_report(twin, ps=parity_spaces(c6)).dims == (1, 5, 5, True)
+    # so may the bare span DP record, whose cut space is not yet filled,
+    # unless the graph has no perfect matching
+    assert nf_star_report(c6, ps=matching_span(cycle_graph(6))).dims == (
+        1, 5, 5, True)
+    claw = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    with pytest.raises(NoPerfectMatchingError):
+        is_feasible(claw, claw.edge_set((1,)), matching_span(claw))
 
 
 @given(st.one_of(strategies.multigraphs(max_edges=18),
@@ -297,8 +307,7 @@ _LYING_ROUTES = textwrap.dedent("""
     import sys
     from matchcover import cli, ears, feasibility, graph, kernels, matching
     from matchcover.constructions import (chromatic_index_exact,
-                                          complete_graph, cube_graph,
-                                          find_proper_coloring, petersen)
+                                          complete_graph, cube_graph, petersen)
     from matchcover.ears import (classify_nf_star, find_ear_decomposition,
                                  find_single_ear_decomposition)
     from matchcover.errors import CrossCheckError
@@ -355,15 +364,12 @@ _LYING_ROUTES = textwrap.dedent("""
     expect("single-ear mode", lambda: find_single_ear_decomposition(
         complete_graph(4)))
     # a recorded pair that is not two perfect matchings
-    real = ps.span
-    lying_span = MatchingSpan(real.pm_count, real.edge_union,
-                              real.base_matching, real.d_rows, ((0, 1),),
-                              real.transitions, real.starts)
-    lying_pairs = feasibility.ParitySpaces(ps.n, ps.edges, lying_span, ps.D,
-                                           ps.nF, ps.cut, ps.cut_plus_E)
+    lying_pairs = MatchingSpan(ps.n, ps.edges, ps.pm_count, ps.edge_union,
+                               ps.base_matching, ps.d_rows, ((0, 1),),
+                               ps.transitions, ps.starts)
     expect("PM pairs", lambda: is_feasible(g, x, lying_pairs))
     # parity counts that find every nF basis vector feasible, on a new
-    # graph whose ParitySpaces has not yet run its one-off checks
+    # graph whose record has not yet run its one-off checks
     fresh = petersen()
     MatchingSpan.parity_counts = lambda self, mask: (1, 1)
     expect("nF basis", lambda: is_feasible(fresh, EdgeSet.empty(fresh.m)))
@@ -409,9 +415,6 @@ _LYING_ROUTES = textwrap.dedent("""
     kernels._kempe_coloring = lambda n, edges, colors: [1] * len(edges)
     expect("Kempe-chain colouring",
            lambda: chromatic_index_exact(cube_graph()))
-    # find_proper_coloring re-checks that search's colouring of K4 too
-    expect("find_proper_coloring",
-           lambda: find_proper_coloring(complete_graph(4), 3))
     # a boundary that comes out empty for the witness of a real cut
     feasibility.boundary = lambda h, u: EdgeSet(0, h.m)
     expect("switch witness", lambda: is_switch_equiv_empty(
@@ -435,5 +438,16 @@ def test_cross_checks_raise_under_python_O():
         "bipartite matching-covered route raised", "analyze_graph raised",
         "vertex_connectivity_at_least raised", "Menger paths raised",
         "chromatic_index_exact raised", "Vizing bound raised",
-        "Kempe-chain colouring raised", "find_proper_coloring raised",
+        "Kempe-chain colouring raised",
         "switch witness raised", "optimize 1", ""]
+
+
+def test_no_assert_statement_in_the_package():
+    # `python -O` strips asserts, so no check of the package may be one
+    import matchcover
+    package = Path(matchcover.__file__).parent
+    found = [f"{path.relative_to(package)}:{node.lineno}"
+             for path in sorted(package.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

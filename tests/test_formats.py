@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from matchcover.constructions import (StarPart, build_qr, build_star_xs,
-                                      complete_graph, find_proper_coloring,
+from matchcover.constructions import (K4_COLORING, StarPart, build_qr,
+                                      build_star_xs, complete_graph,
                                       petersen, verify_certificate)
 from matchcover.errors import Graph6MultigraphError, ParseError
 from matchcover.formats import (
@@ -112,7 +112,7 @@ def test_infer_format():
 def test_certificate_json_round_trip():
     # qr-4 carries equivalent sets, the K4 star an nF* witness
     k4 = complete_graph(4)
-    col = tuple(find_proper_coloring(k4, 3))
+    col = K4_COLORING
     for cert in (build_qr(4),
                  build_star_xs([StarPart(k4, col) for _ in range(3)])):
         claims = verify_certificate(cert)

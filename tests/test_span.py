@@ -20,7 +20,7 @@ from matchcover.constructions import (
     complete_graph,
 )
 from matchcover.corpus import build_corpus
-from matchcover.errors import BudgetExhaustedError
+from matchcover.errors import BudgetExhaustedError, NoPerfectMatchingError
 from matchcover.feasibility import parity_spaces
 from matchcover.gf2 import Gf2Subspace
 from matchcover.graph import Graph
@@ -149,10 +149,24 @@ def test_one_dp_and_one_parity_spaces_per_graph(dp_runs):
     g = complete_graph(6)
     ps = parity_spaces(g)
     assert parity_spaces(g) is ps
-    assert matching_span(g) is ps.span
+    assert matching_span(g) is ps
     assert dp_runs == [g]
     # a new graph with the same edges is a new DP
-    assert matching_span(complete_graph(6)) is not ps.span
+    assert matching_span(complete_graph(6)) is not ps
+    assert len(dp_runs) == 2
+
+
+def test_a_graph_with_no_perfect_matching_has_a_span_but_no_spaces(dp_runs):
+    # a path on 5 vertices, and K_{1,3}
+    for g in (Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+              Graph(4, [(0, 1), (0, 2), (0, 3)])):
+        span = matching_span(g)
+        assert (span.pm_count, span.edge_union, span.pm_pairs) == (0, 0, ())
+        assert (span.n, span.edges) == (g.n, g.edges)
+        for _ in range(2):
+            with pytest.raises(NoPerfectMatchingError):
+                parity_spaces(g)
+        assert span.cut is None and matching_span(g) is span
     assert len(dp_runs) == 2
 
 
