@@ -83,34 +83,33 @@ def analyze_graph(g: Graph) -> AnalysisReport:
     """The structural report of `matchcover analyze`.
 
     One span DP gives the exact PM count, matching-coveredness and the
-    parity spaces.  Matching-coveredness is cross-checked against
-    `is_matching_covered`, which uses maximum matchings instead.
-    Dimensions and the nF* verdict are left out unless the graph is
-    matching-covered.  When the DP runs out of its state budget,
-    matching-coveredness comes from `is_matching_covered` alone, the PM
-    count, dimensions and nF* verdict are left out, and
-    `pm_enumeration_complete`, which means that the DP finished, is
-    false.  For an r-regular graph, `vertex_connectivity_checked` is
-    min(κ, r, n−1), from one connectivity test at k = min(r, n−1): k when
-    it passes, else the size of the minimum vertex cut it returns.
-    `chromatic_index` is exact, from `chromatic_index_exact`: at each
-    colour count from its lower bound up, a checked Kempe-chain colouring
-    settles it, and the DSATUR search decides the counts where that gives
-    up, so it is null only when DSATUR ran out of its budget.
+    parity spaces.  A matching-covered verdict is certified by the DP's
+    own PMs (`MatchingSpan.pms_cover_edges`), any other by
+    `is_matching_covered`'s maximum matchings, which decide alone when
+    the DP runs out of its state budget; the PM count, dimensions and
+    nF* verdict are then null and `pm_enumeration_complete` (the DP
+    finished) is false.  Dimensions and the nF* verdict are also null
+    unless the graph is matching-covered.  For an r-regular graph,
+    `vertex_connectivity_checked` is min(κ, r, n−1), from one test at
+    k = min(r, n−1): k when it passes, else the size of the minimum
+    vertex cut it returns.  `chromatic_index` is exact
+    (`chromatic_index_exact`), and null only when DSATUR runs out of its
+    budget.
     """
     connected = is_connected(g)
     bip = is_bipartite(g).bipartite
-    mc = is_matching_covered(g).covered
     try:
         span = matching_span(g)
     except BudgetExhaustedError:
         span = None
-    if span is not None and span_matching_covered(g) != mc:
-        raise CrossCheckError("span DP and maximum matchings disagree on "
+    mc = span_matching_covered(g) if span else is_matching_covered(g).covered
+    if span and mc != (
+            span.pms_cover_edges if mc else is_matching_covered(g).covered):
+        raise CrossCheckError("span DP and its certificate disagree on "
                               "matching-coveredness")
-    pm_count = span.pm_count if span is not None else None
+    pm_count = span.pm_count if span else None
     dims = nfe = wit = None
-    if mc and span is not None:
+    if mc and span:
         rep = nf_star_report(g)
         d, nf, cut, e_in_cut = rep.dims
         dims = {"D": d, "nF": nf, "cut": cut, "E_in_cut": e_in_cut}

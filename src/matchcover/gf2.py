@@ -5,15 +5,16 @@ are kept fully reduced: pivots strictly increasing, each pivot bit zero in
 every other basis row, so membership is a single reduction pass and equal
 subspaces have identical basis lists.  Each row's pivot is stored beside
 it as a one-bit mask (`row & -row`), so a reduction pass is one AND per
-row and an insert finds its place by bisection.
+row and an insert finds its place by bisection.  An orthogonal
+complement is written down (`complement`), with no elimination.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch
+from .errors import CrossCheckError, DimensionMismatch
 
 
 class Gf2Subspace:
@@ -76,17 +77,7 @@ class Gf2Subspace:
 
     def orthogonal_complement(self) -> "Gf2Subspace":
         """{x : x . b = 0 for all basis rows b}; dim = ambient - dim."""
-        pivot_mask = sum(self._pivs)    # distinct single bits: their union
-        comp = Gf2Subspace(self.ambient_dim)
-        for f in range(self.ambient_dim):
-            if pivot_mask >> f & 1:
-                continue
-            vec = 1 << f
-            for p, row in zip(self._pivs, self._rows):
-                if row >> f & 1:
-                    vec |= p
-            comp.insert(vec)
-        return comp
+        return complement(self.ambient_dim, self._rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Gf2Subspace):
@@ -96,6 +87,46 @@ class Gf2Subspace:
 
     def __repr__(self) -> str:
         return f"Gf2Subspace(ambient={self.ambient_dim}, dim={self.dim})"
+
+
+def _echelon(rows: Iterable[int]) -> dict[int, int]:
+    """The rows reduced by top bits, {pivot: row}, each pivot in one row."""
+    tops: dict[int, int] = {}
+    for v in rows:
+        while v and (p := 1 << v.bit_length() >> 1) in tops:
+            v ^= tops[p]
+        if v:
+            tops[p] = v
+    reduced, below = {}, 0          # below: the pivots reduced so far
+    for p in sorted(tops):
+        v, x = tops[p], tops[p] & below
+        while x:
+            v ^= reduced[x & -x]
+            x &= x - 1
+        reduced[p], below = v, below | p
+    return reduced
+
+
+def complement(m: int, rows: Sequence[int]) -> Gf2Subspace:
+    """The orthogonal complement of independent rows in GF(2)^m: once
+    `_echelon` makes each row's top bit q its only pivot, non-pivot f
+    gives the canonical basis row e_f + sum{e_q : f in row q}.  Raises
+    CrossCheckError if a row keeps two pivots or dims do not sum to m."""
+    reduced = _echelon(rows)
+    pivots = sum(reduced)           # distinct single bits: their union
+    if len(reduced) != len(rows) or pivots >> m or any(
+            row & pivots != q for q, row in reduced.items()):
+        raise CrossCheckError("a complement written from rows that are "
+                              "not a reduced basis of GF(2)^m")
+    comp = {1 << f: 1 << f for f in range(m) if not pivots >> f & 1}
+    for q, x in reduced.items():
+        x ^= q
+        while x:
+            comp[x & -x] |= q
+            x &= x - 1
+    s = Gf2Subspace(m)
+    s._pivs, s._rows = list(comp), list(comp.values())
+    return s
 
 
 def subspace_sum(a: Gf2Subspace, b: Gf2Subspace) -> Gf2Subspace:

@@ -356,14 +356,14 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
     Each local connectivity is a maximum flow on Even's split network
     (1975), searched on g's neighbour lists by `_vertex_flow` and stopped
     at a cutoff that starts at min(k, δ) and drops to each smaller flow
-    found.  When κ ≥ k, each pair's k paths are walked along the flow's
-    successor pointers and checked to be s-t paths of g with no inner
-    vertex in common (Menger's certificate).  When κ < k, the separator
-    is a minimum vertex cut: the vertices whose in-node the last pair
-    that lowered the cutoff still reaches in its residual network and
-    whose out-node it does not, or v's neighbours when no pair went below
-    δ.  Its size must equal that flow, below k, and deleting it must
-    disconnect g.
+    found.  When κ ≥ k, each pair's k paths are checked, step by step as
+    they are walked along the flow's successor pointers, to be s-t paths
+    of g with no inner vertex in common (Menger's certificate).  When
+    κ < k, the separator is a minimum vertex cut: the vertices whose
+    in-node the last pair that lowered the cutoff still reaches in its
+    residual network and whose out-node it does not, or v's neighbours
+    when no pair went below δ.  Its size must equal that flow, below k,
+    and deleting it must disconnect g.
     """
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
@@ -385,8 +385,7 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
         if flow < cutoff:
             cutoff, reached = flow, seen
         elif cutoff == k:
-            _check_menger(adjacent, s, t, k,
-                          _walk_paths(nbrs, pred, succ, s, t))
+            _check_paths(nbrs, adjacent, s, t, k, pred, succ)
     if cutoff == k:
         return ConnectivityResult(True, None, None)
     if reached is None:
@@ -459,31 +458,23 @@ def _vertex_flow(nbrs: list[list[int]], adjacent: list[set[int]], s: int,
     return flow, pred, succ, None
 
 
-def _walk_paths(nbrs: list[list[int]], pred: list[int], succ: list[int],
-                s: int, t: int) -> list[list[int]]:
-    """The paths of a flow of `_vertex_flow`, one per neighbour y of s
-    with pred[y] == s, walked from s along succ until t (or a broken or
-    overlong walk, which `_check_menger` rejects)."""
-    paths = []
+def _check_paths(nbrs: list[list[int]], adjacent: list[set[int]], s: int,
+                 t: int, k: int, pred: list[int], succ: list[int]) -> None:
+    """Raise CrossCheckError unless the flow's paths, checked step by step
+    along succ, are k s-t paths with no shared inner vertex (Menger)."""
+    seen, paths = {s}, 0
     for y in nbrs[s]:
-        if pred[y] == s:
-            path = [s]
-            while y != t and y != -1 and len(path) < len(nbrs):
-                path.append(y)
-                y = succ[y]
-            paths.append(path + [y])
-    return paths
-
-
-def _check_menger(nbrs: list[set[int]], s: int, t: int, k: int,
-                  paths: list[list[int]]) -> None:
-    """Raise CrossCheckError unless paths are k s-t paths of the graph on
-    nbrs with no inner vertex in common, so κ(s, t) ≥ k by Menger."""
-    seen, ok = {s, t}, len(paths) == k
-    for p in paths:
-        ok = ok and p[0] == s and p[-1] == t and p[-2] in nbrs[t]
-        for a, x in zip(p, p[1:-1]):
-            ok = ok and x in nbrs[a] and x not in seen
-            seen.add(x)
-    if not ok:
-        raise CrossCheckError(f"{s}-{t}: not {k} internally disjoint paths")
+        if pred[y] != s:
+            continue
+        paths += 1
+        x = s
+        while y in adjacent[x] and y not in seen:
+            if y == t:
+                break
+            seen.add(y)
+            x, y = y, succ[y]
+        else:
+            raise CrossCheckError(f"{s}-{t}: a path of the flow breaks off "
+                                  f"or meets another at {y}")
+    if paths != k:
+        raise CrossCheckError(f"{s}-{t}: {paths} paths, not {k}")

@@ -11,13 +11,14 @@ Enumeration is our own DFS kernel (see kernels.py), the ground truth of
 the verification suites; no verdict is built on it.  The
 matching-covered test, on bipartite and other graphs alike, is one
 `rematch_without` per edge that no PM found so far covers; it
-enumerates nothing and shares nothing with the span DP of `span.py`, so
-the two cross-check each other.
+enumerates nothing and shares nothing with the span DP of `span.py`;
+`analyze` runs it on the DP's negative verdicts and past its budget.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress
 from typing import Collection, NamedTuple, Optional, Sequence
 
 from . import kernels
@@ -25,6 +26,7 @@ from .errors import CrossCheckError, InvalidParameterError
 from .graph import EdgeSet, Graph, VertexSet, is_connected
 
 DEFAULT_CAP = 1_000_000
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # bin() digits as selectors
 
 
 def _adjacency(g: Graph) -> list[list[int]]:
@@ -170,10 +172,11 @@ def has_perfect_matching(g: Graph) -> bool:
 
 def is_perfect_matching(n: int, edges: Sequence[tuple[int, int]],
                         mask: int) -> bool:
-    """Do the edges in mask cover each of the n vertices exactly once?"""
-    ends = sorted(x for eid in EdgeSet(mask, len(edges)).ids()
-                  for x in edges[eid])
-    return ends == list(range(n))
+    """Do the edges in mask cover each of the n vertices exactly once?
+    n/2 edges do iff their ends' bits sum to 2^n - 1 (n distinct bits)."""
+    ends = compress(edges, bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
+    return 2 * mask.bit_count() == n and sum(
+        1 << u | 1 << v for u, v in ends) == (1 << n) - 1
 
 
 class MatchingEnumeration(NamedTuple):
@@ -198,7 +201,8 @@ def enumerate_perfect_matchings(g: Graph, cap: int = DEFAULT_CAP) -> MatchingEnu
 
 class MatchingCoveredResult(NamedTuple):
     covered: bool
-    reason: Optional[str]               # "not-connected" | "uncovered-edge"
+    # "not-connected" | "uncovered-edge" | "no-perfect-matching" (K1)
+    reason: Optional[str]
     uncovered_edge: Optional[int]
 
     def __bool__(self) -> bool:
@@ -216,12 +220,11 @@ def is_matching_covered(g: Graph) -> MatchingCoveredResult:
     """
     if g.n == 0 or not is_connected(g):
         return MatchingCoveredResult(False, "not-connected", None)
-    if g.n % 2:
-        eid = 0 if g.m else None
-    else:
-        eid = _blossom_uncovered_edge(g)
-        if eid is None:
-            return MatchingCoveredResult(True, None, None)
+    if not g.m:
+        return MatchingCoveredResult(False, "no-perfect-matching", None)
+    eid = 0 if g.n % 2 else _blossom_uncovered_edge(g)
+    if eid is None:
+        return MatchingCoveredResult(True, None, None)
     return MatchingCoveredResult(False, "uncovered-edge", eid)
 
 

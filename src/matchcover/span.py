@@ -55,17 +55,19 @@ the graph, and so does a DP over budget, whose BudgetExhaustedError is
 raised again on every later call without a second run.  The record is
 the graph's one parity record too: D, nF and cut + <E> are built on it
 when first read, and `feasibility.parity_spaces` returns it with the
-cut space filled in, so no DP on an ear remainder builds one.
+cut space filled in, so no DP on an ear remainder builds one.  Its M0
+and pairs certify that each edge lies in some PM (`pms_cover_edges`).
 """
 
 from __future__ import annotations
 
 from array import array
 from functools import cached_property
+from itertools import chain
 from typing import Optional
 
 from .errors import BudgetExhaustedError, NotMatchingCoveredError
-from .gf2 import Gf2Subspace, subspace_sum
+from .gf2 import Gf2Subspace, complement, subspace_sum
 from .graph import Graph, is_connected
 from .matching import is_perfect_matching
 
@@ -118,7 +120,7 @@ class MatchingSpan:
     @cached_property
     def nF(self) -> Gf2Subspace:
         """The orthogonal complement of D: the non-feasible sets."""
-        return self.D.orthogonal_complement()
+        return complement(len(self.edges), self.d_rows)
 
     @cached_property
     def cut_plus_E(self) -> Gf2Subspace:
@@ -133,6 +135,19 @@ class MatchingSpan:
                    for pair in self.pm_pairs for mt in pair)
 
     @cached_property
+    def pms_cover_edges(self) -> bool:
+        """Do M0 and the pairs' PMs, from the last pair (nearest the root),
+        cover E, each PM that adds an edge checked to be one?  They do if
+        every edge lies in a PM M, as M xor M0 sums the pairs' differences."""
+        union, full = 0, (1 << len(self.edges)) - 1
+        for pm in chain((self.base_matching,), *reversed(self.pm_pairs)):
+            if pm | union != union:
+                if not is_perfect_matching(self.n, self.edges, pm):
+                    return False
+                union |= pm
+        return union == full
+
+    @cached_property
     def nf_certified(self) -> bool:
         """Does every nF basis vector, and so every member of nF, meet all
         perfect matchings with one parity by the DP's parity counts?"""
@@ -140,7 +155,7 @@ class MatchingSpan:
 
     @property
     def dims(self) -> tuple[int, int, int, bool]:
-        return (self.D.dim, self.nF.dim, self.cut.dim,
+        return (len(self.d_rows), self.nF.dim, self.cut.dim,
                 self.cut.contains((1 << len(self.edges)) - 1))
 
     def parity_counts(self, x: int) -> tuple[int, int]:
@@ -203,7 +218,8 @@ def require_matching_covered(g: Graph) -> None:
     if g.n == 0 or not is_connected(g):
         raise NotMatchingCoveredError("not matching-covered: not-connected")
     if not span_matching_covered(g):
-        raise NotMatchingCoveredError("not matching-covered: uncovered-edge")
+        raise NotMatchingCoveredError("not matching-covered: " + (
+            "uncovered-edge" if g.m else "no-perfect-matching"))
 
 
 def _vertex_order(g: Graph) -> tuple[int, ...]:

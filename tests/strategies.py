@@ -41,3 +41,23 @@ def matching_covered_multigraphs(draw, max_extra: Optional[int] = None):
     edges += draw(st.lists(pair, min_size=min(n, extra), max_size=extra))
     used = set().union(*brute_perfect_matchings(Graph(n, edges)))
     return Graph(n, [e for eid, e in enumerate(edges) if eid in used])
+
+
+@st.composite
+def analyze_inputs(draw):
+    """Loopless multigraphs for the matching-covered differentials:
+    random ones, among them odd n, disconnected graphs and graphs with an
+    edge in no perfect matching; matching-covered ones; and
+    matching-covered ones with one more edge, which may lie in no perfect
+    matching, or with a disjoint K2 beside them."""
+    kind = draw(st.sampled_from(("random", "covered", "extra", "disjoint")))
+    if kind == "random":
+        return draw(multigraphs(max_edges=14))
+    g = draw(matching_covered_multigraphs(max_extra=8))
+    if kind == "extra":
+        pair = draw(st.sampled_from([(u, v) for u in range(g.n)
+                                     for v in range(u + 1, g.n)]))
+        return Graph(g.n, g.edges + (pair,))
+    if kind == "disjoint":
+        return Graph(g.n + 2, g.edges + ((g.n, g.n + 1),))
+    return g

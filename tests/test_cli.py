@@ -10,7 +10,7 @@ import networkx as nx
 import pytest
 
 import matchcover
-from matchcover import cli, kernels, span
+from matchcover import cli, gf2, graph, kernels, span
 from matchcover.cli import build_parser, main
 from matchcover.constructions import (CyclePart, StarPart, build_cycle_cl,
                                       build_qr, build_star_xs, complete_graph,
@@ -20,6 +20,7 @@ from matchcover.matching import MatchingCoveredResult
 from matchcover.errors import BudgetExhaustedError
 from matchcover.feasibility import nf_star_report, nf_star_witness_fault
 from matchcover.formats import graph_from_json_obj, write_graph
+from matchcover.graph import Graph
 from matchcover.suites import SUITES
 
 
@@ -243,10 +244,82 @@ def test_decompose_has_no_pm_cap(k4_file):
     assert run_cli("decompose", k4_file, "--max-pms", "3").returncode == 2
 
 
-def test_cross_check_exit_code(petersen_file, monkeypatch, capsys):
-    # one route of analyze's matching-covered cross-check lies
+def test_cross_check_exit_code(tmp_path, monkeypatch, capsys):
+    # the blossom route, which confirms a negative verdict of the DP,
+    # calls P4 matching-covered
+    p = tmp_path / "p4.json"
+    write_graph(Graph(4, [(0, 1), (1, 2), (2, 3)]), str(p))
     monkeypatch.setattr(cli, "is_matching_covered", lambda g:
-                        MatchingCoveredResult(False, "uncovered-edge", 0))
+                        MatchingCoveredResult(True, None, None))
+    assert main(["analyze", str(p), "--json"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cross-check" in captured.err
+
+
+def _lying_record(monkeypatch, changes):
+    """Make the span DP return its record with the fields that
+    changes(record) maps replaced."""
+    real = span._run_dp
+
+    def lying(g):
+        rec = real(g)
+        new = changes(rec)
+        return span.MatchingSpan(*(new.get(f, getattr(rec, f))
+                                   for f in span.MatchingSpan._fields))
+
+    monkeypatch.setattr(span, "_run_dp", lying)
+
+
+def _pairs_miss_an_edge(monkeypatch):
+    # edge_union still says covered, but M0 and one pair cover at most 10
+    # of Petersen's 15 edges
+    _lying_record(monkeypatch, lambda rec: {"pm_pairs": rec.pm_pairs[:1]})
+
+
+def _edge_uncovered(monkeypatch):
+    # the blossom route covers edge 0
+    _lying_record(monkeypatch, lambda rec: {"edge_union": rec.edge_union & ~1})
+
+
+def _rows_unreduced(monkeypatch):
+    monkeypatch.setattr(gf2, "_echelon", lambda rows: {
+        1 << (r.bit_length() - 1): r for r in rows})
+
+
+def _lying_flow(monkeypatch, lie):
+    """Make the connectivity flow hand on pointers that lie changed."""
+    real = graph._vertex_flow
+
+    def flow(nbrs, adjacent, s, t, cutoff):
+        found, pred, succ, reach = real(nbrs, adjacent, s, t, cutoff)
+        lie(nbrs, pred, succ, s, t)
+        return found, pred, succ, reach
+
+    monkeypatch.setattr(graph, "_vertex_flow", flow)
+
+
+def _succ_revisits(monkeypatch):
+    # the first path from s turns back after its second vertex
+    def lie(nbrs, pred, succ, s, t):
+        y0 = next(y for y in nbrs[s] if pred[y] == s)
+        y1 = next(y for y in nbrs[y0] if y not in (s, t))
+        succ[y0], succ[y1] = y1, y0
+
+    _lying_flow(monkeypatch, lie)
+
+
+def _succ_jumps(monkeypatch):
+    # a path jumps to t from a vertex not adjacent to it
+    _lying_flow(monkeypatch, lambda nbrs, pred, succ, s, t: succ.__setitem__(
+        next(y for y in nbrs[s] if pred[y] == s and t not in nbrs[y]), t))
+
+
+@pytest.mark.parametrize("lie", [_pairs_miss_an_edge, _edge_uncovered,
+                                 _rows_unreduced, _succ_revisits,
+                                 _succ_jumps])
+def test_analyze_certificates_exit_code(petersen_file, monkeypatch, capsys,
+                                        lie):
+    lie(monkeypatch)
     assert main(["analyze", petersen_file, "--json"]) == 5
     captured = capsys.readouterr()
     assert captured.out == "" and "cross-check" in captured.err

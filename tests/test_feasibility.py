@@ -305,7 +305,8 @@ def test_nf_star_report_matches_oracle_on_random_multigraphs(g):
 # check still raised.  Run under `python -O`, where asserts are stripped.
 _LYING_ROUTES = textwrap.dedent("""
     import sys
-    from matchcover import cli, ears, feasibility, graph, kernels, matching
+    from matchcover import (cli, ears, feasibility, gf2, graph, kernels,
+                            matching)
     from matchcover.constructions import (chromatic_index_exact,
                                           complete_graph, cube_graph, petersen)
     from matchcover.ears import (classify_nf_star, find_ear_decomposition,
@@ -382,13 +383,37 @@ _LYING_ROUTES = textwrap.dedent("""
     expect("blossom kernel in validate_decomposition",
            lambda: ears.validate_decomposition(g, d))
     matching._augment = augment
-    # the cube is bipartite and matching-covered
-    matching._blossom_uncovered_edge = lambda h: 0
-    expect("bipartite matching-covered route",
-           lambda: cli.analyze_graph(cube_graph()))
-    cli.is_matching_covered = (
-        lambda g: MatchingCoveredResult(False, "uncovered-edge", 0))
-    expect("analyze_graph", lambda: cli.analyze_graph(g))
+    # P4 is bipartite, and its middle edge lies in no PM: the DP says so,
+    # and the blossom route, which confirms a negative verdict, lies
+    p4 = graph.Graph(4, [(0, 1), (1, 2), (2, 3)])
+    blossom_uncovered_edge = matching._blossom_uncovered_edge
+    matching._blossom_uncovered_edge = lambda h: None
+    expect("bipartite matching-covered route", lambda: cli.analyze_graph(p4))
+    matching._blossom_uncovered_edge = blossom_uncovered_edge
+    is_matching_covered = cli.is_matching_covered
+    cli.is_matching_covered = lambda h: MatchingCoveredResult(True, None, None)
+    expect("analyze_graph", lambda: cli.analyze_graph(p4))
+    cli.is_matching_covered = is_matching_covered
+
+    # a new Petersen graph that holds ps with some fields changed
+    def lying_petersen(**changes):
+        h = petersen()
+        object.__setattr__(h, "_span", MatchingSpan(*(
+            changes.get(f, getattr(ps, f)) for f in MatchingSpan._fields)))
+        return h
+    # edge_union says covered, but M0 and one pair cover at most 10 of
+    # the 15 edges
+    expect("PM cover", lambda: cli.analyze_graph(
+        lying_petersen(pm_pairs=ps.pm_pairs[:1])))
+    # a DP that calls edge 0 uncovered, which the blossom route covers
+    expect("DP uncovered edge", lambda: cli.analyze_graph(
+        lying_petersen(edge_union=ps.edge_union & ~1)))
+    # D's rows handed to the complement without back-substitution
+    echelon = gf2._echelon
+    gf2._echelon = lambda rows: {1 << (r.bit_length() - 1): r for r in rows}
+    expect("complement of unreduced rows",
+           lambda: cli.analyze_graph(petersen()))
+    gf2._echelon = echelon
     # Petersen is 3-connected; a search that finds a flow of 0 and reaches
     # nothing gives a cut of size 0, which separates nothing
     vertex_flow = graph._vertex_flow
@@ -396,12 +421,35 @@ _LYING_ROUTES = textwrap.dedent("""
         0, None, None, ([-1] * len(nbrs), [-1] * len(nbrs)))
     expect("vertex_connectivity_at_least",
            lambda: vertex_connectivity_at_least(g, 4))
+
+    # _vertex_flow, with its pointers changed by lie
+    def lying_flow(lie):
+        def flow(nbrs, adjacent, s, t, cutoff):
+            found, pred, succ, reach = vertex_flow(nbrs, adjacent, s, t,
+                                                   cutoff)
+            lie(nbrs, pred, succ, s, t)
+            return found, pred, succ, reach
+        return flow
+
+    # a flow of k = 3 whose pointers hold two paths
+    def drop_path(nbrs, pred, succ, s, t):
+        pred[next(y for y in nbrs[s] if pred[y] == s)] = -1
+
+    # a path that turns back to an inner vertex
+    def turn_back(nbrs, pred, succ, s, t):
+        y0 = next(y for y in nbrs[s] if pred[y] == s)
+        y1 = next(y for y in nbrs[y0] if y not in (s, t))
+        succ[y0], succ[y1] = y1, y0
+
+    # a path that jumps to t from a vertex not adjacent to it
+    def jump(nbrs, pred, succ, s, t):
+        succ[next(y for y in nbrs[s] if pred[y] == s and t not in nbrs[y])] = t
+    for label, lie in (("Menger paths", drop_path),
+                       ("Menger path revisit", turn_back),
+                       ("Menger path jump", jump)):
+        graph._vertex_flow = lying_flow(lie)
+        expect(label, lambda: vertex_connectivity_at_least(g, 3))
     graph._vertex_flow = vertex_flow
-    # k = 3 copies of one real path, which share its inner vertices
-    walk_paths = graph._walk_paths
-    graph._walk_paths = lambda *args: walk_paths(*args)[:1] * 3
-    expect("Menger paths", lambda: vertex_connectivity_at_least(g, 3))
-    graph._walk_paths = walk_paths
     # a kernel that gives every edge colour 1
     edge_coloring = kernels.edge_coloring
     kernels.edge_coloring = lambda n, edges, colors: (
@@ -436,7 +484,10 @@ def test_cross_checks_raise_under_python_O():
         "blossom kernel in is_matching_covered raised",
         "blossom kernel in validate_decomposition raised",
         "bipartite matching-covered route raised", "analyze_graph raised",
+        "PM cover raised", "DP uncovered edge raised",
+        "complement of unreduced rows raised",
         "vertex_connectivity_at_least raised", "Menger paths raised",
+        "Menger path revisit raised", "Menger path jump raised",
         "chromatic_index_exact raised", "Vizing bound raised",
         "Kempe-chain colouring raised",
         "switch witness raised", "optimize 1", ""]

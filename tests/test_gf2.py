@@ -1,7 +1,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchcover.gf2 import Gf2Subspace, subspace_equal, subspace_sum
+import pytest
+
+from matchcover.errors import CrossCheckError
+from matchcover.gf2 import Gf2Subspace, complement, subspace_equal, subspace_sum
 
 
 def vectors(dim, max_count=8):
@@ -90,3 +93,42 @@ def test_stored_pivots_stay_consistent(batches, probe):
             assert all(not row & p for j, row in enumerate(s._rows)
                        if j != i)
         assert s.reduce(probe) == _naive_reduce(s._rows, probe)
+
+
+def _eliminated_complement(m, rows):
+    """The complement by elimination: reduce the rows on their lowest
+    bits, solve for each free coordinate, and insert the solutions."""
+    pivots = {}                     # pivot bit -> row, fully reduced
+    for v in rows:
+        for p, row in pivots.items():
+            if v & p:
+                v ^= row
+        if v:
+            p = v & -v
+            for q, row in pivots.items():
+                if row & p:
+                    pivots[q] = row ^ v
+            pivots[p] = v
+    out = Gf2Subspace(m)
+    for f in range(m):
+        if 1 << f not in pivots:
+            out.insert(1 << f | sum(p for p, row in pivots.items()
+                                    if row >> f & 1))
+    return out
+
+
+@given(st.integers(1, 12).flatmap(
+    lambda m: st.tuples(st.just(m), vectors(m, max_count=12))))
+@settings(max_examples=300)
+def test_written_complement_matches_elimination(case):
+    # the rows are kept as drawn, so they are rarely in echelon form; the
+    # ones that do not raise the rank are left out
+    m, vs = case
+    rows, space = [], Gf2Subspace(m)
+    for v in vs:
+        if space.insert(v):
+            rows.append(v)
+    assert complement(m, rows) == _eliminated_complement(m, rows)
+    if len(rows) >= 2:
+        with pytest.raises(CrossCheckError):
+            complement(m, rows + [rows[0] ^ rows[1]])

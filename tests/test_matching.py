@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ import strategies
 from oracles import (brute_is_matching_covered, brute_matching_number,
                      brute_perfect_matchings)
 
+from matchcover.cli import analyze_graph
 from matchcover.constructions import (
     complete_bipartite,
     complete_graph,
@@ -18,6 +20,7 @@ from matchcover.constructions import (
 )
 from matchcover.corpus import build_corpus
 from matchcover.ears import find_ear_decomposition
+from matchcover.errors import NotMatchingCoveredError
 from matchcover.graph import Graph, is_bipartite, is_connected
 from matchcover.matching import (
     _adjacency,
@@ -26,10 +29,11 @@ from matchcover.matching import (
     has_perfect_matching,
     is_matching_covered,
     is_nice_subgraph,
+    is_perfect_matching,
     max_matching,
     rematch_without,
 )
-from matchcover.span import span_matching_covered
+from matchcover.span import require_matching_covered, span_matching_covered
 
 
 def test_known_perfect_matching_counts():
@@ -160,6 +164,49 @@ def test_is_matching_covered_reasons():
     assert not res.covered and res.reason == "not-connected"
     res = is_matching_covered(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]))
     assert not res.covered and res.uncovered_edge is not None
+    # K1 has no perfect matching and no edge to name; K3 names edge 0
+    assert is_matching_covered(Graph(1, [])) == (
+        False, "no-perfect-matching", None)
+    assert is_matching_covered(complete_graph(3)) == (
+        False, "uncovered-edge", 0)
+    with pytest.raises(NotMatchingCoveredError,
+                       match="no-perfect-matching"):
+        require_matching_covered(Graph(1, []))
+    with pytest.raises(NotMatchingCoveredError, match="uncovered-edge"):
+        require_matching_covered(complete_graph(3))
+
+
+def _sorted_ends(n, edges, mask):
+    """The perfect-matching check by sorting the ends of the edges."""
+    ends = sorted(x for eid in range(len(edges)) if mask >> eid & 1
+                  for x in edges[eid])
+    return ends == list(range(n))
+
+
+@given(strategies.multigraphs(max_edges=14), st.data())
+@settings(max_examples=300, deadline=None)
+def test_bitmask_perfect_matching_check_matches_sorted_ends(g, data):
+    pms = [sum(1 << e for e in pm) for pm in brute_perfect_matchings(g)]
+    full = (1 << g.m) - 1
+    mask = data.draw(st.one_of(st.integers(0, full), st.sampled_from(pms))
+                     if pms else st.integers(0, full))
+    if g.m and data.draw(st.booleans()):
+        mask ^= 1 << data.draw(st.integers(0, g.m - 1))
+    assert is_perfect_matching(g.n, g.edges, mask) == \
+        _sorted_ends(g.n, g.edges, mask)
+
+
+def test_bitmask_perfect_matching_check_counts_its_edges():
+    # (0, 1) twice and (0, 3) have end bits summing to 2^4 - 1 by carries
+    assert not is_perfect_matching(4, [(0, 1), (0, 1), (0, 3)], 0b111)
+    assert _sorted_ends(4, [(0, 1), (0, 1), (0, 3)], 0b111) is False
+
+
+@given(strategies.analyze_inputs())
+@settings(max_examples=200, deadline=None)
+def test_analyze_matching_covered_matches_blossom_route_and_oracle(g):
+    assert analyze_graph(g).matching_covered == \
+        is_matching_covered(g).covered == brute_is_matching_covered(g)
 
 
 @given(st.one_of(strategies.multigraphs(max_edges=18),
@@ -178,7 +225,8 @@ def test_is_matching_covered_matches_oracle_on_random_multigraphs(g):
         # the lowest-id edge in no perfect matching, if there is an edge
         used = set().union(*brute_perfect_matchings(g))
         missing = [eid for eid in range(g.m) if eid not in used]
-        assert res.reason == "uncovered-edge"
+        assert res.reason == ("uncovered-edge" if missing
+                              else "no-perfect-matching")
         assert res.uncovered_edge == (missing[0] if missing else None)
 
 
