@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 usage error, 3 a budget left a verdict out (the
-span DP's state budget, the colouring search's budget, or a verification
-oracle's enumeration cap), 4 unverified claim under --strict, 5 internal
-cross-check failed (two independent routes to one verdict disagreed; the
-verdict is withheld).
+Exit codes: 0 success, 1 a `verify` suite failed or checked nothing, 2
+usage error, 3 a budget left a verdict out (the span DP's state budget, the
+colouring search's budget, or a verification oracle's enumeration cap),
+4 unverified claim under --strict, 5 internal cross-check failed (two
+independent routes to one verdict disagreed; the verdict is withheld).
 
 JSON goes out on one line, as json's C encoder writes it; pipe it through
 `python -m json.tool` to read it.
@@ -89,7 +89,9 @@ def analyze_graph(g: Graph) -> AnalysisReport:
     the DP runs out of its state budget; the PM count, dimensions and
     nF* verdict are then null and `pm_enumeration_complete` (the DP
     finished) is false.  Dimensions and the nF* verdict are also null
-    unless the graph is matching-covered.  For an r-regular graph,
+    unless the graph is matching-covered; when they are given, E lies in
+    the cut space iff the graph is bipartite, a second route to
+    `bipartite`.  For an r-regular graph,
     `vertex_connectivity_checked` is min(κ, r, n−1), from one test at
     k = min(r, n−1): k when it passes, else the size of the minimum
     vertex cut it returns.  `chromatic_index` is exact
@@ -112,6 +114,9 @@ def analyze_graph(g: Graph) -> AnalysisReport:
     if mc and span:
         rep = nf_star_report(g)
         d, nf, cut, e_in_cut = rep.dims
+        if e_in_cut != bip:
+            raise CrossCheckError("E in the cut space disagrees with the "
+                                  "bipartite verdict")
         dims = {"D": d, "nF": nf, "cut": cut, "E_in_cut": e_in_cut}
         nfe = rep.empty
         wit = sorted(rep.witness.ids()) if rep.witness is not None else None

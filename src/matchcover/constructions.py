@@ -445,6 +445,8 @@ def build_star_xs(parts: Sequence[StarPart]) -> ConstructionCertificate:
     pi_s(i) = ((i + s - 2) mod r) + 1, placing the hub edge
     u_{pi_s(i)} v_{i,pi_s(i)} with the matching part class.
     """
+    if not parts:
+        raise InvalidParameterError("need at least 3 parts")
     r = parts[0].graph.is_regular()
     if r is None or r < 3:
         raise InvalidParameterError("parts must be r-regular with r >= 3")

@@ -49,7 +49,7 @@ from typing import NamedTuple, Optional
 
 from .errors import CrossCheckError
 from .feasibility import nf_star_witness_fault, parity_spaces
-from .gf2 import Gf2Subspace
+from .gf2 import Gf2Subspace, complement
 from .graph import EdgeSet, Graph, is_bipartite, is_connected, map_mask
 from .matching import check_perfect, rematch_without
 from .span import matching_span, require_matching_covered, span_matching_covered
@@ -356,10 +356,9 @@ def case_iv_space(prev: Graph, u: int, v: int
     """
     deleted, emap, _ = prev.delete(vertices=(u, v))
     lift = {new: old for old, new in emap.items()}
-    n_space = Gf2Subspace(prev.m, (
+    n_space = complement(prev.m, (
         *matching_span(prev).d_rows,
-        *(map_mask(row, lift) for row in matching_span(deleted).d_rows),
-    )).orthogonal_complement()
+        *(map_mask(row, lift) for row in matching_span(deleted).d_rows)))
     return n_space, deleted, emap
 
 

@@ -5,9 +5,9 @@ different parities.  Algebraically: fix a base matching M0 and let D be
 the GF(2) span of all symmetric differences M xor M0; then X is
 non-feasible iff X is orthogonal to D.  D comes from the span DP of
 `span.py`, which never enumerates the perfect matchings; its record,
-`MatchingSpan`, builds D and nF when first read, and the graph keeps
-it, so `parity_spaces` returns one record per Graph.
-This reduction is validated against a 2^m brute-force oracle in the test
+`MatchingSpan`, keeps rows spanning D and writes nF down from them when
+first read, and the graph keeps it, so `parity_spaces` returns one
+record per Graph.  This reduction is validated against a 2^m brute-force oracle in the test
 suite before being trusted, and `is_feasible` re-derives every verdict by
 a second route: a feasible verdict by the explicit pairs of perfect
 matchings whose differences span D, each checked to be a perfect
@@ -16,9 +16,10 @@ which show that every basis vector of nF meets all perfect matchings
 with one parity.
 
 Switching-equivalence (X ~ Y iff X xor Y is an edge cut) is decided both
-combinatorially, by one traversal of g that switches sides across the
-edges of the cut and so recovers U with X xor Y = boundary(U), and by cut
-space membership.  Whenever two routes to one verdict disagree, the
+combinatorially, by `graph.cut_sides`, the traversal that also decides
+bipartiteness: it switches sides across the edges of X xor Y and so
+recovers U with X xor Y = boundary(U), re-checked by `boundary`; and by
+cut space membership.  Whenever two routes to one verdict disagree, the
 verdict is withheld and CrossCheckError is raised.
 """
 
@@ -29,7 +30,7 @@ from typing import NamedTuple, Optional
 from .errors import (CrossCheckError, DimensionMismatch, InvalidParameterError,
                      NoPerfectMatchingError)
 from .gf2 import subspace_equal
-from .graph import EdgeSet, Graph, VertexSet, boundary
+from .graph import EdgeSet, Graph, VertexSet, boundary, cut_sides
 from .span import MatchingSpan, matching_span, require_matching_covered
 
 
@@ -104,42 +105,13 @@ class SwitchVerdict(NamedTuple):
         return self.equivalent
 
 
-def _cut_side(g: Graph, x_mask: int) -> Optional[int]:
-    """U with boundary(U) = x_mask, or None when x_mask is no edge cut.
-
-    One traversal of g gives every vertex a side, switching sides across
-    exactly the edges of x_mask; a vertex reached on both sides shows that
-    x_mask is not a cut.  Each component starts on side 0 at its least
-    vertex, and U is the set of side-1 vertices.
-    """
-    adj = g.adjacency()
-    side = [-1] * g.n
-    u = 0
-    for s in range(g.n):
-        if side[s] >= 0:
-            continue
-        side[s] = 0
-        stack = [s]
-        while stack:
-            a = stack.pop()
-            sa = side[a]
-            for b, eid in adj[a]:
-                sb = sa ^ (x_mask >> eid & 1)
-                if side[b] < 0:
-                    side[b] = sb
-                    u |= sb << b
-                    stack.append(b)
-                elif side[b] != sb:
-                    return None
-    return u
-
-
 def is_switch_equiv_empty(g: Graph, x: EdgeSet) -> SwitchVerdict:
     """Is x an edge cut boundary(U)?  Recovers U combinatorially."""
     if x.size != g.m:
         raise DimensionMismatch(f"edge spaces differ: {x.size} vs {g.m}")
-    u = _cut_side(g, x.mask)
-    witness = None if u is None else VertexSet(u, g.n)
+    side, _, conflict = cut_sides(g, x.mask)
+    witness = None if conflict else VertexSet(
+        sum(1 << v for v, s in enumerate(side) if s), g.n)
     if witness is not None and boundary(g, witness).mask != x.mask:
         raise CrossCheckError("switching witness has the wrong boundary")
     if g.cut_space().contains(x.mask) != (witness is not None):

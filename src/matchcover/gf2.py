@@ -6,13 +6,14 @@ every other basis row, so membership is a single reduction pass and equal
 subspaces have identical basis lists.  Each row's pivot is stored beside
 it as a one-bit mask (`row & -row`), so a reduction pass is one AND per
 row and an insert finds its place by bisection.  An orthogonal
-complement is written down (`complement`), with no elimination.
+complement is written down from any spanning rows (`complement`), with
+no elimination beyond one reduction of the rows by their top bits.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import CrossCheckError, DimensionMismatch
 
@@ -75,10 +76,6 @@ class Gf2Subspace:
         s._pivs = list(self._pivs)
         return s
 
-    def orthogonal_complement(self) -> "Gf2Subspace":
-        """{x : x . b = 0 for all basis rows b}; dim = ambient - dim."""
-        return complement(self.ambient_dim, self._rows)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Gf2Subspace):
             return NotImplemented
@@ -107,15 +104,15 @@ def _echelon(rows: Iterable[int]) -> dict[int, int]:
     return reduced
 
 
-def complement(m: int, rows: Sequence[int]) -> Gf2Subspace:
-    """The orthogonal complement of independent rows in GF(2)^m: once
-    `_echelon` makes each row's top bit q its only pivot, non-pivot f
-    gives the canonical basis row e_f + sum{e_q : f in row q}.  Raises
-    CrossCheckError if a row keeps two pivots or dims do not sum to m."""
+def complement(m: int, rows: Iterable[int]) -> Gf2Subspace:
+    """The orthogonal complement in GF(2)^m of the span of any rows,
+    dependent or not: once `_echelon` makes each independent row's top
+    bit q its only pivot, non-pivot f gives the canonical basis row
+    e_f + sum{e_q : f in row q}.  Raises CrossCheckError if a reduced
+    row keeps two pivots or a pivot lies outside GF(2)^m."""
     reduced = _echelon(rows)
     pivots = sum(reduced)           # distinct single bits: their union
-    if len(reduced) != len(rows) or pivots >> m or any(
-            row & pivots != q for q, row in reduced.items()):
+    if pivots >> m or any(row & pivots != q for q, row in reduced.items()):
         raise CrossCheckError("a complement written from rows that are "
                               "not a reduced basis of GF(2)^m")
     comp = {1 << f: 1 << f for f in range(m) if not pivots >> f & 1}

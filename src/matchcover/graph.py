@@ -5,16 +5,17 @@ the splice constructions create parallel edges that must stay
 distinguishable.  All values are immutable after construction.  One
 routine cuts every derived graph (`Graph.delete`, `Graph.edge_subgraph`):
 a fresh graph, its old-id -> new-id edge and vertex maps, and the
-parent's DP order restricted to the kept vertices.  Vertex connectivity
-runs on the sorted neighbour lists of the simple graph underneath: an
-augmenting-path search for internally disjoint paths, kept as
-predecessor and successor arrays.
+parent's DP order restricted to the kept vertices.  One breadth-first
+side assignment (`cut_sides`) answers every "is X an edge cut?"
+question, bipartiteness being X = E.  Vertex connectivity runs on the
+sorted neighbour lists of the simple graph underneath: an augmenting-path
+search for internally disjoint paths, kept as predecessor and successor
+arrays.
 """
 
 from __future__ import annotations
 
 import operator
-from collections import deque
 from itertools import combinations
 from typing import ClassVar, Iterable, NamedTuple, Optional
 
@@ -295,6 +296,35 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(_reach(g.adjacency(), 0, [False] * g.n)) == g.n
 
 
+def cut_sides(g: Graph, x_mask: int
+              ) -> tuple[list[int], list[int], Optional[tuple[int, int]]]:
+    """One BFS of g that puts every vertex on side 0 or 1, crossing sides
+    on exactly the edges of x_mask, each component starting on side 0 at
+    its least vertex.  Returns the sides, the BFS parents (-1 at each
+    start) and the first edge (v, w), met from v, whose ends the sides
+    contradict; the search stops there.  With no such edge, x_mask is
+    boundary(U) for U the side-1 vertices; with x_mask = E, the sides
+    2-colour g.
+    """
+    adj = g.adjacency()
+    side, parent = [-1] * g.n, [-1] * g.n
+    for s in range(g.n):
+        if side[s] >= 0:
+            continue
+        side[s] = 0
+        queue = [s]
+        for v in queue:
+            sv = side[v]
+            for w, eid in adj[v]:
+                sw = sv ^ (x_mask >> eid & 1)
+                if side[w] < 0:
+                    side[w], parent[w] = sw, v
+                    queue.append(w)
+                elif side[w] != sw:
+                    return side, parent, (v, w)
+    return side, parent, None
+
+
 class BipartiteResult(NamedTuple):
     bipartite: bool
     coloring: Optional[tuple[int, ...]]     # value per vertex in {0,1}
@@ -302,25 +332,12 @@ class BipartiteResult(NamedTuple):
 
 
 def is_bipartite(g: Graph) -> BipartiteResult:
-    """2-color the graph, or return an odd closed walk as a witness."""
-    color: list[Optional[int]] = [None] * g.n
-    parent: list[int] = [-1] * g.n
-    adj = g.adjacency()
-    for s in range(g.n):
-        if color[s] is not None:
-            continue
-        color[s] = 0
-        dq = deque([s])
-        while dq:
-            v = dq.popleft()
-            for w, _ in adj[v]:
-                if color[w] is None:
-                    color[w] = 1 - color[v]
-                    parent[w] = v
-                    dq.append(w)
-                elif color[w] == color[v]:
-                    return BipartiteResult(False, None, _odd_cycle(parent, v, w))
-    return BipartiteResult(True, tuple(color), None)
+    """2-colour the graph by `cut_sides` of E, or return an odd closed
+    walk as a witness."""
+    side, parent, conflict = cut_sides(g, (1 << g.m) - 1)
+    if conflict:
+        return BipartiteResult(False, None, _odd_cycle(parent, *conflict))
+    return BipartiteResult(True, tuple(side), None)
 
 
 def _odd_cycle(parent: list[int], u: int, v: int) -> tuple[int, ...]:

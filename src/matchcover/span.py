@@ -53,10 +53,11 @@ DEFAULT_STATE_BUDGET states, so memory stays bounded.
 The DP runs at most once per Graph: `matching_span` keeps its result on
 the graph, and so does a DP over budget, whose BudgetExhaustedError is
 raised again on every later call without a second run.  The record is
-the graph's one parity record too: D, nF and cut + <E> are built on it
-when first read, and `feasibility.parity_spaces` returns it with the
-cut space filled in, so no DP on an ear remainder builds one.  Its M0
-and pairs certify that each edge lies in some PM (`pms_cover_edges`).
+the graph's one parity record too: D is its rows `d_rows`, nF and
+cut + <E> are built on it when first read, and
+`feasibility.parity_spaces` returns it with the cut space filled in, so
+no DP on an ear remainder builds one.  Its M0 and pairs certify that
+each edge lies in some PM (`pms_cover_edges`).
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class MatchingSpan:
     """The DP's results for one graph, and the parity spaces read off
     them; masks are over its edge ids.  It keeps the graph's n and edges,
     not the graph, which holds it.  `cut` is None until
-    `feasibility.parity_spaces` fills it from `Graph.cut_space`; D, nF,
+    `feasibility.parity_spaces` fills it from `Graph.cut_space`; nF,
     cut + <E> and the two one-off cross-checks of `is_feasible` are built
     when first read.  Immutable but for those, and equal only to itself."""
 
@@ -113,13 +114,10 @@ class MatchingSpan:
         raise AttributeError("MatchingSpan is immutable")
 
     @cached_property
-    def D(self) -> Gf2Subspace:
-        """span{M xor M0}."""
-        return Gf2Subspace(len(self.edges), self.d_rows)
-
-    @cached_property
     def nF(self) -> Gf2Subspace:
-        """The orthogonal complement of D: the non-feasible sets."""
+        """The non-feasible sets: the orthogonal complement of
+        D = span{M xor M0}, written down from `d_rows` by
+        `gf2.complement`, which takes any rows that span D."""
         return complement(len(self.edges), self.d_rows)
 
     @cached_property
@@ -155,8 +153,11 @@ class MatchingSpan:
 
     @property
     def dims(self) -> tuple[int, int, int, bool]:
-        return (len(self.d_rows), self.nF.dim, self.cut.dim,
-                self.cut.contains((1 << len(self.edges)) - 1))
+        """(dim D, dim nF, dim cut, E in cut); dim D is m - dim nF, which
+        counts D's rows right whether or not they are independent."""
+        m = len(self.edges)
+        return (m - self.nF.dim, self.nF.dim, self.cut.dim,
+                self.cut.contains((1 << m) - 1))
 
     def parity_counts(self, x: int) -> tuple[int, int]:
         """(#PMs meeting edge mask x evenly, #PMs meeting it oddly)."""

@@ -37,7 +37,7 @@ from .feasibility import (
     nf_star_report,
     parity_spaces,
 )
-from .gf2 import Gf2Subspace
+from .gf2 import Gf2Subspace, complement
 from .graph import Graph, boundary, is_bipartite, map_mask
 from .ears import (
     case_iv_space,
@@ -184,11 +184,6 @@ def suite_ear_lemmas(entries: list[CorpusEntry]) -> list[SuiteCheck]:
     return checks
 
 
-def _perp(m: int, *rows: Iterable[int]) -> Gf2Subspace:
-    """The orthogonal complement in GF(2)^m of the span of all the rows."""
-    return Gf2Subspace(m, chain(*rows)).orthogonal_complement()
-
-
 def _single_ear_spaces(g: Graph, gp: Graph, emap: dict[int, int],
                        vmap: dict[int, int], p
                        ) -> dict[str, tuple[Gf2Subspace, Gf2Subspace]]:
@@ -214,17 +209,18 @@ def _single_ear_spaces(g: Graph, gp: Graph, emap: dict[int, int],
     # Quantifiers over subspaces become subspace algebra: R and L are
     # adjoint, so R^-1(S) = (L(S^perp))^perp and L^-1(S) = (R(S^perp))^perp,
     # and the X in nF = D^perp with R(X) in S form (D + L(S^perp))^perp.
-    cut_e_perp = ps_p.cut_plus_E.orthogonal_complement().basis()
+    cut_e_perp = complement(gp.m, ps_p.cut_plus_E.basis()).basis()
     spaces = {"single-ear-nfstar-biconditional": (
-        _perp(g.m, ps_g.D.basis(), (map_mask(r, back) for r in cut_e_perp)),
+        complement(g.m, chain(ps_g.d_rows,
+                              (map_mask(r, back) for r in cut_e_perp))),
         ps_g.cut_plus_E)}
     restricting, go, _ = case_iv_space(gp, vmap[p.end_u], vmap[p.end_v])
     if matching_span(go).pm_count:
-        nf_ear_perp = _perp(g.m, ps_g.nF.basis(),
-                            (g.edge_set(p.edge_ids).mask,)).basis()
+        nf_ear_perp = complement(g.m, (*ps_g.nF.basis(),
+                                       g.edge_set(p.edge_ids).mask)).basis()
         spaces["single-ear-double-feasible-iff"] = (
-            _perp(gp.m, ps_p.D.basis(),
-                  (map_mask(r, emap) for r in nf_ear_perp)),
+            complement(gp.m, chain(ps_p.d_rows,
+                                   (map_mask(r, emap) for r in nf_ear_perp))),
             restricting)
     return spaces
 

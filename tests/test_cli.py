@@ -131,6 +131,28 @@ def test_decompose_single_only(petersen_file, capsys):
     assert len(outs[0]["odd_cycle"]) % 2 == 1
 
 
+# `decompose --single-only` prints the odd walk of `is_bipartite`, so the
+# traversal's order is output: these are the walks on the corpus
+PINNED_ODD_CYCLES = {
+    "complete-4": [0, 1, 2], "complete-6": [0, 1, 2],
+    "petersen": [0, 1, 2, 3, 4], "brick-q3": [0, 5, 1],
+    "brick-q4": [0, 6, 1], "cycle-family-3xq4": [0, 5, 20, 17, 8, 14, 9],
+    "star-family-3xk4": [0, 1, 2],
+}
+
+
+def test_single_only_odd_cycles_are_pinned(tmp_path, capsys):
+    got = {}
+    for entry in build_corpus(include_random=False):
+        path = str(tmp_path / f"{entry.name}.json")
+        write_graph(entry.graph, path)
+        assert main(["decompose", path, "--single-only", "--json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        if obj.get("odd_cycle") is not None:
+            got[entry.name] = obj["odd_cycle"]
+    assert got == PINNED_ODD_CYCLES
+
+
 def test_verify_suite(capsys):
     rc = main(["verify", "bipartite-theorem"])
     assert rc == 0
@@ -202,6 +224,8 @@ def test_usage_errors():
     ["analyze", "{tmp}/long_size.g6"],        # four size bytes for n = 4
     ["analyze", "{tmp}/vertex_label.json"],   # a label on a missing vertex
     ["analyze", "{tmp}/edge_label.json"],     # a label on a missing edge
+    ["construct", "star", "--r", "4", "--k", "0"],    # a star of no parts
+    ["construct", "star", "--r", "4", "--k", "-1"],
 ])
 def test_input_errors_exit_2_with_one_line(argv, k4_file, tmp_path, capsys):
     (tmp_path / "latin1.txt").write_bytes(b"2 1\n0 1 \xe9\n")

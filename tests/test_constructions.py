@@ -180,6 +180,11 @@ def test_cycle_family_needs_odd_part_count():
             build_qr_family(family, 4, k)
 
 
+def test_star_family_needs_parts():
+    with pytest.raises(InvalidParameterError):
+        build_star_xs([])
+
+
 def test_star_family_three_k4():
     k4 = complete_graph(4)
     col = K4_COLORING

@@ -127,6 +127,22 @@ def test_switch_equivalence_matches_oracle_on_random_multigraphs(g, rng):
             assert boundary(g, verdict.witness) == target
 
 
+def test_planted_switch_witnesses_are_pinned():
+    # U, as a vertex mask, for planted cuts boundary(V): each component
+    # starts on side 0 at its least vertex, so U is V or its complement
+    # within each component
+    g = petersen()
+    for v, want in (((0, 1, 2), 1016), ((5,), 32), ((0, 2, 4, 6, 8), 682)):
+        x = boundary(g, g.vertex_set(v))
+        assert is_switch_equiv_empty(g, x).witness.mask == want
+        assert is_switch_equiv_full(g, g.full_edge_set() ^ x).witness.mask \
+            == want
+    h = Graph(7, [(0, 1), (0, 1), (1, 2), (3, 4), (4, 5), (3, 5), (5, 4)])
+    for v, want in (((0, 3), 54), ((1, 4, 6), 18), ((2, 5), 36)):
+        x = boundary(h, h.vertex_set(v))
+        assert is_switch_equiv_empty(h, x).witness.mask == want
+
+
 def test_switch_equiv_full_and_pairwise():
     g = complete_graph(4)
     full = g.full_edge_set()
@@ -394,6 +410,10 @@ _LYING_ROUTES = textwrap.dedent("""
     cli.is_matching_covered = lambda h: MatchingCoveredResult(True, None, None)
     expect("analyze_graph", lambda: cli.analyze_graph(p4))
     cli.is_matching_covered = is_matching_covered
+    # Petersen passed off as bipartite, while E is no cut of it
+    cli.is_bipartite = lambda h: BipartiteResult(True, None, None)
+    expect("bipartite against E in cut", lambda: cli.analyze_graph(g))
+    cli.is_bipartite = graph.is_bipartite
 
     # a new Petersen graph that holds ps with some fields changed
     def lying_petersen(**changes):
@@ -484,6 +504,7 @@ def test_cross_checks_raise_under_python_O():
         "blossom kernel in is_matching_covered raised",
         "blossom kernel in validate_decomposition raised",
         "bipartite matching-covered route raised", "analyze_graph raised",
+        "bipartite against E in cut raised",
         "PM cover raised", "DP uncovered edge raised",
         "complement of unreduced rows raised",
         "vertex_connectivity_at_least raised", "Menger paths raised",

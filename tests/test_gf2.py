@@ -30,7 +30,7 @@ def test_insert_and_contains():
 @settings(max_examples=200)
 def test_dim_plus_complement_dim(vs):
     s = Gf2Subspace(8, vs)
-    c = s.orthogonal_complement()
+    c = complement(8, vs)
     assert s.dim + c.dim == 8
     for row in c.basis():
         for v in vs:
@@ -41,7 +41,7 @@ def test_dim_plus_complement_dim(vs):
 @settings(max_examples=100)
 def test_complement_involution(vs):
     s = Gf2Subspace(8, vs)
-    assert subspace_equal(s.orthogonal_complement().orthogonal_complement(), s)
+    assert subspace_equal(complement(8, complement(8, vs).basis()), s)
 
 
 @given(vectors(8), st.randoms(use_true_random=False))
@@ -121,14 +121,15 @@ def _eliminated_complement(m, rows):
     lambda m: st.tuples(st.just(m), vectors(m, max_count=12))))
 @settings(max_examples=300)
 def test_written_complement_matches_elimination(case):
-    # the rows are kept as drawn, so they are rarely in echelon form; the
-    # ones that do not raise the rank are left out
+    # the rows are kept as drawn: rarely in echelon form, often dependent,
+    # and with repeats and zero rows among them
     m, vs = case
-    rows, space = [], Gf2Subspace(m)
-    for v in vs:
-        if space.insert(v):
-            rows.append(v)
-    assert complement(m, rows) == _eliminated_complement(m, rows)
-    if len(rows) >= 2:
-        with pytest.raises(CrossCheckError):
-            complement(m, rows + [rows[0] ^ rows[1]])
+    assert complement(m, vs) == _eliminated_complement(m, vs)
+    if len(vs) >= 2:
+        rows = vs + [vs[0] ^ vs[1], vs[0], 0]
+        assert complement(m, rows) == _eliminated_complement(m, vs)
+
+
+def test_complement_refuses_a_row_outside_its_space():
+    with pytest.raises(CrossCheckError):
+        complement(3, [0b1000])

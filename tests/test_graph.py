@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (brute_delete, brute_edge_subgraph,
+                     brute_switch_equiv_empty,
                      brute_vertex_connectivity_at_least)
 from strategies import multigraphs
 
@@ -19,6 +20,7 @@ from matchcover.graph import (
     Graph,
     VertexSet,
     boundary,
+    cut_sides,
     is_bipartite,
     is_connected,
     vertex_connectivity_at_least,
@@ -190,6 +192,32 @@ def test_bipartite_detection_and_odd_walk():
     for i in range(len(cyc)):
         a, b = cyc[i], cyc[(i + 1) % len(cyc)]
         assert (min(a, b), max(a, b)) in pairs
+
+
+@given(multigraphs(max_edges=16), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_cut_sides_and_bipartite_match_the_cut_search(g, rng):
+    # random sets and planted cuts boundary(V) against the 2^n search
+    x = (EdgeSet(rng.getrandbits(g.m), g.m) if rng.random() < 0.5 else
+         boundary(g, VertexSet(rng.getrandbits(g.n), g.n)))
+    pairs = {frozenset(e) for e in g.edges}
+    side, parent, conflict = cut_sides(g, x.mask)
+    assert (conflict is None) == brute_switch_equiv_empty(g, x.ids())
+    assert conflict is None or frozenset(conflict) in pairs
+    assert all(p == -1 or frozenset((v, p)) in pairs
+               for v, p in enumerate(parent))
+    if conflict is None:
+        assert boundary(g, g.vertex_set(
+            v for v in range(g.n) if side[v])) == x
+    res = is_bipartite(g)
+    assert res.bipartite == g.cut_space().contains(g.full_edge_set().mask)
+    if res.bipartite:
+        assert all(res.coloring[u] != res.coloring[v] for u, v in g.edges)
+    else:
+        walk = res.odd_walk
+        assert len(walk) % 2 == 1
+        assert all(frozenset((walk[i], walk[(i + 1) % len(walk)])) in pairs
+                   for i in range(len(walk)))
 
 
 def test_vertex_connectivity_petersen():
