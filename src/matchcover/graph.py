@@ -7,16 +7,18 @@ routine cuts every derived graph (`Graph.delete`, `Graph.edge_subgraph`):
 a fresh graph, its old-id -> new-id edge and vertex maps, and the
 parent's DP order restricted to the kept vertices.  One breadth-first
 side assignment (`cut_sides`) answers every "is X an edge cut?"
-question, bipartiteness being X = E.  Vertex connectivity runs on the
-sorted neighbour lists of the simple graph underneath: an augmenting-path
-search for internally disjoint paths, kept as predecessor and successor
-arrays.
+question, bipartiteness being X = E.  Vertex connectivity is Even's test
+on the sorted neighbour lists of the simple graph underneath: vertices in
+breadth-first order from a least-degree vertex, a flow between each
+non-adjacent pair of the first k, then a fan from each later vertex to
+the vertices placed before it, through a hub joined to them.  Each is an
+augmenting-path search for internally disjoint paths, kept as
+predecessor and successor arrays.
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import combinations
 from typing import ClassVar, Iterable, NamedTuple, Optional
 
 from .errors import CrossCheckError, DimensionMismatch, InvalidParameterError
@@ -142,11 +144,12 @@ def map_mask(mask: int, id_map: dict[int, int]) -> int:
 class Graph:
     """Loopless undirected multigraph; vertices 0..n-1, edge ids 0..m-1."""
 
+    # _connected: the memo of is_connected;
     # _span: the memo of span.matching_span and feasibility.parity_spaces;
     # _order: the span DP's vertex order, set by span._vertex_order or
     # handed down, restricted, to the subgraphs cut from this graph
     __slots__ = ("n", "edges", "vertex_labels", "edge_labels", "_adj", "_cut",
-                 "_span", "_order")
+                 "_connected", "_span", "_order")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  vertex_labels: Optional[dict] = None,
@@ -170,6 +173,7 @@ class Graph:
         object.__setattr__(self, "edge_labels", dict(edge_labels or {}))
         object.__setattr__(self, "_adj", None)
         object.__setattr__(self, "_cut", None)
+        object.__setattr__(self, "_connected", None)
         object.__setattr__(self, "_span", None)
         object.__setattr__(self, "_order", None)
 
@@ -292,8 +296,14 @@ def _reach(adj: list[list[tuple[int, int]]], s: int,
 
 
 def is_connected(g: Graph) -> bool:
-    """One traversal from vertex 0 reaches every vertex."""
-    return g.n <= 1 or len(_reach(g.adjacency(), 0, [False] * g.n)) == g.n
+    """One traversal from vertex 0 reaches every vertex; answered once
+    per graph."""
+    connected = object.__getattribute__(g, "_connected")
+    if connected is None:
+        connected = g.n <= 1 or len(_reach(g.adjacency(), 0,
+                                           [False] * g.n)) == g.n
+        object.__setattr__(g, "_connected", connected)
+    return connected
 
 
 def cut_sides(g: Graph, x_mask: int
@@ -365,22 +375,38 @@ class ConnectivityResult(NamedTuple):
 
 def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
     """Exact k-connectivity test on the simple graph underneath g
-    (parallel edges do not change κ).
+    (parallel edges do not change κ), by Even's test (SIAM J. Comput.
+    4(3), 1975).
 
-    κ is the least of the minimum degree δ, at a vertex v of degree δ,
-    and the local connectivities of v and each non-neighbour and of each
-    non-adjacent pair of v's neighbours (Esfahanian and Hakimi, 1984).
-    Each local connectivity is a maximum flow on Even's split network
-    (1975), searched on g's neighbour lists by `_vertex_flow` and stopped
-    at a cutoff that starts at min(k, δ) and drops to each smaller flow
-    found.  When κ ≥ k, each pair's k paths are checked, step by step as
-    they are walked along the flow's successor pointers, to be s-t paths
-    of g with no inner vertex in common (Menger's certificate).  When
-    κ < k, the separator is a minimum vertex cut: the vertices whose
-    in-node the last pair that lowered the cutoff still reaches in its
-    residual network and whose out-node it does not, or v's neighbours
-    when no pair went below δ.  Its size must equal that flow, below k,
-    and deleting it must disconnect g.
+    The vertices are ordered breadth-first from a vertex v of least
+    degree δ.  Each non-adjacent pair among the first k is joined by a
+    maximum set of internally disjoint paths; each later vertex t by a
+    fan: paths from t to distinct vertices placed before it, with no
+    inner vertex in common.  Both are maximum flows on Even's split
+    network, searched on g's neighbour lists by `_vertex_flow`; a fan is
+    the flow from t to a hub vertex joined to every placed vertex.  Each
+    search is stopped at a cutoff that starts at min(k, δ) and drops to
+    each smaller flow found, so the lowest cutoff is min(κ, k):
+
+    - every flow is at least min(κ, k): a pair's by Menger's theorem, a
+      fan's by the fan lemma, since at least k vertices are placed;
+    - when κ < k, some flow is at most |X| for a vertex cut X of g with
+      |X| < k.  Let a be the first vertex not in X and b the first vertex
+      in neither X nor a's component of g - X.  If b is among the first
+      k, so is a, and X separates the non-adjacent pair (a, b).
+      Otherwise every vertex before b lies in X or in a's component, so
+      X separates b from the placed vertices outside X, a among them,
+      and b's fan has at most |X| paths.
+
+    When κ ≥ k, each pair's and each fan's k paths are checked, step by
+    step as they are walked along the flow's successor pointers, to
+    reach t (a fan's: distinct placed vertices) with no inner vertex in
+    common (Menger's certificate).  When κ < k, the separator is a
+    minimum vertex cut: the vertices whose in-node the last search that
+    lowered the cutoff still reaches in its residual network and whose
+    out-node it does not, or v's neighbours when no search went below δ.
+    Its size must equal that flow, below k, and deleting it must
+    disconnect g.
     """
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
@@ -388,16 +414,14 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
         return ConnectivityResult(False, None, f"n={g.n} <= k={k}")
     if not is_connected(g):
         return ConnectivityResult(False, (), "disconnected")
-    nbrs = [sorted({w for w, _ in a}) for a in g.adjacency()]
-    v = min(range(g.n), key=lambda x: len(nbrs[x]))
-    near = nbrs[v]
+    # vertex g.n is the fans' hub, joined to each vertex as it is placed
+    nbrs = [sorted({w for w, _ in a}) for a in g.adjacency()] + [[]]
     adjacent = [set(a) for a in nbrs]
-    pairs = [(v, w) for w in range(g.n) if w != v and w not in adjacent[v]]
-    pairs += [(x, y) for x, y in combinations(near, 2)
-              if y not in adjacent[x]]
+    v = min(range(g.n), key=lambda x: len(nbrs[x]))
+    near = tuple(nbrs[v])
     cutoff = min(k, len(near))
     reached = None
-    for s, t in pairs:
+    for s, t in _even_searches(nbrs, adjacent, v, k):
         flow, pred, succ, seen = _vertex_flow(nbrs, adjacent, s, t, cutoff)
         if flow < cutoff:
             cutoff, reached = flow, seen
@@ -406,7 +430,7 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
     if cutoff == k:
         return ConnectivityResult(True, None, None)
     if reached is None:
-        sep = tuple(near)
+        sep = near
     else:
         into, out = reached
         sep = tuple(x for x in range(g.n) if into[x] != -1 and out[x] == -1)
@@ -417,13 +441,41 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
     return ConnectivityResult(False, sep, None)
 
 
+def _even_searches(nbrs: list[list[int]], adjacent: list[set[int]], v: int,
+                   k: int) -> Iterable[tuple[int, int]]:
+    """The (source, sink) pairs of Even's test from v on the connected
+    graph on nbrs, whose last entry is the hub (no neighbours yet): each
+    non-adjacent pair of the first k vertices in breadth-first order, then
+    each later vertex with the hub as sink.  The first k vertices are
+    joined to the hub after their pairs, each later one after its fan."""
+    hub = len(nbrs) - 1
+    order, seen = [v], [False] * hub
+    seen[v] = True
+    for x in order:
+        for y in nbrs[x]:
+            if not seen[y]:
+                seen[y] = True
+                order.append(y)
+    head = order[:k]
+    for i, t in enumerate(head):
+        yield from ((s, t) for s in head[:i] if t not in adjacent[s])
+    for i, t in enumerate(order):
+        if i >= k:
+            yield t, hub
+        nbrs[t].append(hub)
+        nbrs[hub].append(t)
+        adjacent[t].add(hub)
+        adjacent[hub].add(t)
+
+
 def _vertex_flow(nbrs: list[list[int]], adjacent: list[set[int]], s: int,
                  t: int, cutoff: int
                  ) -> tuple[int, list[int], list[int],
                             Optional[tuple[list[int], list[int]]]]:
     """Internally disjoint paths between the non-adjacent vertices s and t
-    of the graph on nbrs (adjacent holds the same neighbours as sets), one
-    augmenting path at a time, until there are cutoff of them.
+    of the graph on nbrs (adjacent holds the same neighbours as sets): the
+    paths s-y-t through common neighbours y first, then one augmenting
+    path at a time, until there are cutoff of them.
 
     The search runs on Even's split network (an arc x_in -> x_out of
     capacity 1 per vertex x and x_out -> y_in per neighbour y; source
@@ -442,6 +494,10 @@ def _vertex_flow(nbrs: list[list[int]], adjacent: list[set[int]], s: int,
     pred, succ = [-1] * n, [-1] * n
     near_t = adjacent[t]
     flow = 0
+    for y in nbrs[s]:
+        if y in near_t and flow < cutoff:
+            pred[y], succ[y] = s, t
+            flow += 1
     while flow < cutoff:
         into, out = [-1] * n, [-1] * n
         out[s] = s

@@ -6,8 +6,8 @@ adjacency relation only, and non-feasibility is decided by direct parity
 scans over those matchings.  Vertex connectivity is Menger's theorem
 checked by a hand-written unit-capacity flow over every non-adjacent
 pair, and the chromatic index comes from a fixed-order backtracking
-search; the package runs flows only for the pairs of the
-Esfahanian-Hakimi loop, on one array network per graph, and colours by
+search; the package runs Even's test, flows for the non-adjacent pairs
+among the first k vertices and one fan per later vertex, and colours by
 a DSATUR search.
 Edge dependences are intersections of the enumerated perfect matchings.
 The ear search oracle is the package's earlier peeling loop, which ran

@@ -469,6 +469,24 @@ _LYING_ROUTES = textwrap.dedent("""
                        ("Menger path jump", jump)):
         graph._vertex_flow = lying_flow(lie)
         expect(label, lambda: vertex_connectivity_at_least(g, 3))
+
+    # K5 at k = 4 has one fan, four paths s-p-hub (the hub is the last
+    # vertex): one runs on from its placed vertex to the next path's
+    def shared_end(nbrs, pred, succ, s, t):
+        if t == len(nbrs) - 1:
+            p, q = [y for y in nbrs[s] if pred[y] == s][:2]
+            succ[p] = q
+
+    # a fan path that ends at a vertex not yet placed
+    def unplaced_end(nbrs, pred, succ, s, t):
+        if t == len(nbrs) - 1:
+            jump(nbrs, pred, succ, s, t)
+    graph._vertex_flow = lying_flow(shared_end)
+    expect("fan paths to one placed vertex",
+           lambda: vertex_connectivity_at_least(complete_graph(5), 4))
+    graph._vertex_flow = lying_flow(unplaced_end)
+    expect("fan path to an unplaced vertex",
+           lambda: vertex_connectivity_at_least(g, 3))
     graph._vertex_flow = vertex_flow
     # a kernel that gives every edge colour 1
     edge_coloring = kernels.edge_coloring
@@ -509,6 +527,8 @@ def test_cross_checks_raise_under_python_O():
         "complement of unreduced rows raised",
         "vertex_connectivity_at_least raised", "Menger paths raised",
         "Menger path revisit raised", "Menger path jump raised",
+        "fan paths to one placed vertex raised",
+        "fan path to an unplaced vertex raised",
         "chromatic_index_exact raised", "Vizing bound raised",
         "Kempe-chain colouring raised",
         "switch witness raised", "optimize 1", ""]

@@ -14,6 +14,8 @@ from oracles import (brute_delete, brute_edge_subgraph,
                      brute_vertex_connectivity_at_least)
 from strategies import multigraphs
 
+from matchcover import graph
+from matchcover.cli import analyze_graph
 from matchcover.errors import DimensionMismatch, InvalidParameterError
 from matchcover.graph import (
     EdgeSet,
@@ -308,27 +310,34 @@ def _connectivity_table(g):
     return out
 
 
-# κ and the separator returned for every k > κ with k < n; the last three
-# graphs' separators come from the residual reach of a flow, not from a
-# neighbourhood.  The last one, a 6-cycle and a triangle sharing vertex
-# 1, finds its cut vertex only through the search's step back from an
-# out-node on a path to its in-node.
+# κ and the separator returned for every k > κ with k < n (a dict by k
+# where it differs with k).  The separators of the two cycle family
+# graphs, the glued cliques and cycle-and-triangle come from the residual
+# reach of a flow, not from a neighbourhood.  The last graph needs the
+# search's step back from an out-node on a path to its in-node: without
+# it, its head pair (12, 9) at k = 6 finds one of its two paths, and the
+# cut (7, 8) that search reaches separates nothing.
 PINNED_SEPARATORS = [
     ("petersen", petersen, 3, [1, 4, 5]),
     ("cube", cube_graph, 3, [1, 2, 4]),
     ("k33", lambda: complete_bipartite(3, 3), 3, [3, 4, 5]),
-    ("cycle-r5k3", lambda: _family_graph("cycle", 5, 3), 4, [1, 5, 6, 11]),
-    ("cycle-r6k5", lambda: _family_graph("cycle", 6, 5), 4, [1, 6, 7, 13]),
+    ("cycle-r5k3", lambda: _family_graph("cycle", 5, 3), 4,
+     {5: [0, 10, 15, 16], 6: [0, 1, 5, 25]}),
+    ("cycle-r6k5", lambda: _family_graph("cycle", 6, 5), 4, [0, 12, 18, 19]),
     ("star-r4", lambda: _family_graph("star", 4, 4), 4, [1, 5, 6, 31]),
     ("star-r5", lambda: _family_graph("star", 5, 5), 5, [1, 6, 7, 8, 49]),
     ("two-k5-sharing-2", lambda: _glued_cliques(
         [range(5), range(3, 8)]), 2, [3, 4]),
     ("two-k6-doubled-3-matching", lambda: _glued_cliques(
         [range(6), range(6, 12)], [(0, 6), (1, 7), (2, 8)] * 2),
-     3, [0, 1, 2]),
+     3, [0, 7, 8]),
     ("cycle-and-triangle", lambda: Graph(8, [
         (0, 2), (0, 4), (1, 3), (1, 5), (1, 6), (1, 7), (2, 6), (3, 4),
         (5, 7)]), 1, [1]),
+    ("step-back", lambda: Graph(13, [
+        (0, 1), (0, 3), (0, 9), (1, 2), (1, 10), (2, 3), (2, 9), (3, 10),
+        (4, 5), (4, 6), (5, 7), (6, 12), (7, 9), (7, 11), (8, 10), (8, 11),
+        (8, 12)]), 2, [5, 6]),
 ]
 
 
@@ -338,8 +347,55 @@ def test_pinned_separators(name, build, kappa, sep):
     g = build()
     assert _connectivity_table(g) == [
         [False, None, f"n={g.n} <= k={k}"] if g.n <= k
-        else [True, None, None] if k <= kappa else [False, sep, None]
+        else [True, None, None] if k <= kappa
+        else [False, sep[k] if isinstance(sep, dict) else sep, None]
         for k in range(1, 7)]
+
+
+def test_analyze_traverses_the_graph_once(monkeypatch):
+    # a copy, whose is_connected no construction step has answered yet
+    g = _family_graph("star", 4, 4)
+    g = Graph(g.n, g.edges)
+    calls = []
+    reach = graph._reach
+    monkeypatch.setattr(graph, "_reach",
+                        lambda *args: calls.append(1) or reach(*args))
+    rep = analyze_graph(g)
+    assert rep.connected and rep.vertex_connectivity_checked == 4
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("build, k", [
+    pytest.param(lambda: _family_graph("star", 5, 5), 5, id="star-r5"),
+    pytest.param(lambda: Graph(1000, list(
+        nx.random_regular_graph(3, 1000, seed=1).edges())), 3,
+        id="random-cubic-1000"),
+])
+def test_connectivity_runs_one_local_flow_per_vertex(monkeypatch, build, k):
+    """Even's test: a flow per non-adjacent pair of the first k vertices,
+    then one fan per later vertex, whose searches read few neighbour
+    lists (the pair list of Esfahanian and Hakimi read about n per flow,
+    over n flows)."""
+    g = build()
+    calls, reads = [], []
+    flow = graph._vertex_flow
+
+    class Reads:
+        def __init__(self, lists):
+            self.lists = lists
+
+        def __len__(self):
+            return len(self.lists)
+
+        def __getitem__(self, x):
+            reads.append(1)
+            return self.lists[x]
+
+    monkeypatch.setattr(graph, "_vertex_flow", lambda nbrs, *args: (
+        calls.append(1) or flow(Reads(nbrs), *args)))
+    assert vertex_connectivity_at_least(g, k).ok
+    assert len(calls) <= k * (k - 1) // 2 + g.n - k
+    assert len(reads) <= 10 * k * g.n
 
 
 @pytest.mark.parametrize("seed, digest", [
