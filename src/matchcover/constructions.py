@@ -21,7 +21,7 @@ from .errors import (BudgetExhaustedError, ColoringMismatchError,
 from .feasibility import nf_star_report, nf_star_witness_fault
 from .graph import (EdgeSet, Graph, is_bipartite, map_mask,
                     vertex_connectivity_at_least)
-from .matching import is_matching_covered, is_perfect_matching
+from .matching import end_bits, is_matching_covered, is_perfect_matching
 from .span import matching_span
 
 
@@ -140,8 +140,9 @@ def coloring_is_proper(g: Graph, coloring: Sequence[int],
 
 def color_classes_are_perfect_matchings(g: Graph, coloring: Sequence[int],
                                         r: int) -> bool:
+    ends = end_bits(g.edges)
     return all(
-        is_perfect_matching(g.n, g.edges, sum(
+        is_perfect_matching(g.n, ends, sum(
             1 << eid for eid, col in enumerate(coloring) if col == c))
         for c in range(1, r + 1))
 

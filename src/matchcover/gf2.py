@@ -1,18 +1,19 @@
 """GF(2) linear algebra on word-packed bit vectors (plain Python ints).
 
 Bit i of a vector is coordinate i (an edge id, in this package).  Bases
-are kept fully reduced: pivots strictly increasing, each pivot bit zero in
-every other basis row, so membership is a single reduction pass and equal
-subspaces have identical basis lists.  Each row's pivot is stored beside
-it as a one-bit mask (`row & -row`), so a reduction pass is one AND per
-row and an insert finds its place by bisection.  An orthogonal
+are kept fully reduced: each row's pivot is its lowest set bit, and each
+pivot bit is zero in every other basis row, so equal subspaces have
+identical bases.  The rows are kept by pivot, with the union of the
+pivots beside them, so reducing v XORs exactly the rows of the pivot
+bits that v has: no other row can clear or set one.  An orthogonal
 complement is written down from any spanning rows (`complement`), with
-no elimination beyond one reduction of the rows by their top bits.
+no elimination beyond one reduction of the rows by their top bits, and a
+basis already in reduced form is taken as it is, after a check
+(`reduced_basis`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from typing import Iterable
 
 from .errors import CrossCheckError, DimensionMismatch
@@ -21,12 +22,12 @@ from .errors import CrossCheckError, DimensionMismatch
 class Gf2Subspace:
     """Row-reduced basis of GF(2) vectors of a fixed ambient dimension."""
 
-    __slots__ = ("ambient_dim", "_rows", "_pivs")
+    __slots__ = ("ambient_dim", "_rows", "_mask")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[int] = ()):
         self.ambient_dim = ambient_dim
-        self._rows: list[int] = []   # sorted by pivot (lowest set bit)
-        self._pivs: list[int] = []   # _pivs[i] == _rows[i] & -_rows[i]
+        self._rows: dict[int, int] = {}   # pivot bit -> row, pivots ascending
+        self._mask = 0                    # the union of the pivots
         for v in vectors:
             self.insert(v)
 
@@ -35,7 +36,7 @@ class Gf2Subspace:
         return len(self._rows)
 
     def basis(self) -> tuple[int, ...]:
-        return tuple(self._rows)
+        return tuple(self._rows.values())
 
     def _check(self, v: int) -> None:
         if v < 0 or v >> self.ambient_dim:
@@ -45,9 +46,12 @@ class Gf2Subspace:
     def reduce(self, v: int) -> int:
         """Residual of v after elimination against the basis."""
         self._check(v)
-        for p, row in zip(self._pivs, self._rows):
-            if v & p:
-                v ^= row
+        rows = self._rows
+        x = v & self._mask
+        while x:
+            p = x & -x
+            v ^= rows[p]
+            x ^= p
         return v
 
     def insert(self, v: int) -> bool:
@@ -56,15 +60,18 @@ class Gf2Subspace:
         if v == 0:
             return False
         p = v & -v
-        i = bisect(self._pivs, p)
         # back-eliminate the new pivot; only rows with a lower pivot can
         # hold it, and v has no bit at any of their pivots
         rows = self._rows
-        for j in range(i):
-            if rows[j] & p:
-                rows[j] ^= v
-        rows.insert(i, v)
-        self._pivs.insert(i, p)
+        for q, row in rows.items():
+            if q > p:
+                break
+            if row & p:
+                rows[q] = row ^ v
+        rows[p] = v
+        if p < self._mask:
+            self._rows = dict(sorted(rows.items()))
+        self._mask |= p
         return True
 
     def contains(self, v: int) -> bool:
@@ -72,8 +79,8 @@ class Gf2Subspace:
 
     def copy(self) -> "Gf2Subspace":
         s = Gf2Subspace(self.ambient_dim)
-        s._rows = list(self._rows)
-        s._pivs = list(self._pivs)
+        s._rows = dict(self._rows)
+        s._mask = self._mask
         return s
 
     def __eq__(self, other: object) -> bool:
@@ -122,7 +129,23 @@ def complement(m: int, rows: Iterable[int]) -> Gf2Subspace:
             comp[x & -x] |= q
             x &= x - 1
     s = Gf2Subspace(m)
-    s._pivs, s._rows = list(comp), list(comp.values())
+    s._rows, s._mask = comp, ((1 << m) - 1) ^ pivots
+    return s
+
+
+def reduced_basis(m: int, rows: Iterable[int]) -> Gf2Subspace:
+    """The subspace of GF(2)^m whose fully reduced basis is `rows`, in any
+    order, taken as it is.  Raises CrossCheckError unless each row fits
+    GF(2)^m and its lowest bit, its pivot, lies in no other row."""
+    rows = list(rows)
+    table = {row & -row: row for row in rows}
+    mask = sum(table)               # distinct single bits: their union
+    if (len(table) != len(rows) or 0 in table or max(rows, default=0) >> m
+            or any(row & mask != p for p, row in table.items())):
+        raise CrossCheckError("rows taken as a reduced basis of GF(2)^m "
+                              "that are not one")
+    s = Gf2Subspace(m)
+    s._rows, s._mask = dict(sorted(table.items())), mask
     return s
 
 

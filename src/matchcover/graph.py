@@ -22,7 +22,7 @@ import operator
 from typing import ClassVar, Iterable, NamedTuple, Optional
 
 from .errors import CrossCheckError, DimensionMismatch, InvalidParameterError
-from .gf2 import Gf2Subspace
+from .gf2 import Gf2Subspace, reduced_basis
 
 
 def _bit_ids(mask: int, size: int) -> tuple[int, ...]:
@@ -141,6 +141,46 @@ def map_mask(mask: int, id_map: dict[int, int]) -> int:
     return out
 
 
+def _tree_cuts(g: "Graph") -> list[int]:
+    """For each edge t of g's id-least spanning forest, the boundary of
+    the vertices below t, each tree rooted at its least vertex."""
+    label = list(range(g.n))          # each vertex's tree so far
+    members = [[v] for v in range(g.n)]
+    tree: list[list[int]] = [[] for _ in range(g.n)]
+    below = [0] * g.n                 # stars, then subtree boundaries
+    for eid, (u, v) in enumerate(g.edges):
+        bit = 1 << eid
+        below[u] |= bit
+        below[v] |= bit
+        a, b = label[u], label[v]
+        if a != b:
+            if len(members[a]) > len(members[b]):
+                a, b = b, a
+            for w in members[a]:      # the smaller tree joins the larger
+                label[w] = b
+            members[b] += members[a]
+            tree[u].append(v)
+            tree[v].append(u)
+    parent = [-1] * g.n
+    seen = [False] * g.n
+    rows = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        reach = [start]
+        for v in reach:               # breadth-first, growing as it goes
+            for w in tree[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = v
+                    reach.append(w)
+        for v in reversed(reach[1:]):  # children first
+            rows.append(below[v])
+            below[parent[v]] ^= below[v]
+    return rows
+
+
 class Graph:
     """Loopless undirected multigraph; vertices 0..n-1, edge ids 0..m-1."""
 
@@ -199,16 +239,17 @@ class Graph:
         """Span of the vertex stars, i.e. of all edge cuts; built once.
 
         The same object is returned on every call: read it, do not
-        insert into it (take a copy() for that).
+        insert into it (take a copy() for that).  Its basis is written
+        down from the id-least spanning forest (Kruskal by edge id): the
+        row of tree edge t is the boundary of the subtree below t, the
+        XOR of its stars.  t is the only tree edge there, and each other
+        edge e there closes a cycle through t with tree edges of lower
+        id, so e's id is above t's.  The rows are thus the fully reduced
+        basis with lowest-bit pivots, which `gf2.reduced_basis` checks.
         """
         cut = object.__getattribute__(self, "_cut")
         if cut is None:
-            cut = Gf2Subspace(self.m)
-            for nbrs in self.adjacency():
-                star = 0
-                for _, eid in nbrs:
-                    star |= 1 << eid
-                cut.insert(star)
+            cut = reduced_basis(self.m, _tree_cuts(self))
             object.__setattr__(self, "_cut", cut)
         return cut
 

@@ -170,13 +170,18 @@ def has_perfect_matching(g: Graph) -> bool:
     return g.n % 2 == 0 and 2 * len(max_matching(g)) == g.n
 
 
-def is_perfect_matching(n: int, edges: Sequence[tuple[int, int]],
-                        mask: int) -> bool:
-    """Do the edges in mask cover each of the n vertices exactly once?
-    n/2 edges do iff their ends' bits sum to 2^n - 1 (n distinct bits)."""
-    ends = compress(edges, bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
-    return 2 * mask.bit_count() == n and sum(
-        1 << u | 1 << v for u, v in ends) == (1 << n) - 1
+def end_bits(edges: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """1 << u | 1 << v for each edge uv: the bits `is_perfect_matching`
+    reads."""
+    return tuple(1 << u | 1 << v for u, v in edges)
+
+
+def is_perfect_matching(n: int, ends: Sequence[int], mask: int) -> bool:
+    """Do the edges in mask cover each of the n vertices exactly once,
+    `ends` being the graph's `end_bits`?  n/2 edges do iff their ends'
+    bits sum to 2^n - 1 (n distinct bits)."""
+    return 2 * mask.bit_count() == n and sum(compress(
+        ends, bin(mask)[:1:-1].encode().translate(_BIT_BYTES))) == (1 << n) - 1
 
 
 class MatchingEnumeration(NamedTuple):

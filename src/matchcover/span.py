@@ -19,7 +19,8 @@ pass over that DAG, children first, yields
   of local differences.  So D is spanned by the local differences of all
   states, and no state needs a basis of its own.  Each local difference
   that grows the basis is kept as the two PMs of G it is the difference
-  of: the path from the root down to R, with either completion;
+  of: a path from the root down to R, through the edge that first
+  reached each state on it, with either completion;
 - signed parity counts of any edge set X, by re-running the sum over the
   kept transition list with the sign flipped on edges of X;
 - for every edge f, the edges dep[f] that lie in every PM containing f
@@ -45,10 +46,15 @@ and `Graph.edge_subgraph` inherit it, restricted to their vertices: a
 restriction's separation is no larger, so the ear search, which runs
 one DP per ear it removes, computes the order once per input graph.
 The results do not depend on the order, except for which PM is M0 and
-which PM pairs are kept.  The DAG is walked with an
-explicit stack, so a long thin graph needs no deep recursion, and the
-DP stops with BudgetExhaustedError once it has made
-DEFAULT_STATE_BUDGET states, so memory stays bounded.
+which PM pairs are kept.
+
+A child of a state has a higher lowest vertex than the state, so the
+DAG is walked in two sweeps over the positions, with no recursion and
+no stack: one forward, making each state's children, and one backward,
+settling each state from its children (`_run_dp`).  The forward sweep
+counts every state it makes and stops with BudgetExhaustedError once it
+would make more than DEFAULT_STATE_BUDGET, before any state is settled,
+so memory stays bounded by the states themselves.
 
 The DP runs at most once per Graph: `matching_span` keeps its result on
 the graph, and so does a DP over budget, whose BudgetExhaustedError is
@@ -70,7 +76,7 @@ from typing import Optional
 from .errors import BudgetExhaustedError, NotMatchingCoveredError
 from .gf2 import Gf2Subspace, complement, subspace_sum
 from .graph import Graph, is_connected
-from .matching import is_perfect_matching
+from .matching import end_bits, is_perfect_matching
 
 DEFAULT_STATE_BUDGET = 200_000
 
@@ -127,9 +133,15 @@ class MatchingSpan:
         return subspace_sum(self.cut, Gf2Subspace(m, ((1 << m) - 1,)))
 
     @cached_property
+    def ends(self) -> tuple[int, ...]:
+        """The graph's `matching.end_bits`, for the two PM checks."""
+        return end_bits(self.edges)
+
+    @cached_property
     def pairs_are_matchings(self) -> bool:
         """Is each of the DP's pairs two perfect matchings of the graph?"""
-        return all(is_perfect_matching(self.n, self.edges, mt)
+        n, ends = self.n, self.ends
+        return all(is_perfect_matching(n, ends, mt)
                    for pair in self.pm_pairs for mt in pair)
 
     @cached_property
@@ -138,9 +150,10 @@ class MatchingSpan:
         cover E, each PM that adds an edge checked to be one?  They do if
         every edge lies in a PM M, as M xor M0 sums the pairs' differences."""
         union, full = 0, (1 << len(self.edges)) - 1
+        n, ends = self.n, self.ends
         for pm in chain((self.base_matching,), *reversed(self.pm_pairs)):
             if pm | union != union:
-                if not is_perfect_matching(self.n, self.edges, pm):
+                if not is_perfect_matching(n, ends, pm):
                     return False
                 union |= pm
         return union == full
@@ -285,91 +298,120 @@ def matching_span(g: Graph) -> MatchingSpan:
 
 
 def _run_dp(g: Graph) -> MatchingSpan:
-    """One run of the DP over g, with no memo."""
+    """One run of the DP over g, with no memo, in two sweeps over the
+    positions of g's vertex order.
+
+    States are bitmasks over positions.  A child R - {p, b} of a state R
+    with lowest position p has its lowest position above p, so the states
+    fall into levels by lowest position, and each level depends only on
+    later ones.  The forward sweep, p = 0..n-1, makes the children of the
+    states of level p, recording for each new state the edge that first
+    reached it; it counts every state it makes, dead ones included, and
+    raises BudgetExhaustedError once it would make more than the budget.
+    The backward sweep, p = n-1..0, settles each state of level p from its
+    children: its transitions, count and M0, the union and the pivots of
+    D.  A settled state's entry becomes its index among the states with a
+    PM, or -1; an unsettled state's ancestors are all unsettled, so the
+    root-to-R path of a pivot's PM pair is read off their recorded edges.
+    """
     state_budget = DEFAULT_STATE_BUDGET
-    if g.n % 2:
-        return MatchingSpan(g.n, g.edges, 0, 0, 0, (), (), array("q"),
+    n = g.n
+    if n % 2:
+        return MatchingSpan(n, g.edges, 0, 0, 0, (), (), array("q"),
                             array("q"))
     order = _vertex_order(g)
-    pos = [0] * g.n
+    pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
-    # up[i]: (bit of the other end, edge id) for the edges from the
-    # vertex at position i to later positions, in edge-id order
-    up: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    # up[i]: (bit of the other end, bits of both ends, edge id, edge bit)
+    # for the edges from position i to later positions, in edge-id order;
+    # ends[f]: the bits of both ends of edge f
+    up: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+    ends = []
     for eid, (u, v) in enumerate(g.edges):
-        a, b = sorted((pos[u], pos[v]))
-        up[a].append((1 << b, eid))
+        a, b = pos[u], pos[v]
+        if a > b:
+            a, b = b, a
+        ends.append(1 << a | 1 << b)
+        up[a].append((1 << b, ends[eid], eid, 1 << eid))
 
-    index = {0: 0}                     # state mask -> state index, or -1
+    # state -> the edge that first reached it (the root: -1) until it is
+    # settled, then its index or -1; the empty state is settled as 0
+    full = (1 << n) - 1
+    index = {full: -1, 0: 0}
+    levels: list[list[int]] = [[] for _ in range(n)]
+    if n:
+        levels[0].append(full)
+    exhausted = f"span DP state budget of {state_budget} states exhausted"
+    if len(index) > state_budget:
+        raise BudgetExhaustedError(exhausted)
+    for p in range(n):
+        edges = up[p]
+        for r in levels[p]:
+            for bit, both, eid, _ in edges:
+                if r & bit:
+                    child = r ^ both
+                    if child not in index:
+                        index[child] = eid
+                        if len(index) > state_budget:
+                            raise BudgetExhaustedError(exhausted)
+                        levels[(child & -child).bit_length() - 1].append(
+                            child)
+
     counts = [1]
     reps = [0]                         # M0 of each state
     transitions = array("q")
+    tappend = transitions.append
     starts = array("q", (0, 0))
-    pivots: dict[int, int] = {}        # echelon basis of D, by top bit
+    pivots: dict[int, int] = {}        # echelon basis of D, by bit length
     pairs: list[tuple[int, int]] = []
     union = 0
-
-    # Frames: (state, state less its lowest vertex, edges up from that
-    # vertex, transitions so far, the parent's edge here).  A finished
-    # state adds its transition to its parent, as a recursive walk would.
-    full = (1 << g.n) - 1
-    stack = [(full, full ^ 1, iter(up[0]), [], -1)] if full else []
-    while stack:
-        r, rest, edges, trans, via = stack[-1]
-        for bit, eid in edges:
-            if rest & bit:
-                child = rest ^ bit
-                c = index.get(child)
-                if c is None:
-                    low = child & -child
-                    stack.append((child, child ^ low,
-                                  iter(up[low.bit_length() - 1]), [], eid))
-                    break
-                if c >= 0:
-                    trans.append((eid, c))
-        else:
-            stack.pop()
-            if len(index) >= state_budget:
-                raise BudgetExhaustedError(
-                    f"span DP state budget of {state_budget} states exhausted")
-            if not trans:
+    for p in range(n - 1, -1, -1):
+        edges = up[p]
+        for r in levels[p]:
+            rep = -1
+            for bit, both, eid, ebit in edges:
+                if r & bit:
+                    c = index[r ^ both]
+                    if c < 0:
+                        continue
+                    tappend(eid)
+                    tappend(c)
+                    union |= ebit
+                    if rep < 0:
+                        rep = reps[c] | ebit
+                        total = counts[c]
+                        continue
+                    total += counts[c]
+                    other = reps[c] | ebit
+                    v = other ^ rep
+                    while v:
+                        top = v.bit_length()
+                        row = pivots.get(top)
+                        if row is None:
+                            pivots[top] = v
+                            # the recorded edges from r up to the root
+                            path, s = 0, r
+                            while s != full:
+                                f = index[s]
+                                path |= 1 << f
+                                s |= ends[f]
+                            pairs.append((path | rep, path | other))
+                            break
+                        v ^= row
+            if rep < 0:
                 index[r] = -1
                 continue
-            eid, c = trans[0]
-            rep = reps[c] | 1 << eid
-            total = counts[c]
-            union |= 1 << eid
-            for eid, c in trans[1:]:
-                total += counts[c]
-                union |= 1 << eid
-                other = reps[c] | 1 << eid
-                v = other ^ rep
-                while v:
-                    top = v.bit_length() - 1
-                    row = pivots.get(top)
-                    if row is None:
-                        pivots[top] = v
-                        # the edges from the root down to r, on the stack
-                        path = sum(1 << f[4] for f in stack[1:])
-                        path |= 1 << via if stack else 0
-                        pairs.append((path | rep, path | other))
-                        break
-                    v ^= row
             index[r] = len(counts)
             counts.append(total)
             reps.append(rep)
-            for eid, c in trans:
-                transitions.append(eid)
-                transitions.append(c)
             starts.append(len(transitions))
-            if stack:
-                stack[-1][3].append((via, index[r]))
+        levels[p] = None               # settled
 
     root = index[full]
     if root < 0:
-        return MatchingSpan(g.n, g.edges, 0, 0, 0, (), (), array("q"),
+        return MatchingSpan(n, g.edges, 0, 0, 0, (), (), array("q"),
                             array("q"))
-    return MatchingSpan(g.n, g.edges, counts[root], union, reps[root],
+    return MatchingSpan(n, g.edges, counts[root], union, reps[root],
                         tuple(pivots.values()), tuple(pairs), transitions,
                         starts)

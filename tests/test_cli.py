@@ -370,6 +370,35 @@ def test_ear_search_budget_exit_code(k4_file, monkeypatch, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_span_state_budget_bounds_memory(tmp_path):
+    # the 18 x 18 grid runs the span DP past its state budget; the DP
+    # stops while it is still making states, before it counts any, so the
+    # whole run peaks near 45 MB (84 MB when the DP filled its counts,
+    # representatives and transitions before it gave up)
+    a = 18
+    edges = [(a * i + j, a * i + j + 1) for i in range(a) for j in range(a - 1)]
+    edges += [(a * i + j, a * i + a + j) for i in range(a - 1) for j in range(a)]
+    path = tmp_path / "grid.json"
+    write_graph(Graph(a * a, edges), str(path))
+    # the child's own peak: a fresh interpreter starts it, since a child
+    # inherits the peak of the process it is forked from
+    wrapper = textwrap.dedent("""
+        import os, subprocess, sys
+        proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        print(proc.returncode, usage.ru_maxrss)
+    """)
+    out = subprocess.run(
+        [sys.executable, "-c", wrapper, sys.executable, "-m",
+         "matchcover.cli", "analyze", str(path), "--json"],
+        capture_output=True, text=True, check=True).stdout
+    code, peak_kb = map(int, out.split())
+    assert code == 3
+    assert peak_kb / 1024 < 58, peak_kb
+
+
 def test_span_state_budget_exit_code(petersen_file, monkeypatch, capsys):
     monkeypatch.setattr(span, "DEFAULT_STATE_BUDGET", 1)
     # analyze still reports everything that does not need the DP

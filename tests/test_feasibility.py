@@ -434,6 +434,12 @@ _LYING_ROUTES = textwrap.dedent("""
     expect("complement of unreduced rows",
            lambda: cli.analyze_graph(petersen()))
     gf2._echelon = echelon
+    # the vertex stars, which share pivots, taken as the cut space's rows
+    tree_cuts = graph._tree_cuts
+    graph._tree_cuts = lambda h: [sum(1 << eid for _, eid in a)
+                                  for a in h.adjacency()]
+    expect("cut space from unreduced rows", lambda: petersen().cut_space())
+    graph._tree_cuts = tree_cuts
     # Petersen is 3-connected; a search that finds a flow of 0 and reaches
     # nothing gives a cut of size 0, which separates nothing
     vertex_flow = graph._vertex_flow
@@ -525,6 +531,7 @@ def test_cross_checks_raise_under_python_O():
         "bipartite against E in cut raised",
         "PM cover raised", "DP uncovered edge raised",
         "complement of unreduced rows raised",
+        "cut space from unreduced rows raised",
         "vertex_connectivity_at_least raised", "Menger paths raised",
         "Menger path revisit raised", "Menger path jump raised",
         "fan paths to one placed vertex raised",

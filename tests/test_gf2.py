@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 import pytest
 
 from matchcover.errors import CrossCheckError
-from matchcover.gf2 import Gf2Subspace, complement, subspace_equal, subspace_sum
+from matchcover.gf2 import (Gf2Subspace, complement, reduced_basis,
+                            subspace_equal, subspace_sum)
 
 
 def vectors(dim, max_count=8):
@@ -79,20 +80,38 @@ def test_stored_pivots_stay_consistent(batches, probe):
     s = Gf2Subspace(10)
     for batch in batches:
         before = s.copy()
-        snapshot = (list(s._rows), list(s._pivs))
+        snapshot = (dict(s._rows), s._mask)
         for v in batch:
             before.insert(v)
         # inserting into a copy leaves the original untouched
-        assert (s._rows, s._pivs) == snapshot
+        assert (s._rows, s._mask) == snapshot
         for v in batch:
             s.insert(v)
         assert s == before
-        assert s._pivs == [row & -row for row in s._rows]
-        assert all(a < b for a, b in zip(s._pivs, s._pivs[1:]))
-        for i, p in enumerate(s._pivs):
-            assert all(not row & p for j, row in enumerate(s._rows)
-                       if j != i)
-        assert s.reduce(probe) == _naive_reduce(s._rows, probe)
+        pivs = list(s._rows)
+        assert pivs == [row & -row for row in s._rows.values()]
+        assert all(a < b for a, b in zip(pivs, pivs[1:]))
+        assert s._mask == sum(pivs)
+        for p in pivs:
+            assert all(not row & p for q, row in s._rows.items() if q != p)
+        assert s.reduce(probe) == _naive_reduce(s.basis(), probe)
+
+
+@given(vectors(10, max_count=12))
+@settings(max_examples=200)
+def test_a_reduced_basis_is_taken_as_it_is(vs):
+    s = Gf2Subspace(10, vs)
+    rows = list(s.basis())
+    assert reduced_basis(10, reversed(rows)) == s
+    assert reduced_basis(10, rows).basis() == s.basis()
+    if len(rows) >= 2:
+        # a pivot in a second row, a repeated pivot, a zero row
+        for bad in ([rows[0] | rows[1] & -rows[1], *rows[1:]],
+                    [rows[0], rows[0], *rows[1:]], [*rows, 0]):
+            with pytest.raises(CrossCheckError):
+                reduced_basis(10, bad)
+    with pytest.raises(CrossCheckError):
+        reduced_basis(3, [0b1000])
 
 
 def _eliminated_complement(m, rows):

@@ -17,6 +17,7 @@ from strategies import multigraphs
 from matchcover import graph
 from matchcover.cli import analyze_graph
 from matchcover.errors import DimensionMismatch, InvalidParameterError
+from matchcover.gf2 import Gf2Subspace
 from matchcover.graph import (
     EdgeSet,
     Graph,
@@ -317,6 +318,10 @@ def _connectivity_table(g):
 # search's step back from an out-node on a path to its in-node: without
 # it, its head pair (12, 9) at k = 6 finds one of its two paths, and the
 # cut (7, 8) that search reaches separates nothing.
+_STEP_BACK_EDGES = [
+    (0, 1), (0, 3), (0, 9), (1, 2), (1, 10), (2, 3), (2, 9), (3, 10),
+    (4, 5), (4, 6), (5, 7), (6, 12), (7, 9), (7, 11), (8, 10), (8, 11),
+    (8, 12)]
 PINNED_SEPARATORS = [
     ("petersen", petersen, 3, [1, 4, 5]),
     ("cube", cube_graph, 3, [1, 2, 4]),
@@ -334,10 +339,7 @@ PINNED_SEPARATORS = [
     ("cycle-and-triangle", lambda: Graph(8, [
         (0, 2), (0, 4), (1, 3), (1, 5), (1, 6), (1, 7), (2, 6), (3, 4),
         (5, 7)]), 1, [1]),
-    ("step-back", lambda: Graph(13, [
-        (0, 1), (0, 3), (0, 9), (1, 2), (1, 10), (2, 3), (2, 9), (3, 10),
-        (4, 5), (4, 6), (5, 7), (6, 12), (7, 9), (7, 11), (8, 10), (8, 11),
-        (8, 12)]), 2, [5, 6]),
+    ("step-back", lambda: Graph(13, _STEP_BACK_EDGES), 2, [5, 6]),
 ]
 
 
@@ -350,6 +352,47 @@ def test_pinned_separators(name, build, kappa, sep):
         else [True, None, None] if k <= kappa
         else [False, sep[k] if isinstance(sep, dict) else sep, None]
         for k in range(1, 7)]
+
+
+@given(st.permutations(range(13)), st.permutations(_STEP_BACK_EDGES))
+@example(list(range(13)), _STEP_BACK_EDGES)
+@settings(max_examples=150, deadline=None)
+def test_step_back_graph_matches_oracle_under_relabelling(relabel, edges):
+    # the step-back graph with its vertices renamed and its edge ids
+    # permuted: the breadth-first order and the neighbour lists change, so
+    # the searches that need the step back fall on other pairs and fans
+    g = Graph(13, [(relabel[u], relabel[v]) for u, v in edges])
+    for k in range(1, 7):
+        res = vertex_connectivity_at_least(g, k)
+        assert res.ok == brute_vertex_connectivity_at_least(g, k), k
+        if res.separator is not None:
+            assert len(res.separator) < k
+            assert not is_connected(g.delete(vertices=res.separator)[0])
+
+
+def test_cut_space_of_no_vertices_and_of_isolated_ones():
+    for g in (Graph(0, []), Graph(3, []), Graph(4, [(1, 2), (1, 2)])):
+        stars = Gf2Subspace(g.m, [sum(1 << eid for _, eid in a)
+                                  for a in g.adjacency()])
+        assert g.cut_space() == stars
+    assert Graph(4, [(1, 2), (1, 2)]).cut_space().basis() == (0b11,)
+
+
+@given(multigraphs(max_edges=20), st.data())
+@settings(max_examples=300, deadline=None)
+def test_cut_space_matches_inserted_stars(g, data):
+    # edge ids in a drawn order, so that parallel copies and the edges of
+    # the id-least spanning forest fall anywhere; sparse draws are
+    # disconnected and have isolated vertices
+    order = data.draw(st.permutations(range(g.m)))
+    g = Graph(g.n, [g.edges[i] for i in order])
+    stars = Gf2Subspace(g.m, [sum(1 << eid for _, eid in a)
+                              for a in g.adjacency()])
+    cut = g.cut_space()
+    assert cut == stars and cut.basis() == stars.basis()
+    h = nx.MultiGraph(g.edges)
+    h.add_nodes_from(range(g.n))
+    assert cut.dim == g.n - nx.number_connected_components(h)
 
 
 def test_analyze_traverses_the_graph_once(monkeypatch):

@@ -25,6 +25,7 @@ from matchcover.graph import Graph, is_bipartite, is_connected
 from matchcover.matching import (
     _adjacency,
     _maximum_matching,
+    end_bits,
     enumerate_perfect_matchings,
     has_perfect_matching,
     is_matching_covered,
@@ -192,13 +193,14 @@ def test_bitmask_perfect_matching_check_matches_sorted_ends(g, data):
                      if pms else st.integers(0, full))
     if g.m and data.draw(st.booleans()):
         mask ^= 1 << data.draw(st.integers(0, g.m - 1))
-    assert is_perfect_matching(g.n, g.edges, mask) == \
+    assert is_perfect_matching(g.n, end_bits(g.edges), mask) == \
         _sorted_ends(g.n, g.edges, mask)
 
 
 def test_bitmask_perfect_matching_check_counts_its_edges():
     # (0, 1) twice and (0, 3) have end bits summing to 2^4 - 1 by carries
-    assert not is_perfect_matching(4, [(0, 1), (0, 1), (0, 3)], 0b111)
+    assert not is_perfect_matching(
+        4, end_bits([(0, 1), (0, 1), (0, 3)]), 0b111)
     assert _sorted_ends(4, [(0, 1), (0, 1), (0, 3)], 0b111) is False
 
 

@@ -304,20 +304,68 @@ PINNED_STATES = {
     "star-5xq5": ("star", 5, 5, 1_113),
 }
 
+# the states the DP makes on the same graphs, dead ones and the empty
+# state included: the least budget it finishes within
+PINNED_MADE = {
+    "qr6": 134,
+    "cycle-3xq4": 137,
+    "star-4xq4": 307,
+    "cycle-3xq5": 286,
+    "cycle-5xq4": 263,
+    "cycle-9xq4": 515,
+    "star-5xq5": 2_007,
+}
+
+
+def _pinned_graph(name: str) -> Graph:
+    family, r, k, _ = PINNED_STATES[name]
+    base = build_qr(r)
+    if family == "qr":
+        return base.graph
+    if family == "cycle":
+        return build_cycle_cl([CyclePart(base.graph, base.labels["a1a2"],
+                                         base.labels["b1b2"], base.coloring)
+                               for _ in range(k)]).graph
+    return build_star_xs([StarPart(base.graph, base.coloring)
+                          for _ in range(k)]).graph
+
 
 @pytest.mark.parametrize("name", PINNED_STATES)
 def test_dp_state_count_is_pinned(name):
     # the states with a perfect matching, the empty state included: a
     # change to the vertex order or to the DP shows as a changed count
-    family, r, k, states = PINNED_STATES[name]
-    base = build_qr(r)
-    if family == "qr":
-        g = base.graph
-    elif family == "cycle":
-        g = build_cycle_cl([CyclePart(base.graph, base.labels["a1a2"],
-                                      base.labels["b1b2"], base.coloring)
-                            for _ in range(k)]).graph
-    else:
-        g = build_star_xs([StarPart(base.graph, base.coloring)
-                           for _ in range(k)]).graph
-    assert len(matching_span(g).starts) - 1 == states
+    states = PINNED_STATES[name][3]
+    assert len(matching_span(_pinned_graph(name)).starts) - 1 == states
+
+
+@pytest.mark.parametrize("name", PINNED_MADE)
+def test_dp_states_made_are_pinned(name, monkeypatch):
+    made = PINNED_MADE[name]
+    monkeypatch.setattr(span_module, "DEFAULT_STATE_BUDGET", made)
+    assert matching_span(_pinned_graph(name)).pm_count > 0
+    monkeypatch.setattr(span_module, "DEFAULT_STATE_BUDGET", made - 1)
+    with pytest.raises(BudgetExhaustedError,
+                       match=f"^span DP state budget of {made - 1} states "
+                             "exhausted$"):
+        matching_span(_pinned_graph(name))
+
+
+def test_budget_inside_one_positions_bucket(monkeypatch):
+    # on star r=5 the sweep has made 599 states when it reaches position
+    # 12 and 780 when it leaves it: a budget of 700 runs out while that
+    # position's children are made, and the error names it unchanged
+    monkeypatch.setattr(span_module, "DEFAULT_STATE_BUDGET", 700)
+    with pytest.raises(BudgetExhaustedError,
+                       match="^span DP state budget of 700 states "
+                             "exhausted$") as info:
+        span_module._run_dp(_pinned_graph("star-5xq5"))
+    # it stops at the state past the budget, not at the position's end
+    dp = next(tb.tb_frame for tb in _tracebacks(info.tb)
+              if tb.tb_frame.f_code is span_module._run_dp.__code__)
+    assert (dp.f_locals["p"], len(dp.f_locals["index"])) == (12, 701)
+
+
+def _tracebacks(tb):
+    while tb is not None:
+        yield tb
+        tb = tb.tb_next
