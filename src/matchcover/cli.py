@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 a `verify` suite failed or checked nothing, 2
-usage error, 3 a budget left a verdict out (the span DP's state budget, the
-colouring search's budget, or a verification oracle's enumeration cap),
-4 unverified claim under --strict, 5 internal cross-check failed (two
-independent routes to one verdict disagreed; the verdict is withheld).
+usage error, 3 a budget left a verdict out (the span DP's state budget or
+the colouring search's budget), 4 unverified claim under --strict, 5
+internal cross-check failed (two independent routes to one verdict
+disagreed; the verdict is withheld).
 
 JSON goes out on one line, as json's C encoder writes it; pipe it through
 `python -m json.tool` to read it.

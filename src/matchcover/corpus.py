@@ -26,6 +26,8 @@ from .errors import InvalidParameterError
 from .graph import Graph
 from .span import span_matching_covered
 
+ORACLE_MAX_M = 14       # the 2^m brute-force scan of oracle-nf
+
 
 class CorpusEntry(NamedTuple):
     name: str
@@ -88,4 +90,4 @@ def build_corpus(seed: int = 20240817,
 def small_corpus() -> list[CorpusEntry]:
     """Entries small enough for exhaustive (2^m) oracle checks."""
     return [e for e in build_corpus(include_random=False)
-            if e.graph.m <= 14]
+            if e.graph.m <= ORACLE_MAX_M]

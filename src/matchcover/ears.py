@@ -15,12 +15,14 @@ Each step runs one span DP of `span.py`, on the graph left by the step
 before; `matching_span` keeps it on that graph, so no graph gets a
 second one.  An odd chain P of G is a path whose internal vertices have
 degree 2, so the perfect matchings of G - P are those of G that avoid
-P's first edge; G - P is therefore matching-covered iff it is connected
-and no edge outside P depends on P's first edge (lies only in perfect
-matchings that contain it), which the DP's dependence masks answer for
-every single at once.  The same masks rule out most pairs, and a DP on
-G - P_1 - P_2 decides the rest.  The DP of an accepted remainder
-re-checks the masks' verdict, and the next step reads its masks.
+P's first edge; G - P is therefore matching-covered iff no edge outside
+P depends on P's first edge (lies only in perfect matchings that
+contain it), and is then connected (`_next_ear` says why).  The DP's
+dependence masks answer that for every single at once.  The same masks
+rule out most pairs, and `span_matching_covered` of G - P_1 - P_2
+decides the rest, with a DP only when that remainder is connected.  The
+DP of an accepted remainder re-checks the masks' verdict, and the next
+step reads its masks.
 
 The search is greedy: by the two-ear theorem (Lovasz-Plummer, Matching
 Theory, 1986) every matching-covered graph but K2 has an ear
@@ -50,7 +52,7 @@ from typing import NamedTuple, Optional
 from .errors import CrossCheckError
 from .feasibility import nf_star_witness_fault, parity_spaces
 from .gf2 import Gf2Subspace, complement
-from .graph import EdgeSet, Graph, is_bipartite, is_connected, map_mask
+from .graph import EdgeSet, Graph, is_bipartite, map_mask
 from .matching import check_perfect, rematch_without
 from .span import matching_span, require_matching_covered, span_matching_covered
 
@@ -152,38 +154,34 @@ def _remainder(g: Graph, chains) -> Graph:
 
 
 def _next_ear(g: Graph):
-    """The first candidate ear of g whose remainder is connected and
-    matching-covered, as (chains, remainder).
+    """The first candidate ear of g whose remainder is matching-covered,
+    as (chains, remainder).
 
     Candidates are the odd chains one at a time, then vertex-disjoint
     pairs of them.  The PMs of g - c are those of g that avoid c's first
-    edge, so a single chain c is accepted iff g - c is connected and no
-    edge outside c depends on that edge (is "bad" for c).  A pair (a, b)
-    is tried only when both singles leave a connected remainder and the
+    edge, so a single chain c is accepted iff no edge outside c depends on
+    that edge (is "bad" for c).  A pair (a, b) is tried only when the
     edges bad for each lie in the other; a DP on g - a - b decides it.
+    No remainder needs a connectivity test of its own.  Every vertex of
+    g - c reaches an end of c, and if the first end's component lacked
+    the other, a PM avoiding c's first edge would make it even and one
+    through that edge odd.  A pair passing the masks leaves g - a
+    connected, else every PM would use a's first edge, every edge outside
+    a would be bad for a and lie in b, and g would be two vertex-disjoint
+    paths.
     The DP on an accepted single's remainder re-checks the dependence
     masks, and the next step reads its own masks from it.
     """
     odd = [c for c in _chain_candidates(g) if len(c[3]) % 2 == 1]
     dep = matching_span(g).dependences(g.m)
     bad: list[int] = []                # per chain, until one is accepted
-    connected: dict[int, bool] = {}
-
-    def single_connected(i: int) -> bool:
-        if i not in connected:
-            connected[i] = is_connected(_remainder(g, (odd[i],)))
-        return connected[i]
-
-    for i, c in enumerate(odd):
+    for c in odd:
         first = c[3][0]
         bad.append(sum(1 << f for f in range(g.m)
                        if dep[f] >> first & 1 and f not in c[3]))
-        if bad[i]:
+        if bad[-1]:
             continue
         h = _remainder(g, (c,))
-        connected[i] = is_connected(h)
-        if not connected[i]:
-            continue
         if not span_matching_covered(h):
             raise CrossCheckError(
                 "the span DP finds the remainder of an ear that the "
@@ -195,11 +193,10 @@ def _next_ear(g: Graph):
         for j in range(i + 1, len(odd)):
             b = odd[j]
             if (bad[i] & ~masks[j] or bad[j] & ~masks[i]
-                    or not va.isdisjoint((b[0], b[1], *b[2]))
-                    or not single_connected(i) or not single_connected(j)):
+                    or not va.isdisjoint((b[0], b[1], *b[2]))):
                 continue
             h = _remainder(g, (a, b))
-            if is_connected(h) and span_matching_covered(h):
+            if span_matching_covered(h):
                 return (a, b), h
     raise CrossCheckError("no removable ear found")
 

@@ -58,11 +58,10 @@ def _with_cut(g: Graph, ps: MatchingSpan) -> MatchingSpan:
 def _spaces_of(g: Graph, ps: Optional[MatchingSpan]) -> MatchingSpan:
     """ps, or g's own record when ps is None.  Raises
     InvalidParameterError when ps was built for another graph; g's own
-    memo passes without comparing edge lists."""
+    record holds g.edges itself, so the comparison stops at identity."""
     if ps is None:
         return parity_spaces(g)
-    if ps is not object.__getattribute__(g, "_span") and (
-            ps.n, ps.edges) != (g.n, g.edges):
+    if (ps.n, ps.edges) != (g.n, g.edges):
         raise InvalidParameterError("parity spaces of another graph")
     return _with_cut(g, ps)
 

@@ -7,7 +7,8 @@ routine cuts every derived graph (`Graph.delete`, `Graph.edge_subgraph`):
 a fresh graph, its old-id -> new-id edge and vertex maps, and the
 parent's DP order restricted to the kept vertices.  One breadth-first
 side assignment (`cut_sides`) answers every "is X an edge cut?"
-question, bipartiteness being X = E.  Vertex connectivity is Even's test
+question, bipartiteness being X = E, and connectivity too: with X empty
+it starts one search per component.  Vertex connectivity is Even's test
 on the sorted neighbour lists of the simple graph underneath: vertices in
 breadth-first order from a least-degree vertex, a flow between each
 non-adjacent pair of the first k, then a fan from each later vertex to
@@ -323,26 +324,13 @@ def boundary(g: Graph, u: VertexSet) -> EdgeSet:
     return EdgeSet(mask, g.m)
 
 
-def _reach(adj: list[list[tuple[int, int]]], s: int,
-           seen: list[bool]) -> list[int]:
-    """The vertices reachable from s that are not yet seen, now marked."""
-    seen[s] = True
-    out = [s]
-    for v in out:
-        for w, _ in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                out.append(w)
-    return out
-
-
 def is_connected(g: Graph) -> bool:
-    """One traversal from vertex 0 reaches every vertex; answered once
-    per graph."""
+    """`cut_sides` of no edges starts one search per component, at the -1
+    parents; connected iff it starts at most one.  Answered once per
+    graph."""
     connected = object.__getattribute__(g, "_connected")
     if connected is None:
-        connected = g.n <= 1 or len(_reach(g.adjacency(), 0,
-                                           [False] * g.n)) == g.n
+        connected = cut_sides(g, 0)[1].count(-1) <= 1
         object.__setattr__(g, "_connected", connected)
     return connected
 

@@ -219,11 +219,12 @@ class MatchingSpan:
 
 
 def span_matching_covered(g: Graph) -> bool:
-    """Matching-covered by the DP: connected, and every edge lies in some
-    perfect matching."""
+    """Matching-covered by the DP: non-empty and connected, both decided
+    before any DP runs, and every edge lies in some perfect matching."""
+    if g.n == 0 or not is_connected(g):
+        return False
     span = matching_span(g)
-    return (g.n > 0 and span.pm_count > 0 and is_connected(g)
-            and span.edge_union == (1 << g.m) - 1)
+    return span.pm_count > 0 and span.edge_union == (1 << g.m) - 1
 
 
 def require_matching_covered(g: Graph) -> None:

@@ -30,7 +30,7 @@ from .constructions import (
     splice,
     verify_certificate,
 )
-from .corpus import CorpusEntry, build_corpus
+from .corpus import ORACLE_MAX_M, CorpusEntry, build_corpus
 from .errors import BudgetExhaustedError
 from .feasibility import (
     is_feasible,
@@ -47,8 +47,6 @@ from .ears import (
 )
 from .matching import enumerate_perfect_matchings, is_matching_covered
 from .span import matching_span
-
-ORACLE_MAX_M = 14       # the 2^m brute-force scan of oracle-nf
 
 
 class SuiteCheck(NamedTuple):
@@ -319,24 +317,18 @@ def _lemma_checks(name: str, g: Graph, d) -> list[SuiteCheck]:
 def suite_constructions(entries: list[CorpusEntry]) -> list[SuiteCheck]:
     checks = []
 
-    def add(cert, claims, label):
+    def add(claims, label):
         for c in claims:
             checks.append(SuiteCheck(f"{label}:{c.name}",
                                      c.ok is not False, c.detail))
 
     for r in (3, 4):
-        cert = build_qr(r)
-        add(cert, verify_certificate(cert), f"qr-{r}")
-
+        add(verify_certificate(build_qr(r)), f"qr-{r}")
     k4 = complete_graph(4)
-    sp = splice(k4, 0, k4, 0)
-    add(sp, verify_certificate(sp), "splice-k4-k4")
-
-    cyc = build_qr_family("cycle", 4, 3)
-    add(cyc, verify_certificate(cyc), "cycle-3xq4")
-
-    star = build_star_xs([StarPart(k4, K4_COLORING) for _ in range(3)])
-    add(star, verify_certificate(star), "star-3xk4")
+    add(verify_certificate(splice(k4, 0, k4, 0)), "splice-k4-k4")
+    add(verify_certificate(build_qr_family("cycle", 4, 3)), "cycle-3xq4")
+    add(verify_certificate(build_star_xs(
+        [StarPart(k4, K4_COLORING) for _ in range(3)])), "star-3xk4")
     return checks
 
 

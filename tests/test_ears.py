@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import matching_covered_multigraphs
-from oracles import (brute_is_matching_covered, brute_peel,
-                     brute_perfect_matchings, brute_switch_equiv_empty)
+from oracles import (brute_dependences, brute_is_matching_covered,
+                     brute_peel, brute_perfect_matchings,
+                     brute_switch_equiv_empty)
 
 from matchcover import ears
 from matchcover.cli import analyze_graph, main
@@ -38,7 +39,7 @@ from matchcover.ears import (
 from matchcover.feasibility import is_feasible, nf_star_report, parity_spaces
 from matchcover.formats import write_graph
 from matchcover.gf2 import Gf2Subspace
-from matchcover.graph import Graph, is_bipartite
+from matchcover.graph import Graph, is_bipartite, is_connected
 from matchcover.matching import is_matching_covered
 
 
@@ -402,3 +403,27 @@ def test_verdicts_on_one_graph_share_one_dp(dp_runs):
     verify_equivalent_set(g, g.edge_set((0, 1)))
     analyze_graph(g)
     assert sum(h is g for h in dp_runs) == 1
+
+
+@given(matching_covered_multigraphs())
+@settings(max_examples=300, deadline=None)
+def test_remainders_the_masks_accept_are_connected(g):
+    """The facts that spare the ear search its connectivity tests: an odd
+    chain on which no edge outside it depends leaves a connected
+    remainder, and so does each path of a pair that passes the masks."""
+    dep = brute_dependences(g)
+    odd = [c for c in ears._chain_candidates(g) if len(c[3]) % 2 == 1]
+    bad = [sum(1 << f for f in range(g.m)
+               if dep[f] >> c[3][0] & 1 and f not in c[3]) for c in odd]
+    masks = [sum(1 << e for e in c[3]) for c in odd]
+
+    def connected(i):
+        return is_connected(ears._remainder(g, (odd[i],)))
+
+    for i in range(len(odd)):
+        assert bad[i] or connected(i)
+    for i, j in combinations(range(len(odd)), 2):
+        a, b = odd[i], odd[j]
+        if (not bad[i] & ~masks[j] and not bad[j] & ~masks[i]
+                and {a[0], a[1], *a[2]}.isdisjoint((b[0], b[1], *b[2]))):
+            assert connected(i) and connected(j)

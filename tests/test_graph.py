@@ -155,6 +155,7 @@ def test_is_connected():
     g = Graph(4, [(0, 1), (2, 3)])
     assert not is_connected(g)
     assert is_connected(complete_graph(4))
+    assert is_connected(Graph(0, []))
 
 
 def test_connectivity_of_an_edgeless_graph_needs_no_set_per_component():
@@ -400,12 +401,22 @@ def test_analyze_traverses_the_graph_once(monkeypatch):
     g = _family_graph("star", 4, 4)
     g = Graph(g.n, g.edges)
     calls = []
-    reach = graph._reach
-    monkeypatch.setattr(graph, "_reach",
-                        lambda *args: calls.append(1) or reach(*args))
+    sides = graph.cut_sides
+    monkeypatch.setattr(graph, "cut_sides", lambda h, x_mask: calls.append(
+        (h, x_mask)) or sides(h, x_mask))
     rep = analyze_graph(g)
     assert rep.connected and rep.vertex_connectivity_checked == 4
-    assert len(calls) == 1
+    # is_connected's one search: the span DP's test and Even's test read
+    # its memo
+    assert [call for call in calls if call[1] == 0] == [(g, 0)]
+
+
+@given(multigraphs(max_edges=20))
+@settings(max_examples=300, deadline=None)
+def test_is_connected_matches_networkx(g):
+    h = nx.MultiGraph(g.edges)
+    h.add_nodes_from(range(g.n))
+    assert is_connected(g) == nx.is_connected(h)
 
 
 @pytest.mark.parametrize("build, k", [

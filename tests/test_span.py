@@ -170,6 +170,17 @@ def test_a_graph_with_no_perfect_matching_has_a_span_but_no_spaces(dp_runs):
     assert len(dp_runs) == 2
 
 
+def test_no_dp_runs_on_an_empty_or_disconnected_graph(monkeypatch):
+    def refuse(g):
+        raise AssertionError("the span DP ran")
+
+    monkeypatch.setattr(span_module, "_run_dp", refuse)
+    # two disjoint K2s have a perfect matching and every edge in one
+    for g in (Graph(0, []), Graph(4, [(0, 1), (2, 3)]),
+              Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])):
+        assert not span_matching_covered(g)
+
+
 def test_the_memo_makes_no_reference_cycle():
     # with the collector off, only reference counts can free g's memo
     gc.disable()
