@@ -10,15 +10,15 @@ report.  The CLI `verify` command and the test suite both run these.
 A lemma that holds for every member of a subspace is checked as one
 statement about subspaces: a containment of basis rows, an equality of
 reduced bases, or, for the switch-class lemmas, the subspace's image
-modulo cut(G), whatever the dimension.  Only the 2^m scan of
-`oracle-nf` lists edge sets one by one, and only it enumerates perfect
-matchings.  No suite samples.
+modulo cut(G), whatever the dimension.  Only `oracle-nf` lists edge
+sets one by one, deciding each of the 2^m three ways in one walk, and
+only it enumerates perfect matchings.  No suite samples.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
 from .constructions import (
     K4_COLORING,
@@ -31,22 +31,23 @@ from .constructions import (
     verify_certificate,
 )
 from .corpus import ORACLE_MAX_M, CorpusEntry, build_corpus
-from .errors import BudgetExhaustedError
+from .errors import BudgetExhaustedError, CrossCheckError
 from .feasibility import (
     is_feasible,
     nf_star_report,
     parity_spaces,
 )
 from .gf2 import Gf2Subspace, complement
-from .graph import Graph, boundary, is_bipartite, map_mask
+from .graph import EdgeSet, Graph, boundary, is_bipartite, map_mask
 from .ears import (
     case_iv_space,
     classify_nf_star,
     find_ear_decomposition,
     validate_decomposition,
 )
-from .matching import enumerate_perfect_matchings, is_matching_covered
-from .span import matching_span
+from .matching import (enumerate_perfect_matchings, is_matching_covered,
+                       is_perfect_matching)
+from .span import MatchingSpan, matching_span
 
 
 class SuiteCheck(NamedTuple):
@@ -115,35 +116,67 @@ def suite_bipartite_theorem(entries: list[CorpusEntry]) -> list[SuiteCheck]:
 
 # ----------------------------------------------------------- exhaustive oracle
 
-def brute_force_nf(g: Graph) -> set[int]:
-    """All non-feasible subsets of E(g) by direct 2^m parity scanning."""
+def _columns(masks: Iterable[int], m: int) -> list[int]:
+    """The masks bit-sliced: bit j of column e is edge e of the j-th."""
+    cols = [0] * m
+    for j, mk in enumerate(masks):
+        while mk:
+            low = mk & -mk
+            cols[low.bit_length() - 1] |= 1 << j
+            mk ^= low
+    return cols
+
+
+def _oracle_walk(g: Graph, ps: MatchingSpan) -> tuple[int, Optional[int]]:
+    """(how many edge sets the enumerated PMs find non-feasible, the first
+    set on which the three routes disagree or None).  The 2^m sets x come
+    in Gray-code order, so x gains or loses one edge e per step and each
+    route's value takes one XOR: the parities of the PMs on x (x is
+    non-feasible iff they are equal), x's residual against nF's fully
+    reduced basis, which is linear (x in nF iff 0), and the parities of
+    the DP's PM pair differences on x (x is feasible iff one is odd)."""
     enum = enumerate_perfect_matchings(g)
     if not enum.complete:
-        raise BudgetExhaustedError(
-            "brute-force nF needs every perfect matching")
-    masks = [m.mask for m in enum.matchings]
-    out = set()
-    for x in range(1 << g.m):
-        p0 = (masks[0] & x).bit_count() & 1
-        if all((mk & x).bit_count() & 1 == p0 for mk in masks[1:]):
-            out.add(x)
-    return out
+        raise BudgetExhaustedError("the oracle needs every perfect matching")
+    pms = [pm.mask for pm in enum.matchings]
+    if not all(is_perfect_matching(g.n, ps.ends, mk) for mk in pms):
+        raise CrossCheckError("the enumeration listed a set that is not a "
+                              "perfect matching")
+    pm_col = _columns(pms, g.m)
+    pair_col = _columns((a ^ b for a, b in ps.pm_pairs), g.m)
+    nf_col = [ps.nF.reduce(1 << e) for e in range(g.m)]
+    all_odd = (1 << len(pms)) - 1
+    brute = residual = pairs = 0
+    count, first = 1, None
+    for i in range(1, 1 << g.m):
+        e = (i & -i).bit_length() - 1
+        brute ^= pm_col[e]
+        residual ^= nf_col[e]
+        pairs ^= pair_col[e]
+        nf = brute == 0 or brute == all_odd
+        count += nf
+        if (nf != (residual == 0) or nf != (pairs == 0)) and first is None:
+            first = i ^ i >> 1
+    return count, first
 
 
 def suite_oracle_nf(entries: list[CorpusEntry]) -> list[SuiteCheck]:
-    """The 2^m brute-force scan finds exactly the 2^dim members of nF."""
+    """One Gray-code walk over the 2^m edge sets decides each three ways,
+    by the enumerated PMs, by nF and by the DP's PM pairs; the routes
+    must agree on every set and find 2^dim nF non-feasible ones."""
     checks = []
     for entry in entries:
         g = entry.graph
         if g.m > ORACLE_MAX_M:
             continue
-        brute = brute_force_nf(g)
-        nf = parity_spaces(g).nF
-        # brute lies inside nF and is as large, so the two are equal
-        ok = len(brute) == 1 << nf.dim and all(nf.contains(x) for x in brute)
-        checks.append(SuiteCheck(
-            f"oracle-agreement[{entry.name}]", ok,
-            f"m={g.m} |nF|={len(brute)} algebraic={1 << nf.dim}"))
+        ps = parity_spaces(g)
+        count, first = _oracle_walk(g, ps)
+        size = 1 << ps.nF.dim
+        detail = f"m={g.m} |nF|={count} algebraic={size}"
+        if first is not None:
+            detail += f" routes disagree on {list(EdgeSet(first, g.m).ids())}"
+        checks.append(SuiteCheck(f"oracle-agreement[{entry.name}]",
+                                 first is None and count == size, detail))
     return checks
 
 

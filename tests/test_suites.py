@@ -1,18 +1,28 @@
+import json
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
+from hypothesis import given, settings
 
 from oracles import (brute_cut_masks, brute_nf_masks, brute_nf_star_masks,
                      brute_perfect_matchings)
+from strategies import matching_covered_multigraphs
 
-from matchcover import suites
+from matchcover import kernels, suites
+from matchcover.cli import main
 from matchcover.constructions import complete_graph, cube_graph, petersen
-from matchcover.corpus import (CorpusEntry, build_corpus,
+from matchcover.corpus import (ORACLE_MAX_M, CorpusEntry, build_corpus,
                                random_matching_covered)
 from matchcover.ears import find_ear_decomposition
 from matchcover.errors import InvalidParameterError
+from matchcover.feasibility import parity_spaces
+from matchcover.gf2 import Gf2Subspace
 from matchcover.graph import boundary, map_mask
 from matchcover.matching import is_matching_covered
+from matchcover.span import MatchingSpan
 from matchcover.suites import (SUITES, _allowed_switch_classes,
                                _single_ear_spaces, _switch_class_check,
                                run_suite)
@@ -200,3 +210,125 @@ def test_ear_lemmas_check_names(seed):
               for check in (double if e.name in _DOUBLE_EAR else single)]
     assert [c.name for c in run_suite("ear-lemmas", seed=seed).checks] \
         == expect
+
+
+@given(matching_covered_multigraphs(max_extra=4))
+@settings(max_examples=60, deadline=None)
+def test_oracle_walk_matches_the_brute_nf_oracle(g):
+    # m <= 14, parallel edges included: the three routes agree on every
+    # edge set, and the PMs find as many non-feasible ones as the oracle
+    count, first = suites._oracle_walk(g, parity_spaces(g))
+    assert first is None
+    assert count == len(brute_nf_masks(g))
+
+
+def _lying_spaces(name, lie):
+    """parity_spaces, with the record of the corpus graph `name` replaced
+    by a copy that lie(ps) returns."""
+    small = {e.name: e.graph.edges for e in build_corpus(seed=0)}
+
+    def spaces(g):
+        ps = parity_spaces(g)
+        return lie(ps) if g.edges == small[name] else ps
+    return spaces
+
+
+def _copy(ps, **changes):
+    return MatchingSpan(*(changes.get(f, getattr(ps, f))
+                          for f in MatchingSpan._fields))
+
+
+def _drop_nf_row(ps):
+    # nF less its first basis row: nF is read once and then cached
+    rec = _copy(ps)
+    vars(rec)["nF"] = Gf2Subspace(ps.nF.ambient_dim, ps.nF.basis()[1:])
+    return rec
+
+
+kernels_enumerate = kernels.enumerate_perfect_matchings
+
+
+def _drop_pm(n, edges, cap):
+    """The enumeration kernel, less K4's last perfect matching."""
+    masks, complete = kernels_enumerate(n, edges, cap)
+    if list(edges) == list(complete_graph(4).edges):
+        masks = masks[:-1]
+    return masks, complete
+
+
+@pytest.mark.parametrize("name, patch, counts", [
+    ("brick-q3", lambda mp: mp.setattr(
+        suites, "parity_spaces", _lying_spaces("brick-q3", _drop_nf_row)),
+     "m=9 |nF|=64 algebraic=32"),
+    ("cube", lambda mp: mp.setattr(suites, "parity_spaces", _lying_spaces(
+        "cube", lambda ps: _copy(ps, pm_pairs=ps.pm_pairs[1:]))),
+     "m=12 |nF|=128 algebraic=128"),
+    ("complete-4", lambda mp: mp.setattr(
+        kernels, "enumerate_perfect_matchings", _drop_pm),
+     "m=6 |nF|=32 algebraic=16"),
+], ids=["nF-row-dropped", "PM-pair-dropped", "PM-dropped"])
+def test_oracle_nf_fails_when_one_route_lies(monkeypatch, capsys, name,
+                                             patch, counts):
+    # cube has dim D = 5, so its other four pairs still call some sets
+    # feasible, and the counts agree; K4 less one of its three PMs has
+    # twice as many non-feasible sets
+    patch(monkeypatch)
+    assert main(["verify", "oracle-nf"]) == 1
+    obj = json.loads(capsys.readouterr().out)
+    failed = [(c["name"], c["detail"]) for c in obj["checks"]
+              if not c["passed"]]
+    assert [c for c, _ in failed] == [f"oracle-agreement[{name}]"]
+    assert failed[0][1].startswith(f"{counts} routes disagree on [")
+
+
+_LISTS_A_NON_PM = textwrap.dedent("""
+    import sys
+    from matchcover import cli, kernels
+
+    real = kernels.enumerate_perfect_matchings
+
+    def lying(n, edges, cap):
+        # flipping edge 0 of a PM leaves n/2 - 1 or n/2 + 1 edges
+        masks, complete = real(n, edges, cap)
+        return [masks[0] ^ 1, *masks[1:]], complete
+
+    kernels.enumerate_perfect_matchings = lying
+    print("optimize", sys.flags.optimize)
+    sys.exit(cli.main(["verify", "oracle-nf"]))
+""")
+
+
+def test_oracle_nf_refuses_an_enumerated_set_that_is_no_pm():
+    # the re-check is no assert: it raises under `python -O` as well
+    proc = subprocess.run([sys.executable, "-O", "-c", _LISTS_A_NON_PM],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (5, "optimize 1\n")
+    assert proc.stderr == ("error: internal cross-check failed: the "
+                           "enumeration listed a set that is not a perfect "
+                           "matching\n")
+
+
+def test_oracle_nf_refuses_an_incomplete_enumeration(monkeypatch, capsys):
+    # a walk over some of the PMs would call feasible sets non-feasible
+    monkeypatch.setattr(kernels, "enumerate_perfect_matchings",
+                        lambda n, edges, cap: (kernels_enumerate(
+                            n, edges, cap)[0], False))
+    assert main(["verify", "oracle-nf"]) == 3
+    cap = capsys.readouterr()
+    assert (cap.out, cap.err) == ("", "error: the oracle needs every "
+                                      "perfect matching\n")
+
+
+def test_oracle_nf_enumerates_once_per_small_corpus_graph(monkeypatch):
+    calls = []
+
+    def counted(n, edges, cap):
+        calls.append((n, tuple(edges)))
+        return kernels_enumerate(n, edges, cap)
+
+    monkeypatch.setattr(kernels, "enumerate_perfect_matchings", counted)
+    assert run_suite("oracle-nf").passed
+    small = [(e.graph.n, e.graph.edges) for e in build_corpus(seed=0)
+             if e.graph.m <= ORACLE_MAX_M]
+    assert calls == small
+    assert len(calls) == 14
