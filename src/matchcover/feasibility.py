@@ -16,11 +16,14 @@ which show that every basis vector of nF meets all perfect matchings
 with one parity.
 
 Switching-equivalence (X ~ Y iff X xor Y is an edge cut) is decided both
-combinatorially, by `graph.cut_sides`, the traversal that also decides
-bipartiteness: it switches sides across the edges of X xor Y and so
-recovers U with X xor Y = boundary(U), re-checked by `boundary`; and by
-cut space membership.  Whenever two routes to one verdict disagree, the
-verdict is withheld and CrossCheckError is raised.
+combinatorially, by `graph.cut_witness` on the graph's breadth-first
+spanning forest, the one that also decides bipartiteness: U is the XOR
+of the vertex sets below the forest edges in X xor Y, and X xor Y is a
+cut iff the XOR of U's stars is X xor Y; and by membership in the cut
+space, whose basis comes from a second forest, the id-least one, so
+that a fault in either forest shows as a disagreement.  Whenever two
+routes to one verdict disagree, the verdict is withheld and
+CrossCheckError is raised.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import NamedTuple, Optional
 from .errors import (CrossCheckError, DimensionMismatch, InvalidParameterError,
                      NoPerfectMatchingError)
 from .gf2 import subspace_equal
-from .graph import EdgeSet, Graph, VertexSet, boundary, cut_sides
+from .graph import EdgeSet, Graph, VertexSet, cut_witness
 from .span import MatchingSpan, matching_span, require_matching_covered
 
 
@@ -106,13 +109,7 @@ class SwitchVerdict(NamedTuple):
 
 def is_switch_equiv_empty(g: Graph, x: EdgeSet) -> SwitchVerdict:
     """Is x an edge cut boundary(U)?  Recovers U combinatorially."""
-    if x.size != g.m:
-        raise DimensionMismatch(f"edge spaces differ: {x.size} vs {g.m}")
-    side, _, conflict = cut_sides(g, x.mask)
-    witness = None if conflict else VertexSet(
-        sum(1 << v for v, s in enumerate(side) if s), g.n)
-    if witness is not None and boundary(g, witness).mask != x.mask:
-        raise CrossCheckError("switching witness has the wrong boundary")
+    witness = cut_witness(g, x)
     if g.cut_space().contains(x.mask) != (witness is not None):
         raise CrossCheckError("combinatorial and GF(2) routes disagree on "
                               f"whether {sorted(x.ids())} is a cut")

@@ -6,15 +6,22 @@ distinguishable.  All values are immutable after construction.  One
 routine cuts every derived graph (`Graph.delete`, `Graph.edge_subgraph`):
 a fresh graph, its old-id -> new-id edge and vertex maps, and the
 parent's DP order restricted to the kept vertices.  One breadth-first
-side assignment (`cut_sides`) answers every "is X an edge cut?"
-question, bipartiteness being X = E, and connectivity too: with X empty
-it starts one search per component.  Vertex connectivity is Even's test
-on the sorted neighbour lists of the simple graph underneath: vertices in
-breadth-first order from a least-degree vertex, a flow between each
-non-adjacent pair of the first k, then a fan from each later vertex to
-the vertices placed before it, through a hub joined to them.  Each is an
-augmenting-path search for internally disjoint paths, kept as
-predecessor and successor arrays.
+spanning forest per graph, searched once and kept on the graph, answers
+connectivity (one root), bipartiteness (the depth parities, or an odd
+walk through the first edge whose ends share one) and every "is X an
+edge cut?" question: U is the XOR of the vertex sets below the forest
+edges in X, and X is a cut iff the XOR of U's stars is X, so a question
+costs bit operations and no search.  Its masks are filled at the first
+cut question only.  `Graph.cut_space` writes its basis down from a
+second forest, the id-least one, so that the GF(2) route that checks
+each cut verdict shares no forest with it.
+
+Vertex connectivity is Even's test on the sorted neighbour lists of the
+simple graph underneath: vertices in breadth-first order from a
+least-degree vertex, a flow between each non-adjacent pair of the first
+k, then a fan from each later vertex to the vertices placed before it,
+through a hub joined to them.  Each is an augmenting-path search for
+internally disjoint paths, kept as predecessor and successor arrays.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ class _BitSet:
 
     __slots__ = ("mask", "size")
     kind: ClassVar[str]
+    kinds: ClassVar[str]                # the plural, for messages
 
     def __init__(self, mask: int, size: int):
         object.__setattr__(self, "mask", mask)
@@ -76,7 +84,9 @@ class _BitSet:
         for i in ids:
             if not 0 <= i < size:
                 raise DimensionMismatch(
-                    f"{cls.kind} id {i} outside 0..{size - 1}")
+                    f"{cls.kind} id {i} outside 0..{size - 1}" if size else
+                    f"{cls.kind} id {i} given, but the graph has no "
+                    f"{cls.kinds}")
             mask |= 1 << i
         return cls(mask, size)
 
@@ -107,6 +117,7 @@ class EdgeSet(_BitSet):
 
     __slots__ = ()
     kind: ClassVar[str] = "edge"
+    kinds: ClassVar[str] = "edges"
 
     def __and__(self, other: "EdgeSet") -> "EdgeSet":
         self._check(other)
@@ -122,6 +133,7 @@ class VertexSet(_BitSet):
 
     __slots__ = ()
     kind: ClassVar[str] = "vertex"
+    kinds: ClassVar[str] = "vertices"
 
 
 def _integer(x) -> int:
@@ -185,12 +197,13 @@ def _tree_cuts(g: "Graph") -> list[int]:
 class Graph:
     """Loopless undirected multigraph; vertices 0..n-1, edge ids 0..m-1."""
 
-    # _connected: the memo of is_connected;
+    # _forest: the memo of the spanning forest that is_connected,
+    # is_bipartite, boundary and cut_witness read;
     # _span: the memo of span.matching_span and feasibility.parity_spaces;
     # _order: the span DP's vertex order, set by span._vertex_order or
     # handed down, restricted, to the subgraphs cut from this graph
     __slots__ = ("n", "edges", "vertex_labels", "edge_labels", "_adj", "_cut",
-                 "_connected", "_span", "_order")
+                 "_forest", "_span", "_order")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  vertex_labels: Optional[dict] = None,
@@ -214,7 +227,7 @@ class Graph:
         object.__setattr__(self, "edge_labels", dict(edge_labels or {}))
         object.__setattr__(self, "_adj", None)
         object.__setattr__(self, "_cut", None)
-        object.__setattr__(self, "_connected", None)
+        object.__setattr__(self, "_forest", None)
         object.__setattr__(self, "_span", None)
         object.__setattr__(self, "_order", None)
 
@@ -312,56 +325,120 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def boundary(g: Graph, u: VertexSet) -> EdgeSet:
-    """Edge boundary: edges with exactly one endpoint in u."""
-    if u.size != g.n:
-        raise DimensionMismatch("vertex set bound to a different graph")
-    mask = 0
-    um = u.mask
-    for eid, (a, b) in enumerate(g.edges):
-        if (um >> a & 1) != (um >> b & 1):
-            mask |= 1 << eid
-    return EdgeSet(mask, g.m)
+class _Forest:
+    """A graph's breadth-first spanning forest: each component from its
+    least vertex, neighbours in edge-id order.  The search keeps each
+    vertex's side (its depth mod 2), the tree edge above it (-1 at a
+    root), the vertices below a root in search order, the number of roots
+    and the first edge (v, w), met from v, whose ends share a side.  The
+    masks are filled by `_forest_masks` at the first cut question: the
+    tree edges, the vertices below each tree edge (0 at other edges) and
+    each vertex's star."""
+
+    __slots__ = ("side", "above", "order", "roots", "conflict",
+                 "tree", "below", "stars")
+
+    def __init__(self, side: list[int], above: list[int], order: list[int],
+                 roots: int, conflict: Optional[tuple[int, int]]):
+        self.side, self.above, self.order = side, above, order
+        self.roots, self.conflict = roots, conflict
+        self.tree = self.below = self.stars = None
 
 
-def is_connected(g: Graph) -> bool:
-    """`cut_sides` of no edges starts one search per component, at the -1
-    parents; connected iff it starts at most one.  Answered once per
-    graph."""
-    connected = object.__getattribute__(g, "_connected")
-    if connected is None:
-        connected = cut_sides(g, 0)[1].count(-1) <= 1
-        object.__setattr__(g, "_connected", connected)
-    return connected
+def _forest(g: Graph) -> _Forest:
+    """g's spanning forest, searched once per graph."""
+    forest = object.__getattribute__(g, "_forest")
+    if forest is None:
+        forest = _search_forest(g)
+        object.__setattr__(g, "_forest", forest)
+    return forest
 
 
-def cut_sides(g: Graph, x_mask: int
-              ) -> tuple[list[int], list[int], Optional[tuple[int, int]]]:
-    """One BFS of g that puts every vertex on side 0 or 1, crossing sides
-    on exactly the edges of x_mask, each component starting on side 0 at
-    its least vertex.  Returns the sides, the BFS parents (-1 at each
-    start) and the first edge (v, w), met from v, whose ends the sides
-    contradict; the search stops there.  With no such edge, x_mask is
-    boundary(U) for U the side-1 vertices; with x_mask = E, the sides
-    2-colour g.
-    """
+def _search_forest(g: Graph) -> _Forest:
+    """The one breadth-first search of g behind `_forest`."""
     adj = g.adjacency()
-    side, parent = [-1] * g.n, [-1] * g.n
+    side, above, order = [-1] * g.n, [-1] * g.n, []
+    roots, conflict = 0, None
     for s in range(g.n):
         if side[s] >= 0:
             continue
+        roots += 1
         side[s] = 0
         queue = [s]
         for v in queue:
             sv = side[v]
             for w, eid in adj[v]:
-                sw = sv ^ (x_mask >> eid & 1)
-                if side[w] < 0:
-                    side[w], parent[w] = sw, v
+                sw = side[w]
+                if sw < 0:
+                    side[w], above[w] = sv ^ 1, eid
                     queue.append(w)
-                elif side[w] != sw:
-                    return side, parent, (v, w)
-    return side, parent, None
+                elif sw == sv and conflict is None:
+                    conflict = (v, w)
+        # roots stay out of order, which needs only the vertices below
+        # tree edges: a kept int per isolated vertex would add up
+        order += queue[1:]
+    return _Forest(side, above, order, roots, conflict)
+
+
+def _forest_masks(g: Graph) -> _Forest:
+    """g's spanning forest with its masks, filled once per graph."""
+    forest = _forest(g)
+    if forest.stars is None:
+        stars, below, sub = [0] * g.n, [0] * g.m, [0] * g.n
+        for eid, (u, v) in enumerate(g.edges):
+            bit = 1 << eid
+            stars[u] |= bit
+            stars[v] |= bit
+        tree = 0
+        for v in reversed(forest.order):       # children first
+            t = forest.above[v]
+            a, b = g.edges[t]
+            below[t] = sub[v] | 1 << v
+            sub[a ^ b ^ v] |= below[t]         # a ^ b ^ v: v's parent
+            tree |= 1 << t
+        forest.tree, forest.below, forest.stars = tree, below, stars
+    return forest
+
+
+def _xor_rows(rows: list[int], mask: int) -> int:
+    """The XOR of rows[i] over the set bits i of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out ^= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def boundary(g: Graph, u: VertexSet) -> EdgeSet:
+    """Edge boundary: edges with exactly one endpoint in u, the XOR of
+    u's stars."""
+    if u.size != g.n:
+        raise DimensionMismatch("vertex set bound to a different graph")
+    return EdgeSet(_xor_rows(_forest_masks(g).stars, u.mask), g.m)
+
+
+def cut_witness(g: Graph, x: EdgeSet) -> Optional[VertexSet]:
+    """U with x = boundary(U), or None when x is no edge cut.
+
+    U is the set of vertices whose forest path from their root holds an
+    odd number of x's edges: the XOR of the vertex sets below the tree
+    edges in x.  Each component's root is outside U, and if x is any cut
+    boundary(W), U is W or its complement within each component, so x is
+    a cut iff the XOR of U's stars is x.
+    """
+    if x.size != g.m:
+        raise DimensionMismatch(f"edge spaces differ: {x.size} vs {g.m}")
+    forest = _forest_masks(g)
+    u = _xor_rows(forest.below, x.mask & forest.tree)
+    if _xor_rows(forest.stars, u) != x.mask:
+        return None
+    return VertexSet(u, g.n)
+
+
+def is_connected(g: Graph) -> bool:
+    """Connected iff the spanning forest has at most one root."""
+    return _forest(g).roots <= 1
 
 
 class BipartiteResult(NamedTuple):
@@ -371,21 +448,26 @@ class BipartiteResult(NamedTuple):
 
 
 def is_bipartite(g: Graph) -> BipartiteResult:
-    """2-colour the graph by `cut_sides` of E, or return an odd closed
-    walk as a witness."""
-    side, parent, conflict = cut_sides(g, (1 << g.m) - 1)
-    if conflict:
-        return BipartiteResult(False, None, _odd_cycle(parent, *conflict))
-    return BipartiteResult(True, tuple(side), None)
+    """2-colour the graph by the spanning forest's sides, or return an odd
+    closed walk through its first same-side edge as a witness."""
+    forest = _forest(g)
+    if forest.conflict:
+        return BipartiteResult(False, None, _odd_cycle(g, forest,
+                                                       *forest.conflict))
+    return BipartiteResult(True, tuple(forest.side), None)
 
 
-def _odd_cycle(parent: list[int], u: int, v: int) -> tuple[int, ...]:
-    """Odd cycle through BFS-tree paths of u and v plus the edge uv."""
-    pu, pv = [u], [v]
-    while parent[pu[-1]] != -1:
-        pu.append(parent[pu[-1]])
-    while parent[pv[-1]] != -1:
-        pv.append(parent[pv[-1]])
+def _odd_cycle(g: Graph, forest: _Forest, u: int, v: int
+               ) -> tuple[int, ...]:
+    """Odd cycle through the forest paths of u and v plus the edge uv."""
+    def path(x: int) -> list[int]:
+        out = [x]
+        while forest.above[x] != -1:
+            a, b = g.edges[forest.above[x]]
+            x = a ^ b ^ x                      # the parent
+            out.append(x)
+        return out
+    pu, pv = path(u), path(v)
     on_pv = set(pv)
     lca = next(x for x in pu if x in on_pv)
     a = pu[:pu.index(lca) + 1]      # u .. lca

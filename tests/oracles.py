@@ -15,8 +15,10 @@ a span DP on the remainder of every candidate ear in turn; the package
 now decides single ears by dependence masks and runs one DP per ear.
 The switching witness oracle is the package's earlier route, which
 2-coloured the components of g minus the set (labelled here by a
-traversal of its own); the package now switches sides across the set in
-one traversal of g.
+traversal of its own).  The reference BFS is the package's next route,
+one search of g per question that switched sides across the set's
+edges; the package now reads one spanning forest per graph, searched in
+the same order, and takes the sides from bit masks of its subtrees.
 """
 
 from __future__ import annotations
@@ -182,6 +184,49 @@ def component_switch_witness(g: Graph, edge_ids) -> Optional[int]:
                 elif side[b] == side[a]:
                     return None
     return sum(1 << v for v in range(g.n) if side[comp_of[v]] == 1)
+
+
+def reference_cut_sides(g: Graph, x_mask: int
+                        ) -> tuple[list[int], list[int],
+                                   Optional[tuple[int, int]]]:
+    """One BFS of g per question, each component from its least vertex,
+    neighbours in edge-id order, that puts every vertex on side 0 or 1,
+    crossing sides on exactly the edges of x_mask.  Returns the sides, the
+    BFS parents (-1 at each start) and the first edge (v, w), met from v,
+    whose ends the sides contradict; the search stops there."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for eid, (u, v) in enumerate(g.edges):
+        adj[u].append((v, eid))
+        adj[v].append((u, eid))
+    side, parent = [-1] * g.n, [-1] * g.n
+    for s in range(g.n):
+        if side[s] >= 0:
+            continue
+        side[s] = 0
+        queue = [s]
+        for v in queue:
+            for w, eid in adj[v]:
+                sw = side[v] ^ (x_mask >> eid & 1)
+                if side[w] < 0:
+                    side[w], parent[w] = sw, v
+                    queue.append(w)
+                elif side[w] != sw:
+                    return side, parent, (v, w)
+    return side, parent, None
+
+
+def reference_odd_cycle(parent: list[int], u: int, v: int
+                        ) -> tuple[int, ...]:
+    """The odd cycle through the BFS-tree paths of u and v and the edge
+    uv, from their least common ancestor."""
+    pu, pv = [u], [v]
+    while parent[pu[-1]] != -1:
+        pu.append(parent[pu[-1]])
+    while parent[pv[-1]] != -1:
+        pv.append(parent[pv[-1]])
+    lca = next(x for x in pu if x in pv)
+    return (tuple(reversed(pu[:pu.index(lca) + 1]))
+            + tuple(pv[:pv.index(lca)]))
 
 
 def brute_delete(g: Graph, drop_v, drop_e):

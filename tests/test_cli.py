@@ -256,6 +256,22 @@ def test_input_errors_exit_2_with_one_line(argv, k4_file, tmp_path, capsys):
     assert captured.err.count("\n") == 1, captured.err
 
 
+@pytest.mark.parametrize("n, edges, err", [
+    pytest.param(2, "0", "edge id 0 given, but the graph has no edges",
+                 id="edgeless"),
+    pytest.param(0, "-1", "edge id -1 given, but the graph has no edges",
+                 id="no-vertices"),
+    pytest.param(4, "0,7", "edge id 7 outside 0..1", id="two-edges"),
+])
+def test_edge_id_out_of_range_names_the_edge_space(tmp_path, capsys, n,
+                                                   edges, err):
+    p = tmp_path / "g.json"
+    write_graph(Graph(n, [(0, 1), (2, 3)] if n == 4 else []), str(p))
+    assert main(["feasible", str(p), "--edges", edges]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {err}\n"
+
+
 def test_construct_cycle_runs_one_dp_on_the_shared_part(dp_runs, capsys):
     # the five parts share one q4 graph, whose equivalent set each checks
     assert main(["construct", "cycle", "--r", "4", "--k", "5",

@@ -321,8 +321,7 @@ def test_nf_star_report_matches_oracle_on_random_multigraphs(g):
 # check still raised.  Run under `python -O`, where asserts are stripped.
 _LYING_ROUTES = textwrap.dedent("""
     import sys
-    from matchcover import (cli, ears, feasibility, gf2, graph, kernels,
-                            matching)
+    from matchcover import cli, ears, gf2, graph, kernels, matching
     from matchcover.constructions import (chromatic_index_exact,
                                           complete_graph, cube_graph, petersen)
     from matchcover.ears import (classify_nf_star, find_ear_decomposition,
@@ -507,10 +506,16 @@ _LYING_ROUTES = textwrap.dedent("""
     kernels._kempe_coloring = lambda n, edges, colors: [1] * len(edges)
     expect("Kempe-chain colouring",
            lambda: chromatic_index_exact(cube_graph()))
-    # a boundary that comes out empty for the witness of a real cut
-    feasibility.boundary = lambda h, u: EdgeSet(0, h.m)
-    expect("switch witness", lambda: is_switch_equiv_empty(
-        g, real_boundary(g, g.vertex_set((0, 1, 2)))))
+    # the forest memo of a fresh Petersen graph with the vertex sets below
+    # its tree edges, or its stars, all empty: the witness of a real cut
+    # then has the wrong boundary
+    cut = real_boundary(g, g.vertex_set((0, 1, 2)))
+    for field in ("below", "stars"):
+        h = petersen()
+        forest = graph._forest_masks(h)
+        setattr(forest, field, [0] * len(getattr(forest, field)))
+        expect(f"switch witness from {field}",
+               lambda: is_switch_equiv_empty(h, cut))
     print("optimize", sys.flags.optimize)
 """)
 
@@ -538,7 +543,8 @@ def test_cross_checks_raise_under_python_O():
         "fan path to an unplaced vertex raised",
         "chromatic_index_exact raised", "Vizing bound raised",
         "Kempe-chain colouring raised",
-        "switch witness raised", "optimize 1", ""]
+        "switch witness from below raised",
+        "switch witness from stars raised", "optimize 1", ""]
 
 
 def test_no_assert_statement_in_the_package():

@@ -11,19 +11,21 @@ from hypothesis import strategies as st
 
 from oracles import (brute_delete, brute_edge_subgraph,
                      brute_switch_equiv_empty,
-                     brute_vertex_connectivity_at_least)
+                     brute_vertex_connectivity_at_least, reference_cut_sides,
+                     reference_odd_cycle)
 from strategies import multigraphs
 
 from matchcover import graph
 from matchcover.cli import analyze_graph
 from matchcover.errors import DimensionMismatch, InvalidParameterError
+from matchcover.feasibility import is_switch_equiv_full
 from matchcover.gf2 import Gf2Subspace
 from matchcover.graph import (
     EdgeSet,
     Graph,
     VertexSet,
     boundary,
-    cut_sides,
+    cut_witness,
     is_bipartite,
     is_connected,
     vertex_connectivity_at_least,
@@ -151,6 +153,19 @@ def test_boundary_is_cut():
     assert cut == cut2
 
 
+def test_ids_outside_an_empty_space_say_it_is_empty():
+    g = Graph(0, [])
+    with pytest.raises(DimensionMismatch, match="^edge id 0 given, but the "
+                       "graph has no edges$"):
+        g.edge_set((0,))
+    with pytest.raises(DimensionMismatch, match="^vertex id 1 given, but "
+                       "the graph has no vertices$"):
+        g.vertex_set((1,))
+    with pytest.raises(DimensionMismatch,
+                       match=r"^vertex id 2 outside 0\.\.1$"):
+        Graph(2, []).vertex_set((2,))
+
+
 def test_is_connected():
     g = Graph(4, [(0, 1), (2, 3)])
     assert not is_connected(g)
@@ -200,19 +215,17 @@ def test_bipartite_detection_and_odd_walk():
 
 @given(multigraphs(max_edges=16), st.randoms(use_true_random=False))
 @settings(max_examples=200, deadline=None)
-def test_cut_sides_and_bipartite_match_the_cut_search(g, rng):
+def test_forest_and_bipartite_match_the_cut_search(g, rng):
     # random sets and planted cuts boundary(V) against the 2^n search
     x = (EdgeSet(rng.getrandbits(g.m), g.m) if rng.random() < 0.5 else
          boundary(g, VertexSet(rng.getrandbits(g.n), g.n)))
     pairs = {frozenset(e) for e in g.edges}
-    side, parent, conflict = cut_sides(g, x.mask)
-    assert (conflict is None) == brute_switch_equiv_empty(g, x.ids())
-    assert conflict is None or frozenset(conflict) in pairs
-    assert all(p == -1 or frozenset((v, p)) in pairs
-               for v, p in enumerate(parent))
-    if conflict is None:
-        assert boundary(g, g.vertex_set(
-            v for v in range(g.n) if side[v])) == x
+    witness = cut_witness(g, x)
+    assert (witness is not None) == brute_switch_equiv_empty(g, x.ids())
+    if witness is not None:
+        assert EdgeSet(sum(1 << eid for eid, (u, v) in enumerate(g.edges)
+                           if (witness.mask >> u ^ witness.mask >> v) & 1),
+                       g.m) == x
     res = is_bipartite(g)
     assert res.bipartite == g.cut_space().contains(g.full_edge_set().mask)
     if res.bipartite:
@@ -222,6 +235,55 @@ def test_cut_sides_and_bipartite_match_the_cut_search(g, rng):
         assert len(walk) % 2 == 1
         assert all(frozenset((walk[i], walk[(i + 1) % len(walk)])) in pairs
                    for i in range(len(walk)))
+
+
+@st.composite
+def _scattered_multigraphs(draw):
+    """Up to 10 vertices: two multigraphs of at most four vertices side
+    by side, each with up to two parallel copies, and up to two isolated
+    vertices, relabelled by a drawn permutation, so that the components'
+    least vertices and the isolated vertices fall anywhere."""
+    edges, n = [], 0
+    for _ in range(2):
+        k = draw(st.integers(1, 4))
+        pairs = [(n + u, n + v) for u in range(k) for v in range(u + 1, k)]
+        simple = draw(st.lists(st.sampled_from(pairs), unique=True)) \
+            if pairs else []
+        edges += simple + (draw(st.lists(st.sampled_from(simple),
+                                         max_size=2)) if simple else [])
+        n += k
+    n += draw(st.integers(0, 2))
+    label = draw(st.permutations(range(n)))
+    order = draw(st.permutations(range(len(edges))))
+    return Graph(n, [(label[edges[i][0]], label[edges[i][1]])
+                     for i in order])
+
+
+@given(_scattered_multigraphs(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_forest_matches_the_reference_bfs(g, rng):
+    # the memo against one BFS per question: the same witness U, the same
+    # colouring and odd walk, the same connectivity, and cut verdicts
+    # that the 2^n search confirms, on a planted cut and a random set
+    u = rng.getrandbits(g.n)
+    planted = sum(1 << eid for eid, (a, b) in enumerate(g.edges)
+                  if (u >> a ^ u >> b) & 1)
+    for x in (planted, rng.getrandbits(g.m)):
+        side, _, conflict = reference_cut_sides(g, x)
+        witness = cut_witness(g, EdgeSet(x, g.m))
+        assert (witness is None) == (conflict is not None)
+        assert (witness is not None) == brute_switch_equiv_empty(
+            g, EdgeSet(x, g.m).ids())
+        if witness is not None:
+            assert witness.mask == sum(1 << v for v in range(g.n) if side[v])
+    side, parent, conflict = reference_cut_sides(g, (1 << g.m) - 1)
+    res = is_bipartite(g)
+    assert res.bipartite == (conflict is None)
+    if conflict is None:
+        assert res.coloring == tuple(side)
+    else:
+        assert res.odd_walk == reference_odd_cycle(parent, *conflict)
+    assert is_connected(g) == (reference_cut_sides(g, 0)[1].count(-1) <= 1)
 
 
 def test_vertex_connectivity_petersen():
@@ -401,14 +463,53 @@ def test_analyze_traverses_the_graph_once(monkeypatch):
     g = _family_graph("star", 4, 4)
     g = Graph(g.n, g.edges)
     calls = []
-    sides = graph.cut_sides
-    monkeypatch.setattr(graph, "cut_sides", lambda h, x_mask: calls.append(
-        (h, x_mask)) or sides(h, x_mask))
+    search = graph._search_forest
+    monkeypatch.setattr(graph, "_search_forest", lambda h: calls.append(
+        h) or search(h))
     rep = analyze_graph(g)
     assert rep.connected and rep.vertex_connectivity_checked == 4
-    # is_connected's one search: the span DP's test and Even's test read
-    # its memo
-    assert [call for call in calls if call[1] == 0] == [(g, 0)]
+    assert rep.bipartite is False
+    # one search of g: is_connected, the span DP's test, Even's test and
+    # is_bipartite read its memo
+    assert [h for h in calls if h is g] == [g]
+
+
+class _CountedReads:
+    """A list of neighbour lists that counts each read of one."""
+
+    def __init__(self, lists, reads):
+        self.lists, self.reads = lists, reads
+
+    def __len__(self):
+        return len(self.lists)
+
+    def __getitem__(self, x):
+        self.reads.append(x)
+        return self.lists[x]
+
+
+def test_switching_queries_read_one_forest(monkeypatch):
+    # one forest search per graph, which reads each neighbour list once;
+    # the switching tests, boundaries, colouring and connectivity after
+    # it read none
+    q4 = build_qr(4)
+    g = build_star_xs([StarPart(q4.graph, q4.coloring) for _ in range(4)]
+                      ).graph
+    g = Graph(g.n, g.edges)
+    reads, calls = [], []
+    object.__setattr__(g, "_adj", _CountedReads(g.adjacency(), reads))
+    search = graph._search_forest
+    monkeypatch.setattr(graph, "_search_forest", lambda h: calls.append(
+        h) or search(h))
+    rng = random.Random(7)
+    for _ in range(200):
+        cut = boundary(g, VertexSet(rng.getrandbits(g.n), g.n))
+        for x in (cut, cut ^ g.edge_set((rng.randrange(g.m),))):
+            assert (cut_witness(g, x) is not None) == (x == cut)
+        assert is_switch_equiv_full(g, cut).equivalent is False
+    assert is_connected(g) and not is_bipartite(g).bipartite
+    assert calls == [g]
+    assert sorted(reads) == list(range(g.n))
 
 
 @given(multigraphs(max_edges=20))
@@ -433,20 +534,8 @@ def test_connectivity_runs_one_local_flow_per_vertex(monkeypatch, build, k):
     g = build()
     calls, reads = [], []
     flow = graph._vertex_flow
-
-    class Reads:
-        def __init__(self, lists):
-            self.lists = lists
-
-        def __len__(self):
-            return len(self.lists)
-
-        def __getitem__(self, x):
-            reads.append(1)
-            return self.lists[x]
-
     monkeypatch.setattr(graph, "_vertex_flow", lambda nbrs, *args: (
-        calls.append(1) or flow(Reads(nbrs), *args)))
+        calls.append(1) or flow(_CountedReads(nbrs, reads), *args)))
     assert vertex_connectivity_at_least(g, k).ok
     assert len(calls) <= k * (k - 1) // 2 + g.n - k
     assert len(reads) <= 10 * k * g.n
