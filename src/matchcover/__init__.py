@@ -50,9 +50,11 @@ from .feasibility import (
 )
 from .ears import (
     EarDecomposition,
+    LastEar,
     classify_nf_star,
     find_ear_decomposition,
     find_single_ear_decomposition,
+    last_ear,
     validate_decomposition,
 )
 from .constructions import (

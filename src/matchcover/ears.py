@@ -29,7 +29,9 @@ Theory, 1986) every matching-covered graph but K2 has an ear
 decomposition, of single ears only when bipartite, whose last ear is a
 candidate (its ends have degree >= 3 unless the graph is an even cycle),
 so a matching-covered remainder always has a removable ear; if none is
-found, CrossCheckError is raised.
+found, CrossCheckError is raised.  `last_ear` takes the first step
+alone: the ear the decomposition adds last and the prefix G_{r-1} it is
+added to, which is all the ear lemmas relate G to.
 
 Validation instead uses the ear lemma, answered by the blossom kernel of
 `matching.py` from a perfect matching of G_{i-1} carried along the
@@ -229,6 +231,43 @@ def find_ear_decomposition(g: Graph) -> EarDecomposition:
     """An ear decomposition of a matching-covered graph (always exists)."""
     require_matching_covered(g)
     return _peel(g)
+
+
+class LastEar(NamedTuple):
+    """The ear that `find_ear_decomposition` adds last, in g's ids, and
+    the prefix G_{r-1} it is added to, with the old->new edge- and
+    vertex-id maps of g into the prefix."""
+    ear: Ear
+    prefix: Graph
+    emap: dict[int, int]
+    vmap: dict[int, int]
+
+
+def last_ear(g: Graph) -> Optional[LastEar]:
+    """The last ear of g's ear decomposition, from the first step of the
+    peel alone, or None when g is K2 and has no ear.
+
+    The prefix is the remainder that step cut from g, the graph that
+    `g.edge_subgraph(d.prefix_edges(d.r - 1))` gives: both keep g's
+    edges in ascending order, g's vertices in ascending order and g's DP
+    order, so the DP the step ran to re-check the remainder is its DP.
+    """
+    require_matching_covered(g)
+    if g.n == 2 and g.m == 1:
+        return None
+    chains, h = _next_ear(g)
+    drop_v = {v for c in chains for v in c[2]}
+    drop_e = {e for c in chains for e in c[3]}
+    vmap = {v: i for i, v in enumerate(
+        v for v in range(g.n) if v not in drop_v)}
+    emap = {e: i for i, e in enumerate(
+        e for e in range(g.m) if e not in drop_e)}
+    if h.n != len(vmap) or h.edges != tuple(
+            (vmap.get(u), vmap.get(v)) for u, v in (g.edges[e] for e in emap)):
+        raise CrossCheckError("ear removal lost track of ids")
+    ear = Ear("single" if len(chains) == 1 else "double",
+              tuple(EarPath(*c) for c in chains))
+    return LastEar(ear, h, emap, vmap)
 
 
 class SingleEarOutcome(NamedTuple):

@@ -220,7 +220,9 @@ class Graph:
             if u == v:
                 raise InvalidParameterError(f"loop at vertex {u} not allowed")
             if not (0 <= u < n and 0 <= v < n):
-                raise InvalidParameterError(f"edge ({u},{v}) outside 0..{n - 1}")
+                raise InvalidParameterError(
+                    f"edge ({u},{v}) outside 0..{n - 1}" if n else
+                    f"edge ({u},{v}) given, but the graph has no vertices")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "vertex_labels", dict(vertex_labels or {}))

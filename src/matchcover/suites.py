@@ -6,6 +6,9 @@ machinery, ear lemmas, construction certificates).  Each suite takes
 the corpus entries and returns its named pass/fail checks; `run_suite`
 builds the corpus for a seed and wraps the checks in a machine-readable
 report.  The CLI `verify` command and the test suite both run these.
+`ear-classify` finds and validates each graph's whole ear decomposition;
+the ear lemmas relate G only to G less its last ear, so `ear-lemmas`
+reads that ear and the prefix it is added to from one peel step.
 
 A lemma that holds for every member of a subspace is checked as one
 statement about subspaces: a containment of basis rows, an equality of
@@ -40,9 +43,11 @@ from .feasibility import (
 from .gf2 import Gf2Subspace, complement
 from .graph import EdgeSet, Graph, boundary, is_bipartite, map_mask
 from .ears import (
+    LastEar,
     case_iv_space,
     classify_nf_star,
     find_ear_decomposition,
+    last_ear,
     validate_decomposition,
 )
 from .matching import (enumerate_perfect_matchings, is_matching_covered,
@@ -206,12 +211,17 @@ def suite_ear_classify(entries: list[CorpusEntry]) -> list[SuiteCheck]:
 
 
 def suite_ear_lemmas(entries: list[CorpusEntry]) -> list[SuiteCheck]:
-    """Restriction/extension lemmas along every found ear decomposition."""
+    """The restriction, extension and switch-class lemmas, which relate G
+    only to G_{r-1}, G less its last ear.  Each graph's checks read the
+    last ear of the decomposition `decompose` finds, and the prefix it is
+    added to, from one peel step (`last_ear`); K2 has no ear and gets no
+    check.  The whole peel, with its own cross-checks, runs on every
+    corpus graph in `ear-classify`."""
     checks = []
     for entry in entries:
-        g = entry.graph
-        d = find_ear_decomposition(g)
-        checks.extend(_lemma_checks(entry.name, g, d))
+        step = last_ear(entry.graph)
+        if step is not None:
+            checks.extend(_lemma_checks(entry.name, entry.graph, step))
     return checks
 
 
@@ -299,11 +309,9 @@ def _switch_class_check(g: Graph, gp: Graph, back: dict[int, int],
     return classes.issuperset(members), image.dim
 
 
-def _lemma_checks(name: str, g: Graph, d) -> list[SuiteCheck]:
+def _lemma_checks(name: str, g: Graph, step: LastEar) -> list[SuiteCheck]:
     checks = []
-    last = d.ears[-1]
-    prev_ids = d.prefix_edges(d.r - 1)
-    gp, emap, vmap = g.edge_subgraph(prev_ids)
+    last, gp, emap, vmap = step
     # sub-id -> original-id for lifting subsets back into g's edge space
     back = {v: k for k, v in emap.items()}
     ps_g = parity_spaces(g)
@@ -333,8 +341,8 @@ def _lemma_checks(name: str, g: Graph, d) -> list[SuiteCheck]:
         # when neither path alone keeps the graph matching-covered,
         # emptiness is decided by bipartiteness of the smaller graph
         p1, p2 = (p.edge_ids for p in last.paths)
-        half1, _, _ = g.edge_subgraph(tuple(prev_ids) + p1)
-        half2, _, _ = g.edge_subgraph(tuple(prev_ids) + p2)
+        half1, _, _ = g.edge_subgraph((*emap, *p1))
+        half2, _, _ = g.edge_subgraph((*emap, *p2))
         if (not is_matching_covered(half1).covered
                 and not is_matching_covered(half2).covered):
             rep = nf_star_report(g)

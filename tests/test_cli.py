@@ -272,6 +272,20 @@ def test_edge_id_out_of_range_names_the_edge_space(tmp_path, capsys, n,
     assert captured.out == "" and captured.err == f"error: {err}\n"
 
 
+@pytest.mark.parametrize("name, text", [
+    ("g.txt", "0 1\n0 1\n"),
+    ("g.json", '{"n": 0, "edges": [[0, 1]]}'),
+], ids=["edgelist", "json"])
+def test_an_edge_in_a_graph_with_no_vertices_exits_2(tmp_path, capsys, name,
+                                                      text):
+    p = tmp_path / name
+    p.write_text(text)
+    assert main(["analyze", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: edge (0,1) given, but the graph has no vertices\n")
+
+
 def test_construct_cycle_runs_one_dp_on_the_shared_part(dp_runs, capsys):
     # the five parts share one q4 graph, whose equivalent set each checks
     assert main(["construct", "cycle", "--r", "4", "--k", "5",

@@ -36,6 +36,7 @@ from matchcover.ears import (
     find_single_ear_decomposition,
     validate_decomposition,
 )
+from matchcover.errors import CrossCheckError
 from matchcover.feasibility import is_feasible, nf_star_report, parity_spaces
 from matchcover.formats import write_graph
 from matchcover.gf2 import Gf2Subspace
@@ -384,6 +385,13 @@ def test_decompose_output_is_pinned(name, digest, tmp_path, capsys):
 @settings(max_examples=60, deadline=None)
 def test_peel_matches_the_candidate_dp_oracle_on_random_multigraphs(g):
     assert ears._peel(g) == brute_peel(g)
+
+
+def test_last_ear_checks_the_ids_of_its_prefix(monkeypatch):
+    # a remainder that still holds the ear does not match the id maps
+    monkeypatch.setattr(ears, "_remainder", lambda h, chains: h)
+    with pytest.raises(CrossCheckError, match="lost track of ids"):
+        ears.last_ear(petersen())
 
 
 def test_ear_search_runs_about_one_dp_per_ear(dp_runs):

@@ -166,6 +166,15 @@ def test_ids_outside_an_empty_space_say_it_is_empty():
         Graph(2, []).vertex_set((2,))
 
 
+def test_an_edge_of_a_graph_with_no_vertices_says_so():
+    with pytest.raises(InvalidParameterError, match=r"^edge \(0,1\) given, "
+                       "but the graph has no vertices$"):
+        Graph(0, [(0, 1)])
+    with pytest.raises(InvalidParameterError,
+                       match=r"^edge \(0,2\) outside 0\.\.1$"):
+        Graph(2, [(0, 2)])
+
+
 def test_is_connected():
     g = Graph(4, [(0, 1), (2, 3)])
     assert not is_connected(g)

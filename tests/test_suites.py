@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import subprocess
@@ -16,11 +17,12 @@ from matchcover.cli import main
 from matchcover.constructions import complete_graph, cube_graph, petersen
 from matchcover.corpus import (ORACLE_MAX_M, CorpusEntry, build_corpus,
                                random_matching_covered)
-from matchcover.ears import find_ear_decomposition
+from matchcover import ears
+from matchcover.ears import LastEar, find_ear_decomposition, last_ear
 from matchcover.errors import InvalidParameterError
 from matchcover.feasibility import parity_spaces
 from matchcover.gf2 import Gf2Subspace
-from matchcover.graph import boundary, map_mask
+from matchcover.graph import Graph, boundary, map_mask
 from matchcover.matching import is_matching_covered
 from matchcover.span import MatchingSpan
 from matchcover.suites import (SUITES, _allowed_switch_classes,
@@ -210,6 +212,85 @@ def test_ear_lemmas_check_names(seed):
               for check in (double if e.name in _DOUBLE_EAR else single)]
     assert [c.name for c in run_suite("ear-lemmas", seed=seed).checks] \
         == expect
+
+
+# sha256 of `verify ear-lemmas --seed s` standard output, as printed when
+# the suite read each graph's whole ear decomposition
+_EAR_LEMMAS_DIGESTS = {
+    0: "c28f02527f56bb5b89744d5939ddbd57995bd655fbc919b18c32bd09bd0f466a",
+    1: "953eb235d40a1772465185454b412711919832c0f70b96d94c48ad7a2308c85d",
+    2: "1015a8802cd45e9cc63c737f9d83565a12eaa3f8660d1022d59c5978bd612c40",
+    3: "3d7b909c77383a0881f7c69158bca5385236ee9f7ae7501d3096a170660e5530",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_EAR_LEMMAS_DIGESTS))
+def test_ear_lemmas_report_is_pinned(seed, capsys):
+    assert main(["verify", "ear-lemmas", "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == _EAR_LEMMAS_DIGESTS[seed]
+
+
+def test_ear_lemmas_take_one_peel_step_per_graph(monkeypatch):
+    # the lemmas need only the last ear: one step of the peel per corpus
+    # graph, and no whole decomposition
+    steps, full = [], []
+    real_next_ear = ears._next_ear
+
+    def next_ear(g):
+        steps.append((g.n, g.edges))
+        return real_next_ear(g)
+
+    def record(real):
+        def wrapped(g):
+            full.append(g)
+            return real(g)
+        return wrapped
+
+    monkeypatch.setattr(ears, "_next_ear", next_ear)
+    monkeypatch.setattr(ears, "_peel", record(ears._peel))
+    for module in (ears, suites):
+        monkeypatch.setattr(module, "find_ear_decomposition",
+                            record(module.find_ear_decomposition))
+    assert run_suite("ear-lemmas").passed
+    assert steps == [(e.graph.n, e.graph.edges) for e in build_corpus(0)]
+    assert full == []
+
+
+K2 = Graph(2, [(0, 1)])
+
+
+def test_ear_lemmas_skip_k2():
+    # K2 is the base of every decomposition: it has no last ear
+    assert last_ear(K2) is None
+    assert suites.suite_ear_lemmas([CorpusEntry("k2", K2)]) == []
+    cube = [CorpusEntry("cube", cube_graph())]
+    assert suites.suite_ear_lemmas([CorpusEntry("k2", K2), *cube]) \
+        == suites.suite_ear_lemmas(cube) != []
+
+
+@given(matching_covered_multigraphs(max_extra=6))
+@settings(max_examples=60, deadline=None)
+def test_last_ear_matches_the_whole_decomposition(g):
+    """One peel step against the whole peel, each on its own copy of g:
+    the same last ear, the same prefix (vertex and edge ids, id maps and
+    DP order) and the same lemma checks."""
+    g1, g2 = Graph(g.n, g.edges), Graph(g.n, g.edges)
+    step = last_ear(g1)
+    d = find_ear_decomposition(g2)
+    if d.r == 0:
+        assert step is None
+        return
+    whole = LastEar(d.ears[-1], *g2.edge_subgraph(d.prefix_edges(d.r - 1)))
+    assert step.ear == whole.ear
+    assert (step.prefix.n, step.prefix.edges) \
+        == (whole.prefix.n, whole.prefix.edges)
+    assert list(step.emap.items()) == list(whole.emap.items())
+    assert list(step.vmap.items()) == list(whole.vmap.items())
+    assert step.prefix._order == whole.prefix._order
+    assert suites._lemma_checks("g", g1, step) \
+        == suites._lemma_checks("g", g2, whole)
 
 
 @given(matching_covered_multigraphs(max_extra=4))
