@@ -29,9 +29,11 @@ Theory, 1986) every matching-covered graph but K2 has an ear
 decomposition, of single ears only when bipartite, whose last ear is a
 candidate (its ends have degree >= 3 unless the graph is an even cycle),
 so a matching-covered remainder always has a removable ear; if none is
-found, CrossCheckError is raised.  `last_ear` takes the first step
-alone: the ear the decomposition adds last and the prefix G_{r-1} it is
-added to, which is all the ear lemmas relate G to.
+found, CrossCheckError is raised.  `last_ear` is one removal step: the
+ear the decomposition adds last, the prefix G_{r-1} it is added to,
+which is all the ear lemmas relate G to, and `Graph.delete`'s id maps
+of G into G_{r-1}.  The decomposition is that step repeated, each
+step's maps composed back into the input's ids.
 
 Validation instead uses the ear lemma, answered by the blossom kernel of
 `matching.py` from a perfect matching of G_{i-1} carried along the
@@ -101,8 +103,18 @@ class EarDecomposition(NamedTuple):
             e for ear in self.ears[:i] for p in ear.paths for e in p.edge_ids)]))
 
 
-def _chain_candidates(g: Graph) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
-    """Maximal chains of internal degree-2 vertices, as (u, v, internal, eids).
+class LastEar(NamedTuple):
+    """One step of the peel: an ear of g in g's ids, the prefix that its
+    removal leaves (G_{r-1} when g is G_r), and the old->new edge- and
+    vertex-id maps of g into the prefix, as `Graph.delete` gives them."""
+    ear: Ear
+    prefix: Graph
+    emap: dict[int, int]
+    vmap: dict[int, int]
+
+
+def _chain_candidates(g: Graph) -> list[EarPath]:
+    """Maximal chains of internal degree-2 vertices.
 
     Chords (edges between two retained vertices) appear as chains with no
     internals.  A connected all-degree-2 graph is a single cycle; there the
@@ -110,120 +122,122 @@ def _chain_candidates(g: Graph) -> list[tuple[int, int, tuple[int, ...], tuple[i
     (the higher id of a parallel pair), walked from that edge's first end
     to its second: of all "cycle less one edge" candidates, the first in
     the order below, and its remainder K2 is always matching-covered.
+    Elsewhere each chain is walked from its lesser end.
     Deterministic order: sorted endpoint ids, then edge ids.
     """
     adj = g.adjacency()
     degs = g.degrees()
+
+    def walk(w: int, eid: int, stop: int):
+        # the far end, internals and edges of the chain that leaves along
+        # eid to w and goes on through degree-2 vertices to stop or a
+        # vertex of another degree
+        internal, eids = [], [eid]
+        while degs[w] == 2 and w != stop:
+            internal.append(w)
+            w, eid = next((x, e) for x, e in adj[w] if e != eid)
+            eids.append(eid)
+        return w, internal, eids
+
     branch = [v for v in range(g.n) if degs[v] != 2]
     if not branch:
         drop = min(range(g.m), key=lambda e: (sorted(g.edges[e]), -e))
         u, v = g.edges[drop]
-        internal, eids = [], []
-        prev_eid, cur = drop, u
-        while True:
-            cur, prev_eid = next((x, e2) for x, e2 in adj[cur] if e2 != prev_eid)
-            eids.append(prev_eid)
-            if cur == v:
-                return [(u, v, tuple(internal), tuple(eids))]
-            internal.append(cur)
+        w, eid = next((x, e) for x, e in adj[u] if e != drop)
+        _, internal, eids = walk(w, eid, v)
+        return [EarPath(u, v, tuple(internal), tuple(eids))]
     out = []
-    seen = set()
-    for b in sorted(branch):
+    for b in branch:
         for w, eid in adj[b]:
-            path_eids = [eid]
-            internal = []
-            prev_eid, cur = eid, w
-            while degs[cur] == 2:
-                internal.append(cur)
-                nxt = next((x, e2) for x, e2 in adj[cur] if e2 != prev_eid)
-                cur, prev_eid = nxt[0], nxt[1]
-                path_eids.append(prev_eid)
-            if cur == b:
-                continue     # chain loops back: not an ear
-            key = tuple(sorted(path_eids))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append((b, cur, tuple(internal), tuple(path_eids)))
-    out.sort(key=lambda c: (tuple(sorted((c[0], c[1]))), c[3]))
+            end, internal, eids = walk(w, eid, b)
+            if b < end:     # once per chain; one that loops back is no ear
+                out.append(EarPath(b, end, tuple(internal), tuple(eids)))
+    out.sort(key=lambda c: (sorted(c[:2]), c.edge_ids))
     return out
 
 
-def _remainder(g: Graph, chains) -> Graph:
-    """g less the chains' edges and internal vertices."""
-    return g.delete(vertices=(v for c in chains for v in c[2]),
-                    edges=(e for c in chains for e in c[3]))[0]
+def _remainder(g: Graph, paths: tuple[EarPath, ...]
+               ) -> tuple[Graph, dict[int, int], dict[int, int]]:
+    """g less the paths' edges and internal vertices, with its id maps."""
+    return g.delete(vertices=(v for p in paths for v in p.internal),
+                    edges=(e for p in paths for e in p.edge_ids))
 
 
-def _next_ear(g: Graph):
-    """The first candidate ear of g whose remainder is matching-covered,
-    as (chains, remainder).
+def _removals(g: Graph):
+    """The candidate ears of g that its dependence masks do not rule out.
 
     Candidates are the odd chains one at a time, then vertex-disjoint
     pairs of them.  The PMs of g - c are those of g that avoid c's first
-    edge, so a single chain c is accepted iff no edge outside c depends on
-    that edge (is "bad" for c).  A pair (a, b) is tried only when the
-    edges bad for each lie in the other; a DP on g - a - b decides it.
-    No remainder needs a connectivity test of its own.  Every vertex of
-    g - c reaches an end of c, and if the first end's component lacked
-    the other, a PM avoiding c's first edge would make it even and one
-    through that edge odd.  A pair passing the masks leaves g - a
-    connected, else every PM would use a's first edge, every edge outside
-    a would be bad for a and lie in b, and g would be two vertex-disjoint
-    paths.
+    edge, so a single chain c is removable iff no edge outside c depends
+    on that edge (is "bad" for c); the singles yielded are those.  A pair
+    (a, b) is yielded only when the edges bad for each lie in the other.
+    """
+    odd = [c for c in _chain_candidates(g) if len(c.edge_ids) % 2 == 1]
+    dep = matching_span(g).dependences()
+    bad: list[int] = []                # per chain, until one is accepted
+    for c in odd:
+        first = c.edge_ids[0]
+        bad.append(sum(1 << f for f in range(g.m)
+                       if dep[f] >> first & 1 and f not in c.edge_ids))
+        if not bad[-1]:
+            yield (c,)
+    masks = [sum(1 << e for e in c.edge_ids) for c in odd]
+    for i, a in enumerate(odd):
+        va = {a.end_u, a.end_v, *a.internal}
+        for j in range(i + 1, len(odd)):
+            b = odd[j]
+            if (not bad[i] & ~masks[j] and not bad[j] & ~masks[i]
+                    and va.isdisjoint((b.end_u, b.end_v, *b.internal))):
+                yield a, b
+
+
+def _next_ear(g: Graph) -> LastEar:
+    """The first candidate ear of g whose remainder is matching-covered,
+    removed from g.
+
+    A DP on the remainder decides each candidate of `_removals`; a single
+    that the masks accept and the DP refuses raises.  No remainder needs a
+    connectivity test of its own.  Every vertex of g - c reaches an end of
+    c, and if the first end's component lacked the other, a PM avoiding
+    c's first edge would make it even and one through that edge odd.  A
+    pair passing the masks leaves g - a connected, else every PM would use
+    a's first edge, every edge outside a would be bad for a and lie in b,
+    and g would be two vertex-disjoint paths.
     The DP on an accepted single's remainder re-checks the dependence
     masks, and the next step reads its own masks from it.
     """
-    odd = [c for c in _chain_candidates(g) if len(c[3]) % 2 == 1]
-    dep = matching_span(g).dependences(g.m)
-    bad: list[int] = []                # per chain, until one is accepted
-    for c in odd:
-        first = c[3][0]
-        bad.append(sum(1 << f for f in range(g.m)
-                       if dep[f] >> first & 1 and f not in c[3]))
-        if bad[-1]:
-            continue
-        h = _remainder(g, (c,))
-        if not span_matching_covered(h):
+    for paths in _removals(g):
+        h, emap, vmap = _remainder(g, paths)
+        if span_matching_covered(h):
+            break
+        if len(paths) == 1:
             raise CrossCheckError(
                 "the span DP finds the remainder of an ear that the "
                 "dependence masks accept not matching-covered")
-        return (c,), h
-    masks = [sum(1 << e for e in c[3]) for c in odd]
-    for i, a in enumerate(odd):
-        va = {a[0], a[1], *a[2]}
-        for j in range(i + 1, len(odd)):
-            b = odd[j]
-            if (bad[i] & ~masks[j] or bad[j] & ~masks[i]
-                    or not va.isdisjoint((b[0], b[1], *b[2]))):
-                continue
-            h = _remainder(g, (a, b))
-            if span_matching_covered(h):
-                return (a, b), h
-    raise CrossCheckError("no removable ear found")
+    else:
+        raise CrossCheckError("no removable ear found")
+    if (h.n, h.m) != (g.n - sum(len(p.internal) for p in paths),
+                      g.m - sum(p.length for p in paths)):
+        raise CrossCheckError("ear removal lost track of ids")
+    return LastEar(Ear("single" if len(paths) == 1 else "double", paths),
+                   h, emap, vmap)
 
 
 def _peel(g: Graph) -> EarDecomposition:
     """Remove ears by `_next_ear` until K2 is left: that K2 is the base,
     and the removed ears, reversed, grow it into g, all in the ids of g."""
     removed = []
-    vmap, emap = tuple(range(g.n)), tuple(range(g.m))
+    vback, eback = tuple(range(g.n)), tuple(range(g.m))
     while not (g.n == 2 and g.m == 1):
-        chains, h = _next_ear(g)
-        drop_v = {v for c in chains for v in c[2]}
-        drop_e = {e for c in chains for e in c[3]}
-        paths = tuple(
-            EarPath(vmap[c[0]], vmap[c[1]],
-                    tuple(vmap[x] for x in c[2]),
-                    tuple(emap[e] for e in c[3]))
-            for c in chains)
-        removed.append(Ear("single" if len(chains) == 1 else "double", paths))
-        vmap = tuple(vmap[v] for v in range(g.n) if v not in drop_v)
-        emap = tuple(emap[e] for e in range(g.m) if e not in drop_e)
-        if len(vmap) != h.n or len(emap) != h.m:
-            raise CrossCheckError("ear removal lost track of ids")
-        g = h
-    return EarDecomposition((vmap[0], vmap[1]), emap[0],
+        ear, g, emap, vmap = _next_ear(g)
+        removed.append(Ear(ear.kind, tuple(
+            EarPath(vback[p.end_u], vback[p.end_v],
+                    tuple(vback[x] for x in p.internal),
+                    tuple(eback[e] for e in p.edge_ids))
+            for p in ear.paths)))
+        vback = tuple(vback[v] for v in vmap)
+        eback = tuple(eback[e] for e in emap)
+    return EarDecomposition((vback[0], vback[1]), eback[0],
                             tuple(reversed(removed)))
 
 
@@ -231,16 +245,6 @@ def find_ear_decomposition(g: Graph) -> EarDecomposition:
     """An ear decomposition of a matching-covered graph (always exists)."""
     require_matching_covered(g)
     return _peel(g)
-
-
-class LastEar(NamedTuple):
-    """The ear that `find_ear_decomposition` adds last, in g's ids, and
-    the prefix G_{r-1} it is added to, with the old->new edge- and
-    vertex-id maps of g into the prefix."""
-    ear: Ear
-    prefix: Graph
-    emap: dict[int, int]
-    vmap: dict[int, int]
 
 
 def last_ear(g: Graph) -> Optional[LastEar]:
@@ -253,21 +257,7 @@ def last_ear(g: Graph) -> Optional[LastEar]:
     order, so the DP the step ran to re-check the remainder is its DP.
     """
     require_matching_covered(g)
-    if g.n == 2 and g.m == 1:
-        return None
-    chains, h = _next_ear(g)
-    drop_v = {v for c in chains for v in c[2]}
-    drop_e = {e for c in chains for e in c[3]}
-    vmap = {v: i for i, v in enumerate(
-        v for v in range(g.n) if v not in drop_v)}
-    emap = {e: i for i, e in enumerate(
-        e for e in range(g.m) if e not in drop_e)}
-    if h.n != len(vmap) or h.edges != tuple(
-            (vmap.get(u), vmap.get(v)) for u, v in (g.edges[e] for e in emap)):
-        raise CrossCheckError("ear removal lost track of ids")
-    ear = Ear("single" if len(chains) == 1 else "double",
-              tuple(EarPath(*c) for c in chains))
-    return LastEar(ear, h, emap, vmap)
+    return None if g.n == 2 and g.m == 1 else _next_ear(g)
 
 
 class SingleEarOutcome(NamedTuple):
@@ -306,8 +296,7 @@ def validate_decomposition(g: Graph, d: EarDecomposition) -> ValidationResult:
     ear.  Each lemma question starts from it (`rematch_without`).
     """
     u0, v0 = d.base_vertices
-    bu, bv = g.edges[d.base_edge]
-    if {u0, v0} != {bu, bv}:
+    if not 0 <= d.base_edge < g.m or set(g.edges[d.base_edge]) != {u0, v0}:
         return ValidationResult(False, "base is not the K2 edge", 0)
     cur_v = {u0, v0}
     cur_e = {d.base_edge}
@@ -375,7 +364,7 @@ def _path_consistent(g: Graph, p: EarPath) -> bool:
     if len(p.edge_ids) != len(seq) - 1:
         return False
     for eid, (a, b) in zip(p.edge_ids, zip(seq, seq[1:])):
-        if set(g.edges[eid]) != {a, b}:
+        if not 0 <= eid < g.m or set(g.edges[eid]) != {a, b}:
             return False
     return True
 

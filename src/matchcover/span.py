@@ -189,10 +189,11 @@ class MatchingSpan:
         s = signed[-1]
         return (self.pm_count + s) // 2, (self.pm_count - s) // 2
 
-    def dependences(self, m: int) -> list[int]:
+    def dependences(self) -> list[int]:
         """dep[f] for each of the m edges: the mask of the edges that lie
         in every PM containing f, so f's own bit is set; all m edges when
         f lies in no PM."""
+        m = len(self.edges)
         full = (1 << m) - 1
         dep = [full] * m
         if not self.pm_count:

@@ -13,11 +13,9 @@ from oracles import brute_nf_masks, brute_perfect_matchings
 
 from matchcover.cli import analyze_graph
 from matchcover.constructions import (
-    CyclePart,
     K4_COLORING,
     StarPart,
-    build_cycle_cl,
-    build_qr,
+    build_qr_family,
     build_star_xs,
     chromatic_index_exact,
     color_classes_are_perfect_matchings,
@@ -230,10 +228,7 @@ def test_criterion_09_splice_and_cycle(capsys):
     s = g.edge_set((sp.labels["f1"], sp.labels["f2"]))
     ok = ok and verify_equivalent_set(g, s) is True
 
-    q4 = build_qr(4)
-    cyc = build_cycle_cl([CyclePart(q4.graph, q4.labels["a1a2"],
-                                    q4.labels["b1b2"], q4.coloring)
-                          for _ in range(3)])
+    cyc = build_qr_family("cycle", 4, 3)
     cg = cyc.graph
     ok = ok and cg.is_regular() == 4
     ok = ok and vertex_connectivity_at_least(cg, 4).ok

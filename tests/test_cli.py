@@ -12,9 +12,8 @@ import pytest
 import matchcover
 from matchcover import cli, gf2, graph, kernels, span
 from matchcover.cli import build_parser, main
-from matchcover.constructions import (CyclePart, StarPart, build_cycle_cl,
-                                      build_qr, build_star_xs, complete_graph,
-                                      petersen)
+from matchcover.constructions import (build_qr, build_qr_family,
+                                      complete_graph, petersen)
 from matchcover.corpus import build_corpus
 from matchcover.matching import MatchingCoveredResult
 from matchcover.errors import BudgetExhaustedError
@@ -509,8 +508,7 @@ def test_construct_star_family_strict(r, tmp_path, capsys):
 
 
 def test_decompose_star_r5(tmp_path, capsys):
-    q5 = build_qr(5)
-    g = build_star_xs([StarPart(q5.graph, q5.coloring) for _ in range(5)]).graph
+    g = build_qr_family("star", 5, 5).graph
     path = tmp_path / "star5.json"
     write_graph(g, str(path))
     assert main(["decompose", str(path)]) == 0
@@ -520,17 +518,10 @@ def test_decompose_star_r5(tmp_path, capsys):
     assert obj["nf_star"]["empty"] is False
 
 
-def _cycle_family(k: int):
-    q4 = build_qr(4)
-    return build_cycle_cl([CyclePart(q4.graph, q4.labels["a1a2"],
-                                     q4.labels["b1b2"], q4.coloring)
-                           for _ in range(k)]).graph
-
-
 def test_pm_count_exact_above_the_cap(tmp_path, capsys):
     # cycle-9xq4 has far more perfect matchings than any enumeration holds
     p = tmp_path / "cycle-9xq4.json"
-    write_graph(_cycle_family(9), str(p))
+    write_graph(build_qr_family("cycle", 4, 9).graph, str(p))
     assert main(["analyze", str(p), "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["pm_count"] == 43_595_960_320
@@ -557,7 +548,7 @@ def test_no_user_facing_path_enumerates(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(kernels, "enumerate_perfect_matchings", refuse)
     p = tmp_path / "cycle-3xq4.json"
-    write_graph(_cycle_family(3), str(p))
+    write_graph(build_qr_family("cycle", 4, 3).graph, str(p))
     # only oracle-nf's brute-force oracle may enumerate
     for argv in _user_facing_commands(
             str(p), [suite for suite in SUITES if suite != "oracle-nf"]):
@@ -575,7 +566,7 @@ def test_no_path_runs_networkx_weighted_matching(tmp_path, monkeypatch,
     monkeypatch.setattr(nx.algorithms.matching, "max_weight_matching",
                         refuse)
     p = tmp_path / "cycle-3xq4.json"
-    write_graph(_cycle_family(3), str(p))
+    write_graph(build_qr_family("cycle", 4, 3).graph, str(p))
     for argv in _user_facing_commands(str(p), SUITES):
         assert main(argv) == 0, argv
         capsys.readouterr()
@@ -586,7 +577,7 @@ def test_no_user_facing_path_imports_networkx(tmp_path):
     generate no code: a fresh interpreter runs every user-facing command
     without importing networkx or dataclasses."""
     p = tmp_path / "cycle-3xq4.json"
-    write_graph(_cycle_family(3), str(p))
+    write_graph(build_qr_family("cycle", 4, 3).graph, str(p))
     script = textwrap.dedent("""
         import contextlib, io, json, sys
         from matchcover.cli import main

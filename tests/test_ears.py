@@ -15,11 +15,8 @@ from matchcover import ears
 from matchcover.cli import analyze_graph, main
 
 from matchcover.constructions import (
-    CyclePart,
-    StarPart,
-    build_cycle_cl,
     build_qr,
-    build_star_xs,
+    build_qr_family,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -139,12 +136,8 @@ def test_case_iv_verdicts():
     by member (dim 24 and 35)."""
     six = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3),
                     (2, 4), (2, 5), (3, 5), (4, 5)])
-    q4 = build_qr(4)
-    cycle = build_cycle_cl([CyclePart(q4.graph, q4.labels["a1a2"],
-                                      q4.labels["b1b2"], q4.coloring)
-                            for _ in range(3)]).graph
-    star = build_star_xs([StarPart(q4.graph, q4.coloring)
-                          for _ in range(4)]).graph
+    cycle = build_qr_family("cycle", 4, 3).graph
+    star = build_qr_family("star", 4, 4).graph
     d = find_ear_decomposition(six)
     prefix, _, _ = six.edge_subgraph(d.prefix_edges(d.r - 1))
     assert not nf_star_report(prefix).empty
@@ -176,8 +169,7 @@ def test_intermediate_graphs_matching_covered():
 
 def test_case_iv_witness_on_star():
     q4 = build_qr(4)
-    g = build_star_xs([StarPart(q4.graph, q4.coloring)
-                       for _ in range(4)]).graph
+    g = build_qr_family("star", 4, 4).graph
     d = find_ear_decomposition(g)
     cls = classify_nf_star(g, d)
     assert (cls.empty, cls.rule) == (False, "case-iv")
@@ -208,6 +200,22 @@ def test_validation_rejects_foreign_decomposition():
     d = find_ear_decomposition(cycle_graph(4))
     other = cycle_graph(6)
     assert not validate_decomposition(other, d)
+
+
+@pytest.mark.parametrize("bad", [4, -1])
+def test_validation_rejects_edge_ids_outside_the_graph(bad):
+    # C4 has edges 0..3: -1 in place of the ear's edge 3 once read that
+    # edge from the end of the list, and 4 raised IndexError
+    g = cycle_graph(4)
+    d = find_ear_decomposition(g)
+    val = validate_decomposition(g, d._replace(base_edge=bad))
+    assert (val.clause, val.step) == ("base is not the K2 edge", 0)
+    (p,) = d.ears[0].paths
+    assert g.m - 1 in p.edge_ids
+    ear = Ear("single", (p._replace(edge_ids=tuple(
+        bad if e == g.m - 1 else e for e in p.edge_ids)),))
+    val = validate_decomposition(g, d._replace(ears=(ear,)))
+    assert (val.clause, val.step) == ("edge ids do not trace the path", 1)
 
 
 def _prefixes_matching_covered(g, d) -> bool:
@@ -338,17 +346,10 @@ def test_validation_rejects_a_repeated_edge():
 
 def _family_graphs() -> dict[str, Graph]:
     """qr6 and the four composite family graphs of the benchmark."""
-    q4, q5 = build_qr(4), build_qr(5)
-
-    def cycle(q, k):
-        return build_cycle_cl([CyclePart(q.graph, q.labels["a1a2"],
-                                         q.labels["b1b2"], q.coloring)
-                               for _ in range(k)]).graph
-
-    return {"qr6": build_qr(6).graph, "cycle-3xq4": cycle(q4, 3),
-            "star-4xq4": build_star_xs([StarPart(q4.graph, q4.coloring)
-                                        for _ in range(4)]).graph,
-            "cycle-3xq5": cycle(q5, 3), "cycle-5xq4": cycle(q4, 5)}
+    return {"qr6": build_qr(6).graph, **{
+        f"{family}-{k}xq{r}": build_qr_family(family, r, k).graph
+        for family, r, k in (("cycle", 4, 3), ("star", 4, 4),
+                             ("cycle", 5, 3), ("cycle", 4, 5))}}
 
 
 def test_peel_matches_the_candidate_dp_oracle():
@@ -388,8 +389,10 @@ def test_peel_matches_the_candidate_dp_oracle_on_random_multigraphs(g):
 
 
 def test_last_ear_checks_the_ids_of_its_prefix(monkeypatch):
-    # a remainder that still holds the ear does not match the id maps
-    monkeypatch.setattr(ears, "_remainder", lambda h, chains: h)
+    # a remainder that still holds the ear has more vertices and edges
+    # than g less the ear
+    monkeypatch.setattr(ears, "_remainder", lambda h, paths: (
+        h, {e: e for e in range(h.m)}, {v: v for v in range(h.n)}))
     with pytest.raises(CrossCheckError, match="lost track of ids"):
         ears.last_ear(petersen())
 
@@ -426,7 +429,7 @@ def test_remainders_the_masks_accept_are_connected(g):
     masks = [sum(1 << e for e in c[3]) for c in odd]
 
     def connected(i):
-        return is_connected(ears._remainder(g, (odd[i],)))
+        return is_connected(ears._remainder(g, (odd[i],))[0])
 
     for i in range(len(odd)):
         assert bad[i] or connected(i)

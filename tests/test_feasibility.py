@@ -16,9 +16,7 @@ from oracles import (brute_is_feasible, brute_is_matching_covered,
                      component_switch_witness)
 
 from matchcover.constructions import (
-    StarPart,
-    build_qr,
-    build_star_xs,
+    build_qr_family,
     complete_bipartite,
     complete_graph,
     cube_graph,
@@ -178,9 +176,7 @@ def test_switch_witness_matches_component_route(g, rng):
 
 
 def test_switch_tests_build_no_graph(monkeypatch):
-    q4 = build_qr(4)
-    star = build_star_xs([StarPart(q4.graph, q4.coloring)
-                          for _ in range(4)]).graph
+    star = build_qr_family("star", 4, 4).graph
     graphs = {"petersen": petersen(), "star-4xq4": star}
     built = []
     real_init = Graph.__init__
@@ -360,7 +356,8 @@ _LYING_ROUTES = textwrap.dedent("""
     MatchingSpan.parity_counts = parity_counts
     # an ear removal whose remainder still holds the ear
     remainder = ears._remainder
-    ears._remainder = lambda h, chains: h
+    ears._remainder = lambda h, paths: (
+        h, {e: e for e in range(h.m)}, {v: v for v in range(h.n)})
     expect("ear removal ids", lambda: find_ear_decomposition(g))
     ears._remainder = remainder
     # the DP accepts g itself but no remainder of an ear removal
@@ -371,7 +368,8 @@ _LYING_ROUTES = textwrap.dedent("""
     # dependence masks that report no dependences accept K4 less a chord,
     # which the DP on that remainder finds not matching-covered
     dependences = MatchingSpan.dependences
-    MatchingSpan.dependences = lambda self, m: [1 << f for f in range(m)]
+    MatchingSpan.dependences = lambda self: [
+        1 << f for f in range(len(self.edges))]
     expect("dependence masks", lambda: find_ear_decomposition(
         complete_graph(4)))
     MatchingSpan.dependences = dependences

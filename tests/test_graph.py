@@ -31,11 +31,7 @@ from matchcover.graph import (
     vertex_connectivity_at_least,
 )
 from matchcover.constructions import (
-    CyclePart,
-    StarPart,
-    build_cycle_cl,
-    build_qr,
-    build_star_xs,
+    build_qr_family,
     complete_bipartite,
     complete_graph,
     cube_graph,
@@ -363,16 +359,6 @@ def _glued_cliques(cliques, links=()):
                  + list(links))
 
 
-def _family_graph(name, r, k):
-    q = build_qr(r)
-    if name == "cycle":
-        return build_cycle_cl([CyclePart(q.graph, q.labels["a1a2"],
-                                         q.labels["b1b2"], q.coloring)
-                               for _ in range(k)]).graph
-    return build_star_xs([StarPart(q.graph, q.coloring)
-                          for _ in range(k)]).graph
-
-
 def _connectivity_table(g):
     """(ok, separator, reason) of vertex_connectivity_at_least, k = 1..6."""
     out = []
@@ -398,11 +384,14 @@ PINNED_SEPARATORS = [
     ("petersen", petersen, 3, [1, 4, 5]),
     ("cube", cube_graph, 3, [1, 2, 4]),
     ("k33", lambda: complete_bipartite(3, 3), 3, [3, 4, 5]),
-    ("cycle-r5k3", lambda: _family_graph("cycle", 5, 3), 4,
+    ("cycle-r5k3", lambda: build_qr_family("cycle", 5, 3).graph, 4,
      {5: [0, 10, 15, 16], 6: [0, 1, 5, 25]}),
-    ("cycle-r6k5", lambda: _family_graph("cycle", 6, 5), 4, [0, 12, 18, 19]),
-    ("star-r4", lambda: _family_graph("star", 4, 4), 4, [1, 5, 6, 31]),
-    ("star-r5", lambda: _family_graph("star", 5, 5), 5, [1, 6, 7, 8, 49]),
+    ("cycle-r6k5", lambda: build_qr_family("cycle", 6, 5).graph, 4,
+     [0, 12, 18, 19]),
+    ("star-r4", lambda: build_qr_family("star", 4, 4).graph, 4,
+     [1, 5, 6, 31]),
+    ("star-r5", lambda: build_qr_family("star", 5, 5).graph, 5,
+     [1, 6, 7, 8, 49]),
     ("two-k5-sharing-2", lambda: _glued_cliques(
         [range(5), range(3, 8)]), 2, [3, 4]),
     ("two-k6-doubled-3-matching", lambda: _glued_cliques(
@@ -469,7 +458,7 @@ def test_cut_space_matches_inserted_stars(g, data):
 
 def test_analyze_traverses_the_graph_once(monkeypatch):
     # a copy, whose is_connected no construction step has answered yet
-    g = _family_graph("star", 4, 4)
+    g = build_qr_family("star", 4, 4).graph
     g = Graph(g.n, g.edges)
     calls = []
     search = graph._search_forest
@@ -501,9 +490,7 @@ def test_switching_queries_read_one_forest(monkeypatch):
     # one forest search per graph, which reads each neighbour list once;
     # the switching tests, boundaries, colouring and connectivity after
     # it read none
-    q4 = build_qr(4)
-    g = build_star_xs([StarPart(q4.graph, q4.coloring) for _ in range(4)]
-                      ).graph
+    g = build_qr_family("star", 4, 4).graph
     g = Graph(g.n, g.edges)
     reads, calls = [], []
     object.__setattr__(g, "_adj", _CountedReads(g.adjacency(), reads))
@@ -530,7 +517,8 @@ def test_is_connected_matches_networkx(g):
 
 
 @pytest.mark.parametrize("build, k", [
-    pytest.param(lambda: _family_graph("star", 5, 5), 5, id="star-r5"),
+    pytest.param(lambda: build_qr_family("star", 5, 5).graph, 5,
+                 id="star-r5"),
     pytest.param(lambda: Graph(1000, list(
         nx.random_regular_graph(3, 1000, seed=1).edges())), 3,
         id="random-cubic-1000"),

@@ -12,11 +12,8 @@ from oracles import (brute_dependences, brute_is_matching_covered,
 
 from matchcover import span as span_module
 from matchcover.constructions import (
-    CyclePart,
-    StarPart,
-    build_cycle_cl,
     build_qr,
-    build_star_xs,
+    build_qr_family,
     complete_graph,
 )
 from matchcover.corpus import build_corpus
@@ -87,32 +84,28 @@ def test_span_matches_oracles_on_random_multigraphs(g, rng):
 @given(strategies.multigraphs(max_edges=18))
 @settings(max_examples=150, deadline=None)
 def test_dependences_match_the_oracle_on_random_multigraphs(g):
-    assert matching_span(g).dependences(g.m) == brute_dependences(g)
+    assert matching_span(g).dependences() == brute_dependences(g)
 
 
 def test_dependences_pinned():
     # no perfect matching: every edge depends on every edge
     for g in (Graph(4, [(0, 1), (0, 2), (0, 3)]), complete_graph(3)):
-        assert matching_span(g).dependences(g.m) == [(1 << g.m) - 1] * g.m
+        assert matching_span(g).dependences() == [(1 << g.m) - 1] * g.m
     # the path 0-1-2-3: its middle edge lies in no perfect matching
     g = Graph(4, [(0, 1), (2, 3), (1, 2)])
-    assert matching_span(g).dependences(3) == [0b011, 0b011, 0b111]
+    assert matching_span(g).dependences() == [0b011, 0b011, 0b111]
     # a 4-cycle with edge 0 doubled by edge 4: each copy depends on the
     # opposite edge 2, which depends on neither copy
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 1)])
-    assert matching_span(g).dependences(5) == [
+    assert matching_span(g).dependences() == [
         0b00101, 0b01010, 0b00100, 0b01010, 0b10100]
     for g in (Graph(2, [(0, 1), (0, 1)]), Graph(0, [])):
-        assert matching_span(g).dependences(g.m) == brute_dependences(g)
+        assert matching_span(g).dependences() == brute_dependences(g)
 
 
 def test_family_graphs_pinned():
-    q4 = build_qr(4)
-    cycle = build_cycle_cl([CyclePart(q4.graph, q4.labels["a1a2"],
-                                      q4.labels["b1b2"], q4.coloring)
-                            for _ in range(3)]).graph
-    star = build_star_xs([StarPart(q4.graph, q4.coloring)
-                          for _ in range(4)]).graph
+    cycle = build_qr_family("cycle", 4, 3).graph
+    star = build_qr_family("star", 4, 4).graph
     for g, count, dim_d in ((cycle, 3_520, 24), (star, 6_144, 29)):
         span = matching_span(g)
         assert span.pm_count == count
@@ -226,7 +219,7 @@ def _assert_same_results(g: Graph, a, b, rng: random.Random) -> None:
     assert a.pm_count == b.pm_count
     assert a.edge_union == b.edge_union
     assert Gf2Subspace(g.m, a.d_rows) == Gf2Subspace(g.m, b.d_rows)
-    assert a.dependences(g.m) == b.dependences(g.m)
+    assert a.dependences() == b.dependences()
     for _ in range(8):
         x = rng.getrandbits(g.m) if g.m else 0
         assert a.parity_counts(x) == b.parity_counts(x)
@@ -296,8 +289,7 @@ def test_star_family_fits_a_small_state_budget(monkeypatch):
     # r=5, 6 and 7 make 1,113, 6,117 and 33,073 states; under reverse
     # Cuthill-McKee alone r=5 makes 709,226
     monkeypatch.setattr(span_module, "DEFAULT_STATE_BUDGET", 10_000)
-    q5 = build_qr(5)
-    g = build_star_xs([StarPart(q5.graph, q5.coloring) for _ in range(5)]).graph
+    g = build_qr_family("star", 5, 5).graph
     span = matching_span(g)
     assert span.pm_count == 159_252_480
     assert len(span.starts) - 1 < 10_000
@@ -330,15 +322,9 @@ PINNED_MADE = {
 
 def _pinned_graph(name: str) -> Graph:
     family, r, k, _ = PINNED_STATES[name]
-    base = build_qr(r)
     if family == "qr":
-        return base.graph
-    if family == "cycle":
-        return build_cycle_cl([CyclePart(base.graph, base.labels["a1a2"],
-                                         base.labels["b1b2"], base.coloring)
-                               for _ in range(k)]).graph
-    return build_star_xs([StarPart(base.graph, base.coloring)
-                          for _ in range(k)]).graph
+        return build_qr(r).graph
+    return build_qr_family(family, r, k).graph
 
 
 @pytest.mark.parametrize("name", PINNED_STATES)

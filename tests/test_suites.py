@@ -214,22 +214,40 @@ def test_ear_lemmas_check_names(seed):
         == expect
 
 
-# sha256 of `verify ear-lemmas --seed s` standard output, as printed when
-# the suite read each graph's whole ear decomposition
-_EAR_LEMMAS_DIGESTS = {
-    0: "c28f02527f56bb5b89744d5939ddbd57995bd655fbc919b18c32bd09bd0f466a",
-    1: "953eb235d40a1772465185454b412711919832c0f70b96d94c48ad7a2308c85d",
-    2: "1015a8802cd45e9cc63c737f9d83565a12eaa3f8660d1022d59c5978bd612c40",
-    3: "3d7b909c77383a0881f7c69158bca5385236ee9f7ae7501d3096a170660e5530",
+# sha256 of `verify <suite> --seed s` standard output: ear-lemmas as
+# printed when the suite read each graph's whole ear decomposition, and
+# ear-classify as printed when the peel rebuilt its id maps from the
+# removed chains
+_EAR_SUITE_DIGESTS = {
+    ("ear-lemmas", 0):
+        "c28f02527f56bb5b89744d5939ddbd57995bd655fbc919b18c32bd09bd0f466a",
+    ("ear-lemmas", 1):
+        "953eb235d40a1772465185454b412711919832c0f70b96d94c48ad7a2308c85d",
+    ("ear-lemmas", 2):
+        "1015a8802cd45e9cc63c737f9d83565a12eaa3f8660d1022d59c5978bd612c40",
+    ("ear-lemmas", 3):
+        "3d7b909c77383a0881f7c69158bca5385236ee9f7ae7501d3096a170660e5530",
+    ("ear-classify", 0):
+        "4c72a8d57ebc51118cd7b20711af5db9c3a1c7d4b2a6eae7c95991ef5c45b630",
+    ("ear-classify", 1):
+        "643b4681ecf4b994106a1d8395625f4b71a93caa384c80511abead288d1c06bf",
+    ("ear-classify", 2):
+        "160268150ffbcddc6eba1aa7cb934ee7a10662f6a783f5f59ba7084cf517a53c",
+    ("ear-classify", 3):
+        "10611cc02344923825e7dbee135fc6fa8932d2efa8d8e78a733d6b49fcdc0d02",
 }
 
 
-@pytest.mark.parametrize("seed", sorted(_EAR_LEMMAS_DIGESTS))
-def test_ear_lemmas_report_is_pinned(seed, capsys):
-    assert main(["verify", "ear-lemmas", "--seed", str(seed)]) == 0
+# the ear-lemmas cases keep the ids they had when only that suite was pinned
+@pytest.mark.parametrize("suite, seed", [
+    pytest.param(suite, seed, id=str(seed) if suite == "ear-lemmas"
+                 else f"{suite}-{seed}")
+    for suite, seed in _EAR_SUITE_DIGESTS])
+def test_ear_lemmas_report_is_pinned(suite, seed, capsys):
+    assert main(["verify", suite, "--seed", str(seed)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() \
-        == _EAR_LEMMAS_DIGESTS[seed]
+        == _EAR_SUITE_DIGESTS[suite, seed]
 
 
 def test_ear_lemmas_take_one_peel_step_per_graph(monkeypatch):
