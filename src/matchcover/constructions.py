@@ -57,7 +57,7 @@ def complete_graph(n: int) -> Graph:
 
 
 # complete_graph(4)'s proper 3-edge-colouring, whose classes are its three
-# perfect matchings; `build_star_xs` re-checks both on every part
+# perfect matchings
 K4_COLORING = (1, 2, 3, 3, 2, 1)
 
 
@@ -274,6 +274,32 @@ def _orient(g: Graph, eid: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _common_degree(parts: Sequence, least: int) -> int:
+    """The degree r >= least that every part's graph has; raise unless
+    each part's colouring is a proper r-edge-colouring of its graph."""
+    r = parts[0].graph.is_regular()
+    if r is None or r < least:
+        raise InvalidParameterError(
+            f"parts must be r-regular with r >= {least}")
+    for p in parts:
+        if p.graph.is_regular() != r:
+            raise InvalidParameterError("parts must share a common regularity")
+        if not coloring_is_proper(p.graph, p.coloring, r):
+            raise ColoringMismatchError("part coloring is not proper")
+    return r
+
+
+def _check_pair(p: ChainPart | CyclePart, s: EdgeSet) -> None:
+    """Raise unless the part's edges e and e' differ and lie in s, and
+    the span DP does not refute s as an equivalent set of its graph."""
+    if p.e == p.e_prime:
+        raise InvalidParameterError("e and e' must differ")
+    if p.e not in s or p.e_prime not in s:
+        raise NotEquivalentError("equivalent set must contain e and e'")
+    if verify_equivalent_set(p.graph, s) is False:
+        raise NotEquivalentError("supplied set is not an equivalent set")
+
+
 class ChainPart(NamedTuple):
     graph: Graph
     e: int                      # edge consumed by the splice on the left
@@ -308,19 +334,9 @@ def build_chain(parts: Sequence[ChainPart]) -> ConstructionCertificate:
     k = len(parts)
     if k < 2:
         raise InvalidParameterError("need at least 2 parts")
-    r = parts[0].graph.is_regular()
+    r = _common_degree(parts, 1)
     for p in parts:
-        if p.graph.is_regular() != r or r is None:
-            raise InvalidParameterError("parts must share a common regularity")
-        if p.e == p.e_prime:
-            raise InvalidParameterError("e and e' must differ")
-        if p.e not in p.equiv_set or p.e_prime not in p.equiv_set:
-            raise NotEquivalentError("equivalent set must contain e and e'")
-        ok = verify_equivalent_set(p.graph, p.equiv_set)
-        if ok is False:
-            raise NotEquivalentError("supplied set is not an equivalent set")
-        if not coloring_is_proper(p.graph, p.coloring, r):
-            raise ColoringMismatchError("part coloring is not proper")
+        _check_pair(p, p.equiv_set)
 
     edges: list[tuple[int, int]] = []
     coloring: list[int] = []
@@ -333,7 +349,7 @@ def build_chain(parts: Sequence[ChainPart]) -> ConstructionCertificate:
         part_coloring = p.coloring
         if i > 0:
             coloring = _swap_with_one(coloring, prev_coloring[prev.e_prime])
-            part_coloring = _recolor_class_to_one(p.coloring, (p.e,))
+            part_coloring = _swap_with_one(p.coloring, p.coloring[p.e])
         emap = {}
         for old, (u, v) in enumerate(p.graph.edges):
             if old not in drop:
@@ -383,18 +399,12 @@ def build_cycle_cl(parts: Sequence[CyclePart]) -> ConstructionCertificate:
     k = len(parts)
     if k < 3 or k % 2 == 0:
         raise InvalidParameterError("k must be odd and >= 3")
-    r = parts[0].graph.is_regular()
-    if r is None or r < 4:
-        raise InvalidParameterError("parts must be r-regular with r >= 4")
+    r = _common_degree(parts, 4)
     xs, ys, xps, yps = [], [], [], []
     colorings = []
     for p in parts:
-        if p.graph.is_regular() != r:
-            raise InvalidParameterError("parts must share a common regularity")
-        if verify_equivalent_set(p.graph, p.graph.edge_set((p.e, p.e_prime))) is False:
-            raise NotEquivalentError("{e, e'} is not an equivalent set of its part")
-        if not coloring_is_proper(p.graph, p.coloring, r):
-            raise ColoringMismatchError("part coloring is not proper")
+        _check_pair(p, p.graph.edge_set((p.e, p.e_prime)))
+        # can fail only past the DP budget: classes are perfect matchings
         colorings.append(_recolor_class_to_one(p.coloring, (p.e, p.e_prime)))
         x, y = _orient(p.graph, p.e)
         xp, yp = _orient(p.graph, p.e_prime)
@@ -445,36 +455,20 @@ def build_star_xs(parts: Sequence[StarPart]) -> ConstructionCertificate:
     The composed coloring uses the cyclic permutation family
     pi_s(i) = ((i + s - 2) mod r) + 1, placing the hub edge
     u_{pi_s(i)} v_{i,pi_s(i)} with the matching part class.
+
+    Parts need only a common degree r >= 3 and a proper r-edge-colouring:
+    with no loops, that puts each of the r colours once at every vertex,
+    so each class is a perfect matching and w_i meets every colour once.
     """
     if not parts:
         raise InvalidParameterError("need at least 3 parts")
-    r = parts[0].graph.is_regular()
-    if r is None or r < 3:
-        raise InvalidParameterError("parts must be r-regular with r >= 3")
+    r = _common_degree(parts, 3)
     if len(parts) != r:
         raise InvalidParameterError(f"need exactly r={r} parts")
-    ws = []
-    for p in parts:
-        if p.graph.is_regular() != r:
-            raise InvalidParameterError("parts must share a common regularity")
-        if not coloring_is_proper(p.graph, p.coloring, r):
-            raise ColoringMismatchError("part coloring is not proper")
-        if not color_classes_are_perfect_matchings(p.graph, p.coloring, r):
-            raise ColoringMismatchError("part color classes are not perfect matchings")
-        ws.append(_pick_w(p))
-
+    ws = [_pick_w(p) for p in parts]
     # v_{i,j}: the neighbor of w_i along the class-j edge
-    v_of: list[dict[int, int]] = []
-    for p, w in zip(parts, ws):
-        nbrs = {}
-        for nb, eid in p.graph.adjacency()[w]:
-            c = p.coloring[eid]
-            if c in nbrs:
-                raise ColoringMismatchError("duplicate color at the removed vertex")
-            nbrs[c] = nb
-        if sorted(nbrs) != list(range(1, r + 1)):
-            raise ColoringMismatchError("removed vertex misses a color")
-        v_of.append(nbrs)
+    v_of = [{p.coloring[eid]: nb for nb, eid in p.graph.adjacency()[w]}
+            for p, w in zip(parts, ws)]
 
     edges, part_maps, vmaps, total, subs = _glue(
         [(p.graph, (), (w,)) for p, w in zip(parts, ws)])
@@ -506,12 +500,10 @@ def build_star_xs(parts: Sequence[StarPart]) -> ConstructionCertificate:
                     "vmaps": vmaps, "witness_part": witness_part}
     p0 = parts[0]
     if {"a1", "a2", "b1", "b2", "a1a2", "b1b2"} <= p0.labels.keys():
-        protected = {p0.labels["a1"], p0.labels["a2"],
-                     p0.labels["b1"], p0.labels["b2"]}
-        if ws[0] not in protected:
-            labels["a1a2"] = part_maps[0][p0.labels["a1a2"]]
-            labels["b1b2"] = part_maps[0][p0.labels["b1b2"]]
-            equiv_sets.append(g.edge_set((labels["a1a2"], labels["b1b2"])))
+        # _pick_w kept a1, a2, b1 and b2, so the pair survives in part 0
+        labels["a1a2"] = part_maps[0][p0.labels["a1a2"]]
+        labels["b1b2"] = part_maps[0][p0.labels["b1b2"]]
+        equiv_sets.append(g.edge_set((labels["a1a2"], labels["b1b2"])))
     return ConstructionCertificate(
         name="star", params={"r": r, "nonbipartite_parts": nonbip},
         graph=g, r=r, claimed_connectivity=r, coloring=tuple(coloring),

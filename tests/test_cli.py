@@ -507,6 +507,32 @@ def test_construct_star_family_strict(r, tmp_path, capsys):
     assert claims and all(c["verified"] for c in claims)
 
 
+@pytest.mark.parametrize("argv", [
+    ["qr", "--r", "12"],
+    ["cycle", "--r", "4", "--k", "9"],
+    ["cycle", "--r", "6", "--k", "5"],
+    ["chain", "--r", "4", "--k", "9"],
+    ["chain", "--r", "6", "--k", "5"],
+], ids=["qr-12", "cycle-4-9", "cycle-6-5", "chain-4-9", "chain-6-5"])
+def test_construct_largest_certified_sizes(argv, tmp_path):
+    out = tmp_path / "cert.json"
+    assert main(["construct", *argv, "--strict", "--out", str(out)]) == 0
+    claims = json.loads(out.read_text())["claims"]
+    assert claims and all(c["verified"] for c in claims)
+
+
+def test_construct_star_r8_is_the_witness_wall(tmp_path, capsys):
+    # the first star whose nF* witness outgrows the span DP's state
+    # budget; every other claim verifies, and --strict exits 4 on that one
+    out = tmp_path / "star.json"
+    assert main(["construct", "star", "--r", "8", "--k", "8", "--strict",
+                 "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "error: unverified claim in strict mode\n"
+    claims = json.loads(out.read_text())["claims"]
+    assert [(c["name"], c["verified"]) for c in claims
+            if c["verified"] is not True] == [("nf-star-witness", None)]
+
+
 def test_decompose_star_r5(tmp_path, capsys):
     g = build_qr_family("star", 5, 5).graph
     path = tmp_path / "star5.json"

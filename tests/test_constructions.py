@@ -19,6 +19,7 @@ from matchcover.constructions import (
     color_classes_are_perfect_matchings,
     coloring_is_proper,
     complete_graph,
+    cycle_graph,
     petersen,
     splice,
     star_part_from_certificate,
@@ -26,7 +27,8 @@ from matchcover.constructions import (
     verify_equivalent_set,
 )
 from matchcover.corpus import build_corpus
-from matchcover.errors import (ColoringMismatchError, InvalidParameterError,
+from matchcover.errors import (ColoringMismatchError, EdgeNotInGraphError,
+                               InvalidParameterError, NotEquivalentError,
                                NotMatchingCoveredError)
 from matchcover.feasibility import nf_star_report, nf_star_witness_fault
 from matchcover.formats import certificate_to_json_obj
@@ -78,6 +80,108 @@ def test_builders_refuse_an_improper_part_coloring():
     with pytest.raises(ColoringMismatchError, match="not proper"):
         build_cycle_cl([CyclePart(q4.graph, e, e_prime, c)
                         for c in (q4.coloring, q4.coloring, bad)])
+
+
+def _qr_cycle_part(r=4):
+    """Q_r joined at {a1a2, b1b2}, on a graph of its own, which no span
+    DP has run on yet."""
+    q = build_qr(r)
+    return CyclePart(q.graph, q.labels["a1a2"], q.labels["b1b2"], q.coloring)
+
+
+def _past_the_dp_budget(build):
+    def run():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(span, "DEFAULT_STATE_BUDGET", 1)
+            return build()
+    return run
+
+
+def _refused_cases():
+    """(id, builder call, the exception it raises): one case for each
+    refusal of the family builders, splice and star_part_from_certificate."""
+    k4 = complete_graph(4)
+    kp = ChainPart(k4, 0, 5, k4.edge_set((0, 5)), K4_COLORING)
+    ks = StarPart(k4, K4_COLORING)
+    q4 = _qr_cycle_part()
+    q4_chain = ChainPart(q4.graph, q4.e, q4.e_prime,
+                         q4.graph.edge_set((q4.e, q4.e_prime)), q4.coloring)
+    # a1a2 beside an edge of another colour class: without a verdict from
+    # the span DP, only the colour classes refuse the pair
+    two_classes = lambda: build_cycle_cl([_qr_cycle_part()._replace(
+        e_prime=q4.coloring.index(2))] * 3)
+    return [
+        ("chain-one-part", lambda: build_chain([kp]), InvalidParameterError),
+        ("chain-k4-beside-q4", lambda: build_chain([kp, q4_chain]),
+         InvalidParameterError),
+        ("chain-e-is-e-prime", lambda: build_chain(
+            [kp, kp._replace(e_prime=0)]), InvalidParameterError),
+        ("chain-e-prime-outside-the-set", lambda: build_chain(
+            [kp, kp._replace(e_prime=1)]), NotEquivalentError),
+        ("chain-set-not-equivalent", lambda: build_chain([kp, kp._replace(
+            e_prime=1, equiv_set=k4.edge_set((0, 1)))]), NotEquivalentError),
+        ("cycle-r-below-4", lambda: build_cycle_cl(
+            [CyclePart(k4, 0, 5, K4_COLORING)] * 3), InvalidParameterError),
+        ("cycle-q4-beside-q5", lambda: build_cycle_cl(
+            [_qr_cycle_part(r) for r in (4, 4, 5)]), InvalidParameterError),
+        ("cycle-pair-not-equivalent", lambda: build_cycle_cl(
+            [q4._replace(e=0, e_prime=1)] * 3), NotEquivalentError),
+        ("cycle-pair-in-two-classes-past-the-dp-budget",
+         _past_the_dp_budget(two_classes), ColoringMismatchError),
+        ("star-r-below-3", lambda: build_star_xs(
+            [StarPart(cycle_graph(4), (1, 2, 1, 2))] * 3),
+         InvalidParameterError),
+        ("star-four-k4", lambda: build_star_xs([ks] * 4),
+         InvalidParameterError),
+        ("star-k4-beside-q4", lambda: build_star_xs(
+            [ks, StarPart(q4.graph, q4.coloring), ks]), InvalidParameterError),
+        ("star-every-vertex-protected", lambda: build_star_xs([ks._replace(
+            labels={"a1": 0, "a2": 1, "b1": 2, "b2": 3})] * 3),
+         InvalidParameterError),
+        ("star-part-of-an-uncoloured-certificate",
+         lambda: star_part_from_certificate(splice(k4, 0, k4, 0)),
+         ColoringMismatchError),
+        ("splice-edge-outside-the-graph", lambda: splice(k4, 9, k4, 0),
+         EdgeNotInGraphError),
+        ("splice-k2-part", lambda: splice(complete_graph(2), 0, k4, 0),
+         NotMatchingCoveredError),
+    ]
+
+
+@pytest.mark.parametrize("build, error", [
+    pytest.param(build, error, id=name)
+    for name, build, error in _refused_cases()])
+def test_builders_refuse_bad_parts(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_cycle_refuses_a_part_whose_pair_is_one_edge():
+    part = _qr_cycle_part()
+    with pytest.raises(InvalidParameterError, match="e and e' must differ"):
+        build_cycle_cl([part._replace(e_prime=part.e)] * 3)
+
+
+def test_families_compose():
+    # a star of labelled Q_r parts keeps part 0's pair {a1a2, b1b2} ...
+    stars = {r: build_star_xs([star_part_from_certificate(build_qr(r))] * r)
+             for r in (3, 4, 5)}
+    for star in stars.values():
+        pair = (star.labels["a1a2"], star.labels["b1b2"])
+        assert star.equivalent_sets == (star.graph.edge_set(pair),)
+        claims = verify_certificate(star)
+        assert all(c.ok is True for c in claims), claims
+    # ... so three Q_4 stars close into a cycle, joined at that pair, whose
+    # parts are not bipartite and whose witness is the bridges
+    star = stars[4]
+    cert = build_cycle_cl([CyclePart(star.graph, star.labels["a1a2"],
+                                     star.labels["b1b2"], star.coloring)] * 3)
+    assert (cert.graph.n, cert.graph.m) == (96, 192)
+    assert cert.params["nonbipartite_parts"] == [0, 1, 2]
+    assert cert.nf_star_witness == cert.graph.edge_set(
+        cert.labels["f"] + cert.labels["f_prime"])
+    claims = verify_certificate(cert)
+    assert len(claims) == 9 and all(c.ok is True for c in claims), claims
 
 
 def test_qr_certificates():
