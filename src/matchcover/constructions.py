@@ -256,12 +256,17 @@ def splice(g1: Graph, e1: int, g2: Graph, e2: int) -> ConstructionCertificate:
                 "x1": x1, "y1": y1, "x2": x2, "y2": y2})
 
 
-def _check_splice_part(g: Graph, eids: Sequence[int]) -> None:
-    """Raise unless g is matching-covered with at least 2 edges and has
-    the edges that a splice deletes from it."""
+def _check_edge_ids(g: Graph, eids: Sequence[int]) -> None:
+    """Raise EdgeNotInGraphError unless each id is an edge of g."""
     for e in eids:
         if not 0 <= e < g.m:
             raise EdgeNotInGraphError(f"edge id {e} not in graph")
+
+
+def _check_splice_part(g: Graph, eids: Sequence[int]) -> None:
+    """Raise unless g is matching-covered with at least 2 edges and has
+    the edges that a splice deletes from it."""
+    _check_edge_ids(g, eids)
     if g.m < 2:
         raise NotMatchingCoveredError("parts need at least 2 edges")
     if not is_matching_covered(g):
@@ -289,11 +294,16 @@ def _common_degree(parts: Sequence, least: int) -> int:
     return r
 
 
-def _check_pair(p: ChainPart | CyclePart, s: EdgeSet) -> None:
-    """Raise unless the part's edges e and e' differ and lie in s, and
-    the span DP does not refute s as an equivalent set of its graph."""
+def _check_pair(p: ChainPart | CyclePart, s: Optional[EdgeSet] = None
+                ) -> None:
+    """Raise unless the part's edges e and e' are edges of its graph,
+    differ and lie in s ({e, e'} when None), and the span DP does not
+    refute s as an equivalent set of its graph."""
+    _check_edge_ids(p.graph, (p.e, p.e_prime))
     if p.e == p.e_prime:
         raise InvalidParameterError("e and e' must differ")
+    if s is None:
+        s = p.graph.edge_set((p.e, p.e_prime))
     if p.e not in s or p.e_prime not in s:
         raise NotEquivalentError("equivalent set must contain e and e'")
     if verify_equivalent_set(p.graph, s) is False:
@@ -403,7 +413,7 @@ def build_cycle_cl(parts: Sequence[CyclePart]) -> ConstructionCertificate:
     xs, ys, xps, yps = [], [], [], []
     colorings = []
     for p in parts:
-        _check_pair(p, p.graph.edge_set((p.e, p.e_prime)))
+        _check_pair(p)
         # can fail only past the DP budget: classes are perfect matchings
         colorings.append(_recolor_class_to_one(p.coloring, (p.e, p.e_prime)))
         x, y = _orient(p.graph, p.e)

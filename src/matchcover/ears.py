@@ -11,28 +11,36 @@ the input; the decomposition stores just these, in the input's ids, and
 derives each prefix from them.  On the final even cycle only one
 candidate is built, so that step takes one walk around it.
 
-Each step runs one span DP of `span.py`, on the graph left by the step
-before; `matching_span` keeps it on that graph, so no graph gets a
-second one.  An odd chain P of G is a path whose internal vertices have
-degree 2, so the perfect matchings of G - P are those of G that avoid
-P's first edge; G - P is therefore matching-covered iff no edge outside
-P depends on P's first edge (lies only in perfect matchings that
-contain it), and is then connected (`_next_ear` says why).  The DP's
-dependence masks answer that for every single at once.  The same masks
-rule out most pairs, and `span_matching_covered` of G - P_1 - P_2
-decides the rest, with a DP only when that remainder is connected.  The
-DP of an accepted remainder re-checks the masks' verdict, and the next
-step reads its masks.
+No step runs a span DP on the remainder it accepts.  An odd chain P
+of G is a path whose internal vertices have degree 2, so the perfect
+matchings (PMs) of G - P are those of G that avoid P's first edge, and
+G - P is matching-covered iff they cover every edge outside P (it is
+then connected; `_next_ear` says why).  Each step carries two things
+from the last graph that had a DP of `span.py` (the anchor): its
+dependence masks, which rule a candidate out when an edge outside it
+lies only in the anchor's PMs through its first edge (sound for every
+remainder, whose PMs are all the anchor's), and a pool of known PMs of
+the graph at hand.  A candidate the masks pass is accepted when the
+pool's PMs that avoid its first edges cover its remainder; each edge
+they miss gets one search of the blossom kernel of `matching.py`,
+whose refusal is exact by Berge's theorem.  A refusal under stale
+masks has one DP on the graph at hand refresh the masks and the pool,
+and the scan restart; under exact masks, a single the masks accept
+and the kernel refuses raises CrossCheckError.  A pair of chains that
+no pool PM avoids is decided by a DP on its remainder instead, and a
+pair's remainder is tested for connectivity.
 
 The search is greedy: by the two-ear theorem (Lovasz-Plummer, Matching
 Theory, 1986) every matching-covered graph but K2 has an ear
 decomposition, of single ears only when bipartite, whose last ear is a
 candidate (its ends have degree >= 3 unless the graph is an even cycle),
 so a matching-covered remainder always has a removable ear; if none is
-found, CrossCheckError is raised.  `last_ear` is one removal step: the
-ear the decomposition adds last, the prefix G_{r-1} it is added to,
-which is all the ear lemmas relate G to, and `Graph.delete`'s id maps
-of G into G_{r-1}.  The decomposition is that step repeated, each
+found, CrossCheckError is raised.  Every decision is exact, so the ear
+removed is the first removable candidate in the scan's order, however
+stale the masks.  `last_ear` is one removal step, started from G's own
+DP: the ear the decomposition adds last, the prefix G_{r-1} it is added
+to, which is all the ear lemmas relate G to, and `Graph.delete`'s id
+maps of G into G_{r-1}.  The decomposition is that step repeated, each
 step's maps composed back into the input's ids.
 
 Validation instead uses the ear lemma, answered by the blossom kernel of
@@ -51,13 +59,15 @@ no verdict only when a DP runs out of its state budget.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import chain
 from typing import NamedTuple, Optional
 
 from .errors import CrossCheckError
 from .feasibility import nf_star_witness_fault, parity_spaces
 from .gf2 import Gf2Subspace, complement
-from .graph import EdgeSet, Graph, is_bipartite, map_mask
-from .matching import check_perfect, rematch_without
+from .graph import EdgeSet, Graph, is_bipartite, is_connected, map_mask
+from .matching import check_perfect, is_perfect_matching, rematch_without
 from .span import matching_span, require_matching_covered, span_matching_covered
 
 
@@ -163,25 +173,58 @@ def _remainder(g: Graph, paths: tuple[EarPath, ...]
                     edges=(e for p in paths for e in p.edge_ids))
 
 
-def _removals(g: Graph):
-    """The candidate ears of g that its dependence masks do not rule out.
+class _Known(NamedTuple):
+    """What one removal step hands the next, as edge masks in the ids of
+    the anchor, the last graph that had a DP: needs[e], the edges that
+    lie only in PMs through e there; the anchor ids of the current graph's
+    edges, ascending, and their mask; and a pool of PMs of the current
+    graph, to which the searches add the PMs they find.  The pool covers
+    every edge of the current graph: the DP's PMs cover the anchor's, and
+    a removal keeps the PMs that covered its remainder.  So some pool PM
+    avoids the first edge of any single chain: one through another edge
+    at the chain's first end."""
+    needs: list[int]
+    ids: tuple[int, ...]
+    alive: int
+    pool: list[int]
+
+
+def _known(g: Graph) -> _Known:
+    """g as its own anchor: needs[] from its DP's dependence masks, and a
+    pool of the DP's M0 and pairs, each checked to be a PM of g."""
+    span = matching_span(g)
+    needs = [0] * g.m
+    for f, dep in enumerate(span.dependences()):
+        while dep:
+            low = dep & -dep
+            needs[low.bit_length() - 1] |= 1 << f
+            dep ^= low
+    pool = list(dict.fromkeys(chain((span.base_matching,), *span.pm_pairs)))
+    if not all(is_perfect_matching(g.n, span.ends, pm) for pm in pool):
+        raise CrossCheckError("a PM of the span DP is not a perfect "
+                              "matching")
+    return _Known(needs, tuple(range(g.m)), (1 << g.m) - 1, pool)
+
+
+def _removals(g: Graph, known: _Known):
+    """The candidate ears of g that the carried masks do not rule out.
 
     Candidates are the odd chains one at a time, then vertex-disjoint
     pairs of them.  The PMs of g - c are those of g that avoid c's first
-    edge, so a single chain c is removable iff no edge outside c depends
-    on that edge (is "bad" for c); the singles yielded are those.  A pair
+    edge, and each is one of the anchor's, so no edge outside c that
+    needs that edge in the anchor (is "bad" for c) lies in one: the
+    masks rule c out, stale or not.  The singles yielded are those with
+    no bad edge, all of them removable when the masks are exact.  A pair
     (a, b) is yielded only when the edges bad for each lie in the other.
     """
     odd = [c for c in _chain_candidates(g) if len(c.edge_ids) % 2 == 1]
-    dep = matching_span(g).dependences()
-    bad: list[int] = []                # per chain, until one is accepted
-    for c in odd:
-        first = c.edge_ids[0]
-        bad.append(sum(1 << f for f in range(g.m)
-                       if dep[f] >> first & 1 and f not in c.edge_ids))
-        if not bad[-1]:
+    ids = known.ids
+    masks = [sum(1 << ids[e] for e in c.edge_ids) for c in odd]
+    bad = [known.needs[ids[c.edge_ids[0]]] & known.alive & ~mask
+           for c, mask in zip(odd, masks)]
+    for c, b in zip(odd, bad):
+        if not b:
             yield (c,)
-    masks = [sum(1 << e for e in c.edge_ids) for c in odd]
     for i, a in enumerate(odd):
         va = {a.end_u, a.end_v, *a.internal}
         for j in range(i + 1, len(odd)):
@@ -191,45 +234,126 @@ def _removals(g: Graph):
                 yield a, b
 
 
-def _next_ear(g: Graph) -> LastEar:
-    """The first candidate ear of g whose remainder is matching-covered,
-    removed from g.
+def _covered(g: Graph, known: _Known, firsts: tuple[int, ...],
+             starts: list[int], need: int) -> bool:
+    """Do the PMs of g that avoid the edges firsts cover the edges in need
+    (anchor ids)?
 
-    A DP on the remainder decides each candidate of `_removals`; a single
-    that the masks accept and the DP refuses raises.  No remainder needs a
-    connectivity test of its own.  Every vertex of g - c reaches an end of
-    c, and if the first end's component lacked the other, a PM avoiding
-    c's first edge would make it even and one through that edge odd.  A
-    pair passing the masks leaves g - a connected, else every PM would use
-    a's first edge, every edge outside a would be bad for a and lie in b,
-    and g would be two vertex-disjoint paths.
-    The DP on an accepted single's remainder re-checks the dependence
-    masks, and the next step reads its own masks from it.
+    The starts, the pool's PMs that avoid firsts (at least one), cover
+    some.  For each edge uv they miss, one `rematch_without` search on g
+    less firsts, with u and v dropped, grows a PM through uv from the
+    last PM found, a start at first, or proves by Berge's theorem that
+    there is none.  Each PM found is re-checked, written in edge ids
+    that avoid firsts (a parallel twin of a first edge stands in for
+    it), and joins the pool.
     """
-    for paths in _removals(g):
-        h, emap, vmap = _remainder(g, paths)
-        if span_matching_covered(h):
-            break
+    ids = known.ids
+    for pm in starts:
+        need &= ~pm
+    if not need:
+        return True
+    nbrs = [list(dict.fromkeys(w for w, e in a if e not in firsts))
+            for a in g.adjacency()]
+    mate = [-1] * g.n
+    for e, (u, v) in enumerate(g.edges):
+        if starts[0] >> ids[e] & 1:
+            mate[u], mate[v] = v, u
+    while need:
+        f = bisect_left(ids, (need & -need).bit_length() - 1)
+        u, v = g.edges[f]
+        found = rematch_without(nbrs, mate, (u, v))
+        if found is None:
+            return False
+        found[u], found[v] = v, u
+        check_perfect(nbrs, found)
+        pm, left = 1 << ids[f], list(found)
+        left[u] = left[v] = -1
+        for e, (x, y) in enumerate(g.edges):
+            if left[x] == y and e not in firsts:
+                left[x] = left[y] = -1
+                pm |= 1 << ids[e]
+        known.pool.append(pm)
+        need &= ~pm
+        mate = found
+    return True
+
+
+def _first_removal(g: Graph, known: _Known):
+    """The first candidate of `_removals` whose remainder is
+    matching-covered, as (paths, the remainder and its id maps, the
+    remainder's own _Known when a DP on it decided, else None); None when
+    a search refuses a candidate that stale masks passed."""
+    ids = known.ids
+    exact = len(ids) == len(known.needs)
+    for paths in _removals(g, known):
+        firsts = tuple(p.edge_ids[0] for p in paths)
+        avoid = sum(1 << ids[e] for e in firsts)
+        starts = [pm for pm in known.pool if not pm & avoid]
+        removed = None
+        if len(paths) == 2:
+            removed = _remainder(g, paths)
+            if not is_connected(removed[0]):
+                continue
+            if not starts:
+                if span_matching_covered(removed[0]):
+                    return paths, removed, _known(removed[0])
+                continue
+        taken = sum(1 << ids[e] for p in paths for e in p.edge_ids)
+        if _covered(g, known, firsts, starts, known.alive & ~taken):
+            return paths, removed or _remainder(g, paths), None
+        if not exact:
+            return None
         if len(paths) == 1:
             raise CrossCheckError(
-                "the span DP finds the remainder of an ear that the "
-                "dependence masks accept not matching-covered")
-    else:
-        raise CrossCheckError("no removable ear found")
+                "the blossom kernel finds an edge outside an ear that the "
+                "exact dependence masks accept in no PM of its remainder")
+    raise CrossCheckError("no removable ear found")
+
+
+def _next_ear(g: Graph, known: _Known) -> tuple[LastEar, _Known]:
+    """The first candidate ear of g whose remainder is matching-covered,
+    removed from g, and what the next step carries.
+
+    No candidate gets a DP of its own but a pair that no pool PM avoids.
+    If a search refuses a candidate that stale masks passed, one DP on g
+    refreshes the masks and the pool, and the scan restarts, so pairs are
+    pruned by exact masks.  A single needs no connectivity test: every
+    vertex of g - c reaches an end of c, and if the first end's component
+    lacked the other, a PM avoiding c's first edge would make it even and
+    one through that edge odd.  A pair's remainder gets one.
+    The next step carries the same masks and anchor, with the pool's PMs
+    that avoid the ear's first edges, unless a DP decided the ear; then
+    it starts from that DP.
+    """
+    found = _first_removal(g, known)
+    if found is None:
+        known = _known(g)
+        found = _first_removal(g, known)
+    paths, (h, emap, vmap), anchored = found
     if (h.n, h.m) != (g.n - sum(len(p.internal) for p in paths),
                       g.m - sum(p.length for p in paths)):
         raise CrossCheckError("ear removal lost track of ids")
-    return LastEar(Ear("single" if len(paths) == 1 else "double", paths),
-                   h, emap, vmap)
+    if anchored is None:
+        ids = known.ids
+        avoid = sum(1 << ids[p.edge_ids[0]] for p in paths)
+        anchored = _Known(
+            known.needs, tuple(ids[e] for e in emap),
+            known.alive & ~sum(1 << ids[e] for p in paths
+                               for e in p.edge_ids),
+            [pm for pm in known.pool if not pm & avoid])
+    return (LastEar(Ear("single" if len(paths) == 1 else "double", paths),
+                    h, emap, vmap), anchored)
 
 
 def _peel(g: Graph) -> EarDecomposition:
-    """Remove ears by `_next_ear` until K2 is left: that K2 is the base,
-    and the removed ears, reversed, grow it into g, all in the ids of g."""
+    """Remove ears by `_next_ear`, from g's own DP, until K2 is left: that
+    K2 is the base, and the removed ears, reversed, grow it into g, all
+    in the ids of g."""
     removed = []
     vback, eback = tuple(range(g.n)), tuple(range(g.m))
+    known = _known(g)
     while not (g.n == 2 and g.m == 1):
-        ear, g, emap, vmap = _next_ear(g)
+        (ear, g, emap, vmap), known = _next_ear(g, known)
         removed.append(Ear(ear.kind, tuple(
             EarPath(vback[p.end_u], vback[p.end_v],
                     tuple(vback[x] for x in p.internal),
@@ -249,15 +373,19 @@ def find_ear_decomposition(g: Graph) -> EarDecomposition:
 
 def last_ear(g: Graph) -> Optional[LastEar]:
     """The last ear of g's ear decomposition, from the first step of the
-    peel alone, or None when g is K2 and has no ear.
+    peel alone, started from g's own DP, or None when g is K2 and has no
+    ear.
 
     The prefix is the remainder that step cut from g, the graph that
     `g.edge_subgraph(d.prefix_edges(d.r - 1))` gives: both keep g's
     edges in ascending order, g's vertices in ascending order and g's DP
-    order, so the DP the step ran to re-check the remainder is its DP.
+    order.  The step runs no DP on the prefix unless a DP decided a
+    double ear there; the first reader of its spaces runs it.
     """
     require_matching_covered(g)
-    return None if g.n == 2 and g.m == 1 else _next_ear(g)
+    if g.n == 2 and g.m == 1:
+        return None
+    return _next_ear(g, _known(g))[0]
 
 
 class SingleEarOutcome(NamedTuple):
@@ -288,7 +416,8 @@ class ValidationResult(NamedTuple):
 
 def validate_decomposition(g: Graph, d: EarDecomposition) -> ValidationResult:
     """Re-check every clause of the decomposition definition, each prefix
-    by the ear lemma, a route that shares nothing with the search's DP.
+    by the ear lemma, a route that shares nothing with the search's DP
+    and asks the blossom kernel other questions than the search does.
 
     A PM of each prefix is carried along, on neighbour lists in g's ids:
     the base edge, then each ear's internal vertices paired along its

@@ -44,7 +44,8 @@ placed neighbours, the earliest arrival first among ties.  The order
 is kept on the graph, and the subgraphs cut from it by `Graph.delete`
 and `Graph.edge_subgraph` inherit it, restricted to their vertices: a
 restriction's separation is no larger, so the ear search, which runs
-one DP per ear it removes, computes the order once per input graph.
+a DP on some of the graphs it cuts, computes the order once per input
+graph.
 The results do not depend on the order, except for which PM is M0 and
 which PM pairs are kept.
 

@@ -12,7 +12,8 @@ a DSATUR search.
 Edge dependences are intersections of the enumerated perfect matchings.
 The ear search oracle is the package's earlier peeling loop, which ran
 a span DP on the remainder of every candidate ear in turn; the package
-now decides single ears by dependence masks and runs one DP per ear.
+now decides ears by dependence masks and augmenting-path searches, and
+runs a DP only to refresh its masks.
 The switching witness oracle is the package's earlier route, which
 2-coloured the components of g minus the set (labelled here by a
 traversal of its own).  The reference BFS is the package's next route,

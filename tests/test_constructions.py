@@ -110,6 +110,17 @@ def _refused_cases():
     # the span DP, only the colour classes refuse the pair
     two_classes = lambda: build_cycle_cl([_qr_cycle_part()._replace(
         e_prime=q4.coloring.index(2))] * 3)
+
+    def outside(bad):
+        """Each builder given the edge id bad, outside Q_4's 0..15: one
+        error for all three."""
+        return [
+            (f"cycle-edge-id-{bad}", lambda: build_cycle_cl(
+                [q4._replace(e_prime=bad)] * 3), EdgeNotInGraphError),
+            (f"chain-edge-id-{bad}", lambda: build_chain(
+                [q4_chain._replace(e_prime=bad)] * 2), EdgeNotInGraphError),
+            (f"splice-edge-id-{bad}", lambda: splice(
+                q4.graph, bad, q4.graph, q4.e), EdgeNotInGraphError)]
     return [
         ("chain-one-part", lambda: build_chain([kp]), InvalidParameterError),
         ("chain-k4-beside-q4", lambda: build_chain([kp, q4_chain]),
@@ -145,6 +156,7 @@ def _refused_cases():
          EdgeNotInGraphError),
         ("splice-k2-part", lambda: splice(complete_graph(2), 0, k4, 0),
          NotMatchingCoveredError),
+        *outside(99), *outside(-1),
     ]
 
 

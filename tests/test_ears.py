@@ -397,13 +397,45 @@ def test_last_ear_checks_the_ids_of_its_prefix(monkeypatch):
         ears.last_ear(petersen())
 
 
-def test_ear_search_runs_about_one_dp_per_ear(dp_runs):
-    # star-4xq4 has 21 ears; a DP per candidate remainder made 748 runs
+def test_ear_search_runs_a_dp_only_to_refresh_its_masks(dp_runs):
+    # star-4xq4 has 21 ears; a DP per accepted remainder made 22 runs, and
+    # a DP per candidate remainder 748.  The search runs the input's DP
+    # and one per refresh of stale masks.
     g = _family_graphs()["star-4xq4"]
     dp_runs.clear()
     d = find_ear_decomposition(g)
     assert d.r == 21
-    assert len(dp_runs) <= 30, len(dp_runs)
+    assert len(dp_runs) == 16, len(dp_runs)
+
+
+def _grid(a: int) -> Graph:
+    return Graph(a * a, [(a * i + j, a * i + j + 1) for i in range(a)
+                         for j in range(a - 1)]
+                 + [(a * i + j, a * i + a + j) for i in range(a - 1)
+                    for j in range(a)])
+
+
+def test_ear_search_on_the_12x12_grid_runs_six_dps(dp_runs):
+    # the wall this guards: a DP per accepted remainder made 122 runs; the
+    # grid's masks go stale five times in its 121 steps
+    d = find_ear_decomposition(_grid(12))
+    assert d.r == 121
+    assert len(dp_runs) == 6, len(dp_runs)
+
+
+def test_a_search_writes_the_twin_of_the_chord_it_avoids():
+    # a 4-cycle with two opposite edges doubled: the first removable ear
+    # is the chord 3 = (0, 3), whose twin is 4.  The pool's PMs that avoid
+    # chord 3 miss edge 5 = (2, 1), so one search looks for a PM of g less
+    # chord 3 through it; the vertex matching it returns pairs 0 with 3,
+    # which must be written as edge 4
+    g = Graph(4, [(3, 1), (1, 2), (2, 0), (0, 3), (0, 3), (2, 1)])
+    known = ears._known(g)
+    seeded = len(known.pool)
+    step, _ = ears._next_ear(g, known)
+    assert step.ear == Ear("single", (EarPath(0, 3, (), (3,)),))
+    assert known.pool[seeded:] == [1 << 4 | 1 << 5]
+    assert ears._peel(g) == brute_peel(g)
 
 
 def test_verdicts_on_one_graph_share_one_dp(dp_runs):
@@ -419,9 +451,10 @@ def test_verdicts_on_one_graph_share_one_dp(dp_runs):
 @given(matching_covered_multigraphs())
 @settings(max_examples=300, deadline=None)
 def test_remainders_the_masks_accept_are_connected(g):
-    """The facts that spare the ear search its connectivity tests: an odd
-    chain on which no edge outside it depends leaves a connected
-    remainder, and so does each path of a pair that passes the masks."""
+    """An odd chain on which no edge outside it depends leaves a
+    connected remainder, the fact that spares a single ear a
+    connectivity test; so does each path of a pair that passes the
+    masks (the pair's own remainder is tested)."""
     dep = brute_dependences(g)
     odd = [c for c in ears._chain_candidates(g) if len(c[3]) % 2 == 1]
     bad = [sum(1 << f for f in range(g.m)

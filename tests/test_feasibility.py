@@ -360,13 +360,18 @@ _LYING_ROUTES = textwrap.dedent("""
         h, {e: e for e in range(h.m)}, {v: v for v in range(h.n)})
     expect("ear removal ids", lambda: find_ear_decomposition(g))
     ears._remainder = remainder
-    # the DP accepts g itself but no remainder of an ear removal
-    span_matching_covered = ears.span_matching_covered
-    ears.span_matching_covered = lambda h: h.m == g.m
-    expect("no removable ear", lambda: find_ear_decomposition(g))
-    ears.span_matching_covered = span_matching_covered
+    # a blossom kernel that refuses every search: on the cube, a single
+    # that the exact dependence masks accept needs one, and is refused
+    rematch_without = ears.rematch_without
+    ears.rematch_without = lambda adj, mate, drop: None
+    expect("refused search", lambda: find_ear_decomposition(cube_graph()))
+    # a search that hands back the matching it started from, to which the
+    # step adds the searched edge: a pool PM that is no PM
+    ears.rematch_without = lambda adj, mate, drop: list(mate)
+    expect("search PM", lambda: find_ear_decomposition(cube_graph()))
+    ears.rematch_without = rematch_without
     # dependence masks that report no dependences accept K4 less a chord,
-    # which the DP on that remainder finds not matching-covered
+    # in which the blossom kernel finds no PM through the opposite edge
     dependences = MatchingSpan.dependences
     MatchingSpan.dependences = lambda self: [
         1 << f for f in range(len(self.edges))]
@@ -525,8 +530,8 @@ def test_cross_checks_raise_under_python_O():
     assert proc.stdout.split("\n") == [
         "is_feasible raised", "is_switch_equiv_empty raised",
         "nf_star_report raised", "classify_nf_star raised",
-        "ear removal ids raised", "no removable ear raised",
-        "dependence masks raised",
+        "ear removal ids raised", "refused search raised",
+        "search PM raised", "dependence masks raised",
         "single-ear mode raised", "PM pairs raised", "nF basis raised",
         "blossom kernel in is_matching_covered raised",
         "blossom kernel in validate_decomposition raised",

@@ -256,9 +256,9 @@ def test_ear_lemmas_take_one_peel_step_per_graph(monkeypatch):
     steps, full = [], []
     real_next_ear = ears._next_ear
 
-    def next_ear(g):
+    def next_ear(g, known):
         steps.append((g.n, g.edges))
-        return real_next_ear(g)
+        return real_next_ear(g, known)
 
     def record(real):
         def wrapped(g):
